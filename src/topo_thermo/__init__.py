@@ -1,5 +1,12 @@
 """Thermal extended SSH chain: polarization and quantum Fisher information."""
 
+from .bloch import (
+    BlochSpectrum,
+    bloch_polarization_determinant,
+    bloch_polarization_vanishing,
+    bloch_qfi_matrix,
+    bloch_spectrum,
+)
 from .lattice import (
     OPEN,
     PERIODIC,
@@ -43,6 +50,7 @@ from .thermal import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlochSpectrum",
     "ModelParams",
     "PauliObservable",
     "PolarizationResult",
@@ -60,6 +68,10 @@ __all__ = [
     "MODE_PURE",
     "MODE_WEIGHTED",
     "DEFAULT_MAGNITUDE_CUTOFF",
+    "bloch_polarization_determinant",
+    "bloch_polarization_vanishing",
+    "bloch_qfi_matrix",
+    "bloch_spectrum",
     "build_hamiltonian",
     "diagonalize",
     "ensemble_diagnostics",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -327,7 +328,13 @@ def _run_sweep_command(config: RunConfig) -> int:
         magnitude_cutoff=config.tau_mag,
         label=config.label,
     )
-    log.info("sweep over %d points with %d workers", len(spec.axes), config.workers)
+    grids = dict(spec.axes)
+    points = math.prod(len(grid) for grid in grids.values())
+    spectra = math.prod(len(grid) for name, grid in grids.items() if name != "T")
+    log.info(
+        "sweep over %d points on %d unique spectra with %d workers",
+        points, spectra, config.workers,
+    )
     _emit(config, run_sweep(spec, config.workers))
     return EXIT_OK
 
@@ -427,10 +434,7 @@ def cli_main(argv=None) -> int:
         if args.subcommand == "figure":
             return _run_figure(config, args.figure_id)
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -79,15 +79,17 @@ def flatten_record(record: ResultRecord) -> list[dict]:
     return rows
 
 
-def records_to_rows(records: Iterable) -> list[dict]:
-    """Flat rows from records; already-flat dicts pass through unchanged."""
-    rows = []
+def _iter_rows(records: Iterable):
     for record in records:
         if isinstance(record, ResultRecord):
-            rows.extend(flatten_record(record))
+            yield from flatten_record(record)
         else:
-            rows.append(dict(record))
-    return rows
+            yield dict(record)
+
+
+def records_to_rows(records: Iterable) -> list[dict]:
+    """Flat rows from records; already-flat dicts pass through unchanged."""
+    return list(_iter_rows(records))
 
 
 def _csv_cell(value, precision: int) -> str:
@@ -110,7 +112,7 @@ def render_rows_csv(rows: Iterable[dict], columns, precision: int = DEFAULT_PREC
 
 
 def render_csv(records: Iterable, precision: int = DEFAULT_PRECISION) -> str:
-    return render_rows_csv(records_to_rows(records), CSV_COLUMNS, precision)
+    return render_rows_csv(_iter_rows(records), CSV_COLUMNS, precision)
 
 
 def _json_value(value, precision: int) -> str:
@@ -138,7 +140,7 @@ def render_rows_json(rows: Iterable[dict], columns, precision: int = DEFAULT_PRE
 
 
 def render_json(records: Iterable, precision: int = DEFAULT_PRECISION) -> str:
-    return render_rows_json(records_to_rows(records), CSV_COLUMNS, precision)
+    return render_rows_json(_iter_rows(records), CSV_COLUMNS, precision)
 
 
 def read_json_records(text: str) -> list[dict]:

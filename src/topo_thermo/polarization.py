@@ -12,7 +12,9 @@ are explicit and a required argument downstream:
   weighted    weight-averaged per-state phases,
   determinant half-filled free-fermion expectation det[(1-F) + F U] times
               the neutralizing-background phase; this is the mode with
-              quantized 0, +-1/2 structure.
+              quantized structure. The expectation is real for the
+              half-filled chain, so P is 0 or +1/2: the branch follows
+              the sign of its real part, not of its rounding noise.
 
 Results whose magnitude falls below the cutoff are flagged undefined and
 reported with P = 0; the flag is preserved so downstream analysis can
@@ -43,6 +45,10 @@ STATE_NORM_TOL = 1e-10
 # Weights below this do not contribute to the weighted-phase average.
 CONTRIBUTING_WEIGHT_CUTOFF = 1e-6
 
+# A determinant expectation with |Im E| at most this fraction of |E| is
+# treated as real: its branch comes from the sign of Re E.
+REAL_EXPECTATION_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PolarizationResult:
@@ -61,9 +67,13 @@ def _principal(angle: float) -> float:
     return angle
 
 
-def _make_result(expectation: complex, magnitude: float, mode: str, cutoff: float) -> PolarizationResult:
+def _make_result(
+    expectation: complex, magnitude: float, mode: str, cutoff: float, branch: complex | None = None
+) -> PolarizationResult:
+    """`branch`, when given, is the value whose angle sets the phase."""
     defined = bool(magnitude >= cutoff)
-    phase = _principal(float(np.angle(expectation))) if defined else 0.0
+    angle_of = expectation if branch is None else branch
+    phase = _principal(float(np.angle(angle_of))) if defined else 0.0
     return PolarizationResult(
         expectation=complex(expectation),
         magnitude=float(magnitude),
@@ -156,15 +166,31 @@ def thermal_polarization_weighted(
     return _make_result(synthetic, min_magnitude, MODE_WEIGHTED, magnitude_cutoff)
 
 
-def _background_phase_factor(x_operator: PositionPhaseOperator) -> complex:
+def _background_phase_factor(n: int, delta: float) -> complex:
     # exp(-i*delta*sum_m m) for one unit of neutralizing charge per cell
     # at the cell coordinate. For the canonical delta = 2*pi/N this is
     # exactly (-1)^(N-1); evaluate it as an integer parity to avoid
     # injecting float-pi noise into the determinant's branch.
-    n = x_operator.n_cells
-    if x_operator.delta == 2.0 * np.pi / n:
+    if delta == 2.0 * np.pi / n:
         return 1.0 if (n - 1) % 2 == 0 else -1.0
-    return complex(np.exp(-1j * x_operator.delta * (n * (n - 1) // 2)))
+    return complex(np.exp(-1j * delta * (n * (n - 1) // 2)))
+
+
+def _determinant_result(det: complex, n: int, delta: float, cutoff: float) -> PolarizationResult:
+    """Determinant-mode result from det[(1 - F) + F U], background included.
+
+    For a real chiral Hamiltonian at mu = 0 the expectation is exactly
+    real, so an imaginary part within REAL_EXPECTATION_TOL of |E| is
+    rounding noise; the branch then follows the sign of Re E (P in
+    {0, +1/2}) instead of the sign of that noise. The expectation is kept
+    as computed.
+    """
+    expectation = complex(det * _background_phase_factor(n, delta))
+    magnitude = abs(expectation)
+    branch = None
+    if abs(expectation.imag) <= REAL_EXPECTATION_TOL * magnitude:
+        branch = complex(expectation.real, 0.0)
+    return _make_result(expectation, magnitude, MODE_DETERMINANT, cutoff, branch)
 
 
 def thermal_polarization_determinant(
@@ -181,7 +207,8 @@ def thermal_polarization_determinant(
     background (one positive charge per cell at the cell coordinate),
     equal to (-1)^(N-1) for the canonical delta = 2*pi/N; without it the
     quantized values come out shifted by 1/2 for even N. At T = 0 this
-    reduces to the occupied-band overlap determinant.
+    reduces to the occupied-band overlap determinant. A numerically real
+    expectation takes its branch from the sign of its real part.
     """
     if spectrum.dimension != x_operator.dimension:
         raise ValueError(
@@ -194,5 +221,6 @@ def thermal_polarization_determinant(
     dim = spectrum.dimension
     mixture = np.eye(dim, dtype=complex) - fermi_operator
     mixture += fermi_operator * x_operator.diagonal[None, :]
-    expectation = np.linalg.det(mixture) * _background_phase_factor(x_operator)
-    return _make_result(expectation, abs(expectation), MODE_DETERMINANT, magnitude_cutoff)
+    return _determinant_result(
+        np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+    )

@@ -41,14 +41,19 @@ class QfiReport:
     max_eigenvalue: float
 
 
-def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:
-    """(l_m - l_n)^2 / (l_m + l_n) with near-empty pairs zeroed."""
-    if np.any(weights < 0.0):
+def pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise (l_m - l_n)^2 / (l_m + l_n) with near-empty pairs zeroed."""
+    if np.any(left < 0.0) or np.any(right < 0.0):
         raise ValueError("ensemble weights must be nonnegative")
-    total = weights[:, None] + weights[None, :]
-    diff = weights[:, None] - weights[None, :]
+    total = left + right
+    diff = left - right
     safe = np.where(total > 0.0, total, 1.0)
     return np.where(total >= PAIR_WEIGHT_CUTOFF, diff * diff / safe, 0.0)
+
+
+def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:
+    """pair_weights over all (m, n) pairs of one ensemble."""
+    return pair_weights(weights[:, None], weights[None, :])
 
 
 def _generator_matrix(generator) -> np.ndarray:

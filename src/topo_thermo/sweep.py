@@ -1,26 +1,32 @@
 """Cartesian parameter sweeps with deterministic ordering.
 
 Grid points are pure functions of their parameters, so records are
-byte-identical for any worker count. Spectra (and eigenbasis-rotated
-generators) are computed once per unique (v, w, z, N, boundary) and
-shared across temperatures. Per-point failures are captured in the
+byte-identical for any worker count. Each unique (v, w, z, N, boundary)
+gets one model, shared across temperatures, and each boundary has one
+evaluation path: periodic rings use the Bloch engine (bloch.py, O(N) per
+spectrum and point), open chains the dense eigendecomposition with
+eigenbasis-rotated generators. Per-point failures are captured in the
 record's error field instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bloch import (
+    bloch_polarization_determinant,
+    bloch_polarization_vanishing,
+    bloch_qfi_matrix,
+    bloch_spectrum,
+)
 from .lattice import (
     BOUNDARIES,
     PERIODIC,
     ModelParams,
-    PositionPhaseOperator,
     build_hamiltonian,
     position_phase_operator,
 )
@@ -35,7 +41,7 @@ from .polarization import (
     thermal_polarization_weighted,
 )
 from .qfi import interferometric_power, qfi_matrix_from_weights, transformed_paulis
-from .thermal import Spectrum, diagonalize, ensemble_diagnostics, gibbs_weights
+from .thermal import diagonalize, ensemble_diagnostics, gibbs_weights
 
 AXIS_NAMES = ("T", "v", "w", "z", "N")
 
@@ -132,16 +138,7 @@ class ResultRecord:
     optimal_direction: np.ndarray | None = None
     purity: float | None = None
     entropy: float | None = None
-    wall_time: float = 0.0
     error: str | None = None
-
-
-@dataclass
-class _Workspace:
-    params: ModelParams
-    spectrum: Spectrum
-    x_operator: PositionPhaseOperator
-    paulis: dict | None
 
 
 _POLARIZATION_DISPATCH = {
@@ -150,24 +147,53 @@ _POLARIZATION_DISPATCH = {
 }
 
 
+class _DenseModel:
+    """Open chain: dense eigendecomposition of the real-space Hamiltonian."""
+
+    def __init__(self, params: ModelParams, need_paulis: bool):
+        self.spectrum = diagonalize(build_hamiltonian(params))
+        self.x_operator = position_phase_operator(params.n_cells)
+        self.paulis = transformed_paulis(self.spectrum) if need_paulis else None
+
+    def qfi_matrix(self, weights: np.ndarray) -> np.ndarray:
+        return qfi_matrix_from_weights(weights, self.paulis)
+
+    def polarization(self, mode: str, temperature: float, ensemble, cutoff: float):
+        if mode == MODE_DETERMINANT:
+            return thermal_polarization_determinant(
+                self.spectrum, temperature, self.x_operator, magnitude_cutoff=cutoff
+            )
+        return _POLARIZATION_DISPATCH[mode](ensemble, self.x_operator, magnitude_cutoff=cutoff)
+
+
+class _BlochModel:
+    """Periodic ring: one 2x2 Bloch Hamiltonian per crystal momentum."""
+
+    def __init__(self, params: ModelParams):
+        self.spectrum = bloch_spectrum(params)
+
+    def qfi_matrix(self, weights: np.ndarray) -> np.ndarray:
+        return bloch_qfi_matrix(self.spectrum, weights)
+
+    def polarization(self, mode: str, temperature: float, ensemble, cutoff: float):
+        if mode == MODE_DETERMINANT:
+            return bloch_polarization_determinant(self.spectrum, temperature, cutoff)
+        return bloch_polarization_vanishing(mode, cutoff)
+
+
 def _model_key(point: dict, boundary: str) -> tuple:
     return (int(point["N"]), point["v"], point["w"], point["z"], boundary)
 
 
-def _build_workspace(key: tuple, need_paulis: bool) -> _Workspace:
+def _build_model(key: tuple, need_paulis: bool) -> _DenseModel | _BlochModel:
     n_cells, v, w, z, boundary = key
     params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
-    spectrum = diagonalize(build_hamiltonian(params))
-    return _Workspace(
-        params=params,
-        spectrum=spectrum,
-        x_operator=position_phase_operator(n_cells),
-        paulis=transformed_paulis(spectrum) if need_paulis else None,
-    )
+    if boundary == PERIODIC:
+        return _BlochModel(params)
+    return _DenseModel(params, need_paulis)
 
 
-def _evaluate_point(point: dict, spec: SweepSpec, workspace: _Workspace) -> ResultRecord:
-    started = time.perf_counter()
+def _evaluate_point(point: dict, spec: SweepSpec, model: _DenseModel | _BlochModel) -> ResultRecord:
     record = ResultRecord(
         temperature=float(point["T"]),
         v=float(point["v"]),
@@ -187,25 +213,14 @@ def _evaluate_point(point: dict, spec: SweepSpec, workspace: _Workspace) -> Resu
         or any(mode in (MODE_LITERAL, MODE_WEIGHTED) for mode in spec.polarization_modes)
     )
     try:
-        ensemble = gibbs_weights(workspace.spectrum, temperature) if need_ensemble else None
+        ensemble = gibbs_weights(model.spectrum, temperature) if need_ensemble else None
         if QUANTITY_POLARIZATION in spec.quantities:
             for mode in spec.polarization_modes:
-                if mode == MODE_DETERMINANT:
-                    result = thermal_polarization_determinant(
-                        workspace.spectrum,
-                        temperature,
-                        workspace.x_operator,
-                        magnitude_cutoff=spec.magnitude_cutoff,
-                    )
-                else:
-                    result = _POLARIZATION_DISPATCH[mode](
-                        ensemble,
-                        workspace.x_operator,
-                        magnitude_cutoff=spec.magnitude_cutoff,
-                    )
-                record.polarization[mode] = result
+                record.polarization[mode] = model.polarization(
+                    mode, temperature, ensemble, spec.magnitude_cutoff
+                )
         if need_qfi:
-            matrix = qfi_matrix_from_weights(ensemble.weights, workspace.paulis)
+            matrix = model.qfi_matrix(ensemble.weights)
             if QUANTITY_QFI_MATRIX in spec.quantities:
                 record.qfi = matrix
             if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
@@ -224,7 +239,6 @@ def _evaluate_point(point: dict, spec: SweepSpec, workspace: _Workspace) -> Resu
         record.purity = None
         record.entropy = None
         record.error = f"{type(exc).__name__}: {exc}"
-    record.wall_time = time.perf_counter() - started
     return record
 
 
@@ -256,11 +270,11 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1) -> list[ResultRecord]:
         if key not in keys:
             keys.append(key)
 
-    workspaces: dict[tuple, _Workspace | str] = {}
+    models: dict[tuple, _DenseModel | _BlochModel | str] = {}
 
     def build(key):
         try:
-            return key, _build_workspace(key, need_paulis)
+            return key, _build_model(key, need_paulis)
         except Exception as exc:
             return key, f"{type(exc).__name__}: {exc}"
 
@@ -269,11 +283,11 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1) -> list[ResultRecord]:
     else:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             built = list(pool.map(build, keys))
-    workspaces.update(built)
+    models.update(built)
 
     def evaluate(point):
-        workspace = workspaces[_model_key(point, spec.boundary)]
-        if isinstance(workspace, str):
+        model = models[_model_key(point, spec.boundary)]
+        if isinstance(model, str):
             return ResultRecord(
                 temperature=float(point["T"]),
                 v=float(point["v"]),
@@ -281,9 +295,9 @@ def run_sweep(spec: SweepSpec, worker_count: int = 1) -> list[ResultRecord]:
                 z=float(point["z"]),
                 n_cells=int(point["N"]),
                 boundary=spec.boundary,
-                error=workspace,
+                error=model,
             )
-        return _evaluate_point(point, spec, workspace)
+        return _evaluate_point(point, spec, model)
 
     if worker_count == 1 or len(points) == 1:
         return [evaluate(point) for point in points]

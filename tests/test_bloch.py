@@ -1,0 +1,175 @@
+"""Bloch engine for periodic rings against the dense oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+
+from topo_thermo.bloch import (
+    BAND_WIDTH,
+    _band_layout,
+    bloch_polarization_determinant,
+    bloch_polarization_vanishing,
+    bloch_qfi_matrix,
+    bloch_spectrum,
+)
+from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian, position_phase_operator
+from topo_thermo.polarization import (
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
+    thermal_polarization_weighted,
+)
+from topo_thermo.qfi import interferometric_power, qfi_matrix
+from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+
+QFI_TOL = 1e-13
+DET_RTOL = 1e-11
+DET_ATOL = 1e-14
+DET_SCALE = 1e-3
+
+# T = 0 examples keep every level either degenerate with the ground level
+# (by symmetry, so within rounding) or this far above it, and every |a(k)|
+# this far from 0: a zero mode is half occupied only if its energy is
+# exactly 0, and near-degenerate dense eigenvectors mix by ~1e-16 / gap.
+T0_MIN_GAP = 1e-3
+SYMMETRY_DEGENERACY = 1e-12
+
+hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rings(draw):
+    """(N, v, w, z) with N = 2, odd and even N, and the w = z and v = w + z families."""
+    n = draw(st.one_of(st.just(2), st.integers(3, 40)))
+    w, z = draw(hopping), draw(hopping)
+    family = draw(st.sampled_from(["generic", "w=z", "v=w+z", "v=-(w+z)"]))
+    if family == "w=z":
+        z = w
+    v = {"v=w+z": w + z, "v=-(w+z)": -(w + z)}.get(family, None)
+    if v is None:
+        v = draw(hopping)
+    return n, v, w, z
+
+
+# Both engines get the energies to a few ulp, and a Gibbs weight turns an
+# energy error dE into a relative error dE / T, so the fixed tolerances
+# below hold for T >= 0.02 (the low end of the grid they were measured on).
+temperatures = st.one_of(
+    st.just(0.0),
+    st.just(1e6),
+    st.floats(0.02, 3.0),
+)
+
+
+def assert_determinants_agree(dense, bloch):
+    reference = dense.expectation
+    if abs(reference) >= DET_SCALE:
+        assert abs(bloch.expectation - reference) <= DET_RTOL * abs(reference)
+    else:
+        assert abs(bloch.expectation - reference) <= DET_ATOL
+    assert bloch.defined == dense.defined
+    assert bloch.polarization == dense.polarization
+
+
+@seed(20241018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(ring=rings(), temperature=temperatures)
+def test_bloch_matches_dense(ring, temperature):
+    n, v, w, z = ring
+    params = ModelParams(n_cells=n, v=v, w=w, z=z)
+    bands = bloch_spectrum(params)
+    if temperature == 0.0:
+        excitation = bands.energies - bands.energies[0]
+        near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
+        assume(np.abs(bands.coupling).min() >= T0_MIN_GAP and not near_ground.any())
+    spectrum = diagonalize(build_hamiltonian(params))
+    x = position_phase_operator(n)
+    assert np.abs(bands.energies - spectrum.energies).max() <= 1e-13
+
+    ensemble = gibbs_weights(spectrum, temperature)
+    bloch_ensemble = gibbs_weights(bands, temperature)
+    dense_matrix = qfi_matrix(ensemble)
+    matrix = bloch_qfi_matrix(bands, bloch_ensemble.weights)
+    assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
+    assert abs(interferometric_power(matrix).i_p - interferometric_power(dense_matrix).i_p) <= QFI_TOL
+    for got, want in zip(ensemble_diagnostics(bloch_ensemble), ensemble_diagnostics(ensemble)):
+        assert abs(got - want) <= QFI_TOL
+
+    assert_determinants_agree(
+        thermal_polarization_determinant(spectrum, temperature, x),
+        bloch_polarization_determinant(bands, temperature),
+    )
+
+    literal = thermal_polarization_literal(ensemble, x)
+    bloch_literal = bloch_polarization_vanishing("literal")
+    assert (bloch_literal.polarization, bloch_literal.defined) == (
+        literal.polarization,
+        literal.defined,
+    )
+    # Inside a degenerate cluster that X connects (momenta k and k + 2 pi/N)
+    # the dense weighted answer depends on the basis LAPACK picks there:
+    # k, -k pairs at odd N, flat bands, and the k, pi - k pairs of v = 0.
+    magnitude = np.abs(bands.coupling)
+    connected = np.abs(magnitude - np.roll(magnitude, 1)).min() < 1e-9
+    if n % 2 == 0 and not connected:
+        weighted = thermal_polarization_weighted(ensemble, x)
+        bloch_weighted = bloch_polarization_vanishing("weighted")
+        assert (bloch_weighted.polarization, bloch_weighted.defined) == (
+            weighted.polarization,
+            weighted.defined,
+        )
+
+
+def test_bloch_hamiltonian_matches_real_space_convention():
+    # h(k) in the Fourier basis of build_hamiltonian, N = 2 bond accumulation included.
+    for n in (2, 3, 6):
+        params = ModelParams(n_cells=n, v=0.3, w=-0.7, z=0.45)
+        h = build_hamiltonian(params)
+        bands = bloch_spectrum(params)
+        cells = np.arange(n)
+        for j, k in enumerate(2.0 * np.pi * cells / n):
+            plane = np.exp(1j * k * cells) / np.sqrt(n)
+            basis = np.zeros((2 * n, 2), dtype=complex)
+            basis[0::2, 0] = plane
+            basis[1::2, 1] = plane
+            block = basis.conj().T @ h @ basis
+            assert np.allclose(block, [[0.0, bands.coupling[j]], [np.conj(bands.coupling[j]), 0.0]])
+
+
+def test_band_layout_is_within_the_declared_bandwidth():
+    for n in range(2, 40):
+        diag_at, shift_at = _band_layout(n)
+        rows = np.concatenate([diag_at, shift_at]) // (2 * n)
+        assert rows.min() >= BAND_WIDTH and rows.max() <= 3 * BAND_WIDTH
+        assert len(set(diag_at) | set(shift_at)) == 8 * n
+
+
+def test_low_temperature_determinant_at_large_ring():
+    # 1 - F(k) is singular in float64 here; the pivoted banded LU is not.
+    params = ModelParams(n_cells=120, v=0.3, w=0.5, z=0.2)
+    dense = thermal_polarization_determinant(
+        diagonalize(build_hamiltonian(params)), 1e-4, position_phase_operator(120)
+    )
+    assert_determinants_agree(dense, bloch_polarization_determinant(bloch_spectrum(params), 1e-4))
+    assert dense.defined and dense.polarization == 0.5
+
+
+def test_bloch_rejects_bad_input():
+    with pytest.raises(ValueError):
+        bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0, boundary=OPEN))
+    bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0))
+    with pytest.raises(ValueError):
+        bloch_qfi_matrix(bands, np.ones(6) / 6)
+    with pytest.raises(ValueError):
+        bloch_qfi_matrix(bands, -np.ones(8) / 8)
+    with pytest.raises(ValueError):
+        bloch_polarization_determinant(bands, -0.1)
+    with pytest.raises(ValueError):
+        bloch_polarization_vanishing("determinant")
+
+
+def test_vanishing_modes_are_closed_form():
+    for mode in ("literal", "weighted"):
+        res = bloch_polarization_vanishing(mode)
+        assert (res.expectation, res.magnitude, res.polarization, res.defined) == (0j, 0.0, 0.0, False)
+        assert res.mode == mode

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import logging
 
 import pytest
 
@@ -138,6 +139,17 @@ def test_sweep_axis_flag_overrides_config(tmp_path, capsys):
     assert code == EXIT_OK
     rows = read_csv(out)
     assert [row["T"] for row in rows] == ["0.2", "0.3", "0.4"]
+
+
+def test_sweep_logs_point_and_spectrum_counts(caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="topo_thermo"):
+        code, out, _ = run_cli(
+            ["sweep", *MODEL_ARGS, "--axis", "T=0.1:0.5:3", "--axis", "z=0,0.2",
+             "--quantities", "interferometric_power", "--verbose"],
+            capsys,
+        )
+    assert code == EXIT_OK and len(read_csv(out)) == 6
+    assert "sweep over 6 points on 2 unique spectra with 1 workers" in caplog.messages
 
 
 def test_sweep_requires_axes_and_quantities(capsys):

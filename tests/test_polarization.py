@@ -12,8 +12,10 @@ from topo_thermo.lattice import (
     position_phase_operator,
 )
 from topo_thermo.polarization import (
+    MODE_DETERMINANT,
     MODE_PURE,
     MODE_WEIGHTED,
+    _determinant_result,
     pure_state_phase,
     thermal_polarization_determinant,
     thermal_polarization_literal,
@@ -202,6 +204,24 @@ def test_determinant_washout_is_monotone_until_undefined():
         previous = abs(res.polarization)
 
 
+def test_determinant_branch_follows_real_part_not_rounding_noise():
+    # E is exactly real at half filling; here its rounding noise is negative,
+    # which used to print P = -1/2 where other points of the phase print +1/2.
+    spectrum = diagonalize(build_hamiltonian(ModelParams(n_cells=50, v=0.3, w=0.5, z=0.0)))
+    res = thermal_polarization_determinant(spectrum, 0.02, position_phase_operator(50))
+    assert res.expectation.real < 0.0 and res.expectation.imag < 0.0
+    assert res.defined and res.phase == np.pi and res.polarization == 0.5
+
+    # N = 6: the background factor is (-1)^(N-1) = -1, so E = -det.
+    delta = position_phase_operator(6).delta
+    for expectation, polarization in ((-0.4 - 1e-17j, 0.5), (-0.4 + 1e-17j, 0.5), (0.3 - 1e-17j, 0.0)):
+        res = _determinant_result(-expectation, 6, delta, 1e-3)
+        assert res.polarization == polarization
+        assert res.expectation == expectation
+    genuinely_complex = _determinant_result(-0.3 + 0.2j, 6, delta, 1e-3)
+    assert genuinely_complex.phase == np.angle(0.3 - 0.2j)
+
+
 def test_principal_branch_contract():
     rng = np.random.default_rng(29)
     x = position_phase_operator(6)
@@ -220,7 +240,11 @@ def test_principal_branch_contract():
         assert -0.5 < res.polarization <= 0.5
         assert res.polarization * 2.0 * np.pi == res.phase
         if res.defined:
-            expected = np.angle(res.expectation)
+            branch = res.expectation
+            if res.mode == MODE_DETERMINANT and abs(branch.imag) <= 1e-10 * abs(branch):
+                # A numerically real determinant takes its branch from Re E alone.
+                branch = complex(branch.real, 0.0)
+            expected = np.angle(branch)
             if expected == -np.pi:
                 expected = np.pi
             assert res.phase == expected

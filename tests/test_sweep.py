@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 import topo_thermo.sweep as sweep_mod
+from topo_thermo.bloch import (
+    bloch_polarization_determinant,
+    bloch_polarization_vanishing,
+    bloch_qfi_matrix,
+    bloch_spectrum,
+)
 from topo_thermo.lattice import ModelParams, build_hamiltonian, position_phase_operator
 from topo_thermo.polarization import thermal_polarization_determinant
 from topo_thermo.qfi import interferometric_power, qfi_matrix
@@ -70,24 +76,40 @@ def test_single_point_sweep_matches_direct_evaluation():
         axes=(("T", (0.37,)),),
         fixed={"v": 0.4, "w": 0.7, "z": 0.1, "N": 5},
         quantities=QFI_QUANTITIES + ("diagnostics", "polarization"),
-        polarization_modes=("determinant", "literal"),
+        polarization_modes=("determinant", "literal", "weighted"),
     )
     (record,) = run_sweep(spec)
 
     params = ModelParams(n_cells=5, v=0.4, w=0.7, z=0.1)
-    spectrum = diagonalize(build_hamiltonian(params))
-    ensemble = gibbs_weights(spectrum, 0.37)
-    x = position_phase_operator(5)
-    matrix = qfi_matrix(ensemble)
+    bands = bloch_spectrum(params)
+    ensemble = gibbs_weights(bands, 0.37)
+    matrix = bloch_qfi_matrix(bands, ensemble.weights)
     report = interferometric_power(matrix)
     diagnostics = ensemble_diagnostics(ensemble)
-    determinant = thermal_polarization_determinant(spectrum, 0.37, x)
+    determinant = bloch_polarization_determinant(bands, 0.37)
 
     assert np.array_equal(record.qfi, matrix)
     assert record.i_p == report.i_p
+    assert np.array_equal(record.optimal_direction, report.optimal_direction)
     assert record.purity == diagnostics.purity
     assert record.entropy == diagnostics.entropy
-    assert record.polarization["determinant"].expectation == determinant.expectation
+    assert record.polarization["determinant"] == determinant
+    for mode in ("literal", "weighted"):
+        assert record.polarization[mode] == bloch_polarization_vanishing(mode)
+
+    # The dense oracle agrees within the Bloch-vs-dense property-test tolerances.
+    spectrum = diagonalize(build_hamiltonian(params))
+    dense_ensemble = gibbs_weights(spectrum, 0.37)
+    dense_diagnostics = ensemble_diagnostics(dense_ensemble)
+    dense_determinant = thermal_polarization_determinant(spectrum, 0.37, position_phase_operator(5))
+    assert np.abs(record.qfi - qfi_matrix(dense_ensemble)).max() <= 1e-13
+    assert abs(record.i_p - interferometric_power(qfi_matrix(dense_ensemble)).i_p) <= 1e-13
+    assert abs(record.purity - dense_diagnostics.purity) <= 1e-13
+    assert abs(record.entropy - dense_diagnostics.entropy) <= 1e-13
+    reference = dense_determinant.expectation
+    assert abs(record.polarization["determinant"].expectation - reference) <= 1e-11 * abs(reference)
+    assert record.polarization["determinant"].polarization == dense_determinant.polarization
+    assert record.polarization["determinant"].defined == dense_determinant.defined
 
 
 def test_spectrum_reuse_matches_per_point_rediagonalization():
@@ -118,26 +140,63 @@ def test_per_point_failure_degrades_to_error_record(monkeypatch):
 
 
 def test_workspace_failure_flags_all_points_of_that_model(monkeypatch):
-    real = sweep_mod.diagonalize
+    # Each boundary has its own per-model seam: the Bloch builder for rings,
+    # the dense diagonalization for open chains.
+    seams = {
+        "periodic": ("bloch_spectrum", lambda params: params.n_cells == 6),
+        "open": ("diagonalize", lambda matrix: matrix.shape[0] == 12),
+    }
+    for boundary, (seam, fails) in seams.items():
+        real = getattr(sweep_mod, seam)
 
-    def explode(matrix):
-        if matrix.shape[0] == 12:
-            raise np.linalg.LinAlgError("did not converge")
-        return real(matrix)
+        def explode(argument, _real=real, _fails=fails):
+            if _fails(argument):
+                raise np.linalg.LinAlgError("did not converge")
+            return _real(argument)
 
-    monkeypatch.setattr(sweep_mod, "diagonalize", explode)
+        with monkeypatch.context() as patch:
+            patch.setattr(sweep_mod, seam, explode)
+            spec = SweepSpec(
+                axes=(("T", (0.1, 0.5)), ("N", (5, 6))),
+                fixed={"v": 0.3, "w": 0.5, "z": 0.0},
+                boundary=boundary,
+                quantities=QFI_QUANTITIES,
+            )
+            records = run_sweep(spec)
+        assert len(records) == 4
+        for record in records:
+            if record.n_cells == 6:
+                assert record.error is not None and "converge" in record.error
+            else:
+                assert record.error is None
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
+    dense_calls = []
+    for name in ("build_hamiltonian", "diagonalize", "transformed_paulis"):
+        real = getattr(sweep_mod, name)
+
+        def guarded(*args, _name=name, _real=real, **kwargs):
+            dense_calls.append(_name)
+            if boundary == "periodic":
+                raise AssertionError(f"periodic sweep called {_name}")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, name, guarded)
     spec = SweepSpec(
-        axes=(("T", (0.1, 0.5)), ("N", (5, 6))),
-        fixed={"v": 0.3, "w": 0.5, "z": 0.0},
-        quantities=QFI_QUANTITIES,
+        axes=(("T", (0.0, 0.3)), ("v", (0.2, 0.6))),
+        fixed={"w": 0.5, "z": 0.2, "N": 7},
+        boundary=boundary,
+        quantities=("polarization", "qfi_matrix", "interferometric_power", "diagnostics"),
+        polarization_modes=("literal", "weighted", "determinant"),
     )
     records = run_sweep(spec)
-    assert len(records) == 4
-    for record in records:
-        if record.n_cells == 6:
-            assert record.error is not None and "converge" in record.error
-        else:
-            assert record.error is None
+    assert all(record.error is None for record in records)
+    if boundary == "periodic":
+        assert dense_calls == []
+    else:
+        assert sorted(set(dense_calls)) == ["build_hamiltonian", "diagonalize", "transformed_paulis"]
 
 
 def test_spec_validation():
