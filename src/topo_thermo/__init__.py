@@ -39,7 +39,6 @@ from .qfi import (
 from .sweep import ResultRecord, SweepSpec, locate_extremum, run_sweep
 from .thermal import (
     GibbsEnsemble,
-    OccupationVector,
     Spectrum,
     diagonalize,
     ensemble_diagnostics,
@@ -56,7 +55,6 @@ __all__ = [
     "PolarizationResult",
     "PositionPhaseOperator",
     "GibbsEnsemble",
-    "OccupationVector",
     "QfiReport",
     "ResultRecord",
     "Spectrum",

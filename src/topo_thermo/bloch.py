@@ -38,7 +38,7 @@ from .polarization import (
     _make_result,
 )
 from .qfi import pair_weights
-from .thermal import fermi_occupations
+from .thermal import fermi_occupations, per_temperature
 
 # Block order 0, N-1, 1, N-2, ... puts every cyclic neighbor pair of
 # 2x2 blocks at most two blocks apart: five sub- and superdiagonals.
@@ -52,9 +52,10 @@ class BlochSpectrum:
     `coupling` holds a(k_j). The lower and upper band energies are -|a| and
     +|a|; `energies` lists all 2N of them in ascending order, the form
     gibbs_weights and fermi_occupations read, and `order` maps back:
-    energies == concatenate([-|a|, |a|])[order]. Row j of `generators` is
-    Re(g_l conj(g_m)) for l, m in x, y, z, flattened, with
-    g_l = u_-(k_j)^dagger sigma_l u_+(k_j).
+    energies == concatenate([-|a|, |a|])[order]. `generators` has shape
+    (9, N): column j is Re(g_l conj(g_m)) for l, m in x, y, z, flattened,
+    with g_l = u_-(k_j)^dagger sigma_l u_+(k_j). Keeping k along the
+    contiguous axis lets the QFI sum over k one row at a time.
     """
 
     n_cells: int
@@ -68,13 +69,17 @@ class BlochSpectrum:
         return 2 * self.n_cells
 
     def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-state values in `energies` order, split into (lower, upper) bands."""
+        """Per-state values in `energies` order, split into (lower, upper) bands.
+
+        Works along the last axis, so rows of per-temperature values split
+        row by row.
+        """
         values = np.asarray(values)
-        if values.shape != (self.dimension,):
+        if values.shape[-1:] != (self.dimension,):
             raise ValueError(f"expected {self.dimension} per-state values, got shape {values.shape}")
         banded = np.empty_like(values)
-        banded[self.order] = values
-        return banded[: self.n_cells], banded[self.n_cells :]
+        banded[..., self.order] = values
+        return banded[..., : self.n_cells], banded[..., self.n_cells :]
 
 
 def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
@@ -94,9 +99,7 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
     phi = np.angle(coupling)
     sin, cos = np.sin(phi), np.cos(phi)
     zero, one = np.zeros(n), np.ones(n)
-    generators = np.stack(
-        [sin * sin, sin * cos, zero, sin * cos, cos * cos, zero, zero, zero, one], axis=1
-    )
+    generators = np.stack([sin * sin, sin * cos, zero, sin * cos, cos * cos, zero, zero, zero, one])
     return BlochSpectrum(
         n_cells=n,
         coupling=coupling,
@@ -111,10 +114,14 @@ def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray
 
     Same normalization and pair cutoff as qfi.qfi_matrix. The generators
     connect only the two bands at one k, and the (-, +) and (+, -) pairs
-    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)).
+    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Weights of shape
+    (n_T, 2N) give (n_T, 3, 3); each matrix is a sum along the contiguous
+    k axis, so it does not depend on how many temperatures share the call.
     """
     lower, upper = spectrum.bands(weights)
-    return (pair_weights(lower, upper) @ spectrum.generators).reshape(3, 3)
+    pair = pair_weights(lower, upper)
+    entries = np.sum(pair[..., None, :] * spectrum.generators, axis=-1)
+    return entries.reshape(*pair.shape[:-1], 3, 3)
 
 
 @lru_cache(maxsize=64)
@@ -146,9 +153,9 @@ def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def bloch_polarization_determinant(
     spectrum: BlochSpectrum,
-    temperature: float,
+    temperature,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-) -> PolarizationResult:
+):
     """Determinant-mode polarization of a ring, in O(N).
 
     Same quantity, background phase and branch rule as
@@ -157,28 +164,45 @@ def bloch_polarization_determinant(
     mu = 0, (1 - F) + F U has diagonal blocks 1 - F(k) and blocks F(k + delta)
     one below; its determinant is the product of the pivots of a banded LU
     with partial pivoting, which stays stable where 1 - F(k) is singular
-    at low T.
+    at low T. An array of temperatures gives a list with one result per
+    temperature: their band entries are built together, then each matrix
+    is factored in turn.
     """
     from scipy.linalg.lapack import zgbtrf
 
     n = spectrum.n_cells
-    lower, upper = spectrum.bands(fermi_occupations(spectrum, temperature).occupations)
+    occupations = fermi_occupations(spectrum, temperature)
+    lower, upper = spectrum.bands(np.atleast_2d(occupations))
     mean = 0.5 * (lower + upper)
     off = 0.5 * (upper - lower) * np.exp(1j * np.angle(spectrum.coupling))
-    fermi = np.empty((n, 2, 2), dtype=complex)
-    fermi[:, 0, 0] = fermi[:, 1, 1] = mean
-    fermi[:, 0, 1] = off
-    fermi[:, 1, 0] = off.conj()
-    diag_at, shift_at = _band_layout(n)
-    band = np.zeros((3 * BAND_WIDTH + 1, 2 * n), dtype=complex)
-    band.flat[diag_at] = (np.eye(2) - fermi).ravel()
-    band.flat[shift_at] = fermi.ravel()
-    lu, pivots, info = zgbtrf(band, BAND_WIDTH, BAND_WIDTH, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"zgbtrf rejected argument {-info}")
-    swaps = np.count_nonzero(pivots != np.arange(2 * n))
-    det = np.prod(lu[2 * BAND_WIDTH]) * (-1.0 if swaps % 2 else 1.0)
-    return _determinant_result(det, n, 2.0 * np.pi / n, magnitude_cutoff)
+    fermi = np.empty((len(mean), n, 2, 2), dtype=complex)
+    fermi[..., 0, 0] = fermi[..., 1, 1] = mean
+    fermi[..., 0, 1] = off
+    fermi[..., 1, 0] = off.conj()
+    entries = np.concatenate(
+        [(np.eye(2) - fermi).reshape(len(mean), -1), fermi.reshape(len(mean), -1)], axis=1
+    )
+    layout = np.concatenate(_band_layout(n))
+    # storage.T is the (16, 2N) band storage in Fortran order, which zgbtrf
+    # factors in place, so it is cleared for each temperature; `positions`
+    # are the layout's entries in that order.
+    positions = (layout % (2 * n)) * (3 * BAND_WIDTH + 1) + layout // (2 * n)
+    storage = np.empty((2 * n, 3 * BAND_WIDTH + 1), dtype=complex)
+    flat = storage.reshape(-1)
+    diagonals = np.empty((len(mean), 2 * n), dtype=complex)
+    swaps = np.empty(len(mean), dtype=int)
+    for row, values in enumerate(entries):
+        flat[:] = 0.0
+        flat[positions] = values
+        lu, pivots, info = zgbtrf(storage.T, BAND_WIDTH, BAND_WIDTH, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"zgbtrf rejected argument {-info}")
+        diagonals[row] = lu[2 * BAND_WIDTH]
+        swaps[row] = np.count_nonzero(pivots != np.arange(2 * n))
+    dets = np.prod(diagonals, axis=1) * np.where(swaps % 2, -1.0, 1.0)
+    delta = 2.0 * np.pi / n
+    results = [_determinant_result(det, n, delta, magnitude_cutoff) for det in dets.tolist()]
+    return per_temperature(results, temperature)
 
 
 def bloch_polarization_vanishing(

@@ -4,7 +4,12 @@ Subcommands: spectrum, polarization, qfi, sweep, figure. Options resolve
 with the precedence command-line flag > config-file value > documented
 default. The config file (--config) is a flat JSON object whose keys
 mirror the RunConfig field names. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure or unwritable output.
+error, 3 numerical failure or unwritable output. A polarization, qfi,
+sweep or figure run in which any point failed still writes every row,
+with the failure in the error column, then reports "k of n points
+failed" on stderr and exits 3. --workers (and TOPO_THERMO_WORKERS) is
+validated and accepted for compatibility; it changes neither the output
+nor the speed.
 """
 
 from __future__ import annotations
@@ -240,8 +245,14 @@ def _point_sweep_spec(config: RunConfig, quantities: tuple, modes: tuple) -> Swe
     )
 
 
-def _emit(config: RunConfig, records) -> None:
+def _emit(config: RunConfig, records) -> int:
+    """Write every record, then turn error rows into the numerical-failure exit code."""
     io_mod.emit_records(records, config.format, config.precision, config.out)
+    failed = sum(record.error is not None for record in records)
+    if failed:
+        print(f"{failed} of {len(records)} points failed", file=sys.stderr)
+        return EXIT_NUMERIC
+    return EXIT_OK
 
 
 def _run_spectrum(config: RunConfig) -> int:
@@ -278,8 +289,7 @@ def _run_polarization(config: RunConfig) -> int:
     spec = _point_sweep_spec(
         config, (QUANTITY_POLARIZATION, QUANTITY_DIAGNOSTICS), tuple(modes)
     )
-    _emit(config, run_sweep(spec, config.workers))
-    return EXIT_OK
+    return _emit(config, run_sweep(spec, config.workers))
 
 
 def _run_qfi(config: RunConfig) -> int:
@@ -290,8 +300,7 @@ def _run_qfi(config: RunConfig) -> int:
         (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER, QUANTITY_DIAGNOSTICS),
         (),
     )
-    _emit(config, run_sweep(spec, config.workers))
-    return EXIT_OK
+    return _emit(config, run_sweep(spec, config.workers))
 
 
 def _run_sweep_command(config: RunConfig) -> int:
@@ -331,12 +340,8 @@ def _run_sweep_command(config: RunConfig) -> int:
     grids = dict(spec.axes)
     points = math.prod(len(grid) for grid in grids.values())
     spectra = math.prod(len(grid) for name, grid in grids.items() if name != "T")
-    log.info(
-        "sweep over %d points on %d unique spectra with %d workers",
-        points, spectra, config.workers,
-    )
-    _emit(config, run_sweep(spec, config.workers))
-    return EXIT_OK
+    log.info("sweep over %d points on %d unique spectra", points, spectra)
+    return _emit(config, run_sweep(spec, config.workers))
 
 
 def _run_figure(config: RunConfig, figure_id: str) -> int:
@@ -347,8 +352,7 @@ def _run_figure(config: RunConfig, figure_id: str) -> int:
             "the ensemble-trace reading is available via the polarization subcommand",
             file=sys.stderr,
         )
-    _emit(config, run_sweep(spec, config.workers))
-    return EXIT_OK
+    return _emit(config, run_sweep(spec, config.workers))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> None:
@@ -362,7 +366,11 @@ def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> No
     parser.add_argument("--out", "-o", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=io_mod.FORMATS)
     parser.add_argument("--precision", type=int, help="significant digits (default 12)")
-    parser.add_argument("--workers", type=int, help=f"worker count (default ${WORKERS_ENV_VAR} or 1)")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        help=f"accepted for compatibility, no effect (default ${WORKERS_ENV_VAR} or 1)",
+    )
     parser.add_argument("--tau-mag", dest="tau_mag", type=float, help="magnitude cutoff")
     parser.add_argument("--label", help="free-text run identifier")
     parser.add_argument("--verbose", dest="verbosity", action="count", help="more logging")

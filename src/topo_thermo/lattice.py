@@ -68,11 +68,6 @@ def flat_index(cell: int, sublattice: int) -> int:
     return 2 * cell + sublattice
 
 
-def cell_sublattice(index: int) -> tuple[int, int]:
-    """Inverse of flat_index."""
-    return index // 2, index % 2
-
-
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Real symmetric 2N x 2N Hamiltonian of the extended SSH chain.
 
@@ -115,9 +110,6 @@ class PositionPhaseOperator:
     @property
     def dimension(self) -> int:
         return 2 * self.n_cells
-
-    def as_matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
 
 
 def position_phase_operator(n_cells: int) -> PositionPhaseOperator:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PositionPhaseOperator
-from .thermal import GibbsEnsemble, Spectrum, fermi_occupations
+from .thermal import GibbsEnsemble, Spectrum, fermi_occupations, per_temperature
 
 MODE_PURE = "pure"
 MODE_LITERAL = "literal"
@@ -84,10 +84,25 @@ def _make_result(
     )
 
 
-def _diag_expectation(state: np.ndarray, diagonal: np.ndarray) -> complex:
-    """<state| diag |state> for a diagonal operator."""
-    probabilities = np.abs(state) ** 2
-    return complex(np.dot(probabilities, diagonal))
+def state_expectations(vectors: np.ndarray, x_operator: PositionPhaseOperator) -> np.ndarray:
+    """<n|X|n> for every column n of `vectors`, in one pass.
+
+    Each entry is a sum along a contiguous row, so it does not depend on
+    how many states are evaluated together.
+    """
+    probabilities = np.ascontiguousarray(np.abs(vectors.T) ** 2)
+    diagonal = x_operator.diagonal
+    expectations = np.empty(probabilities.shape[0], dtype=complex)
+    expectations.real = np.sum(probabilities * diagonal.real, axis=1)
+    expectations.imag = np.sum(probabilities * diagonal.imag, axis=1)
+    return expectations
+
+
+def _check_dimension(dimension: int, x_operator: PositionPhaseOperator, what: str) -> None:
+    if dimension != x_operator.dimension:
+        raise ValueError(
+            f"{what} dimension {dimension} does not match operator dimension {x_operator.dimension}"
+        )
 
 
 def pure_state_phase(
@@ -104,66 +119,74 @@ def pure_state_phase(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state must be normalized, got |state| = {norm}")
-    expectation = _diag_expectation(state, x_operator.diagonal)
+    expectation = complex(state_expectations(state[:, None], x_operator)[0])
     return _make_result(expectation, abs(expectation), MODE_PURE, magnitude_cutoff)
+
+
+def literal_polarizations(
+    weights: np.ndarray, per_state: np.ndarray, magnitude_cutoff: float
+) -> list[PolarizationResult]:
+    """Literal mode for each row of weights (n_T, 2N), given <n|X|n> per state."""
+    expectations = np.sum(weights * per_state, axis=1)
+    return [
+        _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
+        for expectation in expectations.tolist()
+    ]
+
+
+def weighted_polarizations(
+    weights: np.ndarray, per_state: np.ndarray, magnitude_cutoff: float
+) -> list[PolarizationResult]:
+    """Weighted mode for each row of weights (n_T, 2N), given <n|X|n> per state."""
+    magnitudes = np.abs(per_state)
+    phases = np.angle(per_state)
+    phases = np.where(phases == -np.pi, np.pi, phases)
+    contributing = weights > CONTRIBUTING_WEIGHT_CUTOFF
+    min_magnitudes = np.min(np.where(contributing, magnitudes, np.inf), axis=1)
+    counted = contributing & (magnitudes >= magnitude_cutoff)
+    phase_sums = np.sum(np.where(counted, weights * phases, 0.0), axis=1)
+    results = []
+    for phase_sum, magnitude in zip(phase_sums.tolist(), min_magnitudes.tolist()):
+        synthetic = magnitude * np.exp(1j * _principal(phase_sum))
+        results.append(_make_result(synthetic, magnitude, MODE_WEIGHTED, magnitude_cutoff))
+    return results
 
 
 def thermal_polarization_literal(
     ensemble: GibbsEnsemble,
     x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-) -> PolarizationResult:
+):
     """Tr[rho X] with rho in spectral form.
 
     For a periodic chain this trace is forced to zero by translation
     symmetry at any temperature, so the result is typically undefined;
-    the computation is exposed precisely to document that behavior.
+    the computation is exposed precisely to document that behavior. A
+    batched ensemble gives a list with one result per temperature.
     """
-    if ensemble.dimension != x_operator.dimension:
-        raise ValueError(
-            f"ensemble dimension {ensemble.dimension} does not match "
-            f"operator dimension {x_operator.dimension}"
-        )
-    vectors = ensemble.spectrum.vectors
-    per_state = np.array(
-        [_diag_expectation(vectors[:, n], x_operator.diagonal) for n in range(ensemble.dimension)]
-    )
-    expectation = complex(np.dot(ensemble.weights, per_state))
-    return _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
+    _check_dimension(ensemble.dimension, x_operator, "ensemble")
+    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    results = literal_polarizations(np.atleast_2d(ensemble.weights), per_state, magnitude_cutoff)
+    return per_temperature(results, ensemble.temperature)
 
 
 def thermal_polarization_weighted(
     ensemble: GibbsEnsemble,
     x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-) -> PolarizationResult:
+):
     """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
 
     States with weight below 1e-6 are ignored. Contributing states whose
     own expectation magnitude falls below the cutoff are excluded from the
     average and force the result to undefined; the reported magnitude is
-    the minimum over contributing states.
+    the minimum over contributing states. A batched ensemble gives a list
+    with one result per temperature.
     """
-    if ensemble.dimension != x_operator.dimension:
-        raise ValueError(
-            f"ensemble dimension {ensemble.dimension} does not match "
-            f"operator dimension {x_operator.dimension}"
-        )
-    vectors = ensemble.spectrum.vectors
-    phase_sum = 0.0
-    min_magnitude = np.inf
-    for n in range(ensemble.dimension):
-        weight = ensemble.weights[n]
-        if weight <= CONTRIBUTING_WEIGHT_CUTOFF:
-            continue
-        expectation = _diag_expectation(vectors[:, n], x_operator.diagonal)
-        magnitude = abs(expectation)
-        min_magnitude = min(min_magnitude, magnitude)
-        if magnitude >= magnitude_cutoff:
-            phase_sum += weight * _principal(float(np.angle(expectation)))
-    phase = _principal(phase_sum)
-    synthetic = min_magnitude * np.exp(1j * phase)
-    return _make_result(synthetic, min_magnitude, MODE_WEIGHTED, magnitude_cutoff)
+    _check_dimension(ensemble.dimension, x_operator, "ensemble")
+    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    results = weighted_polarizations(np.atleast_2d(ensemble.weights), per_state, magnitude_cutoff)
+    return per_temperature(results, ensemble.temperature)
 
 
 def _background_phase_factor(n: int, delta: float) -> complex:
@@ -193,12 +216,44 @@ def _determinant_result(det: complex, n: int, delta: float, cutoff: float) -> Po
     return _make_result(expectation, magnitude, MODE_DETERMINANT, cutoff, branch)
 
 
+def rotated_phase_operator(vectors: np.ndarray, x_operator: PositionPhaseOperator) -> np.ndarray:
+    """W = V^T X V for real eigenvectors V, from two real matrix products."""
+    diagonal = x_operator.diagonal
+    rotated = np.empty(vectors.shape, dtype=complex)
+    rotated.real = (vectors.T * diagonal.real) @ vectors
+    rotated.imag = (vectors.T * diagonal.imag) @ vectors
+    return rotated
+
+
+def determinant_polarizations(
+    rotated: np.ndarray,
+    occupations: np.ndarray,
+    x_operator: PositionPhaseOperator,
+    magnitude_cutoff: float,
+) -> list[PolarizationResult]:
+    """Determinant mode for each row of occupations (n_T, 2N), given W = V^T X V.
+
+    With F = V diag(f) V^T, (1 - F) + F U = V [(1 - f) + diag(f) W] V^T, and
+    V is orthogonal, so only the bracket's determinant is formed per row.
+    """
+    results = []
+    for row in occupations:
+        mixture = rotated * row[:, None]
+        mixture[np.diag_indices_from(mixture)] += 1.0 - row
+        results.append(
+            _determinant_result(
+                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+            )
+        )
+    return results
+
+
 def thermal_polarization_determinant(
     spectrum: Spectrum,
-    temperature: float,
+    temperature,
     x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-) -> PolarizationResult:
+):
     """Half-filled free-fermion expectation of the position phase.
 
     expectation = exp(-i delta sum_m m) * det[(1 - F) + F U] with F the
@@ -208,19 +263,15 @@ def thermal_polarization_determinant(
     equal to (-1)^(N-1) for the canonical delta = 2*pi/N; without it the
     quantized values come out shifted by 1/2 for even N. At T = 0 this
     reduces to the occupied-band overlap determinant. A numerically real
-    expectation takes its branch from the sign of its real part.
+    expectation takes its branch from the sign of its real part. An array
+    of temperatures gives a list with one result per temperature.
     """
-    if spectrum.dimension != x_operator.dimension:
-        raise ValueError(
-            f"spectrum dimension {spectrum.dimension} does not match "
-            f"operator dimension {x_operator.dimension}"
-        )
-    occ = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
-    vectors = spectrum.vectors
-    fermi_operator = (vectors * occ.occupations) @ vectors.T
-    dim = spectrum.dimension
-    mixture = np.eye(dim, dtype=complex) - fermi_operator
-    mixture += fermi_operator * x_operator.diagonal[None, :]
-    return _determinant_result(
-        np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+    _check_dimension(spectrum.dimension, x_operator, "spectrum")
+    occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
+    results = determinant_polarizations(
+        rotated_phase_operator(spectrum.vectors, x_operator),
+        np.atleast_2d(occupations),
+        x_operator,
+        magnitude_cutoff,
     )
+    return per_temperature(results, temperature)

@@ -10,10 +10,11 @@ semidefinite; its minimum eigenvalue is the interferometric power.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import PauliObservable, pauli_observable
+from .lattice import PauliObservable
 from .thermal import GibbsEnsemble, Spectrum
 
 # Pairs with l_m + l_n below this are skipped; the induced error is
@@ -23,9 +24,6 @@ PAIR_WEIGHT_CUTOFF = 1e-12
 
 MATRIX_SYMMETRY_TOL = 1e-10
 MATRIX_PSD_TOL = 1e-10
-IMAG_CANCELLATION_TOL = 1e-10
-
-GENERATOR_AXES = ("x", "y", "z")
 
 ORACLE_MAX_DIMENSION = 64
 ORACLE_STEP_RANGE = (1e-6, 1e-2)
@@ -33,12 +31,16 @@ ORACLE_STEP_RANGE = (1e-6, 1e-2)
 
 @dataclass(frozen=True)
 class QfiReport:
-    """Interferometric power with its optimizing generator direction."""
+    """Interferometric power with its optimizing generator direction.
+
+    Floats and a 3-vector for one matrix; arrays with a leading per-matrix
+    axis for a stack.
+    """
 
     matrix: np.ndarray = field(repr=False)
-    i_p: float
+    i_p: float | np.ndarray
     optimal_direction: np.ndarray = field(repr=False)
-    max_eigenvalue: float
+    max_eigenvalue: float | np.ndarray
 
 
 def pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -77,33 +79,54 @@ def qfi_scalar(ensemble: GibbsEnsemble, generator) -> float:
     return float(0.5 * np.sum(pair_weights * np.abs(transformed) ** 2))
 
 
-def transformed_paulis(spectrum: Spectrum) -> dict[str, np.ndarray]:
+class EigenbasisPaulis(NamedTuple):
+    """I_cells (x) sigma_l rotated into a real eigenbasis, stored as real arrays.
+
+    g_x = x and g_z = z are real symmetric; g_y = 1j * y_imag with y_imag
+    real antisymmetric.
+    """
+
+    x: np.ndarray
+    y_imag: np.ndarray
+    z: np.ndarray
+
+
+def transformed_paulis(spectrum: Spectrum) -> EigenbasisPaulis:
     """All three Pauli generators rotated into the eigenbasis.
 
-    Precompute once per spectrum when evaluating many temperatures.
+    With the sublattice rows A = V[0::2] and B = V[1::2] of the real
+    eigenvectors, V^T (I (x) sigma_l) V is A^T B + B^T A for x,
+    1j (B^T A - A^T B) for y and A^T A - B^T B for z: real products, no
+    2N x 2N Kronecker matrix. Precompute once per spectrum.
     """
-    n_cells = spectrum.dimension // 2
-    vectors = spectrum.vectors
-    return {
-        axis: vectors.conj().T @ pauli_observable(axis, n_cells).matrix @ vectors
-        for axis in GENERATOR_AXES
-    }
+    vectors = np.asarray(spectrum.vectors)
+    if np.iscomplexobj(vectors):
+        raise ValueError("the real-block Pauli rotation needs real eigenvectors")
+    if vectors.shape[0] % 2 != 0:
+        raise ValueError("dimension must be even (two sublattices per cell)")
+    a, b = vectors[0::2], vectors[1::2]
+    a_b = a.T @ b
+    return EigenbasisPaulis(x=a_b + a_b.T, y_imag=a_b.T - a_b, z=a.T @ a - b.T @ b)
 
 
-def qfi_matrix_from_weights(weights: np.ndarray, transformed: dict[str, np.ndarray]) -> np.ndarray:
-    """QFI matrix from precomputed eigenbasis generators."""
-    pair_weights = pair_weight_matrix(weights)
-    matrix = np.zeros((3, 3))
-    for i, axis_i in enumerate(GENERATOR_AXES):
-        for j in range(i, 3):
-            axis_j = GENERATOR_AXES[j]
-            entry = 0.5 * np.sum(pair_weights * transformed[axis_i] * np.conj(transformed[axis_j]))
-            if abs(entry.imag) > IMAG_CANCELLATION_TOL:
-                raise ArithmeticError(
-                    f"imaginary part {entry.imag:.3e} of M[{axis_i},{axis_j}] did not cancel"
-                )
-            matrix[i, j] = matrix[j, i] = entry.real
-    return matrix
+def qfi_matrix_from_weights(weights: np.ndarray, paulis: EigenbasisPaulis) -> np.ndarray:
+    """QFI matrix from precomputed eigenbasis generators.
+
+    `weights` is one ensemble (2N,) or one row per temperature (n_T, 2N);
+    the result is (3, 3) or (n_T, 3, 3). M_xy and M_yz are exactly 0:
+    g_x and g_z are real and g_y imaginary, so Re(g_x conj(g_y)) vanishes
+    term by term.
+    """
+    rows = np.atleast_2d(weights)
+    matrices = np.zeros((rows.shape[0], 3, 3))
+    for matrix, row in zip(matrices, rows):
+        pair = pair_weight_matrix(row)
+        pair_x = pair * paulis.x
+        matrix[0, 0] = 0.5 * np.sum(pair_x * paulis.x)
+        matrix[0, 2] = matrix[2, 0] = 0.5 * np.sum(pair_x * paulis.z)
+        matrix[1, 1] = 0.5 * np.sum(pair * paulis.y_imag * paulis.y_imag)
+        matrix[2, 2] = 0.5 * np.sum(pair * paulis.z * paulis.z)
+    return matrices if np.ndim(weights) == 2 else matrices[0]
 
 
 def qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
@@ -118,30 +141,31 @@ def interferometric_power(matrix: np.ndarray) -> QfiReport:
 
     Eigenvalues within -1e-10 of zero are clamped to zero; anything more
     negative indicates a defective matrix and raises. The direction sign
-    is fixed so its first nonzero component is positive.
+    is fixed so its first component above 1e-12 in magnitude is positive.
+    A stack of matrices (n, 3, 3) goes through one batched eigh, with the
+    checks applied to every matrix; the report then holds arrays with one
+    entry per matrix.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {matrix.shape}")
-    asym = np.abs(matrix - matrix.T).max()
-    if asym > MATRIX_SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    smallest = float(eigenvalues[0])
-    if smallest < -MATRIX_PSD_TOL:
-        raise ArithmeticError(f"QFI matrix has negative eigenvalue {smallest:.3e}")
-    direction = eigenvectors[:, 0].copy()
-    for component in direction:
-        if abs(component) > 1e-12:
-            if component < 0.0:
-                direction = -direction
-            break
-    return QfiReport(
-        matrix=matrix,
-        i_p=max(smallest, 0.0),
-        optimal_direction=direction,
-        max_eigenvalue=float(eigenvalues[-1]),
-    )
+    if matrix.ndim not in (2, 3) or matrix.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack of them, got shape {matrix.shape}")
+    stack = matrix.reshape(-1, 3, 3)
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    if np.any(asym > MATRIX_SYMMETRY_TOL):
+        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym.max():.3e}")
+    eigenvalues, eigenvectors = np.linalg.eigh(stack)
+    smallest = eigenvalues[:, 0]
+    if np.any(smallest < -MATRIX_PSD_TOL):
+        raise ArithmeticError(f"QFI matrix has negative eigenvalue {smallest.min():.3e}")
+    directions = eigenvectors[:, :, 0]
+    significant = np.abs(directions) > 1e-12
+    leading = directions[np.arange(len(stack)), np.argmax(significant, axis=1)]
+    flip = significant.any(axis=1) & (leading < 0.0)
+    directions = np.where(flip[:, None], -directions, directions)
+    i_p = np.maximum(smallest, 0.0)
+    if matrix.ndim == 2:
+        return QfiReport(matrix, float(i_p[0]), directions[0], float(eigenvalues[0, -1]))
+    return QfiReport(matrix, i_p, directions, eigenvalues[:, -1])
 
 
 def _bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

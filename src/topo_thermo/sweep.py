@@ -1,18 +1,21 @@
 """Cartesian parameter sweeps with deterministic ordering.
 
-Grid points are pure functions of their parameters, so records are
-byte-identical for any worker count. Each unique (v, w, z, N, boundary)
-gets one model, shared across temperatures, and each boundary has one
-evaluation path: periodic rings use the Bloch engine (bloch.py, O(N) per
-spectrum and point), open chains the dense eigendecomposition with
-eigenbasis-rotated generators. Per-point failures are captured in the
-record's error field instead of aborting the sweep.
+Each unique (v, w, z, N, boundary) gets one model, and the model
+evaluates the whole temperature column of its grid points in one call:
+weights of shape (n_T, 2N), one QFI contraction, one batched 3x3 eigh.
+Every per-temperature row is computed exactly as it would be alone, so
+records do not depend on how the grid groups temperatures. Models are
+built one at a time and dropped once their records are written. Each
+boundary has one evaluation path: periodic rings use the Bloch engine
+(bloch.py), open chains the dense eigendecomposition, with every
+temperature-independent product formed once in the model's constructor.
+A failing column is evaluated again one temperature at a time, so a
+failure lands in the error field of exactly the points that fail.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,12 +39,14 @@ from .polarization import (
     MODE_LITERAL,
     MODE_WEIGHTED,
     PolarizationResult,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
+    determinant_polarizations,
+    literal_polarizations,
+    rotated_phase_operator,
+    state_expectations,
+    weighted_polarizations,
 )
 from .qfi import interferometric_power, qfi_matrix_from_weights, transformed_paulis
-from .thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+from .thermal import diagonalize, ensemble_diagnostics, fermi_occupations, gibbs_weights
 
 AXIS_NAMES = ("T", "v", "w", "z", "N")
 
@@ -141,29 +146,42 @@ class ResultRecord:
     error: str | None = None
 
 
-_POLARIZATION_DISPATCH = {
-    MODE_LITERAL: thermal_polarization_literal,
-    MODE_WEIGHTED: thermal_polarization_weighted,
-}
+def _needs_qfi(spec: SweepSpec) -> bool:
+    return any(q in spec.quantities for q in (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER))
 
 
 class _DenseModel:
-    """Open chain: dense eigendecomposition of the real-space Hamiltonian."""
+    """Open chain: dense eigendecomposition of the real-space Hamiltonian.
 
-    def __init__(self, params: ModelParams, need_paulis: bool):
+    The rotated Pauli generators, W = V^T X V and the per-state <n|X|n>
+    do not depend on T; each is formed once, and only if requested.
+    """
+
+    def __init__(self, params: ModelParams, spec: SweepSpec):
         self.spectrum = diagonalize(build_hamiltonian(params))
         self.x_operator = position_phase_operator(params.n_cells)
-        self.paulis = transformed_paulis(self.spectrum) if need_paulis else None
+        modes = spec.polarization_modes
+        vectors = self.spectrum.vectors
+        self.paulis = transformed_paulis(self.spectrum) if _needs_qfi(spec) else None
+        self.rotated_x = (
+            rotated_phase_operator(vectors, self.x_operator) if MODE_DETERMINANT in modes else None
+        )
+        self.per_state = (
+            state_expectations(vectors, self.x_operator)
+            if MODE_LITERAL in modes or MODE_WEIGHTED in modes
+            else None
+        )
 
-    def qfi_matrix(self, weights: np.ndarray) -> np.ndarray:
+    def qfi_matrices(self, weights: np.ndarray) -> np.ndarray:
         return qfi_matrix_from_weights(weights, self.paulis)
 
-    def polarization(self, mode: str, temperature: float, ensemble, cutoff: float):
+    def polarizations(self, mode, temperatures, ensemble, cutoff):
         if mode == MODE_DETERMINANT:
-            return thermal_polarization_determinant(
-                self.spectrum, temperature, self.x_operator, magnitude_cutoff=cutoff
-            )
-        return _POLARIZATION_DISPATCH[mode](ensemble, self.x_operator, magnitude_cutoff=cutoff)
+            occupations = fermi_occupations(self.spectrum, temperatures)
+            return determinant_polarizations(self.rotated_x, occupations, self.x_operator, cutoff)
+        if mode == MODE_LITERAL:
+            return literal_polarizations(ensemble.weights, self.per_state, cutoff)
+        return weighted_polarizations(ensemble.weights, self.per_state, cutoff)
 
 
 class _BlochModel:
@@ -172,74 +190,90 @@ class _BlochModel:
     def __init__(self, params: ModelParams):
         self.spectrum = bloch_spectrum(params)
 
-    def qfi_matrix(self, weights: np.ndarray) -> np.ndarray:
+    def qfi_matrices(self, weights: np.ndarray) -> np.ndarray:
         return bloch_qfi_matrix(self.spectrum, weights)
 
-    def polarization(self, mode: str, temperature: float, ensemble, cutoff: float):
+    def polarizations(self, mode, temperatures, ensemble, cutoff):
         if mode == MODE_DETERMINANT:
-            return bloch_polarization_determinant(self.spectrum, temperature, cutoff)
-        return bloch_polarization_vanishing(mode, cutoff)
+            return bloch_polarization_determinant(self.spectrum, temperatures, cutoff)
+        return [bloch_polarization_vanishing(mode, cutoff)] * len(temperatures)
+
+
+def _evaluate(model, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
+    """Requested outputs of one model at each temperature, as ResultRecord fields."""
+    rows = [{} for _ in temperatures]
+    need_qfi = _needs_qfi(spec)
+    ensemble = None
+    if (
+        need_qfi
+        or QUANTITY_DIAGNOSTICS in spec.quantities
+        or any(mode != MODE_DETERMINANT for mode in spec.polarization_modes)
+    ):
+        ensemble = gibbs_weights(model.spectrum, temperatures)
+    if QUANTITY_POLARIZATION in spec.quantities:
+        for row in rows:
+            row["polarization"] = {}
+        for mode in spec.polarization_modes:
+            results = model.polarizations(mode, temperatures, ensemble, spec.magnitude_cutoff)
+            for row, result in zip(rows, results):
+                row["polarization"][mode] = result
+    if need_qfi:
+        matrices = model.qfi_matrices(ensemble.weights)
+        if QUANTITY_QFI_MATRIX in spec.quantities:
+            for row, matrix in zip(rows, matrices):
+                row["qfi"] = matrix
+        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
+            report = interferometric_power(matrices)
+            for row, i_p, direction in zip(rows, report.i_p.tolist(), report.optimal_direction):
+                row["i_p"] = i_p
+                row["optimal_direction"] = direction
+    if QUANTITY_DIAGNOSTICS in spec.quantities:
+        diagnostics = ensemble_diagnostics(ensemble)
+        purities, entropies = diagnostics.purity.tolist(), diagnostics.entropy.tolist()
+        for row, purity, entropy in zip(rows, purities, entropies):
+            row["purity"] = purity
+            row["entropy"] = entropy
+    return rows
 
 
 def _model_key(point: dict, boundary: str) -> tuple:
     return (int(point["N"]), point["v"], point["w"], point["z"], boundary)
 
 
-def _build_model(key: tuple, need_paulis: bool) -> _DenseModel | _BlochModel:
+def _build_model(key: tuple, spec: SweepSpec) -> _DenseModel | _BlochModel:
     n_cells, v, w, z, boundary = key
     params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
     if boundary == PERIODIC:
         return _BlochModel(params)
-    return _DenseModel(params, need_paulis)
+    return _DenseModel(params, spec)
 
 
-def _evaluate_point(point: dict, spec: SweepSpec, model: _DenseModel | _BlochModel) -> ResultRecord:
-    record = ResultRecord(
-        temperature=float(point["T"]),
-        v=float(point["v"]),
-        w=float(point["w"]),
-        z=float(point["z"]),
-        n_cells=int(point["N"]),
-        boundary=spec.boundary,
-    )
-    temperature = float(point["T"])
-    need_qfi = (
-        QUANTITY_QFI_MATRIX in spec.quantities
-        or QUANTITY_INTERFEROMETRIC_POWER in spec.quantities
-    )
-    need_ensemble = (
-        need_qfi
-        or QUANTITY_DIAGNOSTICS in spec.quantities
-        or any(mode in (MODE_LITERAL, MODE_WEIGHTED) for mode in spec.polarization_modes)
-    )
+def _failure(exc: Exception) -> dict:
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _evaluate_column(key: tuple, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
+    """Record fields for one model's temperatures; failures become error fields.
+
+    A failed model build flags every temperature. A failed column is
+    evaluated again one temperature at a time through the same call, so
+    exactly the failing temperatures are flagged.
+    """
     try:
-        ensemble = gibbs_weights(model.spectrum, temperature) if need_ensemble else None
-        if QUANTITY_POLARIZATION in spec.quantities:
-            for mode in spec.polarization_modes:
-                record.polarization[mode] = model.polarization(
-                    mode, temperature, ensemble, spec.magnitude_cutoff
-                )
-        if need_qfi:
-            matrix = model.qfi_matrix(ensemble.weights)
-            if QUANTITY_QFI_MATRIX in spec.quantities:
-                record.qfi = matrix
-            if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
-                report = interferometric_power(matrix)
-                record.i_p = report.i_p
-                record.optimal_direction = report.optimal_direction
-        if QUANTITY_DIAGNOSTICS in spec.quantities:
-            diagnostics = ensemble_diagnostics(ensemble)
-            record.purity = diagnostics.purity
-            record.entropy = diagnostics.entropy
-    except Exception as exc:  # degrade to a flagged record, never abort the sweep
-        record.polarization = {}
-        record.qfi = None
-        record.i_p = None
-        record.optimal_direction = None
-        record.purity = None
-        record.entropy = None
-        record.error = f"{type(exc).__name__}: {exc}"
-    return record
+        model = _build_model(key, spec)
+    except Exception as exc:  # degrade to flagged records, never abort the sweep
+        return [_failure(exc)] * len(temperatures)
+    try:
+        return _evaluate(model, temperatures, spec)
+    except Exception:
+        pass
+    rows = []
+    for index in range(len(temperatures)):
+        try:
+            rows.extend(_evaluate(model, temperatures[index : index + 1], spec))
+        except Exception as exc:
+            rows.append(_failure(exc))
+    return rows
 
 
 def grid_points(spec: SweepSpec) -> list[dict]:
@@ -255,54 +289,33 @@ def grid_points(spec: SweepSpec) -> list[dict]:
 
 
 def run_sweep(spec: SweepSpec, worker_count: int = 1) -> list[ResultRecord]:
-    """Evaluate every grid point; output is independent of worker_count."""
+    """Evaluate every grid point, one model at a time.
+
+    `worker_count` is validated and accepted for compatibility; it changes
+    neither the records nor how they are computed.
+    """
     spec.validate()
     if worker_count < 1:
         raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     points = grid_points(spec)
-    need_paulis = (
-        QUANTITY_QFI_MATRIX in spec.quantities
-        or QUANTITY_INTERFEROMETRIC_POWER in spec.quantities
-    )
-    keys = []
-    for point in points:
-        key = _model_key(point, spec.boundary)
-        if key not in keys:
-            keys.append(key)
-
-    models: dict[tuple, _DenseModel | _BlochModel | str] = {}
-
-    def build(key):
-        try:
-            return key, _build_model(key, need_paulis)
-        except Exception as exc:
-            return key, f"{type(exc).__name__}: {exc}"
-
-    if worker_count == 1 or len(keys) == 1:
-        built = [build(key) for key in keys]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            built = list(pool.map(build, keys))
-    models.update(built)
-
-    def evaluate(point):
-        model = models[_model_key(point, spec.boundary)]
-        if isinstance(model, str):
-            return ResultRecord(
+    columns: dict[tuple, list[int]] = {}
+    for index, point in enumerate(points):
+        columns.setdefault(_model_key(point, spec.boundary), []).append(index)
+    records: list[ResultRecord | None] = [None] * len(points)
+    for key, indices in columns.items():
+        temperatures = np.array([float(points[index]["T"]) for index in indices])
+        for index, fields in zip(indices, _evaluate_column(key, temperatures, spec)):
+            point = points[index]
+            records[index] = ResultRecord(
                 temperature=float(point["T"]),
                 v=float(point["v"]),
                 w=float(point["w"]),
                 z=float(point["z"]),
                 n_cells=int(point["N"]),
                 boundary=spec.boundary,
-                error=model,
+                **fields,
             )
-        return _evaluate_point(point, spec, model)
-
-    if worker_count == 1 or len(points) == 1:
-        return [evaluate(point) for point in points]
-    with ThreadPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(evaluate, points))
+    return records
 
 
 def _quantity_value(record: ResultRecord, quantity: str, mode: str | None):

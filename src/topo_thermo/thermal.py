@@ -3,7 +3,9 @@
 Temperatures are in hopping units with k_B = 1. The thermal state is the
 canonical Gibbs mixture exp(-H/T)/Z over the single-particle spectrum;
 Fermi occupations at fixed chemical potential back the determinant
-polarization route.
+polarization route. Weights and occupations take one temperature or a
+1-D array of them, so a sweep evaluates a spectrum's whole temperature
+column in one call.
 """
 
 from __future__ import annotations
@@ -36,29 +38,23 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class GibbsEnsemble:
-    """Normalized spectral weights lambda_n attached to a Spectrum."""
+    """Normalized spectral weights lambda_n attached to a Spectrum.
 
-    temperature: float
+    For an array of temperatures, `weights` has one row per temperature.
+    """
+
+    temperature: float | np.ndarray
     weights: np.ndarray = field(repr=False)
     spectrum: Spectrum = field(repr=False)
 
     @property
     def dimension(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class OccupationVector:
-    """Fermi-Dirac occupations f_n aligned with a Spectrum."""
-
-    occupations: np.ndarray = field(repr=False)
-    chemical_potential: float
-    temperature: float
+        return self.weights.shape[-1]
 
 
 class EnsembleDiagnostics(NamedTuple):
-    purity: float
-    entropy: float
+    purity: float | np.ndarray
+    entropy: float | np.ndarray
 
 
 def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
@@ -78,59 +74,81 @@ def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
     return Spectrum(energies=energies, vectors=vectors)
 
 
-def gibbs_weights(spectrum: Spectrum, temperature: float) -> GibbsEnsemble:
+def _temperature_column(temperature) -> np.ndarray:
+    """Temperatures as an (n_T, 1) column; rejects negative values."""
+    temperatures = np.asarray(temperature, dtype=float)
+    if temperatures.ndim > 1:
+        raise ValueError(f"expected one temperature or a 1-D array, got shape {temperatures.shape}")
+    if np.any(temperatures < 0.0):
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    return temperatures.reshape(-1, 1)
+
+
+def per_temperature(values, temperature):
+    """Per-temperature rows as computed, or the one row of a scalar temperature.
+
+    Every function that takes `temperature` as a scalar or a 1-D array
+    shapes its result through this, so a scalar call is the same
+    computation with one row.
+    """
+    return values if np.ndim(temperature) else values[0]
+
+
+def gibbs_weights(spectrum: Spectrum, temperature) -> GibbsEnsemble:
     """Canonical weights exp(-(E_n - E_0)/T) / Z.
 
     The ground energy is subtracted before exponentiating for overflow
     safety; weights below 1e-300 are flushed to exactly zero. At T = 0 the
     weight is spread uniformly over the ground-degenerate cluster
-    {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)}.
+    {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)}. A scalar temperature gives
+    weights of shape (2N,), a 1-D array of n_T temperatures (n_T, 2N);
+    each row is computed exactly as for that temperature alone.
     """
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    column = _temperature_column(temperature)
     energies = spectrum.energies
-    if temperature == 0.0:
-        eps = DEGENERACY_SCALE * max(1.0, abs(energies[0]))
-        cluster = (energies - energies[0]) <= eps
-        weights = cluster.astype(float) / cluster.sum()
-    else:
-        weights = np.exp(-(energies - energies[0]) / temperature)
-        weights[weights < WEIGHT_FLOOR] = 0.0
-        weights = weights / weights.sum()
-    return GibbsEnsemble(temperature=float(temperature), weights=weights, spectrum=spectrum)
+    excitation = energies - energies[0]
+    frozen = column == 0.0
+    weights = np.exp(-excitation / np.where(frozen, 1.0, column))
+    weights[weights < WEIGHT_FLOOR] = 0.0
+    eps = DEGENERACY_SCALE * max(1.0, abs(energies[0]))
+    weights = np.where(frozen, (excitation <= eps).astype(float), weights)
+    weights /= weights.sum(axis=1, keepdims=True)
+    temperatures = column[:, 0] if np.ndim(temperature) else float(temperature)
+    return GibbsEnsemble(
+        temperature=temperatures, weights=per_temperature(weights, temperature), spectrum=spectrum
+    )
 
 
 def fermi_occupations(
-    spectrum: Spectrum, temperature: float, chemical_potential: float = 0.0
-) -> OccupationVector:
-    """Fermi-Dirac occupations 1 / (1 + exp((E_n - mu)/T)).
+    spectrum: Spectrum, temperature, chemical_potential: float = 0.0
+) -> np.ndarray:
+    """Fermi-Dirac occupations 1 / (1 + exp((E_n - mu)/T)), aligned with the spectrum.
 
     T = 0 degrades to the step function with occupation exactly 1/2 at
-    E_n == mu.
+    E_n == mu. Shapes follow gibbs_weights: (2N,) for a scalar
+    temperature, (n_T, 2N) for an array.
     """
-    if temperature < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    column = _temperature_column(temperature)
     energies = spectrum.energies
-    if temperature == 0.0:
-        occupations = np.where(
-            energies < chemical_potential,
-            1.0,
-            np.where(energies > chemical_potential, 0.0, 0.5),
-        )
-    else:
-        occupations = expit(-(energies - chemical_potential) / temperature)
-    return OccupationVector(
-        occupations=occupations,
-        chemical_potential=float(chemical_potential),
-        temperature=float(temperature),
+    frozen = column == 0.0
+    step = np.where(
+        energies < chemical_potential, 1.0, np.where(energies > chemical_potential, 0.0, 0.5)
     )
+    occupations = np.where(
+        frozen, step, expit(-(energies - chemical_potential) / np.where(frozen, 1.0, column))
+    )
+    return per_temperature(occupations, temperature)
 
 
 def ensemble_diagnostics(ensemble: GibbsEnsemble) -> EnsembleDiagnostics:
-    """Purity sum(lambda^2) and von Neumann entropy -sum(lambda ln lambda)."""
+    """Purity sum(lambda^2) and von Neumann entropy -sum(lambda ln lambda).
+
+    Floats for a single ensemble, arrays with one entry per temperature
+    for a batched one.
+    """
     weights = ensemble.weights
-    positive = weights[weights > 0.0]
-    return EnsembleDiagnostics(
-        purity=float(np.sum(weights * weights)),
-        entropy=float(-np.sum(positive * np.log(positive))),
-    )
+    purity = np.sum(weights * weights, axis=-1)
+    entropy = -np.sum(weights * np.log(np.where(weights > 0.0, weights, 1.0)), axis=-1)
+    if weights.ndim == 1:
+        return EnsembleDiagnostics(purity=float(purity), entropy=float(entropy))
+    return EnsembleDiagnostics(purity=purity, entropy=entropy)

@@ -5,8 +5,10 @@ import io
 import json
 import logging
 
+import numpy as np
 import pytest
 
+import topo_thermo.sweep as sweep_mod
 from topo_thermo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -89,6 +91,50 @@ def test_exit_codes_for_bad_invocations(capsys, tmp_path):
     )
 
 
+def failing_gibbs_weights(bad_temperature):
+    """gibbs_weights that raises whenever its temperatures include `bad_temperature`."""
+    real = sweep_mod.gibbs_weights
+
+    def explode(spectrum, temperature):
+        if np.any(np.asarray(temperature) == bad_temperature):
+            raise ArithmeticError("synthetic failure")
+        return real(spectrum, temperature)
+
+    return explode
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["qfi", *MODEL_ARGS, "--z", "0.2", "-T", "0.1", "-T", "0.5"],
+        ["polarization", "--mode", "literal", *MODEL_ARGS, "--z", "0.2", "-T", "0.1", "-T", "0.5"],
+        ["sweep", *MODEL_ARGS, "--z", "0.2", "--axis", "T=0.1,0.5", "--quantities", "diagnostics"],
+    ],
+    ids=["qfi", "polarization", "sweep"],
+)
+def test_error_rows_are_written_and_exit_3(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sweep_mod, "gibbs_weights", failing_gibbs_weights(0.5))
+    target = tmp_path / "out.csv"
+    code, _, err = run_cli([*args, "--out", str(target)], capsys)
+    assert code == EXIT_NUMERIC
+    assert "1 of 2 points failed" in err
+    first, second = read_csv(target.read_text())
+    assert first["error"] == "" and second["error"] == "ArithmeticError: synthetic failure"
+
+
+def test_figure_with_failed_points_exits_3(tmp_path, capsys, monkeypatch):
+    def explode(params):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(sweep_mod, "bloch_spectrum", explode)
+    target = tmp_path / "fig3b.csv"
+    code, _, err = run_cli(["figure", "3b", "--out", str(target)], capsys)
+    assert code == EXIT_NUMERIC
+    assert "101 of 101 points failed" in err
+    rows = read_csv(target.read_text())
+    assert len(rows) == 101 and all("did not converge" in row["error"] for row in rows)
+
+
 def test_modes_rejected_outside_polarization(tmp_path, capsys):
     config = tmp_path / "qfi.json"
     config.write_text(json.dumps({"modes": ["literal"]}))
@@ -149,7 +195,7 @@ def test_sweep_logs_point_and_spectrum_counts(caplog, capsys):
             capsys,
         )
     assert code == EXIT_OK and len(read_csv(out)) == 6
-    assert "sweep over 6 points on 2 unique spectra with 1 workers" in caplog.messages
+    assert "sweep over 6 points on 2 unique spectra" in caplog.messages
 
 
 def test_sweep_requires_axes_and_quantities(capsys):

@@ -9,7 +9,9 @@ from topo_thermo.qfi import (
     interferometric_power,
     qfi_fidelity_oracle,
     qfi_matrix,
+    qfi_matrix_from_weights,
     qfi_scalar,
+    transformed_paulis,
 )
 from topo_thermo.thermal import GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
 
@@ -165,6 +167,25 @@ def test_matrix_invariant_under_degenerate_cluster_rotation():
     assert np.abs(qfi_matrix(rotated) - base).max() <= 1e-9
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("n", [2, 3, 7, 20])
+def test_real_block_rotation_matches_kron_oracle(n, boundary):
+    params = ModelParams(n_cells=n, v=0.3, w=0.5, z=0.2, boundary=boundary)
+    spectrum = diagonalize(build_hamiltonian(params))
+    vectors = spectrum.vectors
+    paulis = transformed_paulis(spectrum)
+    rotated = {"x": paulis.x, "y": 1j * paulis.y_imag, "z": paulis.z}
+    for axis, matrix in rotated.items():
+        assert np.isrealobj(getattr(paulis, "y_imag" if axis == "y" else axis))
+        oracle = vectors.T @ pauli_observable(axis, n).matrix @ vectors
+        assert np.abs(matrix - oracle).max() <= 1e-14
+
+    weights = gibbs_weights(spectrum, np.array([0.0, 0.05, 0.7])).weights
+    for matrix in qfi_matrix_from_weights(weights, paulis):
+        assert matrix[0, 1] == matrix[1, 0] == 0.0
+        assert matrix[1, 2] == matrix[2, 1] == 0.0
+
+
 def test_pair_skip_error_is_bounded():
     # Deep low-T weights land between the skip cutoff and zero.
     rng = np.random.default_rng(21)
@@ -201,6 +222,28 @@ def test_interferometric_power_ordering_and_direction_sign():
         assert report.i_p <= eigenvalues[1] + 1e-10 <= report.max_eigenvalue + 2e-10
         first_nonzero = report.optimal_direction[np.abs(report.optimal_direction) > 1e-12][0]
         assert first_nonzero > 0.0
+
+
+def test_interferometric_power_stack_applies_every_rule_per_matrix():
+    rng = np.random.default_rng(8)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    stack = np.stack([
+        np.diag([-5e-11, 0.5, 1.0]),  # clamped
+        (basis * [0.1, 0.4, 0.9]) @ basis.T,
+        np.diag([0.5, 0.5, 1.0]),
+        np.zeros((3, 3)),
+    ])
+    report = interferometric_power(stack)
+    assert report.i_p.shape == (4,) and report.optimal_direction.shape == (4, 3)
+    for i, matrix in enumerate(stack):
+        alone = interferometric_power(matrix)
+        assert report.i_p[i] == alone.i_p and report.max_eigenvalue[i] == alone.max_eigenvalue
+        assert np.array_equal(report.optimal_direction[i], alone.optimal_direction)
+    assert report.i_p[0] == 0.0
+
+    for bad in (np.diag([-1e-8, 0.5, 1.0]), np.triu(np.ones((3, 3)))):
+        with pytest.raises((ArithmeticError, ValueError)):
+            interferometric_power(np.stack([np.eye(3), bad]))
 
 
 def test_interferometric_power_clamps_and_rejects():

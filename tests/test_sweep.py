@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import topo_thermo.sweep as sweep_mod
 from topo_thermo.bloch import (
@@ -10,6 +12,7 @@ from topo_thermo.bloch import (
     bloch_qfi_matrix,
     bloch_spectrum,
 )
+from topo_thermo.figures import build_figure_spec
 from topo_thermo.lattice import ModelParams, build_hamiltonian, position_phase_operator
 from topo_thermo.polarization import thermal_polarization_determinant
 from topo_thermo.qfi import interferometric_power, qfi_matrix
@@ -123,20 +126,27 @@ def test_spectrum_reuse_matches_per_point_rediagonalization():
 
 
 def test_per_point_failure_degrades_to_error_record(monkeypatch):
+    # The seam sees each spectrum's whole temperature column first; when that
+    # batch raises, the column is evaluated again one temperature at a time.
     real = sweep_mod.gibbs_weights
+    calls = []
 
     def explode(spectrum, temperature):
-        if temperature == 0.2:
+        calls.append(tuple(np.atleast_1d(temperature)))
+        if np.any(np.asarray(temperature) == 0.2):
             raise ArithmeticError("synthetic failure")
         return real(spectrum, temperature)
 
     monkeypatch.setattr(sweep_mod, "gibbs_weights", explode)
     records = run_sweep(small_qfi_spec())
+    assert calls[:4] == [(0.05, 0.2, 0.8), (0.05,), (0.2,), (0.8,)]
     failed = [r for r in records if r.error is not None]
     assert len(failed) == 2
     assert all("synthetic failure" in r.error for r in failed)
     assert all(r.temperature == 0.2 for r in failed)
     assert all(r.i_p is not None for r in records if r.error is None)
+    clean = run_sweep(small_qfi_spec())
+    assert all(records_equal(a, b) for a, b in zip(records, clean) if a.error is None)
 
 
 def test_workspace_failure_flags_all_points_of_that_model(monkeypatch):
@@ -169,6 +179,98 @@ def test_workspace_failure_flags_all_points_of_that_model(monkeypatch):
                 assert record.error is not None and "converge" in record.error
             else:
                 assert record.error is None
+
+
+ALL_QUANTITIES = ("polarization", "qfi_matrix", "interferometric_power", "diagnostics")
+ALL_MODES = ("literal", "weighted", "determinant")
+
+hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def subsets(items):
+    """The full tuple, or any nonempty subset of it in its original order."""
+    chosen = st.sets(st.sampled_from(items), min_size=1)
+    return st.one_of(st.just(items), chosen.map(lambda s: tuple(i for i in items if i in s)))
+
+
+@seed(20261018)
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    n=st.integers(2, 12),
+    boundary=st.sampled_from(["periodic", "open"]),
+    hoppings=st.tuples(hopping, hopping, hopping),
+    temperatures=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=8, unique=True),
+    quantities=subsets(ALL_QUANTITIES),
+    modes=subsets(ALL_MODES),
+)
+def test_batched_rows_equal_single_temperature_sweeps(
+    n, boundary, hoppings, temperatures, quantities, modes
+):
+    # Batching over T is safe only if each row is computed exactly as alone.
+    v, w, z = hoppings
+    grid = tuple(sorted({0.0, *temperatures}))
+    spec = SweepSpec(
+        axes=(("T", grid),),
+        fixed={"v": v, "w": w, "z": z, "N": n},
+        boundary=boundary,
+        quantities=quantities,
+        polarization_modes=modes if "polarization" in quantities else (),
+    )
+    batched = run_sweep(spec)
+    assert all(record.error is None for record in batched)
+    for record in batched:
+        spec.axes = (("T", (record.temperature,)),)
+        (single,) = run_sweep(spec)
+        assert records_equal(record, single)
+        assert record.polarization.keys() == single.polarization.keys()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_each_quantity_alone_matches_the_full_sweep(boundary):
+    # A sweep that asks for one quantity (figure 1a asks for determinant
+    # polarization only) computes it exactly as a sweep that asks for all.
+    full = SweepSpec(
+        axes=(("T", (0.0, 0.1, 0.6)), ("z", (0.2, 0.7))),
+        fixed={"v": 0.3, "w": 0.5, "N": 5},
+        boundary=boundary,
+        quantities=ALL_QUANTITIES,
+        polarization_modes=ALL_MODES,
+    )
+    reference = run_sweep(full)
+    requests = [("polarization", (mode,)) for mode in ALL_MODES]
+    requests += [(quantity, ()) for quantity in ALL_QUANTITIES[1:]]
+    for quantity, modes in requests:
+        spec = SweepSpec(
+            axes=full.axes, fixed=full.fixed, boundary=boundary,
+            quantities=(quantity,), polarization_modes=modes,
+        )
+        for alone, record in zip(run_sweep(spec), reference):
+            assert alone.error is None
+            for mode in modes:
+                assert alone.polarization[mode] == record.polarization[mode]
+            if quantity == "qfi_matrix":
+                assert np.array_equal(alone.qfi, record.qfi) and alone.i_p is None
+            if quantity == "interferometric_power":
+                assert alone.i_p == record.i_p and alone.qfi is None
+            if quantity == "diagnostics":
+                assert (alone.purity, alone.entropy) == (record.purity, record.entropy)
+
+
+def test_line_cut_rows_equal_the_matching_rows_of_a_heatmap():
+    # Figure 3b is the T = 0.05 cut of the 3a model; a (T, z) sweep that
+    # contains T = 0.05 reproduces it record for record, bit for bit.
+    cut = build_figure_spec("3b")
+    (z_axis,) = cut.axes
+    fixed = {name: value for name, value in cut.fixed.items() if name != "T"}
+    heatmap = SweepSpec(
+        axes=(("T", (0.01, 0.05, 1.0)), z_axis),
+        fixed=fixed,
+        quantities=cut.quantities,
+    )
+    rows = [r for r in run_sweep(heatmap) if r.temperature == 0.05]
+    records = run_sweep(cut)
+    assert len(rows) == len(records) == 101
+    assert all(records_equal(a, b) for a, b in zip(rows, records))
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])

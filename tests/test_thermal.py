@@ -106,6 +106,27 @@ def test_gibbs_invariants():
         assert np.abs(shifted.weights - ens.weights).max() <= 1e-12
 
 
+def test_batched_temperatures_match_single_calls_bitwise():
+    rng = np.random.default_rng(12)
+    energies = np.sort(np.concatenate([[-1.0, -1.0 + 1e-12], rng.standard_normal(9)]))
+    s = Spectrum(energies=energies, vectors=np.eye(11))
+    temps = np.array([0.0, 1e-3, 0.05, 0.7, 3.0, 1e12])
+    ensemble = gibbs_weights(s, temps)
+    occupations = fermi_occupations(s, temps, 0.1)
+    diagnostics = ensemble_diagnostics(ensemble)
+    assert ensemble.weights.shape == occupations.shape == (6, 11)
+    for i, t in enumerate(temps):
+        alone = gibbs_weights(s, t)
+        assert np.array_equal(ensemble.weights[i], alone.weights)
+        assert np.array_equal(occupations[i], fermi_occupations(s, t, 0.1))
+        assert diagnostics.purity[i] == ensemble_diagnostics(alone).purity
+        assert diagnostics.entropy[i] == ensemble_diagnostics(alone).entropy
+    with pytest.raises(ValueError):
+        gibbs_weights(s, np.array([0.1, -0.1]))
+    with pytest.raises(ValueError):
+        fermi_occupations(s, np.array([[0.1]]))
+
+
 def test_gibbs_degenerate_ground_cluster_at_zero_temperature():
     s = Spectrum(energies=np.array([0.0, 0.0, 1.0, 2.0]), vectors=np.eye(4))
     ens = gibbs_weights(s, 0.0)
@@ -137,15 +158,15 @@ def test_entropy_non_increasing_as_temperature_drops():
 
 def test_fermi_closed_forms():
     occ = fermi_occupations(two_level_spectrum(), 1.0)
-    assert occ.occupations[0] == pytest.approx(0.7310585786300049, abs=1e-12)
-    assert occ.occupations[1] == pytest.approx(0.2689414213699951, abs=1e-12)
+    assert occ[0] == pytest.approx(0.7310585786300049, abs=1e-12)
+    assert occ[1] == pytest.approx(0.2689414213699951, abs=1e-12)
 
     occ = fermi_occupations(two_level_spectrum(), 1e-9)
-    assert np.allclose(occ.occupations, [1.0, 0.0])
+    assert np.allclose(occ, [1.0, 0.0])
 
     s = Spectrum(energies=np.array([0.0]), vectors=np.eye(1))
     for t in (0.0, 0.3, 2.0):
-        assert fermi_occupations(s, t).occupations[0] == 0.5
+        assert fermi_occupations(s, t)[0] == 0.5
 
 
 def test_fermi_matches_logistic_formula():
@@ -153,7 +174,7 @@ def test_fermi_matches_logistic_formula():
     energies = np.sort(rng.standard_normal(9))
     s = Spectrum(energies=energies, vectors=np.eye(9))
     for t, mu in [(0.7, 0.0), (1.3, 0.4), (0.2, -0.6)]:
-        occ = fermi_occupations(s, t, mu).occupations
+        occ = fermi_occupations(s, t, mu)
         direct = 1.0 / (1.0 + np.exp((energies - mu) / t))
         assert np.abs(occ - direct).max() <= 1e-12
         assert np.all(np.diff(occ) <= 1e-15)
@@ -162,7 +183,7 @@ def test_fermi_matches_logistic_formula():
 def test_fermi_zero_temperature_step():
     s = Spectrum(energies=np.array([-1.0, 0.0, 1.0]), vectors=np.eye(3))
     occ = fermi_occupations(s, 0.0)
-    assert np.array_equal(occ.occupations, [1.0, 0.5, 0.0])
+    assert np.array_equal(occ, [1.0, 0.5, 0.0])
 
 
 def test_diagnostics_closed_forms():
