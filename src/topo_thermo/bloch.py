@@ -24,7 +24,6 @@ these functions are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -124,7 +123,6 @@ def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray
     return entries.reshape(*pair.shape[:-1], 3, 3)
 
 
-@lru_cache(maxsize=64)
 def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions, in LAPACK band storage, of the diagonal and subdiagonal blocks.
 
@@ -144,9 +142,7 @@ def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     def flat(cols):
         rows_, cols_ = np.broadcast_arrays(rows, cols)
-        index = ((2 * BAND_WIDTH + rows_ - cols_) * (2 * n) + cols_).ravel()
-        index.flags.writeable = False  # shared by every caller through the cache
-        return index
+        return ((2 * BAND_WIDTH + rows_ - cols_) * (2 * n) + cols_).ravel()
 
     return flat(diag_cols), flat(shift_cols)
 

@@ -7,7 +7,7 @@ mirror the RunConfig field names. Exit codes: 0 success, 2 configuration
 error, 3 numerical failure or unwritable output. A polarization, qfi,
 sweep or figure run in which any point failed still writes every row,
 with the failure in the error column, then reports "k of n points
-failed" on stderr and exits 3. --workers (and TOPO_THERMO_WORKERS) is
+failed" on stderr and exits 3. --workers (config key `workers`) is
 validated and accepted for compatibility; it changes neither the output
 nor the speed.
 """
@@ -18,7 +18,6 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -42,8 +41,6 @@ from .thermal import diagonalize
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-WORKERS_ENV_VAR = "TOPO_THERMO_WORKERS"
 
 log = logging.getLogger("topo_thermo")
 
@@ -72,19 +69,6 @@ class RunConfig:
     tau_mag: float = DEFAULT_MAGNITUDE_CUTOFF
     verbosity: int = 0
     eigenvectors: bool = False
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return workers
 
 
 def _coerce_temperature(value) -> list:
@@ -191,7 +175,7 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
             continue
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
-    config = RunConfig(subcommand=subcommand, workers=_default_workers())
+    config = RunConfig(subcommand=subcommand)
     for source in (config_values, flag_values):
         for key, value in source.items():
             if key == "subcommand" or value is None:
@@ -289,7 +273,7 @@ def _run_polarization(config: RunConfig) -> int:
     spec = _point_sweep_spec(
         config, (QUANTITY_POLARIZATION, QUANTITY_DIAGNOSTICS), tuple(modes)
     )
-    return _emit(config, run_sweep(spec, config.workers))
+    return _emit(config, run_sweep(spec))
 
 
 def _run_qfi(config: RunConfig) -> int:
@@ -300,7 +284,7 @@ def _run_qfi(config: RunConfig) -> int:
         (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER, QUANTITY_DIAGNOSTICS),
         (),
     )
-    return _emit(config, run_sweep(spec, config.workers))
+    return _emit(config, run_sweep(spec))
 
 
 def _run_sweep_command(config: RunConfig) -> int:
@@ -308,9 +292,6 @@ def _run_sweep_command(config: RunConfig) -> int:
         raise ConfigError("sweep needs at least one axis (config 'axes' or --axis)")
     if not config.quantities:
         raise ConfigError("sweep needs 'quantities' (config key or --quantities)")
-    for quantity in config.quantities:
-        if quantity not in QUANTITIES:
-            raise ConfigError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
     axis_names = [name for name, _ in config.axes]
     fixed = {}
     for name, attr in (("T", "temperature"), ("v", "v"), ("w", "w"), ("z", "z"), ("N", "n_cells")):
@@ -341,7 +322,7 @@ def _run_sweep_command(config: RunConfig) -> int:
     points = math.prod(len(grid) for grid in grids.values())
     spectra = math.prod(len(grid) for name, grid in grids.items() if name != "T")
     log.info("sweep over %d points on %d unique spectra", points, spectra)
-    return _emit(config, run_sweep(spec, config.workers))
+    return _emit(config, run_sweep(spec))
 
 
 def _run_figure(config: RunConfig, figure_id: str) -> int:
@@ -352,7 +333,7 @@ def _run_figure(config: RunConfig, figure_id: str) -> int:
             "the ensemble-trace reading is available via the polarization subcommand",
             file=sys.stderr,
         )
-    return _emit(config, run_sweep(spec, config.workers))
+    return _emit(config, run_sweep(spec))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> None:
@@ -369,7 +350,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> No
     parser.add_argument(
         "--workers",
         type=int,
-        help=f"accepted for compatibility, no effect (default ${WORKERS_ENV_VAR} or 1)",
+        help="accepted for compatibility, no effect (default 1)",
     )
     parser.add_argument("--tau-mag", dest="tau_mag", type=float, help="magnitude cutoff")
     parser.add_argument("--label", help="free-text run identifier")

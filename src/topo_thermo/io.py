@@ -87,11 +87,6 @@ def _iter_rows(records: Iterable):
             yield dict(record)
 
 
-def records_to_rows(records: Iterable) -> list[dict]:
-    """Flat rows from records; already-flat dicts pass through unchanged."""
-    return list(_iter_rows(records))
-
-
 def _csv_cell(value, precision: int) -> str:
     if value is None:
         return ""

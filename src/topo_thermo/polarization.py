@@ -123,35 +123,6 @@ def pure_state_phase(
     return _make_result(expectation, abs(expectation), MODE_PURE, magnitude_cutoff)
 
 
-def literal_polarizations(
-    weights: np.ndarray, per_state: np.ndarray, magnitude_cutoff: float
-) -> list[PolarizationResult]:
-    """Literal mode for each row of weights (n_T, 2N), given <n|X|n> per state."""
-    expectations = np.sum(weights * per_state, axis=1)
-    return [
-        _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
-        for expectation in expectations.tolist()
-    ]
-
-
-def weighted_polarizations(
-    weights: np.ndarray, per_state: np.ndarray, magnitude_cutoff: float
-) -> list[PolarizationResult]:
-    """Weighted mode for each row of weights (n_T, 2N), given <n|X|n> per state."""
-    magnitudes = np.abs(per_state)
-    phases = np.angle(per_state)
-    phases = np.where(phases == -np.pi, np.pi, phases)
-    contributing = weights > CONTRIBUTING_WEIGHT_CUTOFF
-    min_magnitudes = np.min(np.where(contributing, magnitudes, np.inf), axis=1)
-    counted = contributing & (magnitudes >= magnitude_cutoff)
-    phase_sums = np.sum(np.where(counted, weights * phases, 0.0), axis=1)
-    results = []
-    for phase_sum, magnitude in zip(phase_sums.tolist(), min_magnitudes.tolist()):
-        synthetic = magnitude * np.exp(1j * _principal(phase_sum))
-        results.append(_make_result(synthetic, magnitude, MODE_WEIGHTED, magnitude_cutoff))
-    return results
-
-
 def thermal_polarization_literal(
     ensemble: GibbsEnsemble,
     x_operator: PositionPhaseOperator,
@@ -166,7 +137,11 @@ def thermal_polarization_literal(
     """
     _check_dimension(ensemble.dimension, x_operator, "ensemble")
     per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
-    results = literal_polarizations(np.atleast_2d(ensemble.weights), per_state, magnitude_cutoff)
+    expectations = np.sum(np.atleast_2d(ensemble.weights) * per_state, axis=1)
+    results = [
+        _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
+        for expectation in expectations.tolist()
+    ]
     return per_temperature(results, ensemble.temperature)
 
 
@@ -185,7 +160,18 @@ def thermal_polarization_weighted(
     """
     _check_dimension(ensemble.dimension, x_operator, "ensemble")
     per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
-    results = weighted_polarizations(np.atleast_2d(ensemble.weights), per_state, magnitude_cutoff)
+    weights = np.atleast_2d(ensemble.weights)
+    magnitudes = np.abs(per_state)
+    phases = np.angle(per_state)
+    phases = np.where(phases == -np.pi, np.pi, phases)
+    contributing = weights > CONTRIBUTING_WEIGHT_CUTOFF
+    min_magnitudes = np.min(np.where(contributing, magnitudes, np.inf), axis=1)
+    counted = contributing & (magnitudes >= magnitude_cutoff)
+    phase_sums = np.sum(np.where(counted, weights * phases, 0.0), axis=1)
+    results = []
+    for phase_sum, magnitude in zip(phase_sums.tolist(), min_magnitudes.tolist()):
+        synthetic = magnitude * np.exp(1j * _principal(phase_sum))
+        results.append(_make_result(synthetic, magnitude, MODE_WEIGHTED, magnitude_cutoff))
     return per_temperature(results, ensemble.temperature)
 
 
@@ -216,38 +202,6 @@ def _determinant_result(det: complex, n: int, delta: float, cutoff: float) -> Po
     return _make_result(expectation, magnitude, MODE_DETERMINANT, cutoff, branch)
 
 
-def rotated_phase_operator(vectors: np.ndarray, x_operator: PositionPhaseOperator) -> np.ndarray:
-    """W = V^T X V for real eigenvectors V, from two real matrix products."""
-    diagonal = x_operator.diagonal
-    rotated = np.empty(vectors.shape, dtype=complex)
-    rotated.real = (vectors.T * diagonal.real) @ vectors
-    rotated.imag = (vectors.T * diagonal.imag) @ vectors
-    return rotated
-
-
-def determinant_polarizations(
-    rotated: np.ndarray,
-    occupations: np.ndarray,
-    x_operator: PositionPhaseOperator,
-    magnitude_cutoff: float,
-) -> list[PolarizationResult]:
-    """Determinant mode for each row of occupations (n_T, 2N), given W = V^T X V.
-
-    With F = V diag(f) V^T, (1 - F) + F U = V [(1 - f) + diag(f) W] V^T, and
-    V is orthogonal, so only the bracket's determinant is formed per row.
-    """
-    results = []
-    for row in occupations:
-        mixture = rotated * row[:, None]
-        mixture[np.diag_indices_from(mixture)] += 1.0 - row
-        results.append(
-            _determinant_result(
-                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
-            )
-        )
-    return results
-
-
 def thermal_polarization_determinant(
     spectrum: Spectrum,
     temperature,
@@ -265,13 +219,24 @@ def thermal_polarization_determinant(
     reduces to the occupied-band overlap determinant. A numerically real
     expectation takes its branch from the sign of its real part. An array
     of temperatures gives a list with one result per temperature.
+
+    With real eigenvectors V, F = V diag(f) V^T and W = V^T U V (two real
+    matrix products), (1 - F) + F U = V [(1 - f) + diag(f) W] V^T. V is
+    orthogonal, so only the bracket's determinant is formed per temperature.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
     occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
-    results = determinant_polarizations(
-        rotated_phase_operator(spectrum.vectors, x_operator),
-        np.atleast_2d(occupations),
-        x_operator,
-        magnitude_cutoff,
-    )
+    vectors, diagonal = spectrum.vectors, x_operator.diagonal
+    rotated = np.empty(vectors.shape, dtype=complex)
+    rotated.real = (vectors.T * diagonal.real) @ vectors
+    rotated.imag = (vectors.T * diagonal.imag) @ vectors
+    results = []
+    for row in np.atleast_2d(occupations):
+        mixture = rotated * row[:, None]
+        mixture[np.diag_indices_from(mixture)] += 1.0 - row
+        results.append(
+            _determinant_result(
+                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+            )
+        )
     return per_temperature(results, temperature)

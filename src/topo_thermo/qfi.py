@@ -97,7 +97,7 @@ def transformed_paulis(spectrum: Spectrum) -> EigenbasisPaulis:
     With the sublattice rows A = V[0::2] and B = V[1::2] of the real
     eigenvectors, V^T (I (x) sigma_l) V is A^T B + B^T A for x,
     1j (B^T A - A^T B) for y and A^T A - B^T B for z: real products, no
-    2N x 2N Kronecker matrix. Precompute once per spectrum.
+    2N x 2N Kronecker matrix.
     """
     vectors = np.asarray(spectrum.vectors)
     if np.iscomplexobj(vectors):
@@ -109,15 +109,17 @@ def transformed_paulis(spectrum: Spectrum) -> EigenbasisPaulis:
     return EigenbasisPaulis(x=a_b + a_b.T, y_imag=a_b.T - a_b, z=a.T @ a - b.T @ b)
 
 
-def qfi_matrix_from_weights(weights: np.ndarray, paulis: EigenbasisPaulis) -> np.ndarray:
-    """QFI matrix from precomputed eigenbasis generators.
+def qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
+    """3x3 QFI matrix over the sublattice Pauli generators.
 
-    `weights` is one ensemble (2N,) or one row per temperature (n_T, 2N);
-    the result is (3, 3) or (n_T, 3, 3). M_xy and M_yz are exactly 0:
-    g_x and g_z are real and g_y imaginary, so Re(g_x conj(g_y)) vanishes
-    term by term.
+    A batched ensemble, weights (n_T, 2N), gives (n_T, 3, 3). M_xy and
+    M_yz are exactly 0: g_x and g_z are real and g_y imaginary, so
+    Re(g_x conj(g_y)) vanishes term by term.
     """
-    rows = np.atleast_2d(weights)
+    if ensemble.dimension % 2 != 0:
+        raise ValueError("ensemble dimension must be even (two sublattices per cell)")
+    paulis = transformed_paulis(ensemble.spectrum)
+    rows = np.atleast_2d(ensemble.weights)
     matrices = np.zeros((rows.shape[0], 3, 3))
     for matrix, row in zip(matrices, rows):
         pair = pair_weight_matrix(row)
@@ -126,14 +128,7 @@ def qfi_matrix_from_weights(weights: np.ndarray, paulis: EigenbasisPaulis) -> np
         matrix[0, 2] = matrix[2, 0] = 0.5 * np.sum(pair_x * paulis.z)
         matrix[1, 1] = 0.5 * np.sum(pair * paulis.y_imag * paulis.y_imag)
         matrix[2, 2] = 0.5 * np.sum(pair * paulis.z * paulis.z)
-    return matrices if np.ndim(weights) == 2 else matrices[0]
-
-
-def qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
-    """3x3 QFI matrix over the sublattice Pauli generators."""
-    if ensemble.dimension % 2 != 0:
-        raise ValueError("ensemble dimension must be even (two sublattices per cell)")
-    return qfi_matrix_from_weights(ensemble.weights, transformed_paulis(ensemble.spectrum))
+    return matrices if ensemble.weights.ndim == 2 else matrices[0]
 
 
 def interferometric_power(matrix: np.ndarray) -> QfiReport:

@@ -1,16 +1,17 @@
 """Cartesian parameter sweeps with deterministic ordering.
 
-Each unique (v, w, z, N, boundary) gets one model, and the model
-evaluates the whole temperature column of its grid points in one call:
-weights of shape (n_T, 2N), one QFI contraction, one batched 3x3 eigh.
-Every per-temperature row is computed exactly as it would be alone, so
-records do not depend on how the grid groups temperatures. Models are
-built one at a time and dropped once their records are written. Each
-boundary has one evaluation path: periodic rings use the Bloch engine
-(bloch.py), open chains the dense eigendecomposition, with every
-temperature-independent product formed once in the model's constructor.
-A failing column is evaluated again one temperature at a time, so a
-failure lands in the error field of exactly the points that fail.
+Each unique (v, w, z, N, boundary) gets one spectrum, and the whole
+temperature column of its grid points is evaluated in one call of each
+public function: weights of shape (n_T, 2N), one QFI contraction, one
+batched 3x3 eigh. Every per-temperature row is computed exactly as it
+would be alone, so records do not depend on how the grid groups
+temperatures. Spectra are built one at a time and dropped once their
+records are written. Each boundary has one evaluation path: periodic
+rings use the Bloch engine (bloch.py), open chains the dense
+eigendecomposition through the same qfi_matrix and
+thermal_polarization_* functions a caller would use. A failing column
+is evaluated again one temperature at a time, so a failure lands in the
+error field of exactly the points that fail.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ from .polarization import (
     MODE_LITERAL,
     MODE_WEIGHTED,
     PolarizationResult,
-    determinant_polarizations,
-    literal_polarizations,
-    rotated_phase_operator,
-    state_expectations,
-    weighted_polarizations,
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
+    thermal_polarization_weighted,
 )
-from .qfi import interferometric_power, qfi_matrix_from_weights, transformed_paulis
-from .thermal import diagonalize, ensemble_diagnostics, fermi_occupations, gibbs_weights
+from .qfi import interferometric_power, qfi_matrix
+from .thermal import diagonalize, ensemble_diagnostics, gibbs_weights
 
 AXIS_NAMES = ("T", "v", "w", "z", "N")
 
@@ -150,58 +149,20 @@ def _needs_qfi(spec: SweepSpec) -> bool:
     return any(q in spec.quantities for q in (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER))
 
 
-class _DenseModel:
-    """Open chain: dense eigendecomposition of the real-space Hamiltonian.
-
-    The rotated Pauli generators, W = V^T X V and the per-state <n|X|n>
-    do not depend on T; each is formed once, and only if requested.
-    """
-
-    def __init__(self, params: ModelParams, spec: SweepSpec):
-        self.spectrum = diagonalize(build_hamiltonian(params))
-        self.x_operator = position_phase_operator(params.n_cells)
-        modes = spec.polarization_modes
-        vectors = self.spectrum.vectors
-        self.paulis = transformed_paulis(self.spectrum) if _needs_qfi(spec) else None
-        self.rotated_x = (
-            rotated_phase_operator(vectors, self.x_operator) if MODE_DETERMINANT in modes else None
-        )
-        self.per_state = (
-            state_expectations(vectors, self.x_operator)
-            if MODE_LITERAL in modes or MODE_WEIGHTED in modes
-            else None
-        )
-
-    def qfi_matrices(self, weights: np.ndarray) -> np.ndarray:
-        return qfi_matrix_from_weights(weights, self.paulis)
-
-    def polarizations(self, mode, temperatures, ensemble, cutoff):
-        if mode == MODE_DETERMINANT:
-            occupations = fermi_occupations(self.spectrum, temperatures)
-            return determinant_polarizations(self.rotated_x, occupations, self.x_operator, cutoff)
-        if mode == MODE_LITERAL:
-            return literal_polarizations(ensemble.weights, self.per_state, cutoff)
-        return weighted_polarizations(ensemble.weights, self.per_state, cutoff)
+def _spectrum(key: tuple):
+    """Bloch bands of a ring, or the dense eigendecomposition of an open chain."""
+    n_cells, v, w, z, boundary = key
+    params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
+    if boundary == PERIODIC:
+        return bloch_spectrum(params)
+    return diagonalize(build_hamiltonian(params))
 
 
-class _BlochModel:
-    """Periodic ring: one 2x2 Bloch Hamiltonian per crystal momentum."""
-
-    def __init__(self, params: ModelParams):
-        self.spectrum = bloch_spectrum(params)
-
-    def qfi_matrices(self, weights: np.ndarray) -> np.ndarray:
-        return bloch_qfi_matrix(self.spectrum, weights)
-
-    def polarizations(self, mode, temperatures, ensemble, cutoff):
-        if mode == MODE_DETERMINANT:
-            return bloch_polarization_determinant(self.spectrum, temperatures, cutoff)
-        return [bloch_polarization_vanishing(mode, cutoff)] * len(temperatures)
-
-
-def _evaluate(model, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
-    """Requested outputs of one model at each temperature, as ResultRecord fields."""
+def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
+    """Requested outputs of one spectrum at each temperature, as ResultRecord fields."""
     rows = [{} for _ in temperatures]
+    periodic = spec.boundary == PERIODIC
+    cutoff = spec.magnitude_cutoff
     need_qfi = _needs_qfi(spec)
     ensemble = None
     if (
@@ -209,16 +170,31 @@ def _evaluate(model, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
         or QUANTITY_DIAGNOSTICS in spec.quantities
         or any(mode != MODE_DETERMINANT for mode in spec.polarization_modes)
     ):
-        ensemble = gibbs_weights(model.spectrum, temperatures)
+        ensemble = gibbs_weights(spectrum, temperatures)
     if QUANTITY_POLARIZATION in spec.quantities:
+        x_operator = None if periodic else position_phase_operator(spectrum.dimension // 2)
         for row in rows:
             row["polarization"] = {}
         for mode in spec.polarization_modes:
-            results = model.polarizations(mode, temperatures, ensemble, spec.magnitude_cutoff)
+            if periodic and mode == MODE_DETERMINANT:
+                results = bloch_polarization_determinant(spectrum, temperatures, cutoff)
+            elif periodic:
+                results = [bloch_polarization_vanishing(mode, cutoff)] * len(temperatures)
+            elif mode == MODE_DETERMINANT:
+                results = thermal_polarization_determinant(
+                    spectrum, temperatures, x_operator, cutoff
+                )
+            elif mode == MODE_LITERAL:
+                results = thermal_polarization_literal(ensemble, x_operator, cutoff)
+            else:
+                results = thermal_polarization_weighted(ensemble, x_operator, cutoff)
             for row, result in zip(rows, results):
                 row["polarization"][mode] = result
     if need_qfi:
-        matrices = model.qfi_matrices(ensemble.weights)
+        if periodic:
+            matrices = bloch_qfi_matrix(spectrum, ensemble.weights)
+        else:
+            matrices = qfi_matrix(ensemble)
         if QUANTITY_QFI_MATRIX in spec.quantities:
             for row, matrix in zip(rows, matrices):
                 row["qfi"] = matrix
@@ -236,16 +212,8 @@ def _evaluate(model, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _model_key(point: dict, boundary: str) -> tuple:
+def _spectrum_key(point: dict, boundary: str) -> tuple:
     return (int(point["N"]), point["v"], point["w"], point["z"], boundary)
-
-
-def _build_model(key: tuple, spec: SweepSpec) -> _DenseModel | _BlochModel:
-    n_cells, v, w, z, boundary = key
-    params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
-    if boundary == PERIODIC:
-        return _BlochModel(params)
-    return _DenseModel(params, spec)
 
 
 def _failure(exc: Exception) -> dict:
@@ -253,24 +221,24 @@ def _failure(exc: Exception) -> dict:
 
 
 def _evaluate_column(key: tuple, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
-    """Record fields for one model's temperatures; failures become error fields.
+    """Record fields for one spectrum's temperatures; failures become error fields.
 
-    A failed model build flags every temperature. A failed column is
+    A failed spectrum flags every temperature. A failed column is
     evaluated again one temperature at a time through the same call, so
     exactly the failing temperatures are flagged.
     """
     try:
-        model = _build_model(key, spec)
+        spectrum = _spectrum(key)
     except Exception as exc:  # degrade to flagged records, never abort the sweep
         return [_failure(exc)] * len(temperatures)
     try:
-        return _evaluate(model, temperatures, spec)
+        return _evaluate(spectrum, temperatures, spec)
     except Exception:
         pass
     rows = []
     for index in range(len(temperatures)):
         try:
-            rows.extend(_evaluate(model, temperatures[index : index + 1], spec))
+            rows.extend(_evaluate(spectrum, temperatures[index : index + 1], spec))
         except Exception as exc:
             rows.append(_failure(exc))
     return rows
@@ -288,19 +256,13 @@ def grid_points(spec: SweepSpec) -> list[dict]:
     return points
 
 
-def run_sweep(spec: SweepSpec, worker_count: int = 1) -> list[ResultRecord]:
-    """Evaluate every grid point, one model at a time.
-
-    `worker_count` is validated and accepted for compatibility; it changes
-    neither the records nor how they are computed.
-    """
+def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
+    """Evaluate every grid point, one spectrum at a time."""
     spec.validate()
-    if worker_count < 1:
-        raise ValueError(f"worker_count must be >= 1, got {worker_count}")
     points = grid_points(spec)
     columns: dict[tuple, list[int]] = {}
     for index, point in enumerate(points):
-        columns.setdefault(_model_key(point, spec.boundary), []).append(index)
+        columns.setdefault(_spectrum_key(point, spec.boundary), []).append(index)
     records: list[ResultRecord | None] = [None] * len(points)
     for key, indices in columns.items():
         temperatures = np.array([float(points[index]["T"]) for index in indices])

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 SYMMETRY_TOL = 1e-12
 
@@ -134,9 +133,10 @@ def fermi_occupations(
     step = np.where(
         energies < chemical_potential, 1.0, np.where(energies > chemical_potential, 0.0, 0.5)
     )
-    occupations = np.where(
-        frozen, step, expit(-(energies - chemical_potential) / np.where(frozen, 1.0, column))
-    )
+    exponent = (energies - chemical_potential) / np.where(frozen, 1.0, column)
+    with np.errstate(over="ignore"):  # exp overflows to inf, the occupation to 0
+        fermi = 1.0 / (1.0 + np.exp(exponent))
+    occupations = np.where(frozen, step, fermi)
     return per_temperature(occupations, temperature)
 
 

@@ -136,7 +136,7 @@ def test_criterion_6_dimerized_limit_power_maximum():
         fixed={"v": 0.01, "w": 0.5, "z": 0.0, "N": 50},
         quantities=("qfi_matrix", "interferometric_power"),
     )
-    records = run_sweep(spec, worker_count=2)
+    records = run_sweep(spec)
     best, value = locate_extremum(records, "i_p", "max")
     ok = 0.45 <= value <= 0.75
     _report(
@@ -257,7 +257,7 @@ def test_criterion_11_determinism_and_runtime(tmp_path):
     identical = first.read_bytes() == second.read_bytes()
 
     started = time.perf_counter()
-    records = run_sweep(build_figure_spec("3a"), worker_count=4)
+    records = run_sweep(build_figure_spec("3a"))
     elapsed = time.perf_counter() - started
     ok = identical and len(records) == 101 * 101 and elapsed < 300.0
     _report(

@@ -4,16 +4,20 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topo_thermo
 import topo_thermo.sweep as sweep_mod
 from topo_thermo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
-    WORKERS_ENV_VAR,
     ConfigError,
     assemble_config,
     cli_main,
@@ -295,18 +299,15 @@ def test_documented_defaults():
     assert config.verbosity == 0
 
 
-def test_worker_env_var_sets_default(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV_VAR, "7")
-    assert assemble_config("qfi", {}, {}).workers == 7
-    assert assemble_config("qfi", {}, {"workers": 3}).workers == 3
-    assert assemble_config("qfi", {"workers": 5}, {"workers": 3}).workers == 5
-
-    monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-    with pytest.raises(ConfigError):
-        assemble_config("qfi", {}, {})
-    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    with pytest.raises(ConfigError):
-        assemble_config("qfi", {}, {})
+def test_importing_the_cli_does_not_load_scipy():
+    # Only the Bloch determinant needs SciPy (zgbtrf), and it imports it lazily.
+    src = str(Path(topo_thermo.__file__).resolve().parents[1])
+    code = "import sys, topo_thermo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_assemble_rejects_inconsistent_values():

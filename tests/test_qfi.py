@@ -9,7 +9,6 @@ from topo_thermo.qfi import (
     interferometric_power,
     qfi_fidelity_oracle,
     qfi_matrix,
-    qfi_matrix_from_weights,
     qfi_scalar,
     transformed_paulis,
 )
@@ -180,8 +179,7 @@ def test_real_block_rotation_matches_kron_oracle(n, boundary):
         oracle = vectors.T @ pauli_observable(axis, n).matrix @ vectors
         assert np.abs(matrix - oracle).max() <= 1e-14
 
-    weights = gibbs_weights(spectrum, np.array([0.0, 0.05, 0.7])).weights
-    for matrix in qfi_matrix_from_weights(weights, paulis):
+    for matrix in qfi_matrix(gibbs_weights(spectrum, np.array([0.0, 0.05, 0.7]))):
         assert matrix[0, 1] == matrix[1, 0] == 0.0
         assert matrix[1, 2] == matrix[2, 1] == 0.0
 

@@ -14,7 +14,11 @@ from topo_thermo.bloch import (
 )
 from topo_thermo.figures import build_figure_spec
 from topo_thermo.lattice import ModelParams, build_hamiltonian, position_phase_operator
-from topo_thermo.polarization import thermal_polarization_determinant
+from topo_thermo.polarization import (
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
+    thermal_polarization_weighted,
+)
 from topo_thermo.qfi import interferometric_power, qfi_matrix
 from topo_thermo.sweep import ResultRecord, SweepSpec, locate_extremum, run_sweep
 from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
@@ -67,23 +71,39 @@ def test_record_ordering_contract():
     assert [(r.temperature, r.z) for r in records] == [(0.1, 0.0), (0.1, 0.5)]
 
 
-def test_worker_count_does_not_change_results():
-    serial = run_sweep(small_qfi_spec(), worker_count=1)
-    parallel = run_sweep(small_qfi_spec(), worker_count=8)
-    assert len(serial) == len(parallel) == 6
-    assert all(records_equal(a, b) for a, b in zip(serial, parallel))
-
-
-def test_single_point_sweep_matches_direct_evaluation():
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_single_point_sweep_matches_direct_evaluation(boundary):
     spec = SweepSpec(
         axes=(("T", (0.37,)),),
         fixed={"v": 0.4, "w": 0.7, "z": 0.1, "N": 5},
+        boundary=boundary,
         quantities=QFI_QUANTITIES + ("diagnostics", "polarization"),
         polarization_modes=("determinant", "literal", "weighted"),
     )
     (record,) = run_sweep(spec)
 
-    params = ModelParams(n_cells=5, v=0.4, w=0.7, z=0.1)
+    params = ModelParams(n_cells=5, v=0.4, w=0.7, z=0.1, boundary=boundary)
+    spectrum = diagonalize(build_hamiltonian(params))
+    dense_ensemble = gibbs_weights(spectrum, 0.37)
+    dense_matrix = qfi_matrix(dense_ensemble)
+    dense_diagnostics = ensemble_diagnostics(dense_ensemble)
+    x_operator = position_phase_operator(5)
+    dense_determinant = thermal_polarization_determinant(spectrum, 0.37, x_operator)
+    if boundary == "open":
+        # An open chain goes through the public dense functions, bit for bit.
+        report = interferometric_power(dense_matrix)
+        assert np.array_equal(record.qfi, dense_matrix)
+        assert record.i_p == report.i_p
+        assert np.array_equal(record.optimal_direction, report.optimal_direction)
+        assert record.purity == dense_diagnostics.purity
+        assert record.entropy == dense_diagnostics.entropy
+        assert record.polarization == {
+            "determinant": dense_determinant,
+            "literal": thermal_polarization_literal(dense_ensemble, x_operator),
+            "weighted": thermal_polarization_weighted(dense_ensemble, x_operator),
+        }
+        return
+
     bands = bloch_spectrum(params)
     ensemble = gibbs_weights(bands, 0.37)
     matrix = bloch_qfi_matrix(bands, ensemble.weights)
@@ -101,12 +121,8 @@ def test_single_point_sweep_matches_direct_evaluation():
         assert record.polarization[mode] == bloch_polarization_vanishing(mode)
 
     # The dense oracle agrees within the Bloch-vs-dense property-test tolerances.
-    spectrum = diagonalize(build_hamiltonian(params))
-    dense_ensemble = gibbs_weights(spectrum, 0.37)
-    dense_diagnostics = ensemble_diagnostics(dense_ensemble)
-    dense_determinant = thermal_polarization_determinant(spectrum, 0.37, position_phase_operator(5))
-    assert np.abs(record.qfi - qfi_matrix(dense_ensemble)).max() <= 1e-13
-    assert abs(record.i_p - interferometric_power(qfi_matrix(dense_ensemble)).i_p) <= 1e-13
+    assert np.abs(record.qfi - dense_matrix).max() <= 1e-13
+    assert abs(record.i_p - interferometric_power(dense_matrix).i_p) <= 1e-13
     assert abs(record.purity - dense_diagnostics.purity) <= 1e-13
     assert abs(record.entropy - dense_diagnostics.entropy) <= 1e-13
     reference = dense_determinant.expectation
@@ -273,10 +289,22 @@ def test_line_cut_rows_equal_the_matching_rows_of_a_heatmap():
     assert all(records_equal(a, b) for a, b in zip(rows, records))
 
 
+DENSE_CALLS = (
+    "build_hamiltonian",
+    "diagonalize",
+    "position_phase_operator",
+    "qfi_matrix",
+    "thermal_polarization_determinant",
+    "thermal_polarization_literal",
+    "thermal_polarization_weighted",
+)
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
+    # A ring calls none of the dense functions; an open chain calls every one.
     dense_calls = []
-    for name in ("build_hamiltonian", "diagonalize", "transformed_paulis"):
+    for name in DENSE_CALLS:
         real = getattr(sweep_mod, name)
 
         def guarded(*args, _name=name, _real=real, **kwargs):
@@ -298,7 +326,7 @@ def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
     if boundary == "periodic":
         assert dense_calls == []
     else:
-        assert sorted(set(dense_calls)) == ["build_hamiltonian", "diagonalize", "transformed_paulis"]
+        assert sorted(set(dense_calls)) == sorted(DENSE_CALLS)
 
 
 def test_spec_validation():
@@ -326,8 +354,6 @@ def test_spec_validation():
     for case in bad_cases:
         with pytest.raises(ValueError):
             SweepSpec(**case).validate()
-    with pytest.raises(ValueError):
-        run_sweep(SweepSpec(**good), worker_count=0)
 
 
 def stub_record(i_p=None, purity=None, temperature=0.1):
@@ -368,7 +394,7 @@ def test_interferometric_power_dies_at_hopping_crossing():
         fixed={"v": 0.3, "w": 0.5, "N": 50, "T": 0.05},
         quantities=QFI_QUANTITIES,
     )
-    records = run_sweep(spec, worker_count=2)
+    records = run_sweep(spec)
     crossing = [r for r in records if r.z == 0.5]
     assert len(crossing) == 1 and crossing[0].i_p <= 1e-6
     best, _ = locate_extremum(records, "i_p", "min")

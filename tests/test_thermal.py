@@ -1,5 +1,7 @@
 """Diagonalization, Gibbs weights, Fermi occupations, ensemble diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,8 +163,11 @@ def test_fermi_closed_forms():
     assert occ[0] == pytest.approx(0.7310585786300049, abs=1e-12)
     assert occ[1] == pytest.approx(0.2689414213699951, abs=1e-12)
 
-    occ = fermi_occupations(two_level_spectrum(), 1e-9)
-    assert np.allclose(occ, [1.0, 0.0])
+    # (E - mu)/T far beyond the exp range saturates exactly, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        occ = fermi_occupations(two_level_spectrum(), np.array([1e-9, 1e-300]))
+    assert np.array_equal(occ, [[1.0, 0.0], [1.0, 0.0]])
 
     s = Spectrum(energies=np.array([0.0]), vectors=np.eye(1))
     for t in (0.0, 0.3, 2.0):
