@@ -71,10 +71,16 @@ class RunConfig:
     eigenvectors: bool = False
 
 
+def _coerce_float(value) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _coerce_temperature(value) -> list:
     values = value if isinstance(value, (list, tuple)) else [value]
     try:
-        temps = [float(t) for t in values]
+        temps = [_coerce_float(t) for t in values]
     except (TypeError, ValueError):
         raise ConfigError(f"temperature must be a number or list of numbers, got {value!r}")
     if not temps:
@@ -82,6 +88,20 @@ def _coerce_temperature(value) -> list:
     if any(t < 0.0 for t in temps):
         raise ConfigError("temperatures must be >= 0")
     return sorted(set(temps))
+
+
+def _coerce_int(value) -> int:
+    """An int, a numeric string or an integral float; fractions are refused, not truncated."""
+    number = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
+        raise ConfigError(f"expected an integer, got {value!r}")
+    return number
+
+
+def _coerce_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"expected true or false, got {value!r}")
+    return value
 
 
 def _coerce_list(value, name: str) -> list:
@@ -106,7 +126,7 @@ def _parse_axis_flag(text: str) -> tuple:
             grid = np.array([float(item) for item in rhs.split(",")])
     except ValueError:
         raise ConfigError(f"could not parse axis grid {rhs!r}")
-    values = [int(x) if name == "N" else float(x) for x in grid]
+    values = [_coerce_int(x) if name == "N" else x for x in grid.tolist()]
     return name, tuple(values)
 
 
@@ -128,16 +148,16 @@ def _coerce_axes(value) -> list:
     for name, grid in pairs:
         if not isinstance(grid, (list, tuple)):
             raise ConfigError(f"axis {name!r} grid must be a list, got {grid!r}")
-        values = [int(x) if name == "N" else float(x) for x in grid]
+        values = [_coerce_int(x) if name == "N" else _coerce_float(x) for x in grid]
         axes.append((str(name), tuple(values)))
     return axes
 
 
 _COERCERS = {
-    "n_cells": lambda v: int(v),
-    "v": lambda v: float(v),
-    "w": lambda v: float(v),
-    "z": lambda v: float(v),
+    "n_cells": _coerce_int,
+    "v": _coerce_float,
+    "w": _coerce_float,
+    "z": _coerce_float,
     "boundary": lambda v: str(v),
     "temperature": _coerce_temperature,
     "modes": lambda v: _coerce_list(v, "modes"),
@@ -146,11 +166,11 @@ _COERCERS = {
     "label": lambda v: str(v),
     "out": lambda v: str(v),
     "format": lambda v: str(v),
-    "precision": lambda v: int(v),
-    "workers": lambda v: int(v),
-    "tau_mag": lambda v: float(v),
-    "verbosity": lambda v: int(v),
-    "eigenvectors": lambda v: bool(v),
+    "precision": _coerce_int,
+    "workers": _coerce_int,
+    "tau_mag": _coerce_float,
+    "verbosity": _coerce_int,
+    "eigenvectors": _coerce_bool,
 }
 
 
@@ -182,7 +202,7 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
                 continue
             try:
                 setattr(config, key, _COERCERS[key](value))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}")
     if config.boundary not in BOUNDARIES:
         raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {config.boundary!r}")
@@ -248,16 +268,11 @@ def _run_spectrum(config: RunConfig) -> int:
     )
     spectrum = diagonalize(build_hamiltonian(params))
     columns = ["n", "energy"]
+    rows = list(enumerate(spectrum.energies.tolist()))
     if config.eigenvectors:
         columns += [f"c{i}" for i in range(spectrum.dimension)]
-    rows = []
-    for n in range(spectrum.dimension):
-        row = {"n": n, "energy": float(spectrum.energies[n])}
-        if config.eigenvectors:
-            for i in range(spectrum.dimension):
-                row[f"c{i}"] = float(spectrum.vectors[i, n])
-        rows.append(row)
-    io_mod.emit_rows(rows, columns, config.format, config.precision, config.out)
+        rows = [row + tuple(vector) for row, vector in zip(rows, spectrum.vectors.T.tolist())]
+    io_mod.emit_records(rows, config.format, config.precision, config.out, columns)
     return EXIT_OK
 
 

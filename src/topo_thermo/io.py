@@ -1,18 +1,24 @@
-"""Deterministic CSV/JSON emission of sweep records.
+"""Deterministic CSV/JSON emission of tables.
 
-Both formats share one flat row schema (fixed column order below). A
-record expands to one row per polarization mode, or a single row when no
-polarization was requested. Emission is byte-identical for identical
-inputs: numbers render through one formatter at a configurable number of
-significant digits, lines end with a bare newline, and JSON key order is
-fixed, so parsing an emitted JSON file and re-emitting it reproduces the
-bytes.
+Both formats render a table (column names and rows) through one path,
+rows -> blocks -> columns. Sweep records become tuples in the fixed
+`CSV_COLUMNS` order, one per polarization mode (one row without
+polarization); a plain dict, such as a parsed JSON row, gives its cells
+by column name, and any other row is a sequence already in column order.
+Rows are taken `BLOCK_ROWS` at a time and transposed, and each column is
+formatted by one list comprehension, so the cells held beside the output
+text never exceed one block, however long the table. Numbers render at a
+configurable number of significant digits with zero as "0"; JSON writes
+non-finite numbers as null. Lines end with a bare newline and JSON key
+order is fixed, so identical inputs give identical bytes, and parsing an
+emitted JSON file and re-emitting it reproduces them.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _io
+import itertools
 import json
 import math
 from typing import Iterable
@@ -29,6 +35,9 @@ CSV_COLUMNS = (
 
 DEFAULT_PRECISION = 12
 
+# Rows formatted together; bounds the intermediate cells of a render.
+BLOCK_ROWS = 1024
+
 FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 FORMATS = (FORMAT_CSV, FORMAT_JSON)
@@ -43,99 +52,77 @@ def format_number(value, precision: int = DEFAULT_PRECISION) -> str:
     return f"{value:.{precision}g}"
 
 
-def flatten_record(record: ResultRecord) -> list[dict]:
-    """Expand one record into flat rows (one per polarization mode)."""
-    base = {name: None for name in CSV_COLUMNS}
-    base["T"] = record.temperature
-    base["v"] = record.v
-    base["w"] = record.w
-    base["z"] = record.z
-    base["N"] = record.n_cells
-    base["boundary"] = record.boundary
-    if record.error is not None:
-        base["error"] = record.error
-        return [base]
-    if record.qfi is not None:
-        matrix = record.qfi
-        base["M_xx"], base["M_xy"], base["M_xz"] = matrix[0, 0], matrix[0, 1], matrix[0, 2]
-        base["M_yy"], base["M_yz"] = matrix[1, 1], matrix[1, 2]
-        base["M_zz"] = matrix[2, 2]
-    if record.i_p is not None:
-        base["i_p"] = record.i_p
-        direction = record.optimal_direction
-        base["dir_x"], base["dir_y"], base["dir_z"] = direction[0], direction[1], direction[2]
-    base["purity"] = record.purity
-    base["entropy"] = record.entropy
-    if not record.polarization:
-        return [base]
-    rows = []
-    for mode, result in record.polarization.items():
-        row = dict(base)
-        row["mode"] = mode
-        row["P"] = result.polarization
-        row["P_defined"] = result.defined
-        row["magnitude"] = result.magnitude
-        rows.append(row)
-    return rows
-
-
-def _iter_rows(records: Iterable):
+def _record_rows(records: Iterable, columns):
+    """One row per output line, as a sequence in `columns` order."""
     for record in records:
-        if isinstance(record, ResultRecord):
-            yield from flatten_record(record)
-        else:
-            yield dict(record)
+        if not isinstance(record, ResultRecord):
+            yield tuple(map(record.get, columns)) if isinstance(record, dict) else record
+            continue
+        head = (record.temperature, record.v, record.w, record.z, record.n_cells, record.boundary)
+        if record.error is not None:
+            yield head + (None,) * 16 + (record.error,)
+            continue
+        qfi, power = (None,) * 6, (None,) * 4
+        if record.qfi is not None:
+            (xx, xy, xz), (_, yy, yz), (_, _, zz) = record.qfi.tolist()
+            qfi = (xx, xy, xz, yy, yz, zz)
+        if record.i_p is not None:
+            power = (record.i_p, *record.optimal_direction.tolist())
+        tail = qfi + power + (record.purity, record.entropy, None)
+        if not record.polarization:
+            yield head + (None,) * 4 + tail
+        for mode, result in record.polarization.items():
+            yield head + (mode, result.polarization, result.defined, result.magnitude) + tail
 
 
-def _csv_cell(value, precision: int) -> str:
+def _cell(value, precision: int, as_json: bool) -> str:
+    """Text of one cell that is not part of an all-finite-float column."""
     if value is None:
-        return ""
+        return "null" if as_json else ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return value
+        return json.dumps(value) if as_json else value
+    if as_json and not math.isfinite(value):
+        return "null"
     return format_number(value, precision)
 
 
-def render_rows_csv(rows: Iterable[dict], columns, precision: int = DEFAULT_PRECISION) -> str:
+def _column(values: tuple, precision: int, as_json: bool) -> list[str]:
+    # An overflowing sum only sends finite floats down the general path.
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        spec = f".{precision}g"
+        return ["0" if x == 0.0 else format(x, spec) for x in values]
+    return [_cell(x, precision, as_json) for x in values]
+
+
+def _formatted_rows(rows: Iterable, precision: int, as_json: bool):
+    """Rows of cell text, formatted a block of BLOCK_ROWS rows at a time."""
+    rows = iter(rows)
+    while True:
+        block = list(itertools.islice(rows, BLOCK_ROWS))
+        if not block:
+            return
+        yield from zip(*(_column(values, precision, as_json) for values in zip(*block)))
+
+
+def render_csv(records: Iterable, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_csv_cell(row.get(name), precision) for name in columns])
+    writer.writerows(_formatted_rows(_record_rows(records, columns), precision, False))
     return buffer.getvalue()
 
 
-def render_csv(records: Iterable, precision: int = DEFAULT_PRECISION) -> str:
-    return render_rows_csv(_iter_rows(records), CSV_COLUMNS, precision)
-
-
-def _json_value(value, precision: int) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if not math.isfinite(value):
-        return "null"
-    return format_number(value, precision)
-
-
-def render_rows_json(rows: Iterable[dict], columns, precision: int = DEFAULT_PRECISION) -> str:
-    lines = []
-    for row in rows:
-        pairs = ", ".join(
-            f"{json.dumps(name)}: {_json_value(row.get(name), precision)}" for name in columns
-        )
-        lines.append("  {" + pairs + "}")
+def render_json(records: Iterable, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
+    keys = [json.dumps(name) + ": " for name in columns]
+    lines = [
+        "  {" + ", ".join(map(str.__add__, keys, row)) + "}"
+        for row in _formatted_rows(_record_rows(records, columns), precision, True)
+    ]
     if not lines:
         return "[]\n"
     return "[\n" + ",\n".join(lines) + "\n]\n"
-
-
-def render_json(records: Iterable, precision: int = DEFAULT_PRECISION) -> str:
-    return render_rows_json(_iter_rows(records), CSV_COLUMNS, precision)
 
 
 def read_json_records(text: str) -> list[dict]:
@@ -160,21 +147,17 @@ def write_text(text: str, destination) -> None:
         handle.write(text)
 
 
-def emit_records(records, output_format: str, precision: int, destination) -> None:
-    """Write records as CSV or JSON to a path, file object, or '-' (stdout).
+def emit_records(
+    records, output_format: str, precision: int, destination, columns=CSV_COLUMNS
+) -> None:
+    """Write a table as CSV or JSON to a path, file object, or '-' (stdout).
 
-    Unwritable destinations raise OSError for the caller to map onto the
+    `records` are sweep records or dicts under the default columns, or
+    rows in the order of `columns` for auxiliary tables. Unwritable
+    destinations raise OSError for the caller to map onto the
     numerical-failure exit code.
     """
     if output_format not in FORMATS:
         raise ValueError(f"unknown format {output_format!r}, expected one of {FORMATS}")
     render = render_csv if output_format == FORMAT_CSV else render_json
-    write_text(render(records, precision), destination)
-
-
-def emit_rows(rows, columns, output_format: str, precision: int, destination) -> None:
-    """Row-level variant of emit_records for auxiliary tables."""
-    if output_format not in FORMATS:
-        raise ValueError(f"unknown format {output_format!r}, expected one of {FORMATS}")
-    render = render_rows_csv if output_format == FORMAT_CSV else render_rows_json
-    write_text(render(rows, columns, precision), destination)
+    write_text(render(records, precision, columns), destination)

@@ -319,6 +319,39 @@ def test_assemble_rejects_inconsistent_values():
         {"boundary": "twisted"},
         {"temperature": []},
         {"temperature": [-0.5]},
+        {"n_cells": 4.7},
+        {"n_cells": True},
+        {"precision": 2.9},
+        {"workers": 1.5},
+        {"verbosity": 0.5},
+        {"eigenvectors": "false"},
+        {"eigenvectors": 1},
+        {"axes": {"T": [0.1], "N": [2, 4.5]}},
+        {"axes": {"N": [float("inf")]}},
+        {"v": True},
+        {"tau_mag": False},
+        {"temperature": [False]},
+        {"axes": {"z": [0.0, True]}},
     ):
         with pytest.raises(ConfigError):
             assemble_config("qfi", {}, bad)
+
+
+def test_integral_config_values_are_kept_exactly():
+    config = assemble_config(
+        "spectrum", {}, {"n_cells": 4.0, "precision": "7", "eigenvectors": False,
+                         "axes": {"N": [2.0, 10]}}
+    )
+    assert (config.n_cells, config.precision, config.eigenvectors) == (4, 7, False)
+    assert config.axes == [("N", (2, 10))]
+    assert all(type(n) is int for n in config.axes[0][1])
+
+
+def test_fractional_cell_count_axis_is_a_config_error(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--v", "0.3", "--w", "0.5", "--z", "0", "-T", "0.1",
+         "--axis", "N=2:10:4", "--quantities", "interferometric_power"],
+        capsys,
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert "expected an integer, got 4.66666" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topo_thermo.io import (
+    BLOCK_ROWS,
     CSV_COLUMNS,
     emit_records,
     format_number,
@@ -123,3 +124,90 @@ def test_emit_records_to_path_and_unwritable_destination(tmp_path):
         emit_records([qfi_record()], "csv", 12, str(tmp_path / "missing" / "out.csv"))
     with pytest.raises(ValueError):
         emit_records([qfi_record()], "yaml", 12, str(target))
+
+
+def test_non_finite_numbers_are_null_in_json_and_spelled_out_in_csv():
+    finite, odd = qfi_record(), qfi_record()
+    odd.i_p, odd.purity, odd.entropy = float("nan"), float("inf"), -float("inf")
+    odd.qfi = odd.qfi.copy()
+    odd.qfi[2, 2] = np.nan
+    rows = read_json_records(render_json([finite, odd]))
+    assert [rows[1][name] for name in ("i_p", "purity", "entropy", "M_zz")] == [None] * 4
+    assert rows[0]["i_p"] == 0.0999 and rows[0]["M_zz"] == 0.3
+    cells = dict(zip(CSV_COLUMNS, render_csv([finite, odd]).split("\n")[2].split(",")))
+    assert [cells[name] for name in ("i_p", "purity", "entropy", "M_zz")] == [
+        "nan", "inf", "-inf", "nan"
+    ]
+
+
+def test_error_text_is_csv_quoted_and_json_escaped():
+    message = 'ValueError: bad "x", y'
+    record = ResultRecord(
+        temperature=0.1, v=0.3, w=0.5, z=0.0, n_cells=4, boundary="open", error=message,
+    )
+    line = render_csv([record]).split("\n")[1]
+    assert line.endswith(',"ValueError: bad ""x"", y"')
+    assert '"error": "ValueError: bad \\"x\\", y"}' in render_json([record])
+    assert read_json_records(render_json([record]))[0]["error"] == message
+
+
+def as_numpy_scalars(record):
+    record.temperature, record.v, record.w, record.z = map(
+        np.float64, (record.temperature, record.v, record.w, record.z)
+    )
+    if record.i_p is not None:
+        record.i_p = np.float64(record.i_p)
+    if record.purity is not None:
+        record.purity, record.entropy = np.float64(record.purity), np.float64(record.entropy)
+    for mode, result in record.polarization.items():
+        record.polarization[mode] = PolarizationResult(
+            expectation=result.expectation, magnitude=np.float64(result.magnitude),
+            phase=result.phase, polarization=np.float64(result.polarization),
+            defined=result.defined, mode=result.mode,
+        )
+    return record
+
+
+def test_numpy_and_python_floats_render_the_same_bytes():
+    plain = [qfi_record(), polarization_record()]
+    numpy = [as_numpy_scalars(qfi_record()), as_numpy_scalars(polarization_record())]
+    assert isinstance(numpy[0].temperature, np.float64)
+    for render in (render_csv, render_json):
+        for precision in (3, 12, 17):
+            assert render(numpy, precision) == render(plain, precision)
+    rows = read_json_records(render_json(plain))
+    numpy_rows = [
+        {k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in rows
+    ]
+    assert render_json(numpy_rows) == render_json(rows)
+
+
+def mixed_records(count):
+    records = []
+    for index in range(count):
+        kind = index % 3
+        if kind == 0:
+            record = qfi_record()
+            record.i_p = 0.0999 + index * 1e-7
+            if index % 301 == 0:
+                record.entropy = float("nan")
+        elif kind == 1:
+            record = polarization_record()
+        else:
+            record = ResultRecord(
+                temperature=0.1, v=0.3, w=0.5, z=0.0, n_cells=4, boundary="open",
+                error=f'LinAlgError: "{index}", did not converge',
+            )
+        record.temperature = 0.01 * index
+        records.append(record)
+    return records
+
+
+def test_large_table_renders_as_its_records_one_by_one():
+    records = mixed_records(2 * BLOCK_ROWS + 7)
+    csv_rows = "".join(render_csv([record]).split("\n", 1)[1] for record in records)
+    assert render_csv(records) == EXPECTED_HEADER + "\n" + csv_rows
+    json_rows = ",\n".join(render_json([record])[2:-3] for record in records)
+    assert render_json(records) == "[\n" + json_rows + "\n]\n"
+    # One row per QFI or error record, two per polarization record.
+    assert csv_rows.count("\n") == len(records) + len(records) // 3 > 2 * BLOCK_ROWS
