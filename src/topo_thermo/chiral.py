@@ -1,0 +1,224 @@
+"""Chiral (sublattice) block evaluation of an extended SSH chain.
+
+Every hopping v, w, z joins an A site to a B site, so in sublattice order
+the Hamiltonian is H = [[0, D], [D^T, 0]] with D = H[A, B] an N x N real
+matrix (Asboth, Oroszlany, Palyi, A Short Course on Topological
+Insulators, Springer 2016, ch. 1). The SVD D = U diag(s) V^T gives every
+eigenpair of H:
+
+  E = -s_k   psi = (u_k, -v_k) / sqrt(2),
+  E = +s_k   psi = (u_k, +v_k) / sqrt(2),
+
+with u_k on the A sites and v_k on the B sites. Each quantity the sweep
+needs then costs N x N work instead of 2N x 2N:
+
+  QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
+               I (x) sigma_l have matrix elements (S or A) / 2 between
+               states k and l, and sigma_z couples only chiral partners;
+  determinant  X acts on both sublattices alike, so W = psi^T X psi has
+               blocks (P +- Q) / 2 with P = U^T X_c U and Q = V^T X_c V;
+  literal,     <psi|X|psi> = (u.X_c u + v.X_c v) / 2, the same for both
+  weighted     partners of a pair.
+
+Edge-mode basis rule: a topological open chain has one singular value s_0
+exponentially close to 0, so the pair +-s_0 is degenerate to rounding
+and a 2N x 2N eigh may return any rotation inside it. Here the pair is
+always the equal-weight sublattice combinations (u_0, +-v_0) / sqrt(2) of
+the left and right null vectors of D. Both states then carry the same
+<X> = (u_0.X_c u_0 + v_0.X_c v_0) / 2, the mean of the A-polarized and the
+B-polarized edge state, so the weighted mode does not depend on a basis
+choice inside the pair.
+
+The bulk invariant of the same chiral structure is the winding number
+of h(k), given exactly by winding_number. By bulk-boundary
+correspondence, |winding| is the number of singular values of D that
+vanish as N grows.
+
+run_sweep evaluates open chains here. The dense functions of thermal,
+qfi and polarization stay public; they are the `spectrum` subcommand's
+path and the oracle these functions are tested against.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .lattice import ModelParams, PositionPhaseOperator, build_hamiltonian
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _check_dimension, _determinant_result
+from .qfi import pair_weights
+from .thermal import fermi_occupations, per_temperature
+
+
+@dataclass(frozen=True)
+class ChiralSpectrum:
+    """SVD of the A-to-B block D of one chain.
+
+    `singular_values` are descending, as the SVD returns them, with
+    `left` = U (A sites) and `right` = V (B sites) holding u_k and v_k as
+    columns. `energies` lists all 2N eigenvalues in ascending order, the
+    form gibbs_weights and fermi_occupations read: the lower band -s_k in
+    SVD order, then the upper band +s_k in reverse SVD order.
+    """
+
+    n_cells: int
+    singular_values: np.ndarray = field(repr=False)
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    energies: np.ndarray = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return 2 * self.n_cells
+
+    def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-state values in `energies` order as (lower, upper), both in SVD order.
+
+        Works along the last axis, so rows of per-temperature values split
+        row by row.
+        """
+        values = np.asarray(values)
+        if values.shape[-1:] != (self.dimension,):
+            raise ValueError(f"expected {self.dimension} per-state values, got shape {values.shape}")
+        n = self.n_cells
+        return values[..., :n], values[..., : n - 1 : -1]
+
+
+def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
+    """Singular value decomposition of the A-to-B block of the chain's Hamiltonian."""
+    block = build_hamiltonian(params)[0::2, 1::2]
+    left, singular_values, right_t = np.linalg.svd(block)
+    return ChiralSpectrum(
+        n_cells=params.n_cells,
+        singular_values=singular_values,
+        left=left,
+        right=np.ascontiguousarray(right_t.T),
+        energies=np.concatenate([-singular_values, singular_values[::-1]]),
+    )
+
+
+def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarray:
+    """3x3 QFI matrix over I (x) sigma_l from weights in `energies` order.
+
+    Same normalization and pair cutoff as qfi.qfi_matrix. With pw_ab the
+    pair weights between band a of state k and band b of state l,
+
+      M_xx = 1/8 sum_kl [(pw_++ + pw_--) S^2 + 2 pw_+- A^2],
+      M_yy = the same with S and A swapped,
+      M_zz = sum_k pw(-s_k, +s_k),
+
+    and M_xy = M_xz = M_yz = 0 exactly: g_x is real and g_y imaginary, and
+    g_z joins only chiral partners, where g_x vanishes. Weights of shape
+    (n_T, 2N) give (n_T, 3, 3); each matrix is computed from its own row
+    alone, so it does not depend on how many temperatures share the call.
+    """
+    lower, upper = spectrum.bands(weights)
+    coupling = spectrum.left.T @ spectrum.right
+    sym = coupling + coupling.T
+    sym *= sym
+    anti = coupling - coupling.T
+    anti *= anti
+    rows_lower, rows_upper = np.atleast_2d(lower), np.atleast_2d(upper)
+    matrices = np.zeros((len(rows_lower), 3, 3))
+    for matrix, low, up in zip(matrices, rows_lower, rows_upper):
+        same = pair_weights(up[:, None], up[None, :])
+        same += pair_weights(low[:, None], low[None, :])
+        cross = pair_weights(up[:, None], low[None, :])
+        same_sym, same_anti = np.sum(same * sym), np.sum(same * anti)
+        cross_sym, cross_anti = np.sum(cross * sym), np.sum(cross * anti)
+        matrix[0, 0] = 0.125 * same_sym + 0.25 * cross_anti
+        matrix[1, 1] = 0.125 * same_anti + 0.25 * cross_sym
+        matrix[2, 2] = np.sum(pair_weights(low, up))
+    return matrices if np.ndim(weights) == 2 else matrices[0]
+
+
+def _cell_phases(spectrum: ChiralSpectrum, x_operator: PositionPhaseOperator) -> np.ndarray:
+    _check_dimension(spectrum.dimension, x_operator, "spectrum")
+    return x_operator.diagonal[0::2]
+
+
+def chiral_state_expectations(
+    spectrum: ChiralSpectrum, x_operator: PositionPhaseOperator
+) -> np.ndarray:
+    """<n|X|n> = (u.X_c u + v.X_c v) / 2 for every state, in `energies` order.
+
+    Chiral partners share the value. Each entry is a sum along a contiguous
+    row, so it does not depend on how many states are evaluated together.
+    The result feeds polarization.polarization_from_states.
+    """
+    phases = _cell_phases(spectrum, x_operator)
+    probabilities = np.ascontiguousarray(spectrum.left.T**2 + spectrum.right.T**2)
+    per_pair = np.empty(spectrum.n_cells, dtype=complex)
+    per_pair.real = 0.5 * np.sum(probabilities * phases.real, axis=1)
+    per_pair.imag = 0.5 * np.sum(probabilities * phases.imag, axis=1)
+    return np.concatenate([per_pair, per_pair[::-1]])
+
+
+def chiral_polarization_determinant(
+    spectrum: ChiralSpectrum,
+    temperature,
+    x_operator: PositionPhaseOperator,
+    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
+):
+    """Determinant-mode polarization of a chain from its chiral block.
+
+    Same quantity, background phase and branch rule as
+    polarization.thermal_polarization_determinant, whose bracket
+    det[(1 - f) + diag(f) W] it keeps, with W = psi^T X psi built from
+    the N x N products P = U^T X_c U and Q = V^T X_c V:
+
+      W = 1/2 [[P + Q, P - Q], [P - Q, P + Q]]
+
+    in (lower, upper) band order, the upper band reversed to follow
+    `energies`. An array of temperatures gives a list with one result per
+    temperature.
+    """
+    phases = _cell_phases(spectrum, x_operator)
+    occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
+    n = spectrum.n_cells
+    products = []
+    for vectors in (spectrum.left, spectrum.right):
+        product = np.empty((n, n), dtype=complex)
+        product.real = (vectors.T * phases.real) @ vectors
+        product.imag = (vectors.T * phases.imag) @ vectors
+        products.append(product)
+    left, right = products
+    same, cross = 0.5 * (left + right), 0.5 * (left - right)
+    rotated = np.empty((2 * n, 2 * n), dtype=complex)
+    rotated[:n, :n] = same
+    rotated[n:, n:] = same[::-1, ::-1]
+    rotated[:n, n:] = cross[:, ::-1]
+    rotated[n:, :n] = cross[::-1, :]
+    results = []
+    for row in np.atleast_2d(occupations):
+        mixture = rotated * row[:, None]
+        mixture[np.diag_indices_from(mixture)] += 1.0 - row
+        results.append(
+            _determinant_result(
+                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+            )
+        )
+    return per_temperature(results, temperature)
+
+
+def winding_number(v: float, w: float, z: float) -> int:
+    """Winding number of the bulk chain, (roots of w xi^2 + v xi + z in |xi| < 1) - 1.
+
+    On |xi| = 1, xi = exp(ik), the polynomial is exp(ik) conj(a(k)) with
+    a(k) = v + w exp(-ik) + z exp(ik) of bloch.py, so this counts the turns
+    of conj(a(k)) around 0 as k goes once round the Brillouin zone: +1
+    when w dominates (|v| < |w + z| and |w| > |z|), -1 when z dominates
+    (|v| < |w + z| and |w| < |z|), 0 when v dominates (|v| > |w + z|). It
+    does not depend on T or N. The roots are counted by these comparisons,
+    not by root finding or a k grid; only w + z is rounded, so a chain
+    built with v = w + z reads as gapless. A root on |xi| = 1 is a gap
+    closing, where the winding is undefined: |v| = |w + z|, or w = z with
+    |v| < |w + z|. Both raise ValueError.
+    """
+    reach = abs(w + z)
+    if abs(v) > reach:
+        return 0
+    if abs(v) == reach or abs(w) == abs(z):
+        raise ValueError(f"the gap closes at (v, w, z) = ({v}, {w}, {z}): winding is undefined")
+    return 1 if abs(w) > abs(z) else -1

@@ -123,44 +123,41 @@ def pure_state_phase(
     return _make_result(expectation, abs(expectation), MODE_PURE, magnitude_cutoff)
 
 
-def thermal_polarization_literal(
+def polarization_from_states(
     ensemble: GibbsEnsemble,
-    x_operator: PositionPhaseOperator,
+    per_state: np.ndarray,
+    mode: str,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
-    """Tr[rho X] with rho in spectral form.
+    """Literal or weighted polarization from per-state expectations <n|X|n>.
 
-    For a periodic chain this trace is forced to zero by translation
-    symmetry at any temperature, so the result is typically undefined;
-    the computation is exposed precisely to document that behavior. A
-    batched ensemble gives a list with one result per temperature.
+    `per_state` lists <n|X|n> in the order of the ensemble's weights, as
+    state_expectations or chiral.chiral_state_expectations give it; the
+    dense and the chiral path share these reductions. A batched ensemble
+    gives a list with one result per temperature.
+
+      literal   Tr[rho X] = sum_n lambda_n <n|X|n>;
+      weighted  P = sum_n lambda_n gamma_n / (2*pi) over the per-state
+                phases gamma_n. States with weight below 1e-6 are ignored.
+                Contributing states whose own expectation magnitude falls
+                below the cutoff are excluded from the average and force
+                the result to undefined; the reported magnitude is the
+                minimum over contributing states.
     """
-    _check_dimension(ensemble.dimension, x_operator, "ensemble")
-    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
-    expectations = np.sum(np.atleast_2d(ensemble.weights) * per_state, axis=1)
-    results = [
-        _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
-        for expectation in expectations.tolist()
-    ]
-    return per_temperature(results, ensemble.temperature)
-
-
-def thermal_polarization_weighted(
-    ensemble: GibbsEnsemble,
-    x_operator: PositionPhaseOperator,
-    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-):
-    """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
-
-    States with weight below 1e-6 are ignored. Contributing states whose
-    own expectation magnitude falls below the cutoff are excluded from the
-    average and force the result to undefined; the reported magnitude is
-    the minimum over contributing states. A batched ensemble gives a list
-    with one result per temperature.
-    """
-    _check_dimension(ensemble.dimension, x_operator, "ensemble")
-    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    if per_state.shape != (ensemble.dimension,):
+        raise ValueError(
+            f"expected {ensemble.dimension} per-state expectations, got shape {per_state.shape}"
+        )
     weights = np.atleast_2d(ensemble.weights)
+    if mode == MODE_LITERAL:
+        expectations = np.sum(weights * per_state, axis=1)
+        results = [
+            _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
+            for expectation in expectations.tolist()
+        ]
+        return per_temperature(results, ensemble.temperature)
+    if mode != MODE_WEIGHTED:
+        raise ValueError(f"mode must be {MODE_LITERAL!r} or {MODE_WEIGHTED!r}, got {mode!r}")
     magnitudes = np.abs(per_state)
     phases = np.angle(per_state)
     phases = np.where(phases == -np.pi, np.pi, phases)
@@ -173,6 +170,39 @@ def thermal_polarization_weighted(
         synthetic = magnitude * np.exp(1j * _principal(phase_sum))
         results.append(_make_result(synthetic, magnitude, MODE_WEIGHTED, magnitude_cutoff))
     return per_temperature(results, ensemble.temperature)
+
+
+def thermal_polarization_literal(
+    ensemble: GibbsEnsemble,
+    x_operator: PositionPhaseOperator,
+    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
+):
+    """Tr[rho X] with rho in spectral form (see polarization_from_states).
+
+    For a periodic chain this trace is forced to zero by translation
+    symmetry at any temperature, so the result is typically undefined;
+    the computation is exposed precisely to document that behavior. A
+    batched ensemble gives a list with one result per temperature.
+    """
+    _check_dimension(ensemble.dimension, x_operator, "ensemble")
+    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    return polarization_from_states(ensemble, per_state, MODE_LITERAL, magnitude_cutoff)
+
+
+def thermal_polarization_weighted(
+    ensemble: GibbsEnsemble,
+    x_operator: PositionPhaseOperator,
+    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
+):
+    """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
+
+    The reduction and its cutoffs are those of polarization_from_states,
+    over the eigenvectors of a dense spectrum. A batched ensemble gives a
+    list with one result per temperature.
+    """
+    _check_dimension(ensemble.dimension, x_operator, "ensemble")
+    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    return polarization_from_states(ensemble, per_state, MODE_WEIGHTED, magnitude_cutoff)
 
 
 def _background_phase_factor(n: int, delta: float) -> complex:

@@ -7,9 +7,9 @@ batched 3x3 eigh. Every per-temperature row is computed exactly as it
 would be alone, so records do not depend on how the grid groups
 temperatures. Spectra are built one at a time and dropped once their
 records are written. Each boundary has one evaluation path: periodic
-rings use the Bloch engine (bloch.py), open chains the dense
-eigendecomposition through the same qfi_matrix and
-thermal_polarization_* functions a caller would use. A failing column
+rings use the Bloch engine (bloch.py), open chains the SVD of the chiral
+block (chiral.py), through the same public functions a caller would
+use. The dense eigendecomposition is their oracle. A failing column
 is evaluated again one temperature at a time, so a failure lands in the
 error field of exactly the points that fail.
 """
@@ -27,25 +27,23 @@ from .bloch import (
     bloch_qfi_matrix,
     bloch_spectrum,
 )
-from .lattice import (
-    BOUNDARIES,
-    PERIODIC,
-    ModelParams,
-    build_hamiltonian,
-    position_phase_operator,
+from .chiral import (
+    chiral_polarization_determinant,
+    chiral_qfi_matrix,
+    chiral_spectrum,
+    chiral_state_expectations,
 )
+from .lattice import BOUNDARIES, PERIODIC, ModelParams, position_phase_operator
 from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
     MODE_LITERAL,
     MODE_WEIGHTED,
     PolarizationResult,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
+    polarization_from_states,
 )
-from .qfi import interferometric_power, qfi_matrix
-from .thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+from .qfi import interferometric_power
+from .thermal import ensemble_diagnostics, gibbs_weights
 
 AXIS_NAMES = ("T", "v", "w", "z", "N")
 
@@ -150,12 +148,12 @@ def _needs_qfi(spec: SweepSpec) -> bool:
 
 
 def _spectrum(key: tuple):
-    """Bloch bands of a ring, or the dense eigendecomposition of an open chain."""
+    """Bloch bands of a ring, or the chiral-block SVD of an open chain."""
     n_cells, v, w, z, boundary = key
     params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
     if boundary == PERIODIC:
         return bloch_spectrum(params)
-    return diagonalize(build_hamiltonian(params))
+    return chiral_spectrum(params)
 
 
 def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
@@ -172,7 +170,8 @@ def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]
     ):
         ensemble = gibbs_weights(spectrum, temperatures)
     if QUANTITY_POLARIZATION in spec.quantities:
-        x_operator = None if periodic else position_phase_operator(spectrum.dimension // 2)
+        x_operator = None if periodic else position_phase_operator(spectrum.n_cells)
+        per_state = None
         for row in rows:
             row["polarization"] = {}
         for mode in spec.polarization_modes:
@@ -181,20 +180,20 @@ def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]
             elif periodic:
                 results = [bloch_polarization_vanishing(mode, cutoff)] * len(temperatures)
             elif mode == MODE_DETERMINANT:
-                results = thermal_polarization_determinant(
+                results = chiral_polarization_determinant(
                     spectrum, temperatures, x_operator, cutoff
                 )
-            elif mode == MODE_LITERAL:
-                results = thermal_polarization_literal(ensemble, x_operator, cutoff)
             else:
-                results = thermal_polarization_weighted(ensemble, x_operator, cutoff)
+                if per_state is None:
+                    per_state = chiral_state_expectations(spectrum, x_operator)
+                results = polarization_from_states(ensemble, per_state, mode, cutoff)
             for row, result in zip(rows, results):
                 row["polarization"][mode] = result
     if need_qfi:
         if periodic:
             matrices = bloch_qfi_matrix(spectrum, ensemble.weights)
         else:
-            matrices = qfi_matrix(ensemble)
+            matrices = chiral_qfi_matrix(spectrum, ensemble.weights)
         if QUANTITY_QFI_MATRIX in spec.quantities:
             for row, matrix in zip(rows, matrices):
                 row["qfi"] = matrix

@@ -1,0 +1,250 @@
+"""Chiral-block evaluation of chains against the dense oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
+
+from topo_thermo.chiral import (
+    chiral_polarization_determinant,
+    chiral_qfi_matrix,
+    chiral_spectrum,
+    chiral_state_expectations,
+    winding_number,
+)
+from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian, position_phase_operator
+from topo_thermo.polarization import (
+    polarization_from_states,
+    state_expectations,
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
+    thermal_polarization_weighted,
+)
+from topo_thermo.qfi import interferometric_power, qfi_matrix
+from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+
+# The tolerances of the Bloch-vs-dense property test.
+QFI_TOL = 1e-13
+DET_RTOL = 1e-11
+DET_ATOL = 1e-14
+DET_SCALE = 1e-3
+T0_MIN_GAP = 1e-3
+SYMMETRY_DEGENERACY = 1e-12
+
+# Dense eigenvectors inside a cluster of levels closer than this are mixed
+# by up to ~1e-16 / gap, so the per-state <X> of the weighted mode is
+# compared only on spectra whose 2N levels are all this far apart.
+WEIGHTED_MIN_GAP = 1e-4
+PER_STATE_TOL = 1e-10
+LITERAL_TOL = 1e-12
+
+hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def chains(draw):
+    """(N, v, w, z): N = 2, odd and even N; the v = +-(w+z), w = z and v = 0 families."""
+    n = draw(st.one_of(st.just(2), st.integers(3, 40)))
+    w, z = draw(hopping), draw(hopping)
+    family = draw(st.sampled_from(["generic", "w=z", "v=w+z", "v=-(w+z)", "v=0"]))
+    if family == "w=z":
+        z = w
+    v = {"v=w+z": w + z, "v=-(w+z)": -(w + z), "v=0": 0.0}.get(family, None)
+    if v is None:
+        v = draw(hopping)
+    return n, v, w, z
+
+
+temperatures = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.02, 3.0))
+
+
+def assert_determinants_agree(dense, chiral):
+    reference = dense.expectation
+    if abs(reference) >= DET_SCALE:
+        assert abs(chiral.expectation - reference) <= DET_RTOL * abs(reference)
+    else:
+        assert abs(chiral.expectation - reference) <= DET_ATOL
+    assert chiral.defined == dense.defined
+    assert chiral.polarization == dense.polarization
+
+
+def wrap_distance(a, b):
+    gap = abs(a - b) % 1.0
+    return min(gap, 1.0 - gap)
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None, database=None)
+@given(chain=chains(), temperature=temperatures)
+def test_chiral_matches_dense(chain, temperature):
+    n, v, w, z = chain
+    params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN)
+    fast = chiral_spectrum(params)
+    if temperature == 0.0:
+        # As for rings: no zero modes, and every level degenerate with the
+        # ground level by symmetry or clearly above it.
+        excitation = fast.energies - fast.energies[0]
+        near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
+        assume(fast.singular_values[-1] >= T0_MIN_GAP and not near_ground.any())
+    spectrum = diagonalize(build_hamiltonian(params))
+    x = position_phase_operator(n)
+    assert np.abs(fast.energies - spectrum.energies).max() <= 1e-13
+
+    ensemble = gibbs_weights(spectrum, temperature)
+    fast_ensemble = gibbs_weights(fast, temperature)
+    dense_matrix = qfi_matrix(ensemble)
+    matrix = chiral_qfi_matrix(fast, fast_ensemble.weights)
+    assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
+    assert matrix[0, 1] == matrix[0, 2] == matrix[1, 2] == 0.0
+    assert np.array_equal(matrix, matrix.T)
+    assert abs(interferometric_power(matrix).i_p - interferometric_power(dense_matrix).i_p) <= QFI_TOL
+    for got, want in zip(ensemble_diagnostics(fast_ensemble), ensemble_diagnostics(ensemble)):
+        assert abs(got - want) <= QFI_TOL
+
+    determinant = chiral_polarization_determinant(fast, temperature, x)
+    assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature, x), determinant)
+
+    per_state = chiral_state_expectations(fast, x)
+    assert np.array_equal(per_state, per_state[::-1])  # chiral partners share <X>
+    literal = polarization_from_states(fast_ensemble, per_state, "literal")
+    dense_literal = thermal_polarization_literal(ensemble, x)
+    assert abs(literal.expectation - dense_literal.expectation) <= LITERAL_TOL
+    levels = np.sort(fast.energies)
+    if np.diff(levels).min() >= WEIGHTED_MIN_GAP:
+        dense_states = state_expectations(spectrum.vectors, x)
+        assert np.abs(per_state - dense_states).max() <= PER_STATE_TOL
+        weighted = polarization_from_states(fast_ensemble, per_state, "weighted")
+        dense_weighted = thermal_polarization_weighted(ensemble, x)
+        assert abs(weighted.magnitude - dense_weighted.magnitude) <= PER_STATE_TOL
+        assert weighted.defined == dense_weighted.defined
+        assert wrap_distance(weighted.polarization, dense_weighted.polarization) <= 1e-8
+
+    # A batched call gives each temperature's row exactly as a call alone.
+    batch = np.array([0.0, temperature, 0.7])
+    batched = gibbs_weights(fast, batch)
+    assert np.array_equal(batched.weights[1], fast_ensemble.weights)
+    assert np.array_equal(chiral_qfi_matrix(fast, batched.weights)[1], matrix)
+    assert chiral_polarization_determinant(fast, batch, x)[1] == determinant
+    for mode in ("literal", "weighted"):
+        assert polarization_from_states(batched, per_state, mode)[1] == polarization_from_states(
+            fast_ensemble, per_state, mode
+        )
+
+
+def test_edge_pair_is_the_equal_weight_sublattice_combination():
+    # Topological chain (winding +1): one singular value of D is ~1e-16 and
+    # the pair +-s_0 is degenerate to rounding. Whatever basis a dense eigh
+    # picks inside the pair, its A and B projections are one edge state
+    # each; the chiral pair is their equal-weight combination, so both
+    # partners carry the mean of their <X>, and the weighted mode follows.
+    n = 400
+    params = ModelParams(n_cells=n, v=0.1, w=0.5, z=0.2, boundary=OPEN)
+    fast = chiral_spectrum(params)
+    assert winding_number(0.1, 0.5, 0.2) == 1
+    assert np.count_nonzero(fast.singular_values < 1e-8) == 1
+    assert fast.singular_values[-2] > 0.1
+    x = position_phase_operator(n)
+    per_state = chiral_state_expectations(fast, x)
+    assert per_state[n - 1] == per_state[n]
+
+    spectrum = diagonalize(build_hamiltonian(params))
+    pair = spectrum.vectors[:, n - 1 : n + 1]
+    dense_states = state_expectations(spectrum.vectors, x)
+    edges = []
+    for sublattice in (0, 1):
+        projected, _, _ = np.linalg.svd(pair[sublattice::2])
+        edge = np.zeros(2 * n)
+        edge[sublattice::2] = projected[:, 0]
+        edges.append(state_expectations(edge[:, None], x)[0])
+    rule = 0.5 * (edges[0] + edges[1])
+    assert abs(per_state[n] - rule) <= PER_STATE_TOL
+    # Away from the pair, the levels are nondegenerate and the dense
+    # per-state values agree.
+    bulk = np.r_[0 : n - 1, n + 1 : 2 * n]
+    assert np.abs(per_state[bulk] - dense_states[bulk]).max() <= PER_STATE_TOL
+
+    expected = dense_states.copy()
+    expected[n - 1 : n + 1] = rule
+    for temperature in (0.0, 0.02, 0.5):
+        got = polarization_from_states(gibbs_weights(fast, temperature), per_state, "weighted")
+        want = polarization_from_states(gibbs_weights(spectrum, temperature), expected, "weighted")
+        assert got.defined == want.defined
+        assert abs(got.polarization - want.polarization) <= 1e-10
+
+
+def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
+    # (0, 0.5, -1) at N = 18 and T = 0: on the ring the ground level is
+    # four-fold degenerate and the dense weighted answer depends on the
+    # basis LAPACK picks. The open chain's ground state is nondegenerate,
+    # so the chiral and dense answers agree and are defined.
+    params = ModelParams(n_cells=18, v=0.0, w=0.5, z=-1.0, boundary=OPEN)
+    x = position_phase_operator(18)
+    fast = chiral_spectrum(params)
+    assert fast.singular_values[0] - fast.singular_values[1] > 1e-3
+    got = polarization_from_states(gibbs_weights(fast, 0.0), chiral_state_expectations(fast, x), "weighted")
+    want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0), x)
+    assert got.defined and want.defined
+    assert abs(got.polarization - want.polarization) <= 1e-12
+    assert abs(got.polarization - 0.4722222222222) <= 1e-12
+
+
+def test_winding_number_values_and_gap_closings():
+    assert winding_number(0.3, 0.5, 0.2) == 1
+    assert winding_number(0.3, 0.5, 0.8) == -1
+    assert winding_number(0.5, 0.3, 0.1) == 0
+    assert winding_number(0.1, 0.5, 0.0) == 1
+    assert winding_number(0.6, 0.5, 0.0) == 0
+    assert winding_number(0.0, 0.0, 0.4) == -1
+    for closing in ((0.7, 0.5, 0.2), (-0.7, 0.5, 0.2), (0.1, 0.5, 0.5), (0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            winding_number(*closing)
+
+
+def test_winding_number_counts_roots_and_turns():
+    # Against root finding and against the turns of conj(a(k)) on a k grid.
+    rng = np.random.default_rng(7)
+    k = np.linspace(0.0, 2.0 * np.pi, 4001)
+    checked = 0
+    for v, w, z in rng.uniform(-1.0, 1.0, size=(300, 3)):
+        roots = np.abs(np.roots([w, v, z]))
+        if np.abs(roots - 1.0).min() < 1e-3:
+            continue
+        coupling = v + w * np.exp(1j * k) + z * np.exp(-1j * k)
+        turns = np.sum(np.diff(np.unwrap(np.angle(coupling)))) / (2.0 * np.pi)
+        assert winding_number(v, w, z) == np.count_nonzero(roots < 1.0) - 1 == round(turns)
+        checked += 1
+    assert checked > 250
+
+
+def test_bulk_boundary_correspondence():
+    # |winding| open-chain singular values below 1e-8, away from gap
+    # closings: every root of w xi^2 + v xi + z at least 20 % off |xi| = 1,
+    # so edge states decay at least as 0.8^N.
+    rng = np.random.default_rng(20261018)
+    counts = {0: 0, 1: 0}
+    for index, (v, w, z) in enumerate(rng.uniform(-1.0, 1.0, size=(200, 3))):
+        roots = np.abs(np.roots([w, v, z]))
+        if np.any((roots > 0.8) & (roots < 1.25)) or max(abs(v), abs(w), abs(z)) < 0.2:
+            continue
+        n = 120 + index % 2
+        fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
+        nu = winding_number(v, w, z)
+        assert np.count_nonzero(fast.singular_values < 1e-8) == abs(nu)
+        counts[abs(nu)] += 1
+    assert counts[0] >= 10 and counts[1] >= 10
+
+
+def test_chiral_rejects_bad_input():
+    fast = chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0, boundary=OPEN))
+    with pytest.raises(ValueError):
+        chiral_qfi_matrix(fast, np.ones(6) / 6)
+    with pytest.raises(ValueError):
+        chiral_qfi_matrix(fast, -np.ones(8) / 8)
+    with pytest.raises(ValueError):
+        chiral_polarization_determinant(fast, -0.1, position_phase_operator(4))
+    with pytest.raises(ValueError):
+        chiral_state_expectations(fast, position_phase_operator(5))
+    with pytest.raises(ValueError):
+        polarization_from_states(gibbs_weights(fast, 0.1), np.ones(6, dtype=complex), "weighted")
+    with pytest.raises(ValueError):
+        polarization_from_states(gibbs_weights(fast, 0.1), np.ones(8, dtype=complex), "determinant")

@@ -1,5 +1,7 @@
 """Sweep engine: ordering, determinism, reuse, failure capture, extrema."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -12,9 +14,16 @@ from topo_thermo.bloch import (
     bloch_qfi_matrix,
     bloch_spectrum,
 )
+from topo_thermo.chiral import (
+    chiral_polarization_determinant,
+    chiral_qfi_matrix,
+    chiral_spectrum,
+    chiral_state_expectations,
+)
 from topo_thermo.figures import build_figure_spec
 from topo_thermo.lattice import ModelParams, build_hamiltonian, position_phase_operator
 from topo_thermo.polarization import (
+    polarization_from_states,
     thermal_polarization_determinant,
     thermal_polarization_literal,
     thermal_polarization_weighted,
@@ -90,35 +99,30 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     x_operator = position_phase_operator(5)
     dense_determinant = thermal_polarization_determinant(spectrum, 0.37, x_operator)
     if boundary == "open":
-        # An open chain goes through the public dense functions, bit for bit.
-        report = interferometric_power(dense_matrix)
-        assert np.array_equal(record.qfi, dense_matrix)
-        assert record.i_p == report.i_p
-        assert np.array_equal(record.optimal_direction, report.optimal_direction)
-        assert record.purity == dense_diagnostics.purity
-        assert record.entropy == dense_diagnostics.entropy
-        assert record.polarization == {
-            "determinant": dense_determinant,
-            "literal": thermal_polarization_literal(dense_ensemble, x_operator),
-            "weighted": thermal_polarization_weighted(dense_ensemble, x_operator),
+        # An open chain goes through the public chiral functions, bit for bit.
+        fast = chiral_spectrum(params)
+        ensemble = gibbs_weights(fast, 0.37)
+        matrix = chiral_qfi_matrix(fast, ensemble.weights)
+        determinant = chiral_polarization_determinant(fast, 0.37, x_operator)
+        per_state = chiral_state_expectations(fast, x_operator)
+        state_modes = {
+            mode: polarization_from_states(ensemble, per_state, mode) for mode in ("literal", "weighted")
         }
-        return
-
-    bands = bloch_spectrum(params)
-    ensemble = gibbs_weights(bands, 0.37)
-    matrix = bloch_qfi_matrix(bands, ensemble.weights)
+    else:
+        fast = bloch_spectrum(params)
+        ensemble = gibbs_weights(fast, 0.37)
+        matrix = bloch_qfi_matrix(fast, ensemble.weights)
+        determinant = bloch_polarization_determinant(fast, 0.37)
+        state_modes = {mode: bloch_polarization_vanishing(mode) for mode in ("literal", "weighted")}
     report = interferometric_power(matrix)
     diagnostics = ensemble_diagnostics(ensemble)
-    determinant = bloch_polarization_determinant(bands, 0.37)
 
     assert np.array_equal(record.qfi, matrix)
     assert record.i_p == report.i_p
     assert np.array_equal(record.optimal_direction, report.optimal_direction)
     assert record.purity == diagnostics.purity
     assert record.entropy == diagnostics.entropy
-    assert record.polarization["determinant"] == determinant
-    for mode in ("literal", "weighted"):
-        assert record.polarization[mode] == bloch_polarization_vanishing(mode)
+    assert record.polarization == {"determinant": determinant, **state_modes}
 
     # The dense oracle agrees within the Bloch-vs-dense property-test tolerances.
     assert np.abs(record.qfi - dense_matrix).max() <= 1e-13
@@ -129,6 +133,17 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     assert abs(record.polarization["determinant"].expectation - reference) <= 1e-11 * abs(reference)
     assert record.polarization["determinant"].polarization == dense_determinant.polarization
     assert record.polarization["determinant"].defined == dense_determinant.defined
+    if boundary == "open":
+        # This chain has no near-degenerate levels, so the per-state
+        # expectations, and with them both modes, match the dense ones.
+        for mode, dense in (
+            ("literal", thermal_polarization_literal(dense_ensemble, x_operator)),
+            ("weighted", thermal_polarization_weighted(dense_ensemble, x_operator)),
+        ):
+            result = record.polarization[mode]
+            assert abs(result.expectation - dense.expectation) <= 1e-13
+            assert abs(result.polarization - dense.polarization) <= 1e-13
+            assert result.defined == dense.defined
 
 
 def test_spectrum_reuse_matches_per_point_rediagonalization():
@@ -167,10 +182,10 @@ def test_per_point_failure_degrades_to_error_record(monkeypatch):
 
 def test_workspace_failure_flags_all_points_of_that_model(monkeypatch):
     # Each boundary has its own per-model seam: the Bloch builder for rings,
-    # the dense diagonalization for open chains.
+    # the chiral-block SVD for open chains.
     seams = {
         "periodic": ("bloch_spectrum", lambda params: params.n_cells == 6),
-        "open": ("diagonalize", lambda matrix: matrix.shape[0] == 12),
+        "open": ("chiral_spectrum", lambda params: params.n_cells == 6),
     }
     for boundary, (seam, fails) in seams.items():
         real = getattr(sweep_mod, seam)
@@ -290,30 +305,50 @@ def test_line_cut_rows_equal_the_matching_rows_of_a_heatmap():
 
 
 DENSE_CALLS = (
-    "build_hamiltonian",
     "diagonalize",
-    "position_phase_operator",
     "qfi_matrix",
+    "transformed_paulis",
+    "state_expectations",
     "thermal_polarization_determinant",
     "thermal_polarization_literal",
     "thermal_polarization_weighted",
 )
+CHIRAL_CALLS = (
+    "build_hamiltonian",
+    "position_phase_operator",
+    "chiral_spectrum",
+    "chiral_qfi_matrix",
+    "chiral_polarization_determinant",
+    "chiral_state_expectations",
+    "polarization_from_states",
+)
+
+
+def log_calls(monkeypatch, names, calls, forbidden):
+    """Wrap every binding of each name in the topo_thermo modules and log its calls."""
+    modules = [m for key, m in sys.modules.items() if key.split(".")[0] == "topo_thermo"]
+    for name in names:
+        for module in modules:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def guarded(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                if forbidden:
+                    raise AssertionError(f"sweep called {_name}")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, guarded)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
-    # A ring calls none of the dense functions; an open chain calls every one.
-    dense_calls = []
-    for name in DENSE_CALLS:
-        real = getattr(sweep_mod, name)
-
-        def guarded(*args, _name=name, _real=real, **kwargs):
-            dense_calls.append(_name)
-            if boundary == "periodic":
-                raise AssertionError(f"periodic sweep called {_name}")
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(sweep_mod, name, guarded)
+    # No sweep calls a dense function, under any name it is bound to. A ring
+    # calls no chiral function either; an open chain calls every one.
+    dense_calls, chiral_calls = [], []
+    log_calls(monkeypatch, DENSE_CALLS, dense_calls, forbidden=True)
+    log_calls(monkeypatch, CHIRAL_CALLS, chiral_calls, forbidden=boundary == "periodic")
     spec = SweepSpec(
         axes=(("T", (0.0, 0.3)), ("v", (0.2, 0.6))),
         fixed={"w": 0.5, "z": 0.2, "N": 7},
@@ -323,10 +358,11 @@ def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
     )
     records = run_sweep(spec)
     assert all(record.error is None for record in records)
+    assert dense_calls == []
     if boundary == "periodic":
-        assert dense_calls == []
+        assert chiral_calls == []
     else:
-        assert sorted(set(dense_calls)) == sorted(DENSE_CALLS)
+        assert sorted(set(chiral_calls)) == sorted(CHIRAL_CALLS)
 
 
 def test_spec_validation():
