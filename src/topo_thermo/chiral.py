@@ -10,13 +10,18 @@ eigenpair of H:
   E = +s_k   psi = (u_k, +v_k) / sqrt(2),
 
 with u_k on the A sites and v_k on the B sites. Each quantity the sweep
-needs then costs N x N work instead of 2N x 2N:
+needs then costs N x N work instead of 2N x 2N, apart from one real
+2N x 2N LU per temperature for the determinant:
 
   QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
                I (x) sigma_l have matrix elements (S or A) / 2 between
                states k and l, and sigma_z couples only chiral partners;
-  determinant  X acts on both sublattices alike, so W = psi^T X psi has
-               blocks (P +- Q) / 2 with P = U^T X_c U and Q = V^T X_c V;
+  determinant  tanh(H / 2T) = [[0, G], [G^T, 0]] with G = U diag(t) V^T
+               and t_k = f(-s_k) - f(+s_k); X is e^{i theta_m} on both
+               sites of cell m. In half angles every column of cell m in
+               1 + F (X - 1) carries e^{i theta_m / 2}, and their product
+               cancels the neutralizing-background phase exactly, so the
+               expectation is the determinant of a real matrix;
   literal,     <psi|X|psi> = (u.X_c u + v.X_c v) / 2, the same for both
   weighted     partners of a pair.
 
@@ -46,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import ModelParams, PositionPhaseOperator, build_hamiltonian
-from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _check_dimension, _determinant_result
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, MODE_DETERMINANT, _check_dimension, _make_result
 from .qfi import pair_weights
 from .thermal import fermi_occupations, per_temperature
 
@@ -133,11 +138,6 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
     return matrices if np.ndim(weights) == 2 else matrices[0]
 
 
-def _cell_phases(spectrum: ChiralSpectrum, x_operator: PositionPhaseOperator) -> np.ndarray:
-    _check_dimension(spectrum.dimension, x_operator, "spectrum")
-    return x_operator.diagonal[0::2]
-
-
 def chiral_state_expectations(
     spectrum: ChiralSpectrum, x_operator: PositionPhaseOperator
 ) -> np.ndarray:
@@ -147,7 +147,8 @@ def chiral_state_expectations(
     row, so it does not depend on how many states are evaluated together.
     The result feeds polarization.polarization_from_states.
     """
-    phases = _cell_phases(spectrum, x_operator)
+    _check_dimension(spectrum.dimension, x_operator, "spectrum")
+    phases = x_operator.diagonal[0::2]
     probabilities = np.ascontiguousarray(spectrum.left.T**2 + spectrum.right.T**2)
     per_pair = np.empty(spectrum.n_cells, dtype=complex)
     per_pair.real = 0.5 * np.sum(probabilities * phases.real, axis=1)
@@ -163,41 +164,43 @@ def chiral_polarization_determinant(
 ):
     """Determinant-mode polarization of a chain from its chiral block.
 
-    Same quantity, background phase and branch rule as
-    polarization.thermal_polarization_determinant, whose bracket
-    det[(1 - f) + diag(f) W] it keeps, with W = psi^T X psi built from
-    the N x N products P = U^T X_c U and Q = V^T X_c V:
+    The same expectation as polarization.thermal_polarization_determinant,
+    exp(-i delta sum_m m) det[1 + F (X - 1)], as the determinant of one
+    real 2N x 2N matrix per temperature. In sublattice order
+    F = (1 - tanh(H / 2T)) / 2 with tanh(H / 2T) = [[0, G], [G^T, 0]],
+    G = U diag(t) V^T and t_k = f(-s_k) - f(+s_k) taken from the
+    occupation rows, so the T = 0 step and the edge pair follow
+    fermi_occupations. With theta_m = delta m and the half-angle forms
+    1 + X = 2 e^{i theta / 2} cos(theta / 2), X - 1 = 2i e^{i theta / 2}
+    sin(theta / 2), every column of cell m carries e^{i theta_m / 2}; the
+    2N of them multiply to exp(i delta sum_m m), which the background
+    phase cancels exactly for any delta, and a similarity by diag(1, -i)
+    removes the remaining i:
 
-      W = 1/2 [[P + Q, P - Q], [P - Q, P + Q]]
+      E = det [[C, G S], [-G^T S, C]],  C = diag cos(theta_m / 2),
+                                         S = diag sin(theta_m / 2).
 
-    in (lower, upper) band order, the upper band reversed to follow
-    `energies`. An array of temperatures gives a list with one result per
-    temperature.
+    E is real by construction, so P is 0 or +1/2 from its sign. The
+    pivots of C alone vanish near m = N/2 for even N, so the full matrix
+    is factored, never a Schur complement on C. An array of temperatures
+    gives a list with one result per temperature, each row factored
+    alone.
     """
-    phases = _cell_phases(spectrum, x_operator)
+    _check_dimension(spectrum.dimension, x_operator, "spectrum")
     occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
     n = spectrum.n_cells
-    products = []
-    for vectors in (spectrum.left, spectrum.right):
-        product = np.empty((n, n), dtype=complex)
-        product.real = (vectors.T * phases.real) @ vectors
-        product.imag = (vectors.T * phases.imag) @ vectors
-        products.append(product)
-    left, right = products
-    same, cross = 0.5 * (left + right), 0.5 * (left - right)
-    rotated = np.empty((2 * n, 2 * n), dtype=complex)
-    rotated[:n, :n] = same
-    rotated[n:, n:] = same[::-1, ::-1]
-    rotated[:n, n:] = cross[:, ::-1]
-    rotated[n:, :n] = cross[::-1, :]
+    half_angles = 0.5 * x_operator.delta * np.arange(n)
+    sines = np.sin(half_angles)
+    matrix = np.diag(np.tile(np.cos(half_angles), 2))
     results = []
     for row in np.atleast_2d(occupations):
-        mixture = rotated * row[:, None]
-        mixture[np.diag_indices_from(mixture)] += 1.0 - row
+        lower, upper = spectrum.bands(row)
+        tanh_block = (spectrum.left * (lower - upper)) @ spectrum.right.T
+        matrix[:n, n:] = tanh_block * sines
+        matrix[n:, :n] = tanh_block.T * -sines
+        expectation = float(np.linalg.det(matrix))
         results.append(
-            _determinant_result(
-                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
-            )
+            _make_result(expectation, abs(expectation), MODE_DETERMINANT, magnitude_cutoff)
         )
     return per_temperature(results, temperature)
 

@@ -12,7 +12,13 @@ from topo_thermo.chiral import (
     chiral_state_expectations,
     winding_number,
 )
-from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian, position_phase_operator
+from topo_thermo.lattice import (
+    OPEN,
+    ModelParams,
+    build_hamiltonian,
+    flat_index,
+    position_phase_operator,
+)
 from topo_thermo.polarization import (
     polarization_from_states,
     state_expectations,
@@ -102,6 +108,7 @@ def test_chiral_matches_dense(chain, temperature):
         assert abs(got - want) <= QFI_TOL
 
     determinant = chiral_polarization_determinant(fast, temperature, x)
+    assert determinant.expectation.imag == 0.0  # real by construction, for any N
     assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature, x), determinant)
 
     per_state = chiral_state_expectations(fast, x)
@@ -124,11 +131,55 @@ def test_chiral_matches_dense(chain, temperature):
     batched = gibbs_weights(fast, batch)
     assert np.array_equal(batched.weights[1], fast_ensemble.weights)
     assert np.array_equal(chiral_qfi_matrix(fast, batched.weights)[1], matrix)
-    assert chiral_polarization_determinant(fast, batch, x)[1] == determinant
+    batched_determinants = chiral_polarization_determinant(fast, batch, x)
+    assert batched_determinants[1] == determinant
+    assert all(result.expectation.imag == 0.0 for result in batched_determinants)
     for mode in ("literal", "weighted"):
         assert polarization_from_states(batched, per_state, mode)[1] == polarization_from_states(
             fast_ensemble, per_state, mode
         )
+
+
+def test_determinant_infinite_temperature_closed_form():
+    # As T -> oo, t_k -> 0 and G -> 0, so E -> det C^2 = prod_m cos^2(pi m / N)
+    # whatever the hoppings: 4^(1 - N) for odd N, and 0 for even N, where
+    # the factor m = N / 2 vanishes.
+    hoppings = ((0.3, 0.5, 0.2), (0.1, 0.5, 0.2), (0.5, 0.3, 0.1), (0.2, -0.4, 0.9))
+    for n in (3, 4, 5, 6, 7, 50):
+        x = position_phase_operator(n)
+        for v, w, z in hoppings:
+            fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
+            result = chiral_polarization_determinant(fast, 1e9, x)
+            if n % 2:
+                assert abs(result.expectation - 4.0 ** (1 - n)) <= 1e-12 * 4.0 ** (1 - n)
+                assert result.polarization == 0.0
+            else:
+                assert abs(result.expectation) <= 1e-15
+                assert not result.defined
+
+
+def test_determinant_half_fills_an_exact_zero_mode_at_zero_temperature():
+    # Fully dimerized chain (v = z = 0): A of cell 0 and B of cell N - 1
+    # are isolated, so D has an exact zero singular value. At T = 0 the
+    # step rule of fermi_occupations puts 1/2 on each partner of the pair
+    # (t = 0). Oracle: F built by hand from the N - 1 bonding dimers
+    # (B_m, A_m+1) plus 1/2 on each isolated site, through a complex LU.
+    n, w = 6, 0.5
+    x = position_phase_operator(n)
+    fast = chiral_spectrum(ModelParams(n_cells=n, v=0.0, w=w, z=0.0, boundary=OPEN))
+    assert fast.singular_values[-1] == 0.0
+    occupation = np.zeros((2 * n, 2 * n))
+    for m in range(n - 1):
+        bonding = np.zeros(2 * n)
+        bonding[flat_index(m, 1)], bonding[flat_index(m + 1, 0)] = 1.0, -np.sign(w)
+        occupation += np.outer(bonding, bonding) / 2.0
+    for site in (flat_index(0, 0), flat_index(n - 1, 1)):
+        occupation[site, site] = 0.5
+    oracle = (-1) ** (n - 1) * np.linalg.det(np.eye(2 * n) + occupation * (x.diagonal - 1.0))
+    result = chiral_polarization_determinant(fast, 0.0, x)
+    assert abs(result.expectation - oracle) <= 1e-14
+    assert result.expectation.imag == 0.0
+    assert result.defined and result.polarization == 0.5
 
 
 def test_edge_pair_is_the_equal_weight_sublattice_combination():

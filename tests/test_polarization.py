@@ -16,6 +16,7 @@ from topo_thermo.polarization import (
     MODE_PURE,
     MODE_WEIGHTED,
     _determinant_result,
+    polarization_from_states,
     pure_state_phase,
     thermal_polarization_determinant,
     thermal_polarization_literal,
@@ -138,6 +139,20 @@ def test_weighted_opposite_phases_cancel():
     assert res.polarization == pytest.approx(0.0, abs=1e-15)
     assert res.defined
     assert res.magnitude == pytest.approx(1.0, abs=1e-12)
+
+
+def test_weighted_folds_a_state_phase_of_minus_pi_onto_plus_pi():
+    # np.angle(-1 - 0j) is -pi. Unfolded, it would cancel the +pi of its
+    # equal-weight partner to a total phase of 0; folded, both states
+    # carry +pi and P = +1/2.
+    spectrum = Spectrum(energies=np.array([0.0, 0.0, 1.0]), vectors=np.eye(3))
+    ensemble = gibbs_weights(spectrum, 0.0)
+    per_state = np.array([complex(-1.0, -0.0), complex(-1.0, 0.0), 1.0])
+    assert np.angle(per_state[0]) == -np.pi
+    res = polarization_from_states(ensemble, per_state, MODE_WEIGHTED)
+    assert res.defined
+    assert res.phase == np.pi
+    assert res.polarization == 0.5
 
 
 def test_weighted_all_states_below_cutoff_is_undefined():
