@@ -13,7 +13,10 @@ phi = arg a(k). Each quantity the sweep needs then costs O(N):
 
   QFI          I (x) sigma_l couples only the two bands at the same k;
   determinant  X = exp(i 2 pi x / N) shifts k by 2 pi/N, so (1 - F) + F U
-               is block-cyclic bidiagonal, with a banded LU;
+               is block-cyclic bidiagonal with 2x2 blocks, and at mu = 0
+               its determinant is the closed form
+               2 prod det F(k_j) + s tr[F(k_{N-1})^2 ... F(k_0)^2],
+               s = (-1)^(N+1): a real trace of N ordered 2x2 matrices;
   literal,     every Bloch state has <k,b|X|k,b> = 0 exactly.
   weighted
 
@@ -38,10 +41,6 @@ from .polarization import (
 )
 from .qfi import pair_weights
 from .thermal import fermi_occupations, per_temperature
-
-# Block order 0, N-1, 1, N-2, ... puts every cyclic neighbor pair of
-# 2x2 blocks at most two blocks apart: five sub- and superdiagonals.
-BAND_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -123,28 +122,27 @@ def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray
     return entries.reshape(*pair.shape[:-1], 3, 3)
 
 
-def _band_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions, in LAPACK band storage, of the diagonal and subdiagonal blocks.
+def _ordered_product(m: np.ndarray) -> np.ndarray:
+    """Re p of Q_{N-1} ... Q_0, Q_j = [[p_j, q_j], [conj q_j, conj p_j]] along the last axis.
 
-    Block j sits at position pos[j] of the order 0, N-1, 1, N-2, ...; its
-    diagonal block is (j, j) and its shift block is (j, j-1 mod N). Rows
-    and columns move together, so the determinant does not change.
+    Products of matrices of this form keep it, so one is held as the real
+    arrays m = (Re p, Im p, Re q, Im q). Neighbors are multiplied
+    pairwise, later k on the left, in log2(N) passes; an odd one out
+    stays last. Every pass is elementwise real arithmetic, so each row is
+    bitwise the same however many rows share the call.
     """
-    order = np.empty(n, dtype=int)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = n - 1 - np.arange(n // 2)
-    pos = np.empty(n, dtype=int)
-    pos[order] = np.arange(n)
-    sub = np.array([0, 1])
-    rows = 2 * pos[:, None, None] + sub[None, :, None]
-    diag_cols = 2 * pos[:, None, None] + sub[None, None, :]
-    shift_cols = 2 * np.roll(pos, 1)[:, None, None] + sub[None, None, :]
-
-    def flat(cols):
-        rows_, cols_ = np.broadcast_arrays(rows, cols)
-        return ((2 * BAND_WIDTH + rows_ - cols_) * (2 * n) + cols_).ravel()
-
-    return flat(diag_cols), flat(shift_cols)
+    while m.shape[-1] > 1:
+        paired = m.shape[-1] // 2 * 2
+        (lpr, lpi, lqr, lqi), (rpr, rpi, rqr, rqi) = m[..., 1:paired:2], m[..., 0:paired:2]
+        # p' = lp rp + lq conj(rq), q' = lp rq + lq conj(rp)
+        products = np.stack([
+            lpr * rpr - lpi * rpi + lqr * rqr + lqi * rqi,
+            lpr * rpi + lpi * rpr + lqi * rqr - lqr * rqi,
+            lpr * rqr - lpi * rqi + lqr * rpr + lqi * rpi,
+            lpr * rqi + lpi * rqr + lqi * rpr - lqr * rpi,
+        ])
+        m = np.concatenate([products, m[..., paired:]], axis=-1)
+    return m[0, ..., 0]
 
 
 def bloch_polarization_determinant(
@@ -152,50 +150,45 @@ def bloch_polarization_determinant(
     temperature,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
-    """Determinant-mode polarization of a ring, in O(N).
+    """Determinant-mode polarization of a ring, in O(N) per temperature.
 
     Same quantity, background phase and branch rule as
     polarization.thermal_polarization_determinant with
-    X = position_phase_operator(N). With F(k) the 2x2 Fermi operator at
-    mu = 0, (1 - F) + F U has diagonal blocks 1 - F(k) and blocks F(k + delta)
-    one below; its determinant is the product of the pivots of a banded LU
-    with partial pivoting, which stays stable where 1 - F(k) is singular
-    at low T. An array of temperatures gives a list with one result per
-    temperature: their band entries are built together, then each matrix
-    is factored in turn.
-    """
-    from scipy.linalg.lapack import zgbtrf
+    X = position_phase_operator(N). Row block j of M = (1 - F) + F U is
+    A_j y_j + B_j y_{j-1 mod N} with A_j = 1 - F_j, B_j = F_j, F_j = F(k_j)
+    the 2x2 Fermi operator at mu = 0. For invertible A_j,
+    det M = prod det A_j det(1 + s P) with P = prod A_j^-1 B_j and
+    s = (-1)^(N+1), and det(1 + s P) = 1 + s tr P + det P for 2x2 P. As a
+    polynomial identity this holds for every A_j:
 
+      det M = prod det A_j + prod det B_j + s tr[adj(A_{N-1}) B_{N-1} ... adj(A_0) B_0].
+
+    With t_j = f_-(k_j) - f_+(k_j) and h_j = [[0, e^(i phi_j)], [e^(-i phi_j), 0]],
+    F_j = (1 - t_j h_j) / 2. tr F_j = 1 gives adj(1 - F_j) = F_j, and
+    det(1 - F_j) = det F_j = (1 - t_j^2) / 4,
+    F_j^2 = (1 + t_j^2) / 2 * (1 - r_j h_j) / 2 with r_j = 2 t_j / (1 + t_j^2):
+
+      det M = 2 prod (1 - t_j^2) / 4
+              + s prod (1 + t_j^2) / 2 * tr[(1 - r_{N-1} h_{N-1}) / 2 ... (1 - r_0 h_0) / 2].
+
+    Nothing inverts 1 - F, which is singular in float64 at low T, and every
+    factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
+    lower band, and the trace is the occupied-band Wilson loop. t comes
+    from fermi_occupations, so T = 0 follows its step rule. An array of
+    temperatures gives a list with one result per temperature, all
+    evaluated together.
+    """
     n = spectrum.n_cells
     occupations = fermi_occupations(spectrum, temperature)
     lower, upper = spectrum.bands(np.atleast_2d(occupations))
-    mean = 0.5 * (lower + upper)
-    off = 0.5 * (upper - lower) * np.exp(1j * np.angle(spectrum.coupling))
-    fermi = np.empty((len(mean), n, 2, 2), dtype=complex)
-    fermi[..., 0, 0] = fermi[..., 1, 1] = mean
-    fermi[..., 0, 1] = off
-    fermi[..., 1, 0] = off.conj()
-    entries = np.concatenate(
-        [(np.eye(2) - fermi).reshape(len(mean), -1), fermi.reshape(len(mean), -1)], axis=1
-    )
-    layout = np.concatenate(_band_layout(n))
-    # storage.T is the (16, 2N) band storage in Fortran order, which zgbtrf
-    # factors in place, so it is cleared for each temperature; `positions`
-    # are the layout's entries in that order.
-    positions = (layout % (2 * n)) * (3 * BAND_WIDTH + 1) + layout // (2 * n)
-    storage = np.empty((2 * n, 3 * BAND_WIDTH + 1), dtype=complex)
-    flat = storage.reshape(-1)
-    diagonals = np.empty((len(mean), 2 * n), dtype=complex)
-    swaps = np.empty(len(mean), dtype=int)
-    for row, values in enumerate(entries):
-        flat[:] = 0.0
-        flat[positions] = values
-        lu, pivots, info = zgbtrf(storage.T, BAND_WIDTH, BAND_WIDTH, overwrite_ab=1)
-        if info < 0:
-            raise ValueError(f"zgbtrf rejected argument {-info}")
-        diagonals[row] = lu[2 * BAND_WIDTH]
-        swaps[row] = np.count_nonzero(pivots != np.arange(2 * n))
-    dets = np.prod(diagonals, axis=1) * np.where(swaps % 2, -1.0, 1.0)
+    t = lower - upper
+    t2 = t * t
+    r = 2.0 * t / (1.0 + t2)
+    q = -0.5 * r * np.exp(1j * np.angle(spectrum.coupling))
+    factors = np.stack([np.full_like(r, 0.5), np.zeros_like(r), q.real, q.imag])
+    sign = 1.0 if n % 2 else -1.0
+    dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=-1)
+    dets += sign * np.prod(0.5 * (1.0 + t2), axis=-1) * 2.0 * _ordered_product(factors)
     delta = 2.0 * np.pi / n
     results = [_determinant_result(det, n, delta, magnitude_cutoff) for det in dets.tolist()]
     return per_temperature(results, temperature)

@@ -6,8 +6,6 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from topo_thermo.bloch import (
-    BAND_WIDTH,
-    _band_layout,
     bloch_polarization_determinant,
     bloch_polarization_vanishing,
     bloch_qfi_matrix,
@@ -136,22 +134,76 @@ def test_bloch_hamiltonian_matches_real_space_convention():
             assert np.allclose(block, [[0.0, bands.coupling[j]], [np.conj(bands.coupling[j]), 0.0]])
 
 
-def test_band_layout_is_within_the_declared_bandwidth():
-    for n in range(2, 40):
-        diag_at, shift_at = _band_layout(n)
-        rows = np.concatenate([diag_at, shift_at]) // (2 * n)
-        assert rows.min() >= BAND_WIDTH and rows.max() <= 3 * BAND_WIDTH
-        assert len(set(diag_at) | set(shift_at)) == 8 * n
-
-
 def test_low_temperature_determinant_at_large_ring():
-    # 1 - F(k) is singular in float64 here; the pivoted banded LU is not.
+    # 1 - F(k) is singular in float64 here; the trace formula never inverts it.
     params = ModelParams(n_cells=120, v=0.3, w=0.5, z=0.2)
     dense = thermal_polarization_determinant(
         diagonalize(build_hamiltonian(params)), 1e-4, position_phase_operator(120)
     )
     assert_determinants_agree(dense, bloch_polarization_determinant(bloch_spectrum(params), 1e-4))
     assert dense.defined and dense.polarization == 0.5
+
+
+def test_infinite_temperature_determinant_closed_form():
+    # t = 0: det M = 2 (1/4)^N + s (1/2)^N tr[(1/2)^N 1] = (1 + s) 2^(1 - 2N),
+    # so with the background sign (-1)^(N-1) = s, E = 4^(1-N) at odd N and 0 at even N.
+    for n in (3, 5, 7, 4, 6, 50):
+        bands = bloch_spectrum(ModelParams(n_cells=n, v=0.3, w=-0.7, z=0.45))
+        expectation = bloch_polarization_determinant(bands, 1e9).expectation
+        if n % 2:
+            assert abs(expectation - 4.0 ** (1 - n)) <= 1e-12 * 4.0 ** (1 - n)
+        else:
+            assert abs(expectation) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "v, w, z",
+    [(1.0, 0.3, 0.2), (0.2, 0.9, 0.1), (0.1, 0.2, 0.8), (-0.6, 0.1, -0.3)],
+    ids=["trivial", "topological", "w<z", "negative"],
+)
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 121])
+def test_zero_temperature_determinant_is_the_occupied_band_wilson_loop(n, v, w, z):
+    # With a gap the T = 0 factors are the lower-band projectors, so
+    # det M = s prod_j <u_-(k_{j+1})|u_-(k_j)>, u_-(k) = (exp(i phi), -1) / sqrt 2.
+    k = 2.0 * np.pi * np.arange(n) / n
+    phi = np.angle(v + w * np.exp(-1j * k) + z * np.exp(1j * k))
+    lower = np.stack([np.exp(1j * phi), -np.ones(n)]) / np.sqrt(2.0)
+    overlaps = np.sum(np.roll(lower, -1, axis=1).conj() * lower, axis=0)
+    sign = (-1.0) ** (n + 1)
+    background = (-1.0) ** (n - 1)
+    want = sign * np.prod(overlaps) * background
+    got = bloch_polarization_determinant(bloch_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z)), 0.0)
+    assert abs(got.expectation - want) <= DET_RTOL * abs(want) + DET_ATOL
+    # At N = 2 with w or z dominant, phi turns by pi from k = 0 to pi: no overlap.
+    if abs(want) >= DET_SCALE:
+        assert got.defined and got.polarization == (0.0 if want.real > 0 else 0.5)
+
+
+PHASES = {
+    "trivial": lambda a, b, c: (a + b + c, b, c),
+    "topological": lambda a, b, c: (b, a + b + c, c),
+    "w<z": lambda a, b, c: (c, b, a + b + c),
+}
+
+
+@pytest.mark.parametrize("phase", sorted(PHASES))
+def test_low_temperature_determinant_against_dense(phase):
+    # The dominant hopping exceeds the sum of the other two by a gap of
+    # 0.005 to 0.05, so F(k) ranges from a projector (1 - F(k) singular in
+    # float64) at T = 1e-4 to partly thermal at T = 1e-2.
+    rng = np.random.default_rng(20261018)
+    for n in (50, 121, 400):
+        a, b, c = rng.uniform(0.005, 0.05), rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5)
+        v, w, z = PHASES[phase](a, b, c)
+        params = ModelParams(n_cells=n, v=v, w=w, z=z)
+        temperatures = np.array([1e-4, 1e-3, 1e-2])
+        dense = thermal_polarization_determinant(
+            diagonalize(build_hamiltonian(params)), temperatures, position_phase_operator(n)
+        )
+        bloch = bloch_polarization_determinant(bloch_spectrum(params), temperatures)
+        for want, got in zip(dense, bloch):
+            assert_determinants_agree(want, got)
+            assert got.expectation.imag == 0.0
 
 
 def test_bloch_rejects_bad_input():

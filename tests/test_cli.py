@@ -300,14 +300,24 @@ def test_documented_defaults():
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # Only the Bloch determinant needs SciPy (zgbtrf), and it imports it lazily.
+    # Nothing in the package needs SciPy: importing the CLI and running a
+    # periodic determinant sweep (the Bloch trace formula) load none of it.
     src = str(Path(topo_thermo.__file__).resolve().parents[1])
-    code = "import sys, topo_thermo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+    sweep = (
+        "topo_thermo.cli.cli_main(['sweep', '--n-cells', '8', '--v', '0.3', '--w', '0.5',"
+        " '--z', '0.2', '--boundary', 'periodic', '--axis', 'T=0,0.1,1', '--mode', 'determinant',"
+        " '--quantities', 'polarization', '--out', os.devnull])"
     )
-    assert done.stdout.strip() == "[]"
+    env = dict(os.environ, PYTHONPATH=src)
+    for code, want in (
+        (f"import sys, topo_thermo.cli; print({loaded})", "[]"),
+        (f"import os, sys, topo_thermo.cli; print({sweep}, {loaded})", f"{EXIT_OK} []"),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == want
 
 
 def test_assemble_rejects_inconsistent_values():
