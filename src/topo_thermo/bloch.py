@@ -38,9 +38,10 @@ from .polarization import (
     PolarizationResult,
     _determinant_result,
     _make_result,
+    _per_temperature,
 )
 from .qfi import pair_weights
-from .thermal import fermi_occupations, per_temperature
+from .thermal import _require_finite_energies, fermi_occupations
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class BlochSpectrum:
 
 
 def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
-    """Bands of a periodic ring; rejects open chains."""
+    """Bands of a periodic ring; rejects open chains and bands that overflow float64."""
     if params.boundary != PERIODIC:
         raise ValueError(f"the Bloch engine needs a periodic ring, got {params.boundary!r}")
     n = params.n_cells
@@ -89,8 +90,12 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
     # the k, -k levels are exactly degenerate, as they are in the model.
     cells = np.arange(n)
     k = (2.0 * np.pi / n) * np.where(cells <= n // 2, cells, cells - n)
-    coupling = params.v + (params.w + params.z) * np.cos(k) + 1j * (params.z - params.w) * np.sin(k)
-    magnitude = np.abs(coupling)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises just below
+        coupling = (
+            params.v + (params.w + params.z) * np.cos(k) + 1j * (params.z - params.w) * np.sin(k)
+        )
+        magnitude = np.abs(coupling)
+    _require_finite_energies(magnitude)
     band_energies = np.concatenate([-magnitude, magnitude])
     order = np.argsort(band_energies, kind="stable")
     # g_x = -i sin(phi), g_y = -i cos(phi), g_z = 1.
@@ -175,8 +180,8 @@ def bloch_polarization_determinant(
     factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
     lower band, and the trace is the occupied-band Wilson loop. t comes
     from fermi_occupations, so T = 0 follows its step rule. An array of
-    temperatures gives a list with one result per temperature, all
-    evaluated together.
+    temperatures gives one result of arrays with an entry per temperature,
+    all evaluated together.
     """
     n = spectrum.n_cells
     occupations = fermi_occupations(spectrum, temperature)
@@ -190,8 +195,7 @@ def bloch_polarization_determinant(
     dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=-1)
     dets += sign * np.prod(0.5 * (1.0 + t2), axis=-1) * 2.0 * _ordered_product(factors)
     delta = 2.0 * np.pi / n
-    results = [_determinant_result(det, n, delta, magnitude_cutoff) for det in dets.tolist()]
-    return per_temperature(results, temperature)
+    return _per_temperature(_determinant_result(dets, n, delta, magnitude_cutoff), temperature)
 
 
 def bloch_polarization_vanishing(
@@ -207,4 +211,4 @@ def bloch_polarization_vanishing(
     """
     if mode not in (MODE_LITERAL, MODE_WEIGHTED):
         raise ValueError(f"mode must be {MODE_LITERAL!r} or {MODE_WEIGHTED!r}, got {mode!r}")
-    return _make_result(0j, 0.0, mode, magnitude_cutoff)
+    return _make_result(np.zeros(1, dtype=complex), np.zeros(1), mode, magnitude_cutoff).row(0)

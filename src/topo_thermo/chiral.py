@@ -51,9 +51,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import ModelParams, PositionPhaseOperator, build_hamiltonian
-from .polarization import DEFAULT_MAGNITUDE_CUTOFF, MODE_DETERMINANT, _check_dimension, _make_result
+from .polarization import (
+    DEFAULT_MAGNITUDE_CUTOFF,
+    MODE_DETERMINANT,
+    _check_dimension,
+    _make_result,
+    _per_temperature,
+)
 from .qfi import pair_weights
-from .thermal import fermi_occupations, per_temperature
+from .thermal import _require_finite_energies, fermi_occupations
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,13 @@ class ChiralSpectrum:
 
 
 def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
-    """Singular value decomposition of the A-to-B block of the chain's Hamiltonian."""
+    """Singular value decomposition of the A-to-B block of the chain's Hamiltonian.
+
+    Singular values that overflow float64 raise FloatingPointError.
+    """
     block = build_hamiltonian(params)[0::2, 1::2]
     left, singular_values, right_t = np.linalg.svd(block)
+    _require_finite_energies(singular_values)
     return ChiralSpectrum(
         n_cells=params.n_cells,
         singular_values=singular_values,
@@ -183,8 +193,8 @@ def chiral_polarization_determinant(
     E is real by construction, so P is 0 or +1/2 from its sign. The
     pivots of C alone vanish near m = N/2 for even N, so the full matrix
     is factored, never a Schur complement on C. An array of temperatures
-    gives a list with one result per temperature, each row factored
-    alone.
+    gives one result of arrays with an entry per temperature, each row
+    factored alone.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
     occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
@@ -192,17 +202,16 @@ def chiral_polarization_determinant(
     half_angles = 0.5 * x_operator.delta * np.arange(n)
     sines = np.sin(half_angles)
     matrix = np.diag(np.tile(np.cos(half_angles), 2))
-    results = []
+    expectations = []
     for row in np.atleast_2d(occupations):
         lower, upper = spectrum.bands(row)
         tanh_block = (spectrum.left * (lower - upper)) @ spectrum.right.T
         matrix[:n, n:] = tanh_block * sines
         matrix[n:, :n] = tanh_block.T * -sines
-        expectation = float(np.linalg.det(matrix))
-        results.append(
-            _make_result(expectation, abs(expectation), MODE_DETERMINANT, magnitude_cutoff)
-        )
-    return per_temperature(results, temperature)
+        expectations.append(np.linalg.det(matrix))
+    expectations = np.array(expectations)
+    result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)
+    return _per_temperature(result, temperature)
 
 
 def winding_number(v: float, w: float, z: float) -> int:

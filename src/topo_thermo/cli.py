@@ -34,6 +34,7 @@ from .sweep import (
     QUANTITY_POLARIZATION,
     QUANTITY_QFI_MATRIX,
     SweepSpec,
+    SweepTable,
     run_sweep,
 )
 from .thermal import diagonalize
@@ -85,8 +86,8 @@ def _coerce_temperature(value) -> list:
         raise ConfigError(f"temperature must be a number or list of numbers, got {value!r}")
     if not temps:
         raise ConfigError("temperature list is empty")
-    if any(t < 0.0 for t in temps):
-        raise ConfigError("temperatures must be >= 0")
+    if not all(t >= 0.0 for t in temps):
+        raise ConfigError(f"temperatures must be >= 0, got {value!r}")
     return sorted(set(temps))
 
 
@@ -249,12 +250,16 @@ def _point_sweep_spec(config: RunConfig, quantities: tuple, modes: tuple) -> Swe
     )
 
 
-def _emit(config: RunConfig, records) -> int:
-    """Write every record, then turn error rows into the numerical-failure exit code."""
-    io_mod.emit_records(records, config.format, config.precision, config.out)
-    failed = sum(record.error is not None for record in records)
+def _emit(config: RunConfig, table: SweepTable) -> int:
+    """Write every row, then turn error rows into the numerical-failure exit code."""
+    failed = len(table.errors)
+    log.info(
+        "swept %d points on %d unique spectra: %d error rows, %d undefined-P rows",
+        len(table), table.spectra, failed, table.undefined_p_rows(),
+    )
+    io_mod.emit_records(table, config.format, config.precision, config.out)
     if failed:
-        print(f"{failed} of {len(records)} points failed", file=sys.stderr)
+        print(f"{failed} of {len(table)} points failed", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

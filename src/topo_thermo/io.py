@@ -1,17 +1,22 @@
 """Deterministic CSV/JSON emission of tables.
 
 Both formats render a table (column names and rows) through one path,
-rows -> blocks -> columns. Sweep records become tuples in the fixed
-`CSV_COLUMNS` order, one per polarization mode (one row without
-polarization); a plain dict, such as a parsed JSON row, gives its cells
-by column name, and any other row is a sequence already in column order.
-Rows are taken `BLOCK_ROWS` at a time and transposed, and each column is
-formatted by one list comprehension, so the cells held beside the output
-text never exceed one block, however long the table. Numbers render at a
-configurable number of significant digits with zero as "0"; JSON writes
-non-finite numbers as null. Lines end with a bare newline and JSON key
-order is fixed, so identical inputs give identical bytes, and parsing an
-emitted JSON file and re-emitting it reproduces them.
+blocks of columns of cell text. A SweepTable gives its columns directly:
+a failed point gives one row with its error, a point without error one
+row per polarization mode (one row without polarization), in the fixed
+`CSV_COLUMNS` order. Any other table is rows: a plain dict, such as a
+parsed JSON row, gives its cells by column name, and any other row is a
+sequence already in column order; rows are transposed into columns.
+Either way `BLOCK_ROWS` rows are formatted together, so the cells held
+beside the output text never exceed one block, however long the table.
+
+Each column of a block is formatted by `_column` at once. An all-finite
+float column takes one pass at a configurable number of significant
+digits with zero as "0"; a parameter, a mode or a flag is formatted once
+per distinct value and expanded; a constant column costs one format.
+JSON writes non-finite numbers as null. Lines end with a bare newline
+and JSON key order is fixed, so identical inputs give identical bytes,
+and parsing an emitted JSON file and re-emitting it reproduces them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import json
 import math
 from typing import Iterable
 
-from .sweep import ResultRecord
+import numpy as np
+
+from .sweep import AXIS_NAMES, SweepTable
 
 CSV_COLUMNS = (
     "T", "v", "w", "z", "N", "boundary", "mode",
@@ -42,6 +49,10 @@ FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 FORMATS = (FORMAT_CSV, FORMAT_JSON)
 
+QFI_COLUMNS = (
+    ("M_xx", 0, 0), ("M_xy", 0, 1), ("M_xz", 0, 2), ("M_yy", 1, 1), ("M_yz", 1, 2), ("M_zz", 2, 2),
+)
+
 
 def format_number(value, precision: int = DEFAULT_PRECISION) -> str:
     """Significant-digit rendering shared by both output formats."""
@@ -52,27 +63,13 @@ def format_number(value, precision: int = DEFAULT_PRECISION) -> str:
     return f"{value:.{precision}g}"
 
 
-def _record_rows(records: Iterable, columns):
-    """One row per output line, as a sequence in `columns` order."""
-    for record in records:
-        if not isinstance(record, ResultRecord):
-            yield tuple(map(record.get, columns)) if isinstance(record, dict) else record
-            continue
-        head = (record.temperature, record.v, record.w, record.z, record.n_cells, record.boundary)
-        if record.error is not None:
-            yield head + (None,) * 16 + (record.error,)
-            continue
-        qfi, power = (None,) * 6, (None,) * 4
-        if record.qfi is not None:
-            (xx, xy, xz), (_, yy, yz), (_, _, zz) = record.qfi.tolist()
-            qfi = (xx, xy, xz, yy, yz, zz)
-        if record.i_p is not None:
-            power = (record.i_p, *record.optimal_direction.tolist())
-        tail = qfi + power + (record.purity, record.entropy, None)
-        if not record.polarization:
-            yield head + (None,) * 4 + tail
-        for mode, result in record.polarization.items():
-            yield head + (mode, result.polarization, result.defined, result.magnitude) + tail
+def _csv_text(text: str) -> str:
+    """A text cell as the csv module writes it inside a row: quoted only where it must be."""
+    if not text:
+        return text
+    buffer = _io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
 
 
 def _cell(value, precision: int, as_json: bool) -> str:
@@ -82,44 +79,130 @@ def _cell(value, precision: int, as_json: bool) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return json.dumps(value) if as_json else value
+        return json.dumps(value) if as_json else _csv_text(value)
     if as_json and not math.isfinite(value):
         return "null"
     return format_number(value, precision)
 
 
-def _column(values: tuple, precision: int, as_json: bool) -> list[str]:
-    # An overflowing sum only sends finite floats down the general path.
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
-        spec = f".{precision}g"
+def _column(values, precision: int, as_json: bool) -> list[str]:
+    """Text of each cell: a float array, or a sequence of cells of any type."""
+    spec = f".{precision}g"
+    if isinstance(values, np.ndarray):
+        if np.isfinite(values).all():
+            # Adding 0.0 turns -0.0 into 0.0, so every zero prints as "0".
+            return [format(x, spec) for x in (values + 0.0).tolist()]
+        values = values.tolist()
+    elif set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        # An overflowing sum only sends finite floats down the general path.
         return ["0" if x == 0.0 else format(x, spec) for x in values]
     return [_cell(x, precision, as_json) for x in values]
 
 
-def _formatted_rows(rows: Iterable, precision: int, as_json: bool):
-    """Rows of cell text, formatted a block of BLOCK_ROWS rows at a time."""
+def _expand(texts: list[str], index: np.ndarray) -> list[str]:
+    """texts[i] for each i of index."""
+    if len(texts) == 1:
+        return texts * len(index)
+    return list(map(texts.__getitem__, index.tolist()))
+
+
+def _row_blocks(rows: Iterable, columns, precision: int, as_json: bool):
+    """Generic rows, BLOCK_ROWS at a time, as lists of column text."""
     rows = iter(rows)
     while True:
         block = list(itertools.islice(rows, BLOCK_ROWS))
         if not block:
             return
-        yield from zip(*(_column(values, precision, as_json) for values in zip(*block)))
+        block = [tuple(map(row.get, columns)) if isinstance(row, dict) else row for row in block]
+        yield [_column(values, precision, as_json) for values in zip(*block)]
 
 
-def render_csv(records: Iterable, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(_formatted_rows(_record_rows(records, columns), precision, False))
-    return buffer.getvalue()
+def _table_blocks(table: SweepTable, columns, precision: int, as_json: bool):
+    """A sweep table's output rows, BLOCK_ROWS at a time, as lists of column text.
+
+    A failed point gives one row, any other point one row per polarization
+    mode (one row without polarization): output row r belongs to point
+    row_point[r] and mode row_mode[r]. Parameters, modes and flags are
+    texts of distinct values picked per row; other outputs are numbers
+    per point, or per point and mode.
+    """
+    none = _cell(None, precision, as_json)
+    modes = list(table.polarization)
+    failed = table.failed()
+    per_point = np.where(failed, 1, max(len(modes), 1))
+    row_point = np.repeat(np.arange(len(table)), per_point)
+    row_mode = np.arange(len(row_point)) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    parameters = {
+        name: _column(table.parameter_values(name), precision, as_json) for name in AXIS_NAMES
+    }
+    boundary = _cell(table.spec.boundary, precision, as_json)
+    numbers = {}
+    if modes:
+        results = [table.polarization[mode] for mode in modes]
+        mode_texts = [_cell(mode, precision, as_json) for mode in modes]
+        defined = np.stack([result.defined for result in results], axis=1)
+        numbers["P"] = np.stack([result.polarization for result in results], axis=1)
+        numbers["magnitude"] = np.stack([result.magnitude for result in results], axis=1)
+    if table.qfi is not None:
+        numbers.update((name, table.qfi[:, i, j]) for name, i, j in QFI_COLUMNS)
+    if table.i_p is not None:
+        numbers["i_p"] = table.i_p
+        numbers.update(zip(("dir_x", "dir_y", "dir_z"), table.optimal_direction.T))
+    if table.purity is not None:
+        numbers["purity"], numbers["entropy"] = table.purity, table.entropy
+
+    for start in range(0, len(row_point), BLOCK_ROWS):
+        point = row_point[start : start + BLOCK_ROWS]
+        mode = row_mode[start : start + BLOCK_ROWS]
+        bad = failed[point]
+        good = None if not bad.any() else ~bad
+
+        def outputs(texts, index):
+            """Texts picked by index, or none on error rows."""
+            if good is None:
+                return _expand(texts, index)
+            return _expand(texts + [none], np.where(good, index, len(texts)))
+
+        def formatted(values):
+            if good is None:
+                return _column(values, precision, as_json)
+            return outputs(_column(values[good], precision, as_json), np.cumsum(good) - 1)
+
+        block = {
+            name: _expand(parameters[name], table.parameter_index(name, point))
+            for name in AXIS_NAMES
+        }
+        block["boundary"] = [boundary] * len(point)
+        if modes:
+            block["mode"] = outputs(mode_texts, mode)
+            block["P_defined"] = outputs(["false", "true"], defined[point, mode])
+        for name, values in numbers.items():
+            block[name] = formatted(values[point, mode] if values.ndim == 2 else values[point])
+        if good is not None:
+            errors = map(table.errors.get, point.tolist())
+            block["error"] = [_cell(error, precision, as_json) for error in errors]
+        empty = [none] * len(point)
+        yield [block.get(name, empty) for name in columns]
 
 
-def render_json(records: Iterable, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
-    keys = [json.dumps(name) + ": " for name in columns]
-    lines = [
-        "  {" + ", ".join(map(str.__add__, keys, row)) + "}"
-        for row in _formatted_rows(_record_rows(records, columns), precision, True)
-    ]
+def _blocks(records, columns, precision: int, as_json: bool):
+    if isinstance(records, SweepTable):
+        return _table_blocks(records, columns, precision, as_json)
+    return _row_blocks(records, columns, precision, as_json)
+
+
+def render_csv(records, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
+    # Every cell is already CSV text, so a row is its cells joined by commas.
+    lines = [",".join(map(_csv_text, columns))]
+    for block in _blocks(records, columns, precision, False):
+        lines.extend(map(",".join, zip(*block)))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(records, precision: int = DEFAULT_PRECISION, columns=CSV_COLUMNS) -> str:
+    line = "  {" + ", ".join(json.dumps(name).replace("%", "%%") + ": %s" for name in columns) + "}"
+    blocks = _blocks(records, columns, precision, True)
+    lines = [line % row for block in blocks for row in zip(*block)]
     if not lines:
         return "[]\n"
     return "[\n" + ",\n".join(lines) + "\n]\n"
@@ -152,9 +235,9 @@ def emit_records(
 ) -> None:
     """Write a table as CSV or JSON to a path, file object, or '-' (stdout).
 
-    `records` are sweep records or dicts under the default columns, or
-    rows in the order of `columns` for auxiliary tables. Unwritable
-    destinations raise OSError for the caller to map onto the
+    `records` is a SweepTable, or rows: dicts under the default columns,
+    or sequences in the order of `columns` for auxiliary tables.
+    Unwritable destinations raise OSError for the caller to map onto the
     numerical-failure exit code.
     """
     if output_format not in FORMATS:

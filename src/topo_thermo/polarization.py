@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import PositionPhaseOperator
-from .thermal import GibbsEnsemble, Spectrum, fermi_occupations, per_temperature
+from .thermal import GibbsEnsemble, Spectrum, fermi_occupations
 
 MODE_PURE = "pure"
 MODE_LITERAL = "literal"
@@ -52,36 +52,68 @@ REAL_EXPECTATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PolarizationResult:
-    expectation: complex
-    magnitude: float
-    phase: float
-    polarization: float
-    defined: bool
+    """Polarization of one state or temperature, or of a batch of temperatures.
+
+    Python scalars for one state or temperature; for a batch, every field
+    but `mode` is an array with one entry per temperature, as QfiReport
+    holds a stack.
+    """
+
+    expectation: complex | np.ndarray
+    magnitude: float | np.ndarray
+    phase: float | np.ndarray
+    polarization: float | np.ndarray
+    defined: bool | np.ndarray
     mode: str
 
-
-def _principal(angle: float) -> float:
-    # np.angle returns [-pi, pi]; fold the closed lower endpoint onto +pi.
-    if angle == -np.pi:
-        return np.pi
-    return angle
+    def row(self, index: int) -> PolarizationResult:
+        """The one-temperature result at `index` of a batch, as Python scalars."""
+        return PolarizationResult(
+            expectation=complex(self.expectation[index]),
+            magnitude=float(self.magnitude[index]),
+            phase=float(self.phase[index]),
+            polarization=float(self.polarization[index]),
+            defined=bool(self.defined[index]),
+            mode=self.mode,
+        )
 
 
 def _make_result(
-    expectation: complex, magnitude: float, mode: str, cutoff: float, branch: complex | None = None
+    expectation: np.ndarray,
+    magnitude: np.ndarray,
+    mode: str,
+    cutoff: float,
+    branch: np.ndarray | None = None,
 ) -> PolarizationResult:
-    """`branch`, when given, is the value whose angle sets the phase."""
-    defined = bool(magnitude >= cutoff)
-    angle_of = expectation if branch is None else branch
-    phase = _principal(float(np.angle(angle_of))) if defined else 0.0
+    """Batched result from 1-D arrays; `branch`, when given, sets the phase by its angle.
+
+    np.angle returns [-pi, pi]; the closed lower endpoint folds onto +pi.
+    Every entry is elementwise arithmetic, so a row does not depend on the
+    batch it is computed in.
+    """
+    magnitude = np.asarray(magnitude, dtype=float)
+    defined = magnitude >= cutoff
+    angle = np.angle(expectation if branch is None else branch)
+    phase = np.where(defined, np.where(angle == -np.pi, np.pi, angle), 0.0)
     return PolarizationResult(
-        expectation=complex(expectation),
-        magnitude=float(magnitude),
+        expectation=np.asarray(expectation, dtype=complex),
+        magnitude=magnitude,
         phase=phase,
         polarization=phase / (2.0 * np.pi),
         defined=defined,
         mode=mode,
     )
+
+
+def _absolute(values: np.ndarray) -> np.ndarray:
+    # hypot, as Python's abs(complex) computes it: np.abs of a complex array
+    # differs from it in the last bit.
+    return np.hypot(values.real, values.imag)
+
+
+def _per_temperature(result: PolarizationResult, temperature) -> PolarizationResult:
+    """The batch as computed, or its one row for a scalar temperature, as thermal.per_temperature."""
+    return result if np.ndim(temperature) else result.row(0)
 
 
 def state_expectations(vectors: np.ndarray, x_operator: PositionPhaseOperator) -> np.ndarray:
@@ -119,8 +151,8 @@ def pure_state_phase(
     norm = np.linalg.norm(state)
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state must be normalized, got |state| = {norm}")
-    expectation = complex(state_expectations(state[:, None], x_operator)[0])
-    return _make_result(expectation, abs(expectation), MODE_PURE, magnitude_cutoff)
+    expectation = state_expectations(state[:, None], x_operator)
+    return _make_result(expectation, _absolute(expectation), MODE_PURE, magnitude_cutoff).row(0)
 
 
 def polarization_from_states(
@@ -134,7 +166,7 @@ def polarization_from_states(
     `per_state` lists <n|X|n> in the order of the ensemble's weights, as
     state_expectations or chiral.chiral_state_expectations give it; the
     dense and the chiral path share these reductions. A batched ensemble
-    gives a list with one result per temperature.
+    gives one result of arrays with an entry per temperature.
 
       literal   Tr[rho X] = sum_n lambda_n <n|X|n>;
       weighted  P = sum_n lambda_n gamma_n / (2*pi) over the per-state
@@ -151,11 +183,8 @@ def polarization_from_states(
     weights = np.atleast_2d(ensemble.weights)
     if mode == MODE_LITERAL:
         expectations = np.sum(weights * per_state, axis=1)
-        results = [
-            _make_result(expectation, abs(expectation), MODE_LITERAL, magnitude_cutoff)
-            for expectation in expectations.tolist()
-        ]
-        return per_temperature(results, ensemble.temperature)
+        result = _make_result(expectations, _absolute(expectations), MODE_LITERAL, magnitude_cutoff)
+        return _per_temperature(result, ensemble.temperature)
     if mode != MODE_WEIGHTED:
         raise ValueError(f"mode must be {MODE_LITERAL!r} or {MODE_WEIGHTED!r}, got {mode!r}")
     magnitudes = np.abs(per_state)
@@ -165,11 +194,10 @@ def polarization_from_states(
     min_magnitudes = np.min(np.where(contributing, magnitudes, np.inf), axis=1)
     counted = contributing & (magnitudes >= magnitude_cutoff)
     phase_sums = np.sum(np.where(counted, weights * phases, 0.0), axis=1)
-    results = []
-    for phase_sum, magnitude in zip(phase_sums.tolist(), min_magnitudes.tolist()):
-        synthetic = magnitude * np.exp(1j * _principal(phase_sum))
-        results.append(_make_result(synthetic, magnitude, MODE_WEIGHTED, magnitude_cutoff))
-    return per_temperature(results, ensemble.temperature)
+    phase_sums = np.where(phase_sums == -np.pi, np.pi, phase_sums)
+    synthetic = min_magnitudes * np.exp(1j * phase_sums)
+    result = _make_result(synthetic, min_magnitudes, MODE_WEIGHTED, magnitude_cutoff)
+    return _per_temperature(result, ensemble.temperature)
 
 
 def thermal_polarization_literal(
@@ -182,7 +210,8 @@ def thermal_polarization_literal(
     For a periodic chain this trace is forced to zero by translation
     symmetry at any temperature, so the result is typically undefined;
     the computation is exposed precisely to document that behavior. A
-    batched ensemble gives a list with one result per temperature.
+    batched ensemble gives one result of arrays with an entry per
+    temperature.
     """
     _check_dimension(ensemble.dimension, x_operator, "ensemble")
     per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
@@ -197,8 +226,8 @@ def thermal_polarization_weighted(
     """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
 
     The reduction and its cutoffs are those of polarization_from_states,
-    over the eigenvectors of a dense spectrum. A batched ensemble gives a
-    list with one result per temperature.
+    over the eigenvectors of a dense spectrum. A batched ensemble gives one
+    result of arrays with an entry per temperature.
     """
     _check_dimension(ensemble.dimension, x_operator, "ensemble")
     per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
@@ -215,8 +244,8 @@ def _background_phase_factor(n: int, delta: float) -> complex:
     return complex(np.exp(-1j * delta * (n * (n - 1) // 2)))
 
 
-def _determinant_result(det: complex, n: int, delta: float, cutoff: float) -> PolarizationResult:
-    """Determinant-mode result from det[(1 - F) + F U], background included.
+def _determinant_result(dets, n: int, delta: float, cutoff: float) -> PolarizationResult:
+    """Determinant-mode results from an array of det[(1 - F) + F U], background included.
 
     For a real chiral Hamiltonian at mu = 0 the expectation is exactly
     real, so an imaginary part within REAL_EXPECTATION_TOL of |E| is
@@ -224,11 +253,10 @@ def _determinant_result(det: complex, n: int, delta: float, cutoff: float) -> Po
     {0, +1/2}) instead of the sign of that noise. The expectation is kept
     as computed.
     """
-    expectation = complex(det * _background_phase_factor(n, delta))
-    magnitude = abs(expectation)
-    branch = None
-    if abs(expectation.imag) <= REAL_EXPECTATION_TOL * magnitude:
-        branch = complex(expectation.real, 0.0)
+    expectation = (np.asarray(dets) * _background_phase_factor(n, delta)).astype(complex)
+    magnitude = _absolute(expectation)
+    real = np.abs(expectation.imag) <= REAL_EXPECTATION_TOL * magnitude
+    branch = np.where(real, expectation.real, expectation)
     return _make_result(expectation, magnitude, MODE_DETERMINANT, cutoff, branch)
 
 
@@ -248,7 +276,8 @@ def thermal_polarization_determinant(
     quantized values come out shifted by 1/2 for even N. At T = 0 this
     reduces to the occupied-band overlap determinant. A numerically real
     expectation takes its branch from the sign of its real part. An array
-    of temperatures gives a list with one result per temperature.
+    of temperatures gives one result of arrays with an entry per
+    temperature.
 
     With real eigenvectors V, F = V diag(f) V^T and W = V^T U V (two real
     matrix products), (1 - F) + F U = V [(1 - f) + diag(f) W] V^T. V is
@@ -260,13 +289,12 @@ def thermal_polarization_determinant(
     rotated = np.empty(vectors.shape, dtype=complex)
     rotated.real = (vectors.T * diagonal.real) @ vectors
     rotated.imag = (vectors.T * diagonal.imag) @ vectors
-    results = []
+    dets = []
     for row in np.atleast_2d(occupations):
         mixture = rotated * row[:, None]
         mixture[np.diag_indices_from(mixture)] += 1.0 - row
-        results.append(
-            _determinant_result(
-                np.linalg.det(mixture), x_operator.n_cells, x_operator.delta, magnitude_cutoff
-            )
-        )
-    return per_temperature(results, temperature)
+        dets.append(np.linalg.det(mixture))
+    result = _determinant_result(
+        np.array(dets), x_operator.n_cells, x_operator.delta, magnitude_cutoff
+    )
+    return _per_temperature(result, temperature)

@@ -4,19 +4,20 @@ Each unique (v, w, z, N, boundary) gets one spectrum, and the whole
 temperature column of its grid points is evaluated in one call of each
 public function: weights of shape (n_T, 2N), one QFI contraction, one
 batched 3x3 eigh. Every per-temperature row is computed exactly as it
-would be alone, so records do not depend on how the grid groups
-temperatures. Spectra are built one at a time and dropped once their
-records are written. Each boundary has one evaluation path: periodic
-rings use the Bloch engine (bloch.py), open chains the SVD of the chiral
-block (chiral.py), through the same public functions a caller would
-use. The dense eigendecomposition is their oracle. A failing column
-is evaluated again one temperature at a time, so a failure lands in the
-error field of exactly the points that fail.
+would be alone, so outputs do not depend on how the grid groups
+temperatures. The results go straight into the preallocated columns of
+a SweepTable, one index slice per spectrum, and each spectrum is dropped
+once its slice is written. Each boundary has one evaluation path:
+periodic rings use the Bloch engine (bloch.py), open chains the SVD of
+the chiral block (chiral.py), through the same public functions a caller
+would use. The dense eigendecomposition is their oracle. A failing
+column is evaluated again one temperature at a time, so a failure lands
+in the error of exactly the points that fail.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,7 +118,7 @@ class SweepSpec:
             raise ValueError("polarization_modes given but polarization not requested")
         axis_grids = dict(self.axes)
         temperatures = axis_grids.get("T", (self.fixed.get("T"),))
-        if any(t < 0.0 for t in temperatures):
+        if not all(t >= 0.0 for t in temperatures):
             raise ValueError("temperatures must be >= 0")
         for n in axis_grids.get("N", (self.fixed.get("N"),)):
             if int(n) != n or n < 2:
@@ -126,7 +127,7 @@ class SweepSpec:
 
 @dataclass
 class ResultRecord:
-    """One grid point: full parameter tuple plus requested outputs."""
+    """One grid point of a SweepTable as a row: parameters plus requested outputs."""
 
     temperature: float
     v: float
@@ -143,22 +144,138 @@ class ResultRecord:
     error: str | None = None
 
 
+# Type of each parameter's values in records and output.
+PARAMETER_TYPES = {"T": float, "v": float, "w": float, "z": float, "N": int}
+
+RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
+
+
+class SweepTable:
+    """Results of a sweep as columns, one entry per grid point.
+
+    Points are in row-major order of the axes as declared. Each output is
+    a NumPy array preallocated for every point and written by index slice,
+    once per spectrum; an output the spec did not request is None.
+    `polarization` maps each mode to a PolarizationResult of arrays.
+    `errors` maps the index of each failed point to its message; the
+    columns hold no meaning there. Parameters are not stored per point:
+    `parameter_index` derives them from the axis grids by index arithmetic.
+    len() counts points; indexing and iteration give ResultRecord rows.
+    """
+
+    def __init__(self, spec: SweepSpec):
+        self.spec = spec
+        self.size = math.prod(len(grid) for _, grid in spec.axes)
+        # name -> (distinct values, stride): point p holds values[p // stride % len(values)].
+        self._grids = {
+            name: ((PARAMETER_TYPES[name](value),), self.size) for name, value in spec.fixed.items()
+        }
+        stride = self.size
+        for name, grid in spec.axes:
+            stride //= len(grid)
+            self._grids[name] = (tuple(map(PARAMETER_TYPES[name], grid)), stride)
+        n = self.size
+        self.polarization = {}
+        if QUANTITY_POLARIZATION in spec.quantities:
+            for mode in spec.polarization_modes:
+                self.polarization[mode] = PolarizationResult(
+                    expectation=np.zeros(n, dtype=complex),
+                    magnitude=np.zeros(n),
+                    phase=np.zeros(n),
+                    polarization=np.zeros(n),
+                    defined=np.zeros(n, dtype=bool),
+                    mode=mode,
+                )
+        self.qfi = np.zeros((n, 3, 3)) if QUANTITY_QFI_MATRIX in spec.quantities else None
+        self.i_p = self.optimal_direction = None
+        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
+            self.i_p, self.optimal_direction = np.zeros(n), np.zeros((n, 3))
+        self.purity = self.entropy = None
+        if QUANTITY_DIAGNOSTICS in spec.quantities:
+            self.purity, self.entropy = np.zeros(n), np.zeros(n)
+        self.errors: dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return self.size
+
+    def parameter_values(self, name: str) -> tuple:
+        """Distinct values of a parameter: its grid, or its one fixed value."""
+        return self._grids[name][0]
+
+    def parameter_index(self, name: str, points: np.ndarray) -> np.ndarray:
+        """Index of each point's value of a parameter in parameter_values(name)."""
+        values, stride = self._grids[name]
+        return points // stride % len(values)
+
+    def parameters(self, index: int) -> dict:
+        """Parameter values of one point."""
+        return {
+            name: self.parameter_values(name)[self.parameter_index(name, index)]
+            for name in AXIS_NAMES
+        }
+
+    @property
+    def spectra(self) -> int:
+        """Number of unique spectra: every (v, w, z, N) combination."""
+        return self.size // len(self._grids["T"][0])
+
+    def failed(self) -> np.ndarray:
+        """Boolean mask of the points that carry an error."""
+        mask = np.zeros(self.size, dtype=bool)
+        mask[list(self.errors)] = True
+        return mask
+
+    def undefined_p_rows(self) -> int:
+        """Rows of points without error whose polarization is undefined, over all modes."""
+        ok = ~self.failed()
+        return sum(int(np.count_nonzero(ok & ~r.defined)) for r in self.polarization.values())
+
+    def __getitem__(self, index: int) -> ResultRecord:
+        index = range(self.size)[index]
+        parameters = self.parameters(index)
+        record = ResultRecord(
+            temperature=parameters["T"],
+            v=parameters["v"],
+            w=parameters["w"],
+            z=parameters["z"],
+            n_cells=parameters["N"],
+            boundary=self.spec.boundary,
+            error=self.errors.get(index),
+        )
+        if record.error is not None:
+            return record
+        record.polarization = {mode: r.row(index) for mode, r in self.polarization.items()}
+        if self.qfi is not None:
+            record.qfi = self.qfi[index].copy()
+        if self.i_p is not None:
+            record.i_p = float(self.i_p[index])
+            record.optimal_direction = self.optimal_direction[index].copy()
+        if self.purity is not None:
+            record.purity, record.entropy = float(self.purity[index]), float(self.entropy[index])
+        return record
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+
 def _needs_qfi(spec: SweepSpec) -> bool:
     return any(q in spec.quantities for q in (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER))
 
 
-def _spectrum(key: tuple):
+def _spectrum(parameters: dict, boundary: str):
     """Bloch bands of a ring, or the chiral-block SVD of an open chain."""
-    n_cells, v, w, z, boundary = key
-    params = ModelParams(n_cells=n_cells, v=v, w=w, z=z, boundary=boundary)
+    params = ModelParams(
+        n_cells=parameters["N"], v=parameters["v"], w=parameters["w"], z=parameters["z"],
+        boundary=boundary,
+    )
     if boundary == PERIODIC:
         return bloch_spectrum(params)
     return chiral_spectrum(params)
 
 
-def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
-    """Requested outputs of one spectrum at each temperature, as ResultRecord fields."""
-    rows = [{} for _ in temperatures]
+def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarray) -> None:
+    """Write one spectrum's outputs at `temperatures` into the table's columns at `points`."""
+    spec = table.spec
     periodic = spec.boundary == PERIODIC
     cutoff = spec.magnitude_cutoff
     need_qfi = _needs_qfi(spec)
@@ -166,117 +283,83 @@ def _evaluate(spectrum, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]
     if (
         need_qfi
         or QUANTITY_DIAGNOSTICS in spec.quantities
-        or any(mode != MODE_DETERMINANT for mode in spec.polarization_modes)
+        or any(mode != MODE_DETERMINANT for mode in table.polarization)
     ):
         ensemble = gibbs_weights(spectrum, temperatures)
-    if QUANTITY_POLARIZATION in spec.quantities:
-        x_operator = None if periodic else position_phase_operator(spectrum.n_cells)
-        per_state = None
-        for row in rows:
-            row["polarization"] = {}
-        for mode in spec.polarization_modes:
-            if periodic and mode == MODE_DETERMINANT:
-                results = bloch_polarization_determinant(spectrum, temperatures, cutoff)
-            elif periodic:
-                results = [bloch_polarization_vanishing(mode, cutoff)] * len(temperatures)
-            elif mode == MODE_DETERMINANT:
-                results = chiral_polarization_determinant(
-                    spectrum, temperatures, x_operator, cutoff
-                )
+    x_operator = per_state = None
+    for mode, column in table.polarization.items():
+        if periodic and mode == MODE_DETERMINANT:
+            result = bloch_polarization_determinant(spectrum, temperatures, cutoff)
+        elif periodic:
+            result = bloch_polarization_vanishing(mode, cutoff)
+        else:
+            if x_operator is None:
+                x_operator = position_phase_operator(spectrum.n_cells)
+            if mode == MODE_DETERMINANT:
+                result = chiral_polarization_determinant(spectrum, temperatures, x_operator, cutoff)
             else:
                 if per_state is None:
                     per_state = chiral_state_expectations(spectrum, x_operator)
-                results = polarization_from_states(ensemble, per_state, mode, cutoff)
-            for row, result in zip(rows, results):
-                row["polarization"][mode] = result
+                result = polarization_from_states(ensemble, per_state, mode, cutoff)
+        for name in RESULT_FIELDS:
+            getattr(column, name)[points] = getattr(result, name)
     if need_qfi:
         if periodic:
             matrices = bloch_qfi_matrix(spectrum, ensemble.weights)
         else:
             matrices = chiral_qfi_matrix(spectrum, ensemble.weights)
-        if QUANTITY_QFI_MATRIX in spec.quantities:
-            for row, matrix in zip(rows, matrices):
-                row["qfi"] = matrix
-        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
+        if table.qfi is not None:
+            table.qfi[points] = matrices
+        if table.i_p is not None:
             report = interferometric_power(matrices)
-            for row, i_p, direction in zip(rows, report.i_p.tolist(), report.optimal_direction):
-                row["i_p"] = i_p
-                row["optimal_direction"] = direction
-    if QUANTITY_DIAGNOSTICS in spec.quantities:
+            table.i_p[points] = report.i_p
+            table.optimal_direction[points] = report.optimal_direction
+    if table.purity is not None:
         diagnostics = ensemble_diagnostics(ensemble)
-        purities, entropies = diagnostics.purity.tolist(), diagnostics.entropy.tolist()
-        for row, purity, entropy in zip(rows, purities, entropies):
-            row["purity"] = purity
-            row["entropy"] = entropy
-    return rows
+        table.purity[points] = diagnostics.purity
+        table.entropy[points] = diagnostics.entropy
 
 
-def _spectrum_key(point: dict, boundary: str) -> tuple:
-    return (int(point["N"]), point["v"], point["w"], point["z"], boundary)
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _failure(exc: Exception) -> dict:
-    return {"error": f"{type(exc).__name__}: {exc}"}
+def _evaluate_column(table: SweepTable, first: int, stride: int, temperatures: np.ndarray) -> None:
+    """Outputs of the spectrum of point `first` at every temperature; failures become errors.
 
-
-def _evaluate_column(key: tuple, temperatures: np.ndarray, spec: SweepSpec) -> list[dict]:
-    """Record fields for one spectrum's temperatures; failures become error fields.
-
-    A failed spectrum flags every temperature. A failed column is
-    evaluated again one temperature at a time through the same call, so
-    exactly the failing temperatures are flagged.
+    The column's points are first, first + stride, ... A failed spectrum
+    flags every one of them. A failed column is evaluated again one
+    temperature at a time through the same call, so exactly the failing
+    temperatures are flagged.
     """
+    points = range(first, first + len(temperatures) * stride, stride)
     try:
-        spectrum = _spectrum(key)
-    except Exception as exc:  # degrade to flagged records, never abort the sweep
-        return [_failure(exc)] * len(temperatures)
+        spectrum = _spectrum(table.parameters(first), table.spec.boundary)
+    except Exception as exc:  # degrade to flagged points, never abort the sweep
+        table.errors.update(dict.fromkeys(points, _failure(exc)))
+        return
     try:
-        return _evaluate(spectrum, temperatures, spec)
+        _evaluate(table, slice(points.start, points.stop, stride), spectrum, temperatures)
+        return
     except Exception:
         pass
-    rows = []
-    for index in range(len(temperatures)):
-        try:
-            rows.extend(_evaluate(spectrum, temperatures[index : index + 1], spec))
-        except Exception as exc:
-            rows.append(_failure(exc))
-    return rows
-
-
-def grid_points(spec: SweepSpec) -> list[dict]:
-    """All parameter combinations in row-major axis order."""
-    names = [name for name, _ in spec.axes]
-    grids = [grid for _, grid in spec.axes]
-    points = []
-    for combination in itertools.product(*grids):
-        point = dict(spec.fixed)
-        point.update(zip(names, combination))
-        points.append(point)
-    return points
-
-
-def run_sweep(spec: SweepSpec) -> list[ResultRecord]:
-    """Evaluate every grid point, one spectrum at a time."""
-    spec.validate()
-    points = grid_points(spec)
-    columns: dict[tuple, list[int]] = {}
     for index, point in enumerate(points):
-        columns.setdefault(_spectrum_key(point, spec.boundary), []).append(index)
-    records: list[ResultRecord | None] = [None] * len(points)
-    for key, indices in columns.items():
-        temperatures = np.array([float(points[index]["T"]) for index in indices])
-        for index, fields in zip(indices, _evaluate_column(key, temperatures, spec)):
-            point = points[index]
-            records[index] = ResultRecord(
-                temperature=float(point["T"]),
-                v=float(point["v"]),
-                w=float(point["w"]),
-                z=float(point["z"]),
-                n_cells=int(point["N"]),
-                boundary=spec.boundary,
-                **fields,
-            )
-    return records
+        try:
+            _evaluate(table, slice(point, point + 1), spectrum, temperatures[index : index + 1])
+        except Exception as exc:
+            table.errors[point] = _failure(exc)
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate every grid point, one spectrum at a time, into a SweepTable."""
+    spec.validate()
+    table = SweepTable(spec)
+    grid, stride = table._grids["T"]
+    temperatures = np.array(grid)
+    firsts = np.flatnonzero(np.arange(len(table)) // stride % len(grid) == 0)
+    for first in firsts.tolist():
+        _evaluate_column(table, first, stride, temperatures)
+    return table
 
 
 def _quantity_value(record: ResultRecord, quantity: str, mode: str | None):

@@ -60,7 +60,8 @@ def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
     """Full spectrum of a real symmetric matrix.
 
     Rejects non-square or non-symmetric input. Convergence failures inside
-    LAPACK surface as numpy.linalg.LinAlgError rather than being truncated.
+    LAPACK surface as numpy.linalg.LinAlgError rather than being truncated,
+    and energies that overflow float64 as FloatingPointError.
     Output is deterministic for identical input bits.
     """
     h = np.asarray(h, dtype=float)
@@ -70,15 +71,27 @@ def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
     if asym > symmetry_tol:
         raise ValueError(f"matrix is not symmetric: max |H - H^T| = {asym:.3e}")
     energies, vectors = np.linalg.eigh(h)
+    _require_finite_energies(energies)
     return Spectrum(energies=energies, vectors=vectors)
 
 
+def _require_finite_energies(energies: np.ndarray) -> None:
+    """Raise FloatingPointError unless every energy is finite.
+
+    Weights, occupations and phases of an overflowed spectrum come out as
+    NaN or as silent zeros, so every function that builds a spectrum checks
+    its energies.
+    """
+    if not np.isfinite(energies).all():
+        raise FloatingPointError("non-finite energies: the spectrum overflows float64")
+
+
 def _temperature_column(temperature) -> np.ndarray:
-    """Temperatures as an (n_T, 1) column; rejects negative values."""
+    """Temperatures as an (n_T, 1) column; rejects negative and NaN values."""
     temperatures = np.asarray(temperature, dtype=float)
     if temperatures.ndim > 1:
         raise ValueError(f"expected one temperature or a 1-D array, got shape {temperatures.shape}")
-    if np.any(temperatures < 0.0):
+    if not np.all(temperatures >= 0.0):
         raise ValueError(f"temperature must be >= 0, got {temperature}")
     return temperatures.reshape(-1, 1)
 

@@ -202,6 +202,56 @@ def test_sweep_logs_point_and_spectrum_counts(caplog, capsys):
     assert "sweep over 6 points on 2 unique spectra" in caplog.messages
 
 
+def test_sweep_logs_error_and_undefined_rows(caplog, capsys, monkeypatch):
+    # T = 0.5 fails on both spectra. The literal mode of a ring is undefined
+    # on every other point; the determinant is defined at T = 0.02 and
+    # washed out at T = 0.7.
+    monkeypatch.setattr(sweep_mod, "gibbs_weights", failing_gibbs_weights(0.5))
+    with caplog.at_level(logging.INFO, logger="topo_thermo"):
+        code, out, _ = run_cli(
+            ["sweep", *MODEL_ARGS, "--axis", "T=0.02,0.5,0.7", "--axis", "z=0,0.2",
+             "--quantities", "polarization", "--mode", "literal", "--mode", "determinant",
+             "--verbose"],
+            capsys,
+        )
+    assert code == EXIT_NUMERIC
+    rows = read_csv(out)
+    assert len(rows) == 2 + 2 * 2 * 2
+    assert sum(row["error"] != "" for row in rows) == 2
+    undefined = [(row["mode"], row["T"]) for row in rows if row["P_defined"] == "false"]
+    assert sorted(set(undefined)) == [
+        ("determinant", "0.7"), ("literal", "0.02"), ("literal", "0.7")
+    ]
+    assert (
+        "swept 6 points on 2 unique spectra: 2 error rows, 6 undefined-P rows" in caplog.messages
+    )
+
+
+def test_nan_temperature_is_a_config_error(tmp_path, capsys):
+    model = ["--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
+    code, out, err = run_cli(["qfi", *model, "--temperature", "nan", "--out", "-"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "") and "temperature" in err
+    config = tmp_path / "nan-axis.json"
+    config.write_text(
+        '{"n_cells": 4, "v": 0.3, "w": 0.5, "z": 0.2, "axes": {"T": [0.1, NaN]},'
+        ' "quantities": ["diagnostics"]}'
+    )
+    code, out, err = run_cli(["sweep", "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "") and "temperature" in err
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_overflowing_bands_are_error_rows_and_exit_3(boundary, capsys):
+    model = ["--n-cells", "4", "--v", "1e308", "--w", "1e308", "--z", "0.2", "--boundary", boundary]
+    for command in (["qfi"], ["polarization", "--mode", "determinant"]):
+        code, out, err = run_cli([*command, *model, "-T", "0.1", "-T", "1"], capsys)
+        assert code == EXIT_NUMERIC and "2 of 2 points failed" in err
+        rows = read_csv(out)
+        assert len(rows) == 2
+        assert all(row["error"].startswith("FloatingPointError: non-finite") for row in rows)
+        assert all(row["P"] == row["i_p"] == row["purity"] == "" for row in rows)
+
+
 def test_sweep_requires_axes_and_quantities(capsys):
     code, _, err = run_cli(["sweep", *MODEL_ARGS, "--z", "0"], capsys)
     assert code == EXIT_CONFIG and "axis" in err

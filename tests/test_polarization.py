@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
+from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
+from topo_thermo.chiral import (
+    chiral_polarization_determinant,
+    chiral_spectrum,
+    chiral_state_expectations,
+)
 from topo_thermo.lattice import (
+    OPEN,
     PERIODIC,
     ModelParams,
     PositionPhaseOperator,
@@ -13,9 +20,11 @@ from topo_thermo.lattice import (
 )
 from topo_thermo.polarization import (
     MODE_DETERMINANT,
+    MODE_LITERAL,
     MODE_PURE,
     MODE_WEIGHTED,
     _determinant_result,
+    _make_result,
     polarization_from_states,
     pure_state_phase,
     thermal_polarization_determinant,
@@ -286,3 +295,87 @@ def test_dimension_mismatch_rejected():
         thermal_polarization_determinant(spectrum, 0.1, x)
     with pytest.raises(ValueError):
         thermal_polarization_weighted(gibbs_weights(spectrum, 0.1), x)
+
+
+RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
+
+
+def assert_rows_are_single_calls(batched, singles):
+    """Every row of a batched result equals its one-temperature result bit for bit."""
+    for index, single in enumerate(singles):
+        row = batched.row(index)
+        assert (row.mode, type(single.defined)) == (single.mode, bool)
+        for name in RESULT_FIELDS:
+            got, want = np.array(getattr(row, name)), np.array(getattr(single, name))
+            assert got.tobytes() == want.tobytes()
+
+
+def test_batched_results_are_bitwise_single_temperature_results():
+    temperatures = np.array([0.0, 0.02, 0.3, np.inf])
+    ring = ModelParams(n_cells=50, v=0.3, w=0.5, z=0.0)
+    dense = diagonalize(build_hamiltonian(ring))
+    x = position_phase_operator(50)
+    bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2))
+    chain = ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2, boundary=OPEN)
+    block = chiral_spectrum(chain)
+    per_state = chiral_state_expectations(block, position_phase_operator(6))
+    evaluations = {
+        "dense determinant": lambda t: thermal_polarization_determinant(dense, t, x),
+        "dense literal": lambda t: thermal_polarization_literal(gibbs_weights(dense, t), x),
+        "dense weighted": lambda t: thermal_polarization_weighted(gibbs_weights(dense, t), x),
+        "ring determinant": lambda t: bloch_polarization_determinant(bands, t),
+        "chain determinant": lambda t: chiral_polarization_determinant(
+            block, t, position_phase_operator(6)
+        ),
+        "chain literal": lambda t: polarization_from_states(
+            gibbs_weights(block, t), per_state, MODE_LITERAL
+        ),
+        "chain weighted": lambda t: polarization_from_states(
+            gibbs_weights(block, t), per_state, MODE_WEIGHTED
+        ),
+    }
+    batches = {}
+    for name, evaluate in evaluations.items():
+        batches[name] = evaluate(temperatures)
+        assert_rows_are_single_calls(batches[name], [evaluate(t) for t in temperatures.tolist()])
+
+    # Sign-of-Re branch: E < 0 with a negative imaginary rounding noise gives +1/2.
+    cold = batches["dense determinant"].row(1)
+    assert cold.expectation.real < 0.0 and cold.expectation.imag < 0.0
+    assert cold.polarization == 0.5
+    # At T = inf every t_j is 0, and an even ring's determinant is exactly 0.
+    hot = batches["ring determinant"].row(3)
+    assert hot.expectation == 0.0 and not hot.defined and hot.polarization == 0.0
+
+    delta = position_phase_operator(6).delta
+    dets = np.array([0.4 + 1e-17j, 0.4 - 1e-17j, -0.3 + 1e-17j, 0.3 - 0.2j, 0.0])
+    assert_rows_are_single_calls(
+        _determinant_result(dets, 6, delta, 1e-3),
+        [_determinant_result(dets[i : i + 1], 6, delta, 1e-3).row(0) for i in range(len(dets))],
+    )
+
+
+def test_batched_minus_pi_fold_is_bitwise_single_temperature_results():
+    # np.angle(-1 - 0j) is -pi. The weighted mode folds it onto +pi per state,
+    # and every result folds its own phase; in a batch exactly as alone.
+    spectrum = Spectrum(energies=np.array([0.0, 0.0, 1.0]), vectors=np.eye(3))
+    per_state = np.full(3, complex(-1.0, -0.0))
+    temperatures = np.array([0.0, 0.5, np.inf])
+    ensemble = gibbs_weights(spectrum, temperatures)
+    batched = polarization_from_states(ensemble, per_state, MODE_WEIGHTED)
+    singles = [
+        polarization_from_states(gibbs_weights(spectrum, t), per_state, MODE_WEIGHTED)
+        for t in temperatures.tolist()
+    ]
+    assert_rows_are_single_calls(batched, singles)
+    assert all(single.phase == np.pi and single.polarization == 0.5 for single in singles)
+
+    expectations = np.array([complex(-1.0, -0.0), complex(-0.5, -0.0), 0.3 - 0.2j])
+    magnitudes = np.abs(expectations)
+    batched = _make_result(expectations, magnitudes, MODE_PURE, 1e-3)
+    singles = [
+        _make_result(expectations[i : i + 1], magnitudes[i : i + 1], MODE_PURE, 1e-3).row(0)
+        for i in range(len(expectations))
+    ]
+    assert_rows_are_single_calls(batched, singles)
+    assert [single.phase for single in singles[:2]] == [np.pi, np.pi]

@@ -384,6 +384,7 @@ def test_spec_validation():
         dict(good, quantities=("polarization",)),  # modes missing
         dict(good, polarization_modes=("determinant",)),  # modes without quantity
         dict(good, axes=(("T", (-0.1, 0.2)),)),
+        dict(good, axes=(("T", (0.1, float("nan"))),)),
         dict(good, fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": 1}),
         dict(good, boundary="mixed"),
     ]

@@ -149,6 +149,22 @@ def test_gibbs_rejects_negative_temperature():
         fermi_occupations(two_level_spectrum(), -0.1)
 
 
+def test_nan_temperature_is_rejected():
+    # NaN passes a `t < 0` test; every temperature entry point refuses it.
+    for temperature in (np.nan, [0.1, np.nan]):
+        with pytest.raises(ValueError):
+            gibbs_weights(two_level_spectrum(), temperature)
+        with pytest.raises(ValueError):
+            fermi_occupations(two_level_spectrum(), temperature)
+
+
+@pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
+def test_diagonalize_rejects_an_overflowing_spectrum(boundary):
+    h = build_hamiltonian(ModelParams(n_cells=4, v=1e308, w=1e308, z=0.2, boundary=boundary))
+    with pytest.raises(FloatingPointError):
+        diagonalize(h)
+
+
 def test_entropy_non_increasing_as_temperature_drops():
     rng = np.random.default_rng(9)
     energies = np.sort(rng.standard_normal(10))
