@@ -10,8 +10,8 @@ eigenpair of H:
   E = +s_k   psi = (u_k, +v_k) / sqrt(2),
 
 with u_k on the A sites and v_k on the B sites. Each quantity the sweep
-needs then costs N x N work instead of 2N x 2N, apart from one real
-2N x 2N LU per temperature for the determinant:
+needs then costs N x N work instead of 2N x 2N, the determinant one real
+(N + n_b)-square LU per temperature:
 
   QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
                I (x) sigma_l have matrix elements (S or A) / 2 between
@@ -21,7 +21,11 @@ needs then costs N x N work instead of 2N x 2N, apart from one real
                sites of cell m. In half angles every column of cell m in
                1 + F (X - 1) carries e^{i theta_m / 2}, and their product
                cancels the neutralizing-background phase exactly, so the
-               expectation is the determinant of a real matrix;
+               expectation is the determinant of a real 2N x 2N matrix.
+               Block elimination of the B sites, on pivots
+               cos(theta_m / 2) of at least BORDER_COSINE, reduces it to
+               N + n_b rows; the n_b border cells near m = N/2 keep
+               their B site;
   literal,     <psi|X|psi> = (u.X_c u + v.X_c v) / 2, the same for both
   weighted     partners of a pair.
 
@@ -60,6 +64,11 @@ from .polarization import (
 )
 from .qfi import pair_weights
 from .thermal import _require_finite_energies, fermi_occupations
+
+# Cells with |cos(theta_m / 2)| below this keep their B site in the
+# determinant's reduced matrix; every other B site is eliminated on a
+# pivot at least this large, so |tan(theta_m / 2)| <= 10.
+BORDER_COSINE = 0.1
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,7 @@ def chiral_polarization_determinant(
 
     The same expectation as polarization.thermal_polarization_determinant,
     exp(-i delta sum_m m) det[1 + F (X - 1)], as the determinant of one
-    real 2N x 2N matrix per temperature. In sublattice order
+    real (N + n_b)-square matrix per temperature. In sublattice order
     F = (1 - tanh(H / 2T)) / 2 with tanh(H / 2T) = [[0, G], [G^T, 0]],
     G = U diag(t) V^T and t_k = f(-s_k) - f(+s_k) taken from the
     occupation rows, so the T = 0 step and the edge pair follow
@@ -190,24 +199,56 @@ def chiral_polarization_determinant(
       E = det [[C, G S], [-G^T S, C]],  C = diag cos(theta_m / 2),
                                          S = diag sin(theta_m / 2).
 
-    E is real by construction, so P is 0 or +1/2 from its sign. The
-    pivots of C alone vanish near m = N/2 for even N, so the full matrix
-    is factored, never a Schur complement on C. An array of temperatures
-    gives one result of arrays with an entry per temperature, each row
-    factored alone.
+    The B site of every cell m in g, the cells with |cos(theta_m / 2)| >=
+    BORDER_COSINE, is eliminated on its diagonal pivot cos(theta_m / 2).
+    Its multipliers are tan(theta_m / 2) times entries of G, and
+    |G| <= 1, so they are at most 10 and element growth is bounded. The
+    n_b border cells near m = N/2, whose pivots vanish, keep their B site:
+
+      E = det [[R (C + G_g diag(tan) G_g^T S), R G_b S_b],
+               [-G_b^T S,                      C_b      ]],
+
+    where R scales the A row of each cell in g by its cos(theta_m / 2),
+    which folds det C_g into the one LU. G_g diag(tan) G_g^T is formed as
+    a a^T - b b^T with a and b the columns of G at positive and negative
+    tangents scaled by sqrt|tan|, two symmetric rank-k updates.
+
+    E is real by construction, so P is 0 or +1/2 from its sign. An array
+    of temperatures gives one result of arrays with an entry per
+    temperature, each row factored alone.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
     occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
     n = spectrum.n_cells
     half_angles = 0.5 * x_operator.delta * np.arange(n)
-    sines = np.sin(half_angles)
-    matrix = np.diag(np.tile(np.cos(half_angles), 2))
+    cosines, sines = np.cos(half_angles), np.sin(half_angles)
+    border = np.abs(cosines) < BORDER_COSINE
+    tangents = np.where(border, 0.0, sines / cosines)
+    rising, falling = np.flatnonzero(tangents > 0.0), np.flatnonzero(tangents < 0.0)
+    # Columns of V^T, scaled, so that one product with U diag(t) gives the
+    # columns a, b and G_b of the elimination.
+    columns = np.concatenate([
+        spectrum.right[rising] * np.sqrt(tangents[rising])[:, None],
+        spectrum.right[falling] * np.sqrt(-tangents[falling])[:, None],
+        spectrum.right[border],
+    ]).T
+    split_a, split_b = len(rising), len(rising) + len(falling)
+    row_scale = np.where(border, 1.0, cosines)[:, None]
+    border_sines = sines[border]
+    matrix = np.diag(np.concatenate([np.zeros(n), cosines[border]]))
     expectations = []
     for row in np.atleast_2d(occupations):
         lower, upper = spectrum.bands(row)
-        tanh_block = (spectrum.left * (lower - upper)) @ spectrum.right.T
-        matrix[:n, n:] = tanh_block * sines
-        matrix[n:, :n] = tanh_block.T * -sines
+        product = (spectrum.left * (lower - upper)) @ columns
+        a, b, edge = product[:, :split_a], product[:, split_a:split_b], product[:, split_b:]
+        block = a @ a.T
+        block -= b @ b.T
+        block *= sines
+        block.flat[:: n + 1] += cosines
+        matrix[:n, :n] = block
+        matrix[:n, n:] = edge * border_sines
+        matrix[:n] *= row_scale
+        matrix[n:, :n] = edge.T * -sines
         expectations.append(np.linalg.det(matrix))
     expectations = np.array(expectations)
     result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)

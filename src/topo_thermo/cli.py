@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -338,10 +337,6 @@ def _run_sweep_command(config: RunConfig) -> int:
         magnitude_cutoff=config.tau_mag,
         label=config.label,
     )
-    grids = dict(spec.axes)
-    points = math.prod(len(grid) for grid in grids.values())
-    spectra = math.prod(len(grid) for name, grid in grids.items() if name != "T")
-    log.info("sweep over %d points on %d unique spectra", points, spectra)
     return _emit(config, run_sweep(spec))
 
 

@@ -10,11 +10,14 @@ are explicit and a required argument downstream:
               identically for translation-invariant rings; exposed to make
               that fact observable),
   weighted    weight-averaged per-state phases,
-  determinant half-filled free-fermion expectation det[(1-F) + F U] times
-              the neutralizing-background phase; this is the mode with
-              quantized structure. The expectation is real for the
-              half-filled chain, so P is 0 or +1/2: the branch follows
-              the sign of its real part, not of its rounding noise.
+  determinant free-fermion expectation det[(1-F) + F U] times the
+              neutralizing-background phase, in the grand-canonical
+              state at mu = 0: half-filled on average, and exactly
+              half-filled at T = 0 without zero modes. This is the mode
+              with quantized structure. The expectation is real for the
+              chiral chain at mu = 0, so P is 0 or +1/2: the branch
+              follows the sign of its real part, not of its rounding
+              noise.
 
 Results whose magnitude falls below the cutoff are flagged undefined and
 reported with P = 0; the flag is preserved so downstream analysis can

@@ -362,52 +362,40 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return table
 
 
-def _quantity_value(record: ResultRecord, quantity: str, mode: str | None):
-    if record.error is not None:
-        return None
-    if quantity == "i_p":
-        return record.i_p
-    if quantity == "purity":
-        return record.purity
-    if quantity == "entropy":
-        return record.entropy
-    if quantity in ("P", "magnitude"):
-        if not record.polarization:
-            return None
+def _quantity_column(table: SweepTable, quantity: str, mode: str | None) -> np.ndarray:
+    if quantity in ("i_p", "purity", "entropy"):
+        column = getattr(table, quantity)
+    elif quantity in ("P", "magnitude"):
         if mode is None:
-            if len(record.polarization) > 1:
-                raise ValueError("record holds several polarization modes, pass mode=")
-            result: PolarizationResult = next(iter(record.polarization.values()))
+            if len(table.polarization) > 1:
+                raise ValueError("table holds several polarization modes, pass mode=")
+            result = next(iter(table.polarization.values()), None)
         else:
-            if mode not in record.polarization:
-                return None
-            result = record.polarization[mode]
-        return result.polarization if quantity == "P" else result.magnitude
-    raise ValueError(f"unknown quantity {quantity!r}")
+            result = table.polarization.get(mode)
+        column = None
+        if result is not None:
+            column = result.polarization if quantity == "P" else result.magnitude
+    else:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    if column is None:
+        raise ValueError(f"quantity {quantity!r} absent from the table")
+    return column
 
 
 def locate_extremum(
-    records: list[ResultRecord],
+    table: SweepTable,
     quantity: str,
     objective: str = "max",
     mode: str | None = None,
 ) -> tuple[ResultRecord, float]:
-    """First record (in sweep order) attaining the min or max of a quantity."""
-    if not records:
-        raise ValueError("no records given")
+    """First point (in sweep order) attaining the min or max of a quantity, as (row, value).
+
+    A table with error rows raises ValueError: their columns hold no meaning.
+    """
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be 'min' or 'max', got {objective!r}")
-    best_record = None
-    best_value = None
-    for record in records:
-        value = _quantity_value(record, quantity, mode)
-        if value is None:
-            raise ValueError(f"quantity {quantity!r} absent from a record")
-        better = (
-            best_value is None
-            or (objective == "max" and value > best_value)
-            or (objective == "min" and value < best_value)
-        )
-        if better:
-            best_record, best_value = record, value
-    return best_record, float(best_value)
+    column = _quantity_column(table, quantity, mode)
+    if table.errors:
+        raise ValueError(f"{len(table.errors)} points carry an error")
+    index = int(np.argmax(column) if objective == "max" else np.argmin(column))
+    return table[index], float(column[index])

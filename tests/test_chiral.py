@@ -20,6 +20,7 @@ from topo_thermo.lattice import (
     position_phase_operator,
 )
 from topo_thermo.polarization import (
+    DEFAULT_MAGNITUDE_CUTOFF,
     polarization_from_states,
     state_expectations,
     thermal_polarization_determinant,
@@ -27,7 +28,12 @@ from topo_thermo.polarization import (
     thermal_polarization_weighted,
 )
 from topo_thermo.qfi import interferometric_power, qfi_matrix
-from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+from topo_thermo.thermal import (
+    diagonalize,
+    ensemble_diagnostics,
+    fermi_occupations,
+    gibbs_weights,
+)
 
 # The tolerances of the Bloch-vs-dense property test.
 QFI_TOL = 1e-13
@@ -137,6 +143,39 @@ def test_chiral_matches_dense(chain, temperature):
     for mode in ("literal", "weighted"):
         alone = polarization_from_states(fast_ensemble, per_state, mode)
         assert polarization_from_states(batched, per_state, mode).row(1) == alone
+
+
+def full_real_determinant(fast, temperature, x):
+    """det [[C, G S], [-G^T S, C]] over all 2N sites, the matrix the elimination reduces."""
+    half_angles = 0.5 * x.delta * np.arange(fast.n_cells)
+    cosines, sines = np.diag(np.cos(half_angles)), np.sin(half_angles)
+    lower, upper = fast.bands(fermi_occupations(fast, temperature))
+    tanh_block = (fast.left * (lower - upper)) @ fast.right.T
+    upper_right, lower_left = tanh_block * sines, -tanh_block.T * sines
+    return np.linalg.det(np.block([[cosines, upper_right], [lower_left, cosines]]))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 40, 41, 200, 201))
+def test_eliminated_determinant_matches_the_full_real_determinant(n):
+    # Winding +1, winding -1, and two trivial chains. Even N puts a border
+    # cell at m = N / 2; odd N >= 17 has border cells on both sides of it.
+    x = position_phase_operator(n)
+    for v, w, z in ((0.3, 0.5, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.1), (-0.8, 0.5, -0.2)):
+        fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
+        temperatures = [0.02, 0.5, 1e6]
+        if fast.singular_values[-1] >= T0_MIN_GAP:
+            temperatures.insert(0, 0.0)
+        batched = chiral_polarization_determinant(fast, np.array(temperatures), x)
+        for index, temperature in enumerate(temperatures):
+            got = chiral_polarization_determinant(fast, temperature, x)
+            assert batched.row(index) == got
+            want = full_real_determinant(fast, temperature, x)
+            assert got.expectation.imag == 0.0
+            tolerance = 1e-11 * abs(want) if abs(want) >= 1e-10 else 1e-15
+            assert abs(got.expectation.real - want) <= tolerance, (v, w, z, temperature)
+            defined = abs(want) >= DEFAULT_MAGNITUDE_CUTOFF
+            assert got.defined == defined
+            assert got.polarization == (0.5 if defined and want < 0.0 else 0.0)
 
 
 def test_determinant_infinite_temperature_closed_form():

@@ -199,7 +199,9 @@ def test_sweep_logs_point_and_spectrum_counts(caplog, capsys):
             capsys,
         )
     assert code == EXIT_OK and len(read_csv(out)) == 6
-    assert "sweep over 6 points on 2 unique spectra" in caplog.messages
+    assert caplog.messages == [
+        "swept 6 points on 2 unique spectra: 0 error rows, 0 undefined-P rows"
+    ]
 
 
 def test_sweep_logs_error_and_undefined_rows(caplog, capsys, monkeypatch):

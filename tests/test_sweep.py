@@ -29,7 +29,7 @@ from topo_thermo.polarization import (
     thermal_polarization_weighted,
 )
 from topo_thermo.qfi import interferometric_power, qfi_matrix
-from topo_thermo.sweep import ResultRecord, SweepSpec, locate_extremum, run_sweep
+from topo_thermo.sweep import SweepSpec, locate_extremum, run_sweep
 from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
 
 QFI_QUANTITIES = ("qfi_matrix", "interferometric_power")
@@ -393,36 +393,72 @@ def test_spec_validation():
             SweepSpec(**case).validate()
 
 
-def stub_record(i_p=None, purity=None, temperature=0.1):
-    return ResultRecord(
-        temperature=temperature, v=0.3, w=0.5, z=0.0, n_cells=4,
-        boundary="periodic", i_p=i_p, purity=purity,
-    )
-
-
 def test_locate_extremum_basics():
-    records = [stub_record(i_p=0.2), stub_record(i_p=0.6), stub_record(i_p=0.4)]
-    best, value = locate_extremum(records, "i_p", "max")
-    assert value == 0.6 and best is records[1]
+    # Points in row-major order of (T, z): index p is T[p // 2], z[p % 2].
+    table = run_sweep(small_qfi_spec())
+    table.i_p[:] = (0.2, 0.6, 0.4, 0.6, 0.1, 0.1)  # ties keep the first point
+    best, value = locate_extremum(table, "i_p", "max")
+    assert value == 0.6 and (best.temperature, best.z) == (0.05, 0.3)
+    best, value = locate_extremum(table, "i_p", "min")
+    assert value == 0.1 and (best.temperature, best.z) == (0.8, 0.0)
+    for quantity in ("purity", "entropy"):
+        best, value = locate_extremum(table, quantity, "min")
+        assert value == getattr(table, quantity).min() == getattr(best, quantity)
 
-    single = [stub_record(i_p=0.7)]
+    fixed = {"v": 0.3, "w": 0.5, "z": 0.0, "N": 6}
+    single = run_sweep(small_qfi_spec(axes=(("T", (0.1,)),), fixed=fixed))
     best, value = locate_extremum(single, "i_p", "min")
-    assert best is single[0] and value == 0.7
+    assert value == single.i_p[0] == best.i_p
 
-    ties = [stub_record(i_p=0.5, temperature=0.1), stub_record(i_p=0.5, temperature=0.9)]
-    best, _ = locate_extremum(ties, "i_p", "max")
-    assert best is ties[0]
+    spec = SweepSpec(
+        axes=(("T", (0.02, 0.7)), ("z", (0.2, 0.8))),
+        fixed={"v": 0.3, "w": 0.5, "N": 8},
+        boundary="open",
+        quantities=("polarization",),
+        polarization_modes=("determinant", "weighted"),
+    )
+    modes = run_sweep(spec)
+    for mode in ("determinant", "weighted"):
+        column = modes.polarization[mode]
+        best, value = locate_extremum(modes, "magnitude", "max", mode=mode)
+        assert value == column.magnitude.max() == best.polarization[mode].magnitude
+        _, value = locate_extremum(modes, "P", "min", mode=mode)
+        assert value == column.polarization.min()
 
 
-def test_locate_extremum_errors():
+def test_locate_extremum_errors(monkeypatch):
+    table = run_sweep(small_qfi_spec())
     with pytest.raises(ValueError):
-        locate_extremum([], "i_p", "max")
+        locate_extremum(table, "i_p", "sideways")
     with pytest.raises(ValueError):
-        locate_extremum([stub_record(i_p=None)], "i_p", "max")
+        locate_extremum(table, "banana", "max")
+    with pytest.raises(ValueError):  # not requested
+        locate_extremum(table, "P", "max")
+    determinant = run_sweep(
+        small_qfi_spec(quantities=("polarization",), polarization_modes=("determinant",))
+    )
     with pytest.raises(ValueError):
-        locate_extremum([stub_record(i_p=0.1)], "i_p", "sideways")
+        locate_extremum(determinant, "i_p", "max")
     with pytest.raises(ValueError):
-        locate_extremum([stub_record(i_p=0.1)], "banana", "max")
+        locate_extremum(determinant, "P", "max", mode="weighted")
+    several = run_sweep(
+        small_qfi_spec(quantities=("polarization",), polarization_modes=("determinant", "literal"))
+    )
+    with pytest.raises(ValueError):
+        locate_extremum(several, "P", "max")
+
+    real = sweep_mod.gibbs_weights
+
+    def explode(spectrum, temperature):
+        if np.any(np.asarray(temperature) == 0.8):
+            raise ArithmeticError("synthetic failure")
+        return real(spectrum, temperature)
+
+    monkeypatch.setattr(sweep_mod, "gibbs_weights", explode)
+    failed = run_sweep(small_qfi_spec())
+    assert len(failed.errors) == 2
+    with pytest.raises(ValueError):
+        locate_extremum(failed, "i_p", "max")
 
 
 def test_interferometric_power_dies_at_hopping_crossing():
