@@ -3,14 +3,20 @@
 Every hopping v, w, z joins an A site to a B site, so in sublattice order
 the Hamiltonian is H = [[0, D], [D^T, 0]] with D = H[A, B] an N x N real
 matrix (Asboth, Oroszlany, Palyi, A Short Course on Topological
-Insulators, Springer 2016, ch. 1). The SVD D = U diag(s) V^T gives every
-eigenpair of H:
+Insulators, Springer 2016, ch. 1). The singular value decomposition
+D = U diag(s) V^T gives every eigenpair of H:
 
   E = -s_k   psi = (u_k, -v_k) / sqrt(2),
   E = +s_k   psi = (u_k, +v_k) / sqrt(2),
 
-with u_k on the A sites and v_k on the B sites. Each quantity the sweep
-needs then costs N x N work instead of 2N x 2N, the determinant one real
+with u_k on the A sites and v_k on the B sites. Inversion maps A of cell
+m to B of cell N - 1 - m, so D is persymmetric, D = J D^T J with J the
+index reversal, and the folded block D J is exactly symmetric, open chain
+or ring. One symmetric eigh D J = Q diag(lambda) Q^T, less than half the
+work of an SVD, gives the decomposition: s = |lambda|, U = Q and
+V = J Q diag(sigma), with sigma = -1 where lambda < 0 and +1 otherwise,
+so a zero lambda still gives a unit column. Each quantity the sweep needs
+then costs N x N work instead of 2N x 2N, the determinant one real
 (N + n_b)-square LU per temperature:
 
   QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
@@ -30,13 +36,15 @@ needs then costs N x N work instead of 2N x 2N, the determinant one real
   weighted     partners of a pair.
 
 Edge-mode basis rule: a topological open chain has one singular value s_0
-exponentially close to 0, so the pair +-s_0 is degenerate to rounding
-and a 2N x 2N eigh may return any rotation inside it. Here the pair is
-always the equal-weight sublattice combinations (u_0, +-v_0) / sqrt(2) of
-the left and right null vectors of D. Both states then carry the same
-<X> = (u_0.X_c u_0 + v_0.X_c v_0) / 2, the mean of the A-polarized and the
-B-polarized edge state, so the weighted mode does not depend on a basis
-choice inside the pair.
+exponentially close to 0, about (v / w)^N. Any float64 factorization
+returns it as rounding noise: 4e-16 from the fold and 4e-18 from an SVD
+at (v, w, z) = (0.3, 0.5, 0.2), N = 400. So the pair +-s_0 is degenerate
+to rounding and a 2N x 2N eigh may return any rotation inside it. Here
+the pair is always the equal-weight sublattice combinations
+(u_0, +-v_0) / sqrt(2) of the left and right null vectors of D. Both
+states then carry the same <X> = (u_0.X_c u_0 + v_0.X_c v_0) / 2, the
+mean of the A-polarized and the B-polarized edge state, so the weighted
+mode does not depend on a basis choice inside the pair.
 
 The bulk invariant of the same chiral structure is the winding number
 of h(k), given exactly by winding_number. By bulk-boundary
@@ -73,13 +81,14 @@ BORDER_COSINE = 0.1
 
 @dataclass(frozen=True)
 class ChiralSpectrum:
-    """SVD of the A-to-B block D of one chain.
+    """Singular value decomposition D = U diag(s) V^T of the A-to-B block of one chain.
 
-    `singular_values` are descending, as the SVD returns them, with
-    `left` = U (A sites) and `right` = V (B sites) holding u_k and v_k as
-    columns. `energies` lists all 2N eigenvalues in ascending order, the
-    form gibbs_weights and fermi_occupations read: the lower band -s_k in
-    SVD order, then the upper band +s_k in reverse SVD order.
+    `singular_values` are descending, with `left` = U (A sites) and
+    `right` = V (B sites) holding u_k and v_k as columns; chiral_spectrum
+    takes them from the eigh of the folded block D J. `energies` lists all
+    2N eigenvalues in ascending order, the form gibbs_weights and
+    fermi_occupations read: the lower band -s_k in singular-value order,
+    then the upper band +s_k in reverse order.
     """
 
     n_cells: int
@@ -93,7 +102,7 @@ class ChiralSpectrum:
         return 2 * self.n_cells
 
     def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-state values in `energies` order as (lower, upper), both in SVD order.
+        """Per-state values in `energies` order as (lower, upper), both in singular-value order.
 
         Works along the last axis, so rows of per-temperature values split
         row by row.
@@ -106,18 +115,27 @@ class ChiralSpectrum:
 
 
 def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
-    """Singular value decomposition of the A-to-B block of the chain's Hamiltonian.
+    """Singular value decomposition of the A-to-B block D of the chain's Hamiltonian.
 
-    Singular values that overflow float64 raise FloatingPointError.
+    Taken from one eigh of the folded block D J = H[A, B reversed] (see
+    the module docstring), with the pairs sorted by descending |lambda|
+    and ties kept in eigh order. eigh reads one triangle only, so a D J
+    that is not symmetric bit for bit raises ValueError. Singular values
+    that overflow float64 raise FloatingPointError.
     """
-    block = build_hamiltonian(params)[0::2, 1::2]
-    left, singular_values, right_t = np.linalg.svd(block)
+    folded = build_hamiltonian(params)[0::2, -1::-2]
+    if not np.array_equal(folded, folded.T):
+        raise ValueError("the folded chiral block D J is not symmetric: D is not persymmetric")
+    eigenvalues, vectors = np.linalg.eigh(folded)
+    order = np.argsort(-np.abs(eigenvalues), kind="stable")
+    eigenvalues, left = eigenvalues[order], np.take(vectors, order, axis=1)
+    singular_values = np.abs(eigenvalues)
     _require_finite_energies(singular_values)
     return ChiralSpectrum(
         n_cells=params.n_cells,
         singular_values=singular_values,
         left=left,
-        right=np.ascontiguousarray(right_t.T),
+        right=left[::-1] * np.where(eigenvalues < 0.0, -1.0, 1.0),
         energies=np.concatenate([-singular_values, singular_values[::-1]]),
     )
 

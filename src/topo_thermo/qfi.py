@@ -49,8 +49,8 @@ def pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         raise ValueError("ensemble weights must be nonnegative")
     total = left + right
     diff = left - right
-    safe = np.where(total > 0.0, total, 1.0)
-    return np.where(total >= PAIR_WEIGHT_CUTOFF, diff * diff / safe, 0.0)
+    diff *= diff
+    return np.divide(diff, total, out=np.zeros_like(diff), where=total >= PAIR_WEIGHT_CUTOFF)
 
 
 def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:

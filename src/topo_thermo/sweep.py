@@ -8,8 +8,9 @@ would be alone, so outputs do not depend on how the grid groups
 temperatures. The results go straight into the preallocated columns of
 a SweepTable, one index slice per spectrum, and each spectrum is dropped
 once its slice is written. Each boundary has one evaluation path:
-periodic rings use the Bloch engine (bloch.py), open chains the SVD of
-the chiral block (chiral.py), through the same public functions a caller
+periodic rings use the Bloch engine (bloch.py), open chains the
+chiral block D = H[A, B] (chiral.py), decomposed by one eigh of the
+symmetric folded block D J, through the same public functions a caller
 would use. The dense eigendecomposition is their oracle. A failing
 column is evaluated again one temperature at a time, so a failure lands
 in the error of exactly the points that fail.
@@ -263,7 +264,7 @@ def _needs_qfi(spec: SweepSpec) -> bool:
 
 
 def _spectrum(parameters: dict, boundary: str):
-    """Bloch bands of a ring, or the chiral-block SVD of an open chain."""
+    """Bloch bands of a ring, or the chiral-block decomposition of an open chain."""
     params = ModelParams(
         n_cells=parameters["N"], v=parameters["v"], w=parameters["w"], z=parameters["z"],
         boundary=boundary,

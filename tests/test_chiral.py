@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from topo_thermo import chiral as chiral_mod
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
     chiral_qfi_matrix,
@@ -14,6 +15,7 @@ from topo_thermo.chiral import (
 )
 from topo_thermo.lattice import (
     OPEN,
+    PERIODIC,
     ModelParams,
     build_hamiltonian,
     flat_index,
@@ -143,6 +145,52 @@ def test_chiral_matches_dense(chain, temperature):
     for mode in ("literal", "weighted"):
         alone = polarization_from_states(fast_ensemble, per_state, mode)
         assert polarization_from_states(batched, per_state, mode).row(1) == alone
+
+
+# The fold's decomposition against an SVD of D.
+FOLD_TOL = 1e-13
+hopping_or_zero = st.one_of(st.just(0.0), hopping)
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.integers(2, 60),
+    boundary=st.sampled_from([OPEN, PERIODIC]),
+    v=hopping_or_zero,
+    w=hopping_or_zero,
+    z=hopping_or_zero,
+)
+def test_fold_is_a_singular_value_decomposition(n, boundary, v, w, z):
+    # v = z = 0 gives an exact zero singular value, v = 0 clusters of
+    # degenerate ones, and rings pairs of equal ones.
+    params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=boundary)
+    h = build_hamiltonian(params)
+    folded = h[0::2, -1::-2]
+    assert np.array_equal(folded, folded.T)
+    block = h[0::2, 1::2]
+    fast = chiral_spectrum(params)
+    s = fast.singular_values
+    assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
+    assert np.abs(s - np.linalg.svd(block, compute_uv=False)).max() <= FOLD_TOL * max(1.0, s[0])
+    u, vt = fast.left, fast.right.T
+    assert np.abs((u * s) @ vt - block).max() <= FOLD_TOL
+    assert np.abs(u.T @ u - np.eye(n)).max() <= FOLD_TOL
+    assert np.abs(vt @ vt.T - np.eye(n)).max() <= FOLD_TOL
+    assert np.array_equal(fast.energies, np.concatenate([-s, s[::-1]]))
+
+
+def test_fold_rejects_a_block_that_is_not_persymmetric(monkeypatch):
+    # eigh reads one triangle, so an asymmetric D J would be decomposed
+    # silently wrong. H stays symmetric; only D loses its persymmetry.
+    def skewed(params):
+        h = build_hamiltonian(params)
+        h[0, 1] = h[1, 0] = np.nextafter(h[0, 1], 1.0)
+        return h
+
+    monkeypatch.setattr(chiral_mod, "build_hamiltonian", skewed)
+    with pytest.raises(ValueError, match="not symmetric"):
+        chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2, boundary=OPEN))
 
 
 def full_real_determinant(fast, temperature, x):

@@ -62,6 +62,39 @@ def test_symmetry_and_sparsity_on_seeded_grid():
         assert np.all(np.diag(h) == 0.0)
 
 
+def bond_by_bond_hamiltonian(params):
+    """The couplings added one bond at a time, in cell order: v bonds, then w and z."""
+    n = params.n_cells
+    h = np.zeros((2 * n, 2 * n))
+    for m in range(n):
+        a, b = flat_index(m, 0), flat_index(m, 1)
+        h[a, b] += params.v
+        h[b, a] += params.v
+    for m in range(n if params.boundary == PERIODIC else n - 1):
+        a, b = flat_index(m, 0), flat_index(m, 1)
+        ap, bp = flat_index((m + 1) % n, 0), flat_index((m + 1) % n, 1)
+        h[ap, b] += params.w
+        h[b, ap] += params.w
+        h[bp, a] += params.z
+        h[a, bp] += params.z
+    return h
+
+
+def test_matches_the_bond_by_bond_sum_bit_for_bit():
+    # Includes the N = 2 ring, whose w and z bonds land on the same entries,
+    # and exact and signed zeros.
+    rng = np.random.default_rng(12)
+    for n in range(2, 13):
+        for boundary in (PERIODIC, OPEN):
+            hoppings = [rng.uniform(-1.0, 1.0, size=3), (0.0, -0.0, 0.7), (0.1, 0.2, 0.3)]
+            for v, w, z in hoppings:
+                params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=boundary)
+                want = bond_by_bond_hamiltonian(params)
+                assert build_hamiltonian(params).tobytes() == want.tobytes()
+    ring = build_hamiltonian(ModelParams(n_cells=2, v=0.3, w=0.1, z=0.2, boundary=PERIODIC))
+    assert ring[idx(0, "A"), idx(1, "B")] == ring[idx(1, "A"), idx(0, "B")] == 0.1 + 0.2
+
+
 def test_z_zero_removes_second_neighbor_pattern():
     h = build_hamiltonian(ModelParams(n_cells=6, v=0.4, w=0.7, z=0.0, boundary=PERIODIC))
     for m in range(6):

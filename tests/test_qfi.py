@@ -7,6 +7,7 @@ from topo_thermo.lattice import ModelParams, build_hamiltonian, pauli_observable
 from topo_thermo.qfi import (
     PAIR_WEIGHT_CUTOFF,
     interferometric_power,
+    pair_weights,
     qfi_fidelity_oracle,
     qfi_matrix,
     qfi_scalar,
@@ -199,6 +200,38 @@ def test_pair_skip_error_is_bounded():
     assert n_skipped > 0
     scale = np.abs(generator).max() ** 2
     assert abs(skipped - dense) <= n_skipped * PAIR_WEIGHT_CUTOFF * scale * 8
+
+
+def masked_pair_weights(left, right):
+    """The formula with a safe denominator and two np.where calls."""
+    total, diff = left + right, left - right
+    safe = np.where(total > 0.0, total, 1.0)
+    return np.where(total >= PAIR_WEIGHT_CUTOFF, diff * diff / safe, 0.0)
+
+
+def test_pair_weights_match_the_masked_formula_bit_for_bit():
+    # Every pair of zeros, tiny and subnormal weights, sums just below, at
+    # and above the cutoff, and equal weights; then Gibbs-like rows with
+    # some weights pushed under the cutoff.
+    cutoff = PAIR_WEIGHT_CUTOFF
+    values = np.array([
+        0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-200,
+        np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0),
+        0.4 * cutoff, 0.5 * cutoff, 0.6 * cutoff, 0.3, 0.7, 1.0,
+    ])
+    got = pair_weights(values[:, None], values[None, :])
+    assert got.tobytes() == masked_pair_weights(values[:, None], values[None, :]).tobytes()
+    assert np.all(np.diag(got) == 0.0)
+    assert got[6, 0] == 0.0 and got[7, 0] > 0.0 and got[8, 0] > 0.0
+    weights = np.random.default_rng(4).dirichlet(np.ones(40), size=3)
+    weights[:, ::5] *= 1e-13
+    for row in weights:
+        left, right = row[:, None], row[None, :]
+        assert pair_weights(left, right).tobytes() == masked_pair_weights(left, right).tobytes()
+    with pytest.raises(ValueError):
+        pair_weights(np.array([0.5, -1e-300]), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError):
+        pair_weights(np.array([0.5]), np.array([-0.1]))
 
 
 def test_interferometric_power_given_matrix():
