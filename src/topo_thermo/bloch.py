@@ -16,7 +16,11 @@ phi = arg a(k). Each quantity the sweep needs then costs O(N):
                is block-cyclic bidiagonal with 2x2 blocks, and at mu = 0
                its determinant is the closed form
                2 prod det F(k_j) + s tr[F(k_{N-1})^2 ... F(k_0)^2],
-               s = (-1)^(N+1): a real trace of N ordered 2x2 matrices;
+               s = (-1)^(N+1): a real trace of N ordered 2x2 matrices,
+               multiplied pairwise in log2 N passes over complex arrays
+               laid out k by temperature, with the occupations evaluated
+               on the band-ordered energies [-|a|, +|a|], not the sorted
+               spectrum;
   literal,     every Bloch state has <k,b|X|k,b> = 0 exactly.
   weighted
 
@@ -41,7 +45,7 @@ from .polarization import (
     _per_temperature,
 )
 from .qfi import pair_weights
-from .thermal import _require_finite_energies, fermi_occupations
+from .thermal import _fermi, _require_finite_energies, _temperature_column
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,12 @@ class BlochSpectrum:
     `coupling` holds a(k_j). The lower and upper band energies are -|a| and
     +|a|; `energies` lists all 2N of them in ascending order, the form
     gibbs_weights and fermi_occupations read, and `order` maps back:
-    energies == concatenate([-|a|, |a|])[order]. `generators` has shape
-    (9, N): column j is Re(g_l conj(g_m)) for l, m in x, y, z, flattened,
-    with g_l = u_-(k_j)^dagger sigma_l u_+(k_j). Keeping k along the
-    contiguous axis lets the QFI sum over k one row at a time.
+    energies == concatenate([-|a|, |a|])[order]. With
+    g_l = u_-(k_j)^dagger sigma_l u_+(k_j) = (-i sin phi_j, -i cos phi_j, 1),
+    Re(g_l conj(g_m)) has four distinct non-zero entries: xx, xy = yx,
+    yy and zz. `generators` has shape (4, N), one row each, and the xz
+    and yz entries are exactly 0. Keeping k along the contiguous axis
+    lets the QFI sum over k one row at a time.
     """
 
     n_cells: int
@@ -101,8 +107,7 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
     # g_x = -i sin(phi), g_y = -i cos(phi), g_z = 1.
     phi = np.angle(coupling)
     sin, cos = np.sin(phi), np.cos(phi)
-    zero, one = np.zeros(n), np.ones(n)
-    generators = np.stack([sin * sin, sin * cos, zero, sin * cos, cos * cos, zero, zero, zero, one])
+    generators = np.stack([sin * sin, sin * cos, cos * cos, np.ones(n)])
     return BlochSpectrum(
         n_cells=n,
         coupling=coupling,
@@ -117,37 +122,39 @@ def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray
 
     Same normalization and pair cutoff as qfi.qfi_matrix. The generators
     connect only the two bands at one k, and the (-, +) and (+, -) pairs
-    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Weights of shape
-    (n_T, 2N) give (n_T, 3, 3); each matrix is a sum along the contiguous
-    k axis, so it does not depend on how many temperatures share the call.
+    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Only the four
+    distinct non-zero entries are summed; M_yx copies M_xy and the xz, yz
+    entries stay exactly 0. Weights of shape (n_T, 2N) give (n_T, 3, 3);
+    each entry is a sum along the contiguous k axis, so it does not depend
+    on how many temperatures share the call.
     """
     lower, upper = spectrum.bands(weights)
     pair = pair_weights(lower, upper)
     entries = np.sum(pair[..., None, :] * spectrum.generators, axis=-1)
-    return entries.reshape(*pair.shape[:-1], 3, 3)
+    matrices = np.zeros((*pair.shape[:-1], 3, 3))
+    # xx, xy, yx, yy, zz from the rows (sin^2, sin cos, cos^2, 1)
+    matrices[..., (0, 0, 1, 1, 2), (0, 1, 0, 1, 2)] = entries[..., (0, 1, 1, 2, 3)]
+    return matrices
 
 
-def _ordered_product(m: np.ndarray) -> np.ndarray:
-    """Re p of Q_{N-1} ... Q_0, Q_j = [[p_j, q_j], [conj q_j, conj p_j]] along the last axis.
+def _ordered_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re p of Q_{N-1} ... Q_0, Q_j = [[p_j, q_j], [conj q_j, conj p_j]] along the first axis.
 
-    Products of matrices of this form keep it, so one is held as the real
-    arrays m = (Re p, Im p, Re q, Im q). Neighbors are multiplied
-    pairwise, later k on the left, in log2(N) passes; an odd one out
-    stays last. Every pass is elementwise real arithmetic, so each row is
-    bitwise the same however many rows share the call.
+    Products of matrices of this form keep it, so one is held as the two
+    complex arrays p, q, with k along the leading axis and the
+    temperatures contiguous behind it. Neighbors are multiplied pairwise,
+    later k on the left, in log2(N) passes of four complex products; an
+    odd one out stays last. Every pass is elementwise, so each temperature
+    is bitwise the same however many share the call.
     """
-    while m.shape[-1] > 1:
-        paired = m.shape[-1] // 2 * 2
-        (lpr, lpi, lqr, lqi), (rpr, rpi, rqr, rqi) = m[..., 1:paired:2], m[..., 0:paired:2]
-        # p' = lp rp + lq conj(rq), q' = lp rq + lq conj(rp)
-        products = np.stack([
-            lpr * rpr - lpi * rpi + lqr * rqr + lqi * rqi,
-            lpr * rpi + lpi * rpr + lqi * rqr - lqr * rqi,
-            lpr * rqr - lpi * rqi + lqr * rpr + lqi * rpi,
-            lpr * rqi + lpi * rqr + lqi * rpr - lqr * rpi,
-        ])
-        m = np.concatenate([products, m[..., paired:]], axis=-1)
-    return m[0, ..., 0]
+    while len(p) > 1:
+        paired = len(p) // 2 * 2
+        lp, lq, rp, rq = p[1:paired:2], q[1:paired:2], p[0:paired:2], q[0:paired:2]
+        p_next, q_next = lp * rp + lq * rq.conj(), lp * rq + lq * rp.conj()
+        if paired < len(p):
+            p_next, q_next = np.concatenate([p_next, p[-1:]]), np.concatenate([q_next, q[-1:]])
+        p, q = p_next, q_next
+    return p[0].real
 
 
 def bloch_polarization_determinant(
@@ -178,22 +185,24 @@ def bloch_polarization_determinant(
 
     Nothing inverts 1 - F, which is singular in float64 at low T, and every
     factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
-    lower band, and the trace is the occupied-band Wilson loop. t comes
-    from fermi_occupations, so T = 0 follows its step rule. An array of
-    temperatures gives one result of arrays with an entry per temperature,
-    all evaluated together.
+    lower band, and the trace is the occupied-band Wilson loop. t is the
+    Fermi function of the band-ordered energies [-|a|, +|a|], laid out k
+    by temperature, with the T = 0 step rule of fermi_occupations. An
+    array of temperatures gives one result of arrays with an entry per
+    temperature, all evaluated together.
     """
     n = spectrum.n_cells
-    occupations = fermi_occupations(spectrum, temperature)
-    lower, upper = spectrum.bands(np.atleast_2d(occupations))
-    t = lower - upper
+    temperatures = _temperature_column(temperature)[:, 0]
+    magnitude = np.abs(spectrum.coupling)
+    occupations = _fermi(np.concatenate([-magnitude, magnitude])[:, None], temperatures)
+    t = occupations[:n] - occupations[n:]
     t2 = t * t
     r = 2.0 * t / (1.0 + t2)
-    q = -0.5 * r * np.exp(1j * np.angle(spectrum.coupling))
-    factors = np.stack([np.full_like(r, 0.5), np.zeros_like(r), q.real, q.imag])
+    q = -0.5 * r * np.exp(1j * np.angle(spectrum.coupling))[:, None]
+    trace = 2.0 * _ordered_product(np.full_like(q, 0.5), q)
     sign = 1.0 if n % 2 else -1.0
-    dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=-1)
-    dets += sign * np.prod(0.5 * (1.0 + t2), axis=-1) * 2.0 * _ordered_product(factors)
+    dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=0)
+    dets += sign * np.prod(0.5 * (1.0 + t2), axis=0) * trace
     delta = 2.0 * np.pi / n
     return _per_temperature(_determinant_result(dets, n, delta, magnitude_cutoff), temperature)
 

@@ -140,17 +140,24 @@ def fermi_occupations(
     E_n == mu. Shapes follow gibbs_weights: (2N,) for a scalar
     temperature, (n_T, 2N) for an array.
     """
-    column = _temperature_column(temperature)
-    energies = spectrum.energies
-    frozen = column == 0.0
+    occupations = _fermi(spectrum.energies, _temperature_column(temperature), chemical_potential)
+    return per_temperature(occupations, temperature)
+
+
+def _fermi(energies: np.ndarray, temperatures: np.ndarray, chemical_potential: float = 0.0):
+    """Elementwise Fermi function of energies and checked temperatures, broadcast together.
+
+    The rule of fermi_occupations, for callers that need another layout
+    than the spectrum's (n_T, 2N) rows.
+    """
+    frozen = temperatures == 0.0
     step = np.where(
         energies < chemical_potential, 1.0, np.where(energies > chemical_potential, 0.0, 0.5)
     )
-    exponent = (energies - chemical_potential) / np.where(frozen, 1.0, column)
+    exponent = (energies - chemical_potential) / np.where(frozen, 1.0, temperatures)
     with np.errstate(over="ignore"):  # exp overflows to inf, the occupation to 0
         fermi = 1.0 / (1.0 + np.exp(exponent))
-    occupations = np.where(frozen, step, fermi)
-    return per_temperature(occupations, temperature)
+    return np.where(frozen, step, fermi)
 
 
 def ensemble_diagnostics(ensemble: GibbsEnsemble) -> EnsembleDiagnostics:

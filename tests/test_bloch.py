@@ -6,6 +6,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from topo_thermo.bloch import (
+    _ordered_product,
     bloch_polarization_determinant,
     bloch_polarization_vanishing,
     bloch_qfi_matrix,
@@ -17,8 +18,13 @@ from topo_thermo.polarization import (
     thermal_polarization_literal,
     thermal_polarization_weighted,
 )
-from topo_thermo.qfi import interferometric_power, qfi_matrix
-from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+from topo_thermo.qfi import interferometric_power, pair_weights, qfi_matrix
+from topo_thermo.thermal import (
+    diagonalize,
+    ensemble_diagnostics,
+    fermi_occupations,
+    gibbs_weights,
+)
 
 QFI_TOL = 1e-13
 DET_RTOL = 1e-11
@@ -116,6 +122,72 @@ def test_bloch_matches_dense(ring, temperature):
             weighted.polarization,
             weighted.defined,
         )
+
+
+TREE_ATOL = 1e-13
+
+tree_temperatures = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.01, 5.0))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.one_of(st.just(2), st.integers(2, 64)),
+    v=hopping,
+    w=hopping,
+    z=hopping,
+    temperature_list=st.lists(tree_temperatures, min_size=1, max_size=4),
+)
+def test_ordered_product_matches_matrix_product(n, v, w, z, temperature_list):
+    # Q_j = (1 - r_j h_j) / 2 from the sorted-spectrum occupations, multiplied
+    # as plain 2x2 complex matrices, later k on the left. The trace cannot
+    # tell this order from its reversal or a cyclic shift, and neither can
+    # the determinant it enters.
+    bands = bloch_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z))
+    temperatures = np.array(temperature_list)
+    lower, upper = bands.bands(fermi_occupations(bands, temperatures))
+    t = lower - upper
+    r = 2.0 * t / (1.0 + t * t)
+    phase = np.exp(1j * np.angle(bands.coupling))
+    q = -0.5 * r * phase
+
+    def tree(columns):
+        return _ordered_product(np.full(columns.shape, 0.5 + 0j), columns)
+
+    for row in range(len(temperatures)):
+        product = np.eye(2, dtype=complex)
+        for j in range(n):
+            factor = np.array([[0.5, q[row, j]], [np.conj(q[row, j]), 0.5]])
+            assert np.linalg.norm(factor, 2) <= 1.0 + 1e-15
+            product = factor @ product
+        assert abs(2.0 * tree(q[row, :, None])[0] - np.trace(product)) <= TREE_ATOL
+
+    # Each temperature of a batch is bitwise its single-temperature call.
+    batch = tree(q.T.copy())
+    result = bloch_polarization_determinant(bands, temperatures)
+    for row, temperature in enumerate(temperatures):
+        assert batch[row] == tree(q[row, :, None])[0]
+        alone = bloch_polarization_determinant(bands, float(temperature))
+        assert complex(result.expectation[row]) == alone.expectation
+        assert float(result.magnitude[row]) == alone.magnitude
+        assert float(result.polarization[row]) == alone.polarization
+        assert bool(result.defined[row]) == alone.defined
+
+
+def test_qfi_matches_the_full_generator_contraction_bitwise():
+    # All nine Re(g_l conj(g_m)) rows summed along k, as the four distinct
+    # rows are: the xz and yz entries are +0.0 and M_yx is M_xy.
+    for n, v, w, z in ((2, 0.3, 0.5, 0.0), (7, 0.3, 0.5, 0.2), (50, 0.5, 0.3, 0.8)):
+        bands = bloch_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z))
+        weights = gibbs_weights(bands, np.array([0.0, 0.05, 0.7, 1e6])).weights
+        phi = np.angle(bands.coupling)
+        g = np.stack([-1j * np.sin(phi), -1j * np.cos(phi), np.ones(n)])
+        rows = (g[:, None, :] * g[None, :, :].conj()).real.reshape(9, n)
+        lower, upper = bands.bands(weights)
+        pair = pair_weights(lower, upper)
+        full = np.sum(pair[..., None, :] * rows, axis=-1).reshape(-1, 3, 3)
+        matrices = bloch_qfi_matrix(bands, weights)
+        assert matrices.tobytes() == full.tobytes()
 
 
 def test_bloch_hamiltonian_matches_real_space_convention():
