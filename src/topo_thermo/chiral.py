@@ -12,12 +12,14 @@ D = U diag(s) V^T gives every eigenpair of H:
 with u_k on the A sites and v_k on the B sites. Inversion maps A of cell
 m to B of cell N - 1 - m, so D is persymmetric, D = J D^T J with J the
 index reversal, and the folded block D J is exactly symmetric, open chain
-or ring. One symmetric eigh D J = Q diag(lambda) Q^T, less than half the
-work of an SVD, gives the decomposition: s = |lambda|, U = Q and
-V = J Q diag(sigma), with sigma = -1 where lambda < 0 and +1 otherwise,
-so a zero lambda still gives a unit column. Each quantity the sweep needs
-then costs N x N work instead of 2N x 2N, the determinant one real
-(N + n_b)-square LU per temperature:
+or ring. lattice.build_folded_block fills D J from the bond table of
+build_hamiltonian, so the 2N x 2N matrix is never formed. One symmetric
+eigh D J = Q diag(lambda) Q^T, less than half the work of an SVD, gives
+the decomposition: s = |lambda|, U = Q and V = J Q diag(sigma), with
+sigma = -1 where lambda < 0 and +1 otherwise, so a zero lambda still
+gives a unit column. Each quantity the sweep needs then costs N x N work
+instead of 2N x 2N, the determinant one real (N + n_b)-square LU per
+temperature:
 
   QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
                I (x) sigma_l have matrix elements (S or A) / 2 between
@@ -51,6 +53,13 @@ of h(k), given exactly by winding_number. By bulk-boundary
 correspondence, |winding| is the number of singular values of D that
 vanish as N grows.
 
+Working set: besides U and V, each function allocates its N x N arrays
+once per call and rewrites them per temperature, so one spectrum's sweep
+holds about 7 N x N float64 arrays at its peak, whatever the number of
+temperatures: the QFI its two kernels and one pair-weight buffer, the
+determinant its gathered rows of V, U diag(t), the product and the
+reduced matrix, the expectations one buffer of squares.
+
 run_sweep evaluates open chains here. The dense functions of thermal,
 qfi and polarization stay public; they are the `spectrum` subcommand's
 path and the oracle these functions are tested against.
@@ -62,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ModelParams, PositionPhaseOperator, build_hamiltonian
+from .lattice import ModelParams, PositionPhaseOperator, build_folded_block
 from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
@@ -117,18 +126,22 @@ class ChiralSpectrum:
 def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
     """Singular value decomposition of the A-to-B block D of the chain's Hamiltonian.
 
-    Taken from one eigh of the folded block D J = H[A, B reversed] (see
-    the module docstring), with the pairs sorted by descending |lambda|
-    and ties kept in eigh order. eigh reads one triangle only, so a D J
-    that is not symmetric bit for bit raises ValueError. Singular values
-    that overflow float64 raise FloatingPointError.
+    Taken from one eigh of the folded block D J = H[A, B reversed],
+    filled by lattice.build_folded_block from the bond table without the
+    2N x 2N matrix (see the module docstring), with the pairs sorted by
+    descending |lambda| and ties kept in eigh order. eigh reads one
+    triangle only, so a D J that is not symmetric bit for bit raises
+    ValueError. Singular values that overflow float64 raise
+    FloatingPointError.
     """
-    folded = build_hamiltonian(params)[0::2, -1::-2]
+    folded = build_folded_block(params)
     if not np.array_equal(folded, folded.T):
         raise ValueError("the folded chiral block D J is not symmetric: D is not persymmetric")
     eigenvalues, vectors = np.linalg.eigh(folded)
+    del folded
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
     eigenvalues, left = eigenvalues[order], np.take(vectors, order, axis=1)
+    del vectors
     singular_values = np.abs(eigenvalues)
     _require_finite_energies(singular_values)
     return ChiralSpectrum(
@@ -151,26 +164,36 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
       M_zz = sum_k pw(-s_k, +s_k),
 
     and M_xy = M_xz = M_yz = 0 exactly: g_x is real and g_y imaginary, and
-    g_z joins only chiral partners, where g_x vanishes. Weights of shape
-    (n_T, 2N) give (n_T, 3, 3); each matrix is computed from its own row
-    alone, so it does not depend on how many temperatures share the call.
+    g_z joins only chiral partners, where g_x vanishes. The kernels S^2
+    and A^2 are formed once per call, in one (2, N, N) array. Per
+    temperature, each of pw_++, pw_-- and pw_+- is written into one reused
+    N x N buffer and contracted against both kernels by np.einsum, with
+    no product array and no BLAS call. Weights of shape (n_T, 2N) give
+    (n_T, 3, 3); each matrix is computed from its own row alone, so it
+    does not depend on how many temperatures share the call or on the
+    BLAS thread count.
     """
     lower, upper = spectrum.bands(weights)
+    n = spectrum.n_cells
+    kernels = np.empty((2, n, n))
     coupling = spectrum.left.T @ spectrum.right
-    sym = coupling + coupling.T
-    sym *= sym
-    anti = coupling - coupling.T
-    anti *= anti
+    np.add(coupling, coupling.T, out=kernels[0])
+    np.subtract(coupling, coupling.T, out=kernels[1])
+    del coupling
+    kernels *= kernels
+    pair = np.empty((n, n))
     rows_lower, rows_upper = np.atleast_2d(lower), np.atleast_2d(upper)
     matrices = np.zeros((len(rows_lower), 3, 3))
     for matrix, low, up in zip(matrices, rows_lower, rows_upper):
-        same = pair_weights(up[:, None], up[None, :])
-        same += pair_weights(low[:, None], low[None, :])
-        cross = pair_weights(up[:, None], low[None, :])
-        same_sym, same_anti = np.sum(same * sym), np.sum(same * anti)
-        cross_sym, cross_anti = np.sum(cross * sym), np.sum(cross * anti)
-        matrix[0, 0] = 0.125 * same_sym + 0.25 * cross_anti
-        matrix[1, 1] = 0.125 * same_anti + 0.25 * cross_sym
+        # (sum pw S^2, sum pw A^2) of pw_++, pw_-- and pw_+-, one after the
+        # other in `pair`; einsum sums in its own loop, never through BLAS.
+        upper_pairs, lower_pairs, cross = (
+            np.einsum("kl,ikl->i", pair_weights(a[:, None], b[None, :], out=pair), kernels)
+            for a, b in ((up, up), (low, low), (up, low))
+        )
+        same = upper_pairs + lower_pairs
+        matrix[0, 0] = 0.125 * same[0] + 0.25 * cross[1]
+        matrix[1, 1] = 0.125 * same[1] + 0.25 * cross[0]
         matrix[2, 2] = np.sum(pair_weights(low, up))
     return matrices if np.ndim(weights) == 2 else matrices[0]
 
@@ -180,16 +203,22 @@ def chiral_state_expectations(
 ) -> np.ndarray:
     """<n|X|n> = (u.X_c u + v.X_c v) / 2 for every state, in `energies` order.
 
-    Chiral partners share the value. Each entry is a sum along a contiguous
-    row, so it does not depend on how many states are evaluated together.
-    The result feeds polarization.polarization_from_states.
+    Chiral partners share the value. The squares of U, then of V, go into
+    one N x N buffer, and np.einsum sums each column against the real and
+    the imaginary cell phases, so the one buffer is the only N x N array
+    formed. The sums do not depend on how many states are evaluated
+    together. The result feeds polarization.polarization_from_states.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
-    phases = x_operator.diagonal[0::2]
-    probabilities = np.ascontiguousarray(spectrum.left.T**2 + spectrum.right.T**2)
+    cell_phases = x_operator.diagonal[0::2]
+    phases = np.stack([cell_phases.real, cell_phases.imag])
+    squares = np.empty_like(spectrum.left)
+    sums = np.zeros((2, spectrum.n_cells))
+    for vectors in (spectrum.left, spectrum.right):
+        np.multiply(vectors, vectors, out=squares)
+        sums += np.einsum("mk,jm->jk", squares, phases)
     per_pair = np.empty(spectrum.n_cells, dtype=complex)
-    per_pair.real = 0.5 * np.sum(probabilities * phases.real, axis=1)
-    per_pair.imag = 0.5 * np.sum(probabilities * phases.imag, axis=1)
+    per_pair.real, per_pair.imag = 0.5 * sums
     return np.concatenate([per_pair, per_pair[::-1]])
 
 
@@ -231,6 +260,13 @@ def chiral_polarization_determinant(
     a a^T - b b^T with a and b the columns of G at positive and negative
     tangents scaled by sqrt|tan|, two symmetric rank-k updates.
 
+    Working set: the scaled rows of V are gathered once per call into one
+    array, and U diag(t), the product (U diag(t)) V^T[:, cells] that holds
+    a, b and G_b, and the reduced matrix each get one buffer, allocated
+    once per call and rewritten per temperature. a a^T goes straight into
+    the top-left block of the reduced matrix, b b^T into the U diag(t)
+    buffer, which the product has freed.
+
     E is real by construction, so P is 0 or +1/2 from its sign. An array
     of temperatures gives one result of arrays with an entry per
     temperature, each row factored alone.
@@ -243,32 +279,33 @@ def chiral_polarization_determinant(
     border = np.abs(cosines) < BORDER_COSINE
     tangents = np.where(border, 0.0, sines / cosines)
     rising, falling = np.flatnonzero(tangents > 0.0), np.flatnonzero(tangents < 0.0)
-    # Columns of V^T, scaled, so that one product with U diag(t) gives the
-    # columns a, b and G_b of the elimination.
-    columns = np.concatenate([
-        spectrum.right[rising] * np.sqrt(tangents[rising])[:, None],
-        spectrum.right[falling] * np.sqrt(-tangents[falling])[:, None],
-        spectrum.right[border],
-    ]).T
+    cells = np.concatenate([rising, falling, np.flatnonzero(border)])
     split_a, split_b = len(rising), len(rising) + len(falling)
+    # Rows of V, scaled, so that one product with U diag(t) gives the
+    # columns a, b and G_b of the elimination.
+    scaled_rows = spectrum.right[cells]
+    scaled_rows[:split_b] *= np.sqrt(np.abs(tangents[cells[:split_b]]))[:, None]
+    columns = scaled_rows.T
     row_scale = np.where(border, 1.0, cosines)[:, None]
-    border_sines = sines[border]
+    border_sines, negative_sines = sines[border], -sines
     matrix = np.diag(np.concatenate([np.zeros(n), cosines[border]]))
-    expectations = []
-    for row in np.atleast_2d(occupations):
+    top_left = matrix[:n, :n]
+    scaled_left, product = np.empty((n, n)), np.empty((n, len(cells)))
+    a, b, edge = product[:, :split_a], product[:, split_a:split_b], product[:, split_b:]
+    rows = np.atleast_2d(occupations)
+    expectations = np.empty(len(rows))
+    for index, row in enumerate(rows):
         lower, upper = spectrum.bands(row)
-        product = (spectrum.left * (lower - upper)) @ columns
-        a, b, edge = product[:, :split_a], product[:, split_a:split_b], product[:, split_b:]
-        block = a @ a.T
-        block -= b @ b.T
-        block *= sines
-        block.flat[:: n + 1] += cosines
-        matrix[:n, :n] = block
-        matrix[:n, n:] = edge * border_sines
+        np.multiply(spectrum.left, lower - upper, out=scaled_left)
+        np.matmul(scaled_left, columns, out=product)
+        np.matmul(a, a.T, out=top_left)
+        top_left -= np.matmul(b, b.T, out=scaled_left)
+        top_left *= sines
+        top_left.flat[:: n + 1] += cosines
+        np.multiply(edge, border_sines, out=matrix[:n, n:])
         matrix[:n] *= row_scale
-        matrix[n:, :n] = edge.T * -sines
-        expectations.append(np.linalg.det(matrix))
-    expectations = np.array(expectations)
+        np.multiply(edge.T, negative_sines, out=matrix[n:, :n])
+        expectations[index] = np.linalg.det(matrix)
     result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)
     return _per_temperature(result, temperature)
 

@@ -11,9 +11,11 @@ Either way `BLOCK_ROWS` rows are formatted together, so the cells held
 beside the output text never exceed one block, however long the table.
 
 Each column of a block is formatted by `_column` at once. An all-finite
-float column takes one pass at a configurable number of significant
-digits with zero as "0"; a parameter, a mode or a flag is formatted once
-per distinct value and expanded; a constant column costs one format.
+float column is formatted once per distinct value (np.unique) at a
+configurable number of significant digits, with zero as "0", and
+expanded by index, so the QFI entries and directions that repeat along
+a grid cost one format each; a parameter, a mode or a flag is likewise
+formatted once per distinct value; a constant column costs one format.
 JSON writes non-finite numbers as null. Lines end with a bare newline
 and JSON key order is fixed, so identical inputs give identical bytes,
 and parsing an emitted JSON file and re-emitting it reproduces them.
@@ -91,7 +93,8 @@ def _column(values, precision: int, as_json: bool) -> list[str]:
     if isinstance(values, np.ndarray):
         if np.isfinite(values).all():
             # Adding 0.0 turns -0.0 into 0.0, so every zero prints as "0".
-            return [format(x, spec) for x in (values + 0.0).tolist()]
+            distinct, index = np.unique(values + 0.0, return_inverse=True)
+            return _expand([format(x, spec) for x in distinct.tolist()], index)
         values = values.tolist()
     elif set(map(type, values)) == {float} and math.isfinite(sum(values)):
         # An overflowing sum only sends finite floats down the general path.

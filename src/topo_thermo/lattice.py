@@ -68,6 +68,23 @@ def flat_index(cell: int, sublattice: int) -> int:
     return 2 * cell + sublattice
 
 
+def _bond_table(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every bond as (A cell, B cell, hopping): v bonds, then w, then z, in cell order.
+
+    Bond j joins |a_j, A> to |b_j, B>: v inside each cell, w from B of
+    cell m to A of cell m+1 and z from A of cell m to B of cell m+1, with
+    the m+1 = 0 wrap bonds only for periodic boundaries.
+    """
+    n = params.n_cells
+    cells = np.arange(n)
+    last_bond = n if params.boundary == PERIODIC else n - 1
+    bonds, neighbors = cells[:last_bond], (cells[:last_bond] + 1) % n
+    a_cells = np.concatenate([cells, neighbors, bonds])
+    b_cells = np.concatenate([cells, bonds, neighbors])
+    values = np.repeat([params.v, params.w, params.z], [n, last_bond, last_bond])
+    return a_cells, b_cells, values
+
+
 def build_hamiltonian(params: ModelParams) -> np.ndarray:
     """Real symmetric 2N x 2N Hamiltonian of the extended SSH chain.
 
@@ -83,17 +100,28 @@ def build_hamiltonian(params: ModelParams) -> np.ndarray:
     (w + z, the same in either order), so the result equals the
     bond-by-bond sum bit for bit.
     """
-    n = params.n_cells
-    cells = np.arange(n)
-    last_bond = n if params.boundary == PERIODIC else n - 1
-    bonds, neighbors = cells[:last_bond], (cells[:last_bond] + 1) % n
-    rows = flat_index(np.concatenate([cells, neighbors, bonds]), SUBLATTICE_A)
-    columns = flat_index(np.concatenate([cells, bonds, neighbors]), SUBLATTICE_B)
-    values = np.repeat([params.v, params.w, params.z], [n, last_bond, last_bond])
-    h = np.zeros((2 * n, 2 * n))
+    a_cells, b_cells, values = _bond_table(params)
+    rows = flat_index(a_cells, SUBLATTICE_A)
+    columns = flat_index(b_cells, SUBLATTICE_B)
+    h = np.zeros((params.dimension, params.dimension))
     np.add.at(h, (rows, columns), values)
     np.add.at(h, (columns, rows), values)
     return h
+
+
+def build_folded_block(params: ModelParams) -> np.ndarray:
+    """N x N folded chiral block D J, D = H[A, B] and J the cell index reversal.
+
+    Entry (a, N - 1 - b) accumulates every bond from A of cell a to B of
+    cell b, in the bond order of build_hamiltonian, so the result equals
+    build_hamiltonian(params)[0::2, -1::-2] bit for bit without forming
+    the 2N x 2N matrix.
+    """
+    a_cells, b_cells, values = _bond_table(params)
+    n = params.n_cells
+    folded = np.zeros((n, n))
+    np.add.at(folded, (a_cells, n - 1 - b_cells), values)
+    return folded
 
 
 @dataclass(frozen=True)

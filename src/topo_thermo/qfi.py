@@ -43,14 +43,23 @@ class QfiReport:
     max_eigenvalue: float | np.ndarray
 
 
-def pair_weights(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Elementwise (l_m - l_n)^2 / (l_m + l_n) with near-empty pairs zeroed."""
+def pair_weights(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise (l_m - l_n)^2 / (l_m + l_n) with near-empty pairs zeroed.
+
+    `left` and `right` broadcast against each other. The result goes into
+    `out` when given, a float array of the broadcast shape that a caller
+    can reuse from call to call, and is returned; the values are the same
+    either way.
+    """
     if np.any(left < 0.0) or np.any(right < 0.0):
         raise ValueError("ensemble weights must be nonnegative")
-    total = left + right
-    diff = left - right
+    total = np.add(left, right)
+    diff = np.subtract(left, right, out=out)
     diff *= diff
-    return np.divide(diff, total, out=np.zeros_like(diff), where=total >= PAIR_WEIGHT_CUTOFF)
+    empty = total < PAIR_WEIGHT_CUTOFF
+    np.divide(diff, total, out=diff, where=~empty)
+    diff[empty] = 0.0
+    return diff
 
 
 def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:

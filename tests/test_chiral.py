@@ -17,6 +17,7 @@ from topo_thermo.lattice import (
     OPEN,
     PERIODIC,
     ModelParams,
+    build_folded_block,
     build_hamiltonian,
     flat_index,
     position_phase_operator,
@@ -182,13 +183,14 @@ def test_fold_is_a_singular_value_decomposition(n, boundary, v, w, z):
 
 def test_fold_rejects_a_block_that_is_not_persymmetric(monkeypatch):
     # eigh reads one triangle, so an asymmetric D J would be decomposed
-    # silently wrong. H stays symmetric; only D loses its persymmetry.
+    # silently wrong. Only D[0, 0] = <0,A|H|0,B> moves, the (0, N - 1)
+    # entry of D J, as if H stayed symmetric and D lost its persymmetry.
     def skewed(params):
-        h = build_hamiltonian(params)
-        h[0, 1] = h[1, 0] = np.nextafter(h[0, 1], 1.0)
-        return h
+        folded = build_folded_block(params)
+        folded[0, -1] = np.nextafter(folded[0, -1], 1.0)
+        return folded
 
-    monkeypatch.setattr(chiral_mod, "build_hamiltonian", skewed)
+    monkeypatch.setattr(chiral_mod, "build_folded_block", skewed)
     with pytest.raises(ValueError, match="not symmetric"):
         chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2, boundary=OPEN))
 

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from topo_thermo.lattice import (
     OPEN,
     PERIODIC,
     ModelParams,
+    build_folded_block,
     build_hamiltonian,
     flat_index,
     pauli_observable,
@@ -93,6 +96,29 @@ def test_matches_the_bond_by_bond_sum_bit_for_bit():
                 assert build_hamiltonian(params).tobytes() == want.tobytes()
     ring = build_hamiltonian(ModelParams(n_cells=2, v=0.3, w=0.1, z=0.2, boundary=PERIODIC))
     assert ring[idx(0, "A"), idx(1, "B")] == ring[idx(1, "A"), idx(0, "B")] == 0.1 + 0.2
+
+
+hopping_or_zero = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+)
+
+
+@seed(20261020)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    n=st.one_of(st.just(2), st.integers(2, 40)),
+    boundary=st.sampled_from([OPEN, PERIODIC]),
+    v=hopping_or_zero,
+    w=hopping_or_zero,
+    z=hopping_or_zero,
+)
+def test_folded_block_is_the_reversed_a_to_b_block_bit_for_bit(n, boundary, v, w, z):
+    # The N = 2 ring puts its w and z bonds on the same entries.
+    params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=boundary)
+    folded = build_folded_block(params)
+    assert folded.shape == (n, n)
+    want = np.ascontiguousarray(build_hamiltonian(params)[0::2, -1::-2])
+    assert folded.tobytes() == want.tobytes()
 
 
 def test_z_zero_removes_second_neighbor_pattern():

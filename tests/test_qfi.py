@@ -225,9 +225,14 @@ def test_pair_weights_match_the_masked_formula_bit_for_bit():
     assert got[6, 0] == 0.0 and got[7, 0] > 0.0 and got[8, 0] > 0.0
     weights = np.random.default_rng(4).dirichlet(np.ones(40), size=3)
     weights[:, ::5] *= 1e-13
+    # A reused `out` buffer, stale values and all, gives the same bits.
+    buffer = np.full((40, 40), np.nan)
     for row in weights:
         left, right = row[:, None], row[None, :]
-        assert pair_weights(left, right).tobytes() == masked_pair_weights(left, right).tobytes()
+        want = masked_pair_weights(left, right).tobytes()
+        assert pair_weights(left, right).tobytes() == want
+        assert pair_weights(left, right, out=buffer) is buffer
+        assert buffer.tobytes() == want
     with pytest.raises(ValueError):
         pair_weights(np.array([0.5, -1e-300]), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Sweep engine: ordering, determinism, reuse, failure capture, extrema."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ DENSE_CALLS = (
     "thermal_polarization_weighted",
 )
 CHIRAL_CALLS = (
-    "build_hamiltonian",
+    "build_folded_block",
     "position_phase_operator",
     "chiral_spectrum",
     "chiral_qfi_matrix",
@@ -363,6 +364,36 @@ def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
         assert chiral_calls == []
     else:
         assert sorted(set(chiral_calls)) == sorted(CHIRAL_CALLS)
+
+
+# Traced peak of one open-chain spectrum's sweep, in N x N float64 arrays.
+# ChiralSpectrum holds two (U and V); each chiral function adds its own
+# buffers on top while it runs.
+OPEN_SWEEP_PEAK_MATRICES = 7.5
+
+
+def test_open_chain_sweep_stays_in_a_bounded_working_set():
+    # tracemalloc sees every NumPy array, but not the workspaces LAPACK and
+    # OpenBLAS allocate inside eigh, matmul and det, so this bounds the
+    # arrays the program itself forms.
+    n = 200
+    spec = SweepSpec(
+        axes=(("T", (0.02, 0.05, 0.1, 0.2, 0.5)),),
+        fixed={"v": 0.3, "w": 0.5, "z": 0.2, "N": n},
+        boundary="open",
+        quantities=("polarization", "qfi_matrix", "interferometric_power", "diagnostics"),
+        polarization_modes=("literal", "weighted", "determinant"),
+    )
+    run_sweep(spec)
+    tracemalloc.start()
+    try:
+        table = run_sweep(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not table.errors
+    matrices = peak / (8 * n * n)
+    assert matrices <= OPEN_SWEEP_PEAK_MATRICES, f"traced peak {matrices:.2f} N x N arrays"
 
 
 def test_spec_validation():
