@@ -18,14 +18,14 @@ phi = arg a(k). Each quantity the sweep needs then costs O(N):
                2 prod det F(k_j) + s tr[F(k_{N-1})^2 ... F(k_0)^2],
                s = (-1)^(N+1): a real trace of N ordered 2x2 matrices,
                multiplied pairwise in log2 N passes over complex arrays
-               laid out k by temperature, with the occupations evaluated
-               on the band-ordered energies [-|a|, +|a|], not the sorted
-               spectrum;
+               laid out k by temperature;
   literal,     every Bloch state has <k,b|X|k,b> = 0 exactly.
   weighted
 
-The dense path of the other modules serves open chains and is the oracle
-these functions are tested against.
+The spectrum lists the energies in band order, [-|a(k_j)|, +|a(k_j)|],
+and every weight and occupation row follows it, so each quantity reads
+the two bands as the two halves of a row. The dense path of the other
+modules is the oracle these functions are tested against.
 """
 
 from __future__ import annotations
@@ -45,17 +45,15 @@ from .polarization import (
     _per_temperature,
 )
 from .qfi import pair_weights
-from .thermal import _fermi, _require_finite_energies, _temperature_column
+from .thermal import BandSpectrum, _fermi, _require_finite_energies, _temperature_column
 
 
 @dataclass(frozen=True)
-class BlochSpectrum:
+class BlochSpectrum(BandSpectrum):
     """Band structure of one periodic ring.
 
-    `coupling` holds a(k_j). The lower and upper band energies are -|a| and
-    +|a|; `energies` lists all 2N of them in ascending order, the form
-    gibbs_weights and fermi_occupations read, and `order` maps back:
-    energies == concatenate([-|a|, |a|])[order]. With
+    `coupling` holds a(k_j), and `energies` = [-|a|, +|a|] the lower band
+    at every k_j, then the upper band in the same order. With
     g_l = u_-(k_j)^dagger sigma_l u_+(k_j) = (-i sin phi_j, -i cos phi_j, 1),
     Re(g_l conj(g_m)) has four distinct non-zero entries: xx, xy = yx,
     yy and zz. `generators` has shape (4, N), one row each, and the xz
@@ -63,28 +61,8 @@ class BlochSpectrum:
     lets the QFI sum over k one row at a time.
     """
 
-    n_cells: int
     coupling: np.ndarray = field(repr=False)
-    energies: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)
     generators: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_cells
-
-    def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-state values in `energies` order, split into (lower, upper) bands.
-
-        Works along the last axis, so rows of per-temperature values split
-        row by row.
-        """
-        values = np.asarray(values)
-        if values.shape[-1:] != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} per-state values, got shape {values.shape}")
-        banded = np.empty_like(values)
-        banded[..., self.order] = values
-        return banded[..., : self.n_cells], banded[..., self.n_cells :]
 
 
 def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
@@ -102,17 +80,14 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
         )
         magnitude = np.abs(coupling)
     _require_finite_energies(magnitude)
-    band_energies = np.concatenate([-magnitude, magnitude])
-    order = np.argsort(band_energies, kind="stable")
     # g_x = -i sin(phi), g_y = -i cos(phi), g_z = 1.
     phi = np.angle(coupling)
     sin, cos = np.sin(phi), np.cos(phi)
     generators = np.stack([sin * sin, sin * cos, cos * cos, np.ones(n)])
     return BlochSpectrum(
         n_cells=n,
+        energies=np.concatenate([-magnitude, magnitude]),
         coupling=coupling,
-        energies=band_energies[order],
-        order=order,
         generators=generators,
     )
 
@@ -186,15 +161,14 @@ def bloch_polarization_determinant(
     Nothing inverts 1 - F, which is singular in float64 at low T, and every
     factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
     lower band, and the trace is the occupied-band Wilson loop. t is the
-    Fermi function of the band-ordered energies [-|a|, +|a|], laid out k
-    by temperature, with the T = 0 step rule of fermi_occupations. An
+    Fermi function of the spectrum's energies, laid out k by temperature,
+    with the T = 0 step rule of fermi_occupations. An
     array of temperatures gives one result of arrays with an entry per
     temperature, all evaluated together.
     """
     n = spectrum.n_cells
     temperatures = _temperature_column(temperature)[:, 0]
-    magnitude = np.abs(spectrum.coupling)
-    occupations = _fermi(np.concatenate([-magnitude, magnitude])[:, None], temperatures)
+    occupations = _fermi(spectrum.energies[:, None], temperatures)
     t = occupations[:n] - occupations[n:]
     t2 = t * t
     r = 2.0 * t / (1.0 + t2)

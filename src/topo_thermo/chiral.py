@@ -17,11 +17,14 @@ build_hamiltonian, so the 2N x 2N matrix is never formed. One symmetric
 eigh D J = Q diag(lambda) Q^T, less than half the work of an SVD, gives
 the decomposition: s = |lambda|, U = Q and V = J Q diag(sigma), with
 sigma = -1 where lambda < 0 and +1 otherwise, so a zero lambda still
-gives a unit column. Each quantity the sweep needs then costs N x N work
-instead of 2N x 2N, the determinant one real (N + n_b)-square LU per
-temperature:
+gives a unit column. ChiralSpectrum stores Q, sigma and the band-ordered
+energies [-s, +s], s descending, and forms V = J Q diag(sigma) only as
+far as a quantity needs it. Each quantity the sweep needs then costs
+N x N work instead of 2N x 2N, the determinant one real (N + n_b)-square
+LU per temperature:
 
-  QFI          with C = U^T V, S = C + C^T and A = C - C^T, the generators
+  QFI          with C = U^T V = Q^T (J Q diag(sigma)), S = C + C^T and
+               A = C - C^T, the generators
                I (x) sigma_l have matrix elements (S or A) / 2 between
                states k and l, and sigma_z couples only chiral partners;
   determinant  tanh(H / 2T) = [[0, G], [G^T, 0]] with G = U diag(t) V^T
@@ -35,7 +38,8 @@ temperature:
                N + n_b rows; the n_b border cells near m = N/2 keep
                their B site;
   literal,     <psi|X|psi> = (u.X_c u + v.X_c v) / 2, the same for both
-  weighted     partners of a pair.
+  weighted     partners of a pair: with v = J u sigma, the sum of u^2
+               against the folded cell phases (phi_m + phi_{N-1-m}) / 2.
 
 Edge-mode basis rule: a topological open chain has one singular value s_0
 exponentially close to 0, about (v / w)^N. Any float64 factorization
@@ -53,9 +57,9 @@ of h(k), given exactly by winding_number. By bulk-boundary
 correspondence, |winding| is the number of singular values of D that
 vanish as N grows.
 
-Working set: besides U and V, each function allocates its N x N arrays
-once per call and rewrites them per temperature, so one spectrum's sweep
-holds about 7 N x N float64 arrays at its peak, whatever the number of
+Working set: besides Q, each function allocates its N x N arrays once
+per call and rewrites them per temperature, so one spectrum's sweep
+holds about 6 N x N float64 arrays at its peak, whatever the number of
 temperatures: the QFI its two kernels and one pair-weight buffer, the
 determinant its gathered rows of V, U diag(t), the product and the
 reduced matrix, the expectations one buffer of squares.
@@ -80,7 +84,7 @@ from .polarization import (
     _per_temperature,
 )
 from .qfi import pair_weights
-from .thermal import _require_finite_energies, fermi_occupations
+from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations
 
 # Cells with |cos(theta_m / 2)| below this keep their B site in the
 # determinant's reduced matrix; every other B site is eliminated on a
@@ -89,42 +93,23 @@ BORDER_COSINE = 0.1
 
 
 @dataclass(frozen=True)
-class ChiralSpectrum:
-    """Singular value decomposition D = U diag(s) V^T of the A-to-B block of one chain.
+class ChiralSpectrum(BandSpectrum):
+    """The folded block D J = Q diag(lambda) Q^T of one chain, pairs by descending |lambda|.
 
-    `singular_values` are descending, with `left` = U (A sites) and
-    `right` = V (B sites) holding u_k and v_k as columns; chiral_spectrum
-    takes them from the eigh of the folded block D J. `energies` lists all
-    2N eigenvalues in ascending order, the form gibbs_weights and
-    fermi_occupations read: the lower band -s_k in singular-value order,
-    then the upper band +s_k in reverse order.
+    `energies` = [-s, +s] with s = |lambda| descending, so the singular
+    values of D are energies[N:]. `fold_vectors` is Q, whose columns are the
+    left singular vectors u_k (A sites), and `signs` is sigma, so the
+    right singular vectors (B sites) are V = J Q diag(sigma), the rows of
+    Q reversed. State k is (u_k, -v_k) / sqrt(2) and its chiral partner,
+    state N + k, is (u_k, +v_k) / sqrt(2).
     """
 
-    n_cells: int
-    singular_values: np.ndarray = field(repr=False)
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
-    energies: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_cells
-
-    def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-state values in `energies` order as (lower, upper), both in singular-value order.
-
-        Works along the last axis, so rows of per-temperature values split
-        row by row.
-        """
-        values = np.asarray(values)
-        if values.shape[-1:] != (self.dimension,):
-            raise ValueError(f"expected {self.dimension} per-state values, got shape {values.shape}")
-        n = self.n_cells
-        return values[..., :n], values[..., : n - 1 : -1]
+    fold_vectors: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
 
 
 def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
-    """Singular value decomposition of the A-to-B block D of the chain's Hamiltonian.
+    """Chiral spectrum of a chain: the singular value decomposition of its A-to-B block D.
 
     Taken from one eigh of the folded block D J = H[A, B reversed],
     filled by lattice.build_folded_block from the bond table without the
@@ -140,16 +125,14 @@ def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
     eigenvalues, vectors = np.linalg.eigh(folded)
     del folded
     order = np.argsort(-np.abs(eigenvalues), kind="stable")
-    eigenvalues, left = eigenvalues[order], np.take(vectors, order, axis=1)
-    del vectors
+    eigenvalues, vectors = eigenvalues[order], np.take(vectors, order, axis=1)
     singular_values = np.abs(eigenvalues)
     _require_finite_energies(singular_values)
     return ChiralSpectrum(
         n_cells=params.n_cells,
-        singular_values=singular_values,
-        left=left,
-        right=left[::-1] * np.where(eigenvalues < 0.0, -1.0, 1.0),
-        energies=np.concatenate([-singular_values, singular_values[::-1]]),
+        energies=np.concatenate([-singular_values, singular_values]),
+        fold_vectors=vectors,
+        signs=np.where(eigenvalues < 0.0, -1.0, 1.0),
     )
 
 
@@ -165,7 +148,8 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
 
     and M_xy = M_xz = M_yz = 0 exactly: g_x is real and g_y imaginary, and
     g_z joins only chiral partners, where g_x vanishes. The kernels S^2
-    and A^2 are formed once per call, in one (2, N, N) array. Per
+    and A^2 are formed once per call, in one (2, N, N) array, from
+    C = Q^T (J Q diag(sigma)). Per
     temperature, each of pw_++, pw_-- and pw_+- is written into one reused
     N x N buffer and contracted against both kernels by np.einsum, with
     no product array and no BLAS call. Weights of shape (n_T, 2N) give
@@ -175,8 +159,9 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
     """
     lower, upper = spectrum.bands(weights)
     n = spectrum.n_cells
+    vectors = spectrum.fold_vectors
+    coupling = vectors.T @ (vectors[::-1] * spectrum.signs)
     kernels = np.empty((2, n, n))
-    coupling = spectrum.left.T @ spectrum.right
     np.add(coupling, coupling.T, out=kernels[0])
     np.subtract(coupling, coupling.T, out=kernels[1])
     del coupling
@@ -203,23 +188,20 @@ def chiral_state_expectations(
 ) -> np.ndarray:
     """<n|X|n> = (u.X_c u + v.X_c v) / 2 for every state, in `energies` order.
 
-    Chiral partners share the value. The squares of U, then of V, go into
-    one N x N buffer, and np.einsum sums each column against the real and
-    the imaginary cell phases, so the one buffer is the only N x N array
-    formed. The sums do not depend on how many states are evaluated
+    With v_k = J u_k sigma_k this is sum_m Q_mk^2 (phi_m + phi_{N-1-m}) / 2,
+    the same for state k and its chiral partner N + k. np.einsum sums the
+    one N x N array of squares against the real and the imaginary folded
+    phases, so the sums do not depend on how many states are evaluated
     together. The result feeds polarization.polarization_from_states.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
     cell_phases = x_operator.diagonal[0::2]
-    phases = np.stack([cell_phases.real, cell_phases.imag])
-    squares = np.empty_like(spectrum.left)
-    sums = np.zeros((2, spectrum.n_cells))
-    for vectors in (spectrum.left, spectrum.right):
-        np.multiply(vectors, vectors, out=squares)
-        sums += np.einsum("mk,jm->jk", squares, phases)
+    folded = 0.5 * (cell_phases + cell_phases[::-1])
+    squares = np.square(spectrum.fold_vectors)
+    sums = np.einsum("mk,jm->jk", squares, np.stack([folded.real, folded.imag]))
     per_pair = np.empty(spectrum.n_cells, dtype=complex)
-    per_pair.real, per_pair.imag = 0.5 * sums
-    return np.concatenate([per_pair, per_pair[::-1]])
+    per_pair.real, per_pair.imag = sums
+    return np.concatenate([per_pair, per_pair])
 
 
 def chiral_polarization_determinant(
@@ -272,7 +254,7 @@ def chiral_polarization_determinant(
     temperature, each row factored alone.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
-    occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
+    occupations = fermi_occupations(spectrum, temperature)
     n = spectrum.n_cells
     half_angles = 0.5 * x_operator.delta * np.arange(n)
     cosines, sines = np.cos(half_angles), np.sin(half_angles)
@@ -281,9 +263,9 @@ def chiral_polarization_determinant(
     rising, falling = np.flatnonzero(tangents > 0.0), np.flatnonzero(tangents < 0.0)
     cells = np.concatenate([rising, falling, np.flatnonzero(border)])
     split_a, split_b = len(rising), len(rising) + len(falling)
-    # Rows of V, scaled, so that one product with U diag(t) gives the
-    # columns a, b and G_b of the elimination.
-    scaled_rows = spectrum.right[cells]
+    # Rows of V = J Q diag(sigma), scaled, so that one product with
+    # U diag(t) gives the columns a, b and G_b of the elimination.
+    scaled_rows = spectrum.fold_vectors[n - 1 - cells] * spectrum.signs
     scaled_rows[:split_b] *= np.sqrt(np.abs(tangents[cells[:split_b]]))[:, None]
     columns = scaled_rows.T
     row_scale = np.where(border, 1.0, cosines)[:, None]
@@ -296,7 +278,7 @@ def chiral_polarization_determinant(
     expectations = np.empty(len(rows))
     for index, row in enumerate(rows):
         lower, upper = spectrum.bands(row)
-        np.multiply(spectrum.left, lower - upper, out=scaled_left)
+        np.multiply(spectrum.fold_vectors, lower - upper, out=scaled_left)
         np.matmul(scaled_left, columns, out=product)
         np.matmul(a, a.T, out=top_left)
         top_left -= np.matmul(b, b.T, out=scaled_left)

@@ -287,7 +287,7 @@ def thermal_polarization_determinant(
     orthogonal, so only the bracket's determinant is formed per temperature.
     """
     _check_dimension(spectrum.dimension, x_operator, "spectrum")
-    occupations = fermi_occupations(spectrum, temperature, chemical_potential=0.0)
+    occupations = fermi_occupations(spectrum, temperature)
     vectors, diagonal = spectrum.vectors, x_operator.diagonal
     rotated = np.empty(vectors.shape, dtype=complex)
     rotated.real = (vectors.T * diagonal.real) @ vectors

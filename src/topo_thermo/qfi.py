@@ -57,8 +57,9 @@ def pair_weights(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = N
     diff = np.subtract(left, right, out=out)
     diff *= diff
     empty = total < PAIR_WEIGHT_CUTOFF
-    np.divide(diff, total, out=diff, where=~empty)
-    diff[empty] = 0.0
+    np.putmask(diff, empty, 0.0)
+    np.putmask(total, empty, 1.0)
+    diff /= total
     return diff
 
 

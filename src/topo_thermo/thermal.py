@@ -2,7 +2,7 @@
 
 Temperatures are in hopping units with k_B = 1. The thermal state is the
 canonical Gibbs mixture exp(-H/T)/Z over the single-particle spectrum;
-Fermi occupations at fixed chemical potential back the determinant
+Fermi occupations at half filling (mu = 0) back the determinant
 polarization route. Weights and occupations take one temperature or a
 1-D array of them, so a sweep evaluates a spectrum's whole temperature
 column in one call.
@@ -36,15 +36,44 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
+class BandSpectrum:
+    """The 2N levels of a chiral chain in band order.
+
+    `energies` lists the lower band -e_k for every k, then the upper band
+    +e_k in the same k order, so state k and state N + k are chiral
+    partners. The Bloch engine's k is the momentum, the chiral engine's the
+    index of a singular value of the A-to-B block.
+    """
+
+    n_cells: int
+    energies: np.ndarray = field(repr=False)
+
+    @property
+    def dimension(self) -> int:
+        return 2 * self.n_cells
+
+    def bands(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-state values in `energies` order, split into (lower, upper) bands.
+
+        Works along the last axis, so rows of per-temperature values split
+        row by row.
+        """
+        values = np.asarray(values)
+        if values.shape[-1:] != (self.dimension,):
+            raise ValueError(f"expected {self.dimension} per-state values, got shape {values.shape}")
+        return values[..., : self.n_cells], values[..., self.n_cells :]
+
+
+@dataclass(frozen=True)
 class GibbsEnsemble:
-    """Normalized spectral weights lambda_n attached to a Spectrum.
+    """Normalized spectral weights lambda_n attached to a Spectrum or BandSpectrum.
 
     For an array of temperatures, `weights` has one row per temperature.
     """
 
     temperature: float | np.ndarray
     weights: np.ndarray = field(repr=False)
-    spectrum: Spectrum = field(repr=False)
+    spectrum: Spectrum | BandSpectrum = field(repr=False)
 
     @property
     def dimension(self) -> int:
@@ -56,7 +85,7 @@ class EnsembleDiagnostics(NamedTuple):
     entropy: float | np.ndarray
 
 
-def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
+def diagonalize(h: np.ndarray) -> Spectrum:
     """Full spectrum of a real symmetric matrix.
 
     Rejects non-square or non-symmetric input. Convergence failures inside
@@ -68,7 +97,7 @@ def diagonalize(h: np.ndarray, symmetry_tol: float = SYMMETRY_TOL) -> Spectrum:
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     asym = np.abs(h - h.T).max() if h.size else 0.0
-    if asym > symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |H - H^T| = {asym:.3e}")
     energies, vectors = np.linalg.eigh(h)
     _require_finite_energies(energies)
@@ -106,23 +135,25 @@ def per_temperature(values, temperature):
     return values if np.ndim(temperature) else values[0]
 
 
-def gibbs_weights(spectrum: Spectrum, temperature) -> GibbsEnsemble:
-    """Canonical weights exp(-(E_n - E_0)/T) / Z.
+def gibbs_weights(spectrum: Spectrum | BandSpectrum, temperature) -> GibbsEnsemble:
+    """Canonical weights exp(-(E_n - E_0)/T) / Z, aligned with the spectrum's energies.
 
-    The ground energy is subtracted before exponentiating for overflow
-    safety; weights below 1e-300 are flushed to exactly zero. At T = 0 the
-    weight is spread uniformly over the ground-degenerate cluster
-    {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)}. A scalar temperature gives
-    weights of shape (2N,), a 1-D array of n_T temperatures (n_T, 2N);
-    each row is computed exactly as for that temperature alone.
+    The energies may come in any order; E_0 is their minimum, subtracted
+    before exponentiating for overflow safety. Weights below 1e-300 are
+    flushed to exactly zero. At T = 0 the weight is spread uniformly over
+    the ground-degenerate cluster {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)}.
+    A scalar temperature gives weights of shape (2N,), a 1-D array of n_T
+    temperatures (n_T, 2N); each row is computed exactly as for that
+    temperature alone.
     """
     column = _temperature_column(temperature)
     energies = spectrum.energies
-    excitation = energies - energies[0]
+    ground = energies.min()
+    excitation = energies - ground
     frozen = column == 0.0
     weights = np.exp(-excitation / np.where(frozen, 1.0, column))
     weights[weights < WEIGHT_FLOOR] = 0.0
-    eps = DEGENERACY_SCALE * max(1.0, abs(energies[0]))
+    eps = DEGENERACY_SCALE * max(1.0, abs(ground))
     weights = np.where(frozen, (excitation <= eps).astype(float), weights)
     weights /= weights.sum(axis=1, keepdims=True)
     temperatures = column[:, 0] if np.ndim(temperature) else float(temperature)
@@ -131,30 +162,26 @@ def gibbs_weights(spectrum: Spectrum, temperature) -> GibbsEnsemble:
     )
 
 
-def fermi_occupations(
-    spectrum: Spectrum, temperature, chemical_potential: float = 0.0
-) -> np.ndarray:
-    """Fermi-Dirac occupations 1 / (1 + exp((E_n - mu)/T)), aligned with the spectrum.
+def fermi_occupations(spectrum: Spectrum | BandSpectrum, temperature) -> np.ndarray:
+    """Half-filling Fermi-Dirac occupations 1 / (1 + exp(E_n / T)), aligned with the spectrum.
 
     T = 0 degrades to the step function with occupation exactly 1/2 at
-    E_n == mu. Shapes follow gibbs_weights: (2N,) for a scalar
+    E_n == 0. Shapes follow gibbs_weights: (2N,) for a scalar
     temperature, (n_T, 2N) for an array.
     """
-    occupations = _fermi(spectrum.energies, _temperature_column(temperature), chemical_potential)
+    occupations = _fermi(spectrum.energies, _temperature_column(temperature))
     return per_temperature(occupations, temperature)
 
 
-def _fermi(energies: np.ndarray, temperatures: np.ndarray, chemical_potential: float = 0.0):
+def _fermi(energies: np.ndarray, temperatures: np.ndarray):
     """Elementwise Fermi function of energies and checked temperatures, broadcast together.
 
     The rule of fermi_occupations, for callers that need another layout
     than the spectrum's (n_T, 2N) rows.
     """
     frozen = temperatures == 0.0
-    step = np.where(
-        energies < chemical_potential, 1.0, np.where(energies > chemical_potential, 0.0, 0.5)
-    )
-    exponent = (energies - chemical_potential) / np.where(frozen, 1.0, temperatures)
+    step = np.where(energies < 0.0, 1.0, np.where(energies > 0.0, 0.0, 0.5))
+    exponent = energies / np.where(frozen, 1.0, temperatures)
     with np.errstate(over="ignore"):  # exp overflows to inf, the occupation to 0
         fermi = 1.0 / (1.0 + np.exp(exponent))
     return np.where(frozen, step, fermi)

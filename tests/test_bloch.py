@@ -83,15 +83,18 @@ def test_bloch_matches_dense(ring, temperature):
     params = ModelParams(n_cells=n, v=v, w=w, z=z)
     bands = bloch_spectrum(params)
     if temperature == 0.0:
-        excitation = bands.energies - bands.energies[0]
+        excitation = bands.energies - bands.energies.min()
         near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
         assume(np.abs(bands.coupling).min() >= T0_MIN_GAP and not near_ground.any())
     spectrum = diagonalize(build_hamiltonian(params))
     x = position_phase_operator(n)
-    assert np.abs(bands.energies - spectrum.energies).max() <= 1e-13
+    # Band order [-|a|, +|a|] against the dense ascending order.
+    order = np.argsort(bands.energies, kind="stable")
+    assert np.abs(bands.energies[order] - spectrum.energies).max() <= 1e-13
 
     ensemble = gibbs_weights(spectrum, temperature)
     bloch_ensemble = gibbs_weights(bands, temperature)
+    assert np.abs(bloch_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
     dense_matrix = qfi_matrix(ensemble)
     matrix = bloch_qfi_matrix(bands, bloch_ensemble.weights)
     assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
@@ -139,7 +142,7 @@ tree_temperatures = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.01, 5.0))
     temperature_list=st.lists(tree_temperatures, min_size=1, max_size=4),
 )
 def test_ordered_product_matches_matrix_product(n, v, w, z, temperature_list):
-    # Q_j = (1 - r_j h_j) / 2 from the sorted-spectrum occupations, multiplied
+    # Q_j = (1 - r_j h_j) / 2 from the band-ordered occupations, multiplied
     # as plain 2x2 complex matrices, later k on the left. The trace cannot
     # tell this order from its reversal or a cyclic shift, and neither can
     # the determinant it enters.

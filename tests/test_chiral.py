@@ -88,6 +88,16 @@ def wrap_distance(a, b):
     return min(gap, 1.0 - gap)
 
 
+def singular_values(fast):
+    """s, descending: the upper band of the band-ordered energies [-s, +s]."""
+    return fast.energies[fast.n_cells :]
+
+
+def right_vectors(fast):
+    """V = J Q diag(sigma), the right singular vectors of D as columns."""
+    return fast.fold_vectors[::-1] * fast.signs
+
+
 @seed(20261018)
 @settings(max_examples=400, deadline=None, database=None)
 @given(chain=chains(), temperature=temperatures)
@@ -98,15 +108,18 @@ def test_chiral_matches_dense(chain, temperature):
     if temperature == 0.0:
         # As for rings: no zero modes, and every level degenerate with the
         # ground level by symmetry or clearly above it.
-        excitation = fast.energies - fast.energies[0]
+        excitation = fast.energies - fast.energies.min()
         near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
-        assume(fast.singular_values[-1] >= T0_MIN_GAP and not near_ground.any())
+        assume(singular_values(fast)[-1] >= T0_MIN_GAP and not near_ground.any())
     spectrum = diagonalize(build_hamiltonian(params))
     x = position_phase_operator(n)
-    assert np.abs(fast.energies - spectrum.energies).max() <= 1e-13
+    # Band order [-s, +s] against the dense ascending order.
+    order = np.argsort(fast.energies, kind="stable")
+    assert np.abs(fast.energies[order] - spectrum.energies).max() <= 1e-13
 
     ensemble = gibbs_weights(spectrum, temperature)
     fast_ensemble = gibbs_weights(fast, temperature)
+    assert np.abs(fast_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
     dense_matrix = qfi_matrix(ensemble)
     matrix = chiral_qfi_matrix(fast, fast_ensemble.weights)
     assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
@@ -121,14 +134,14 @@ def test_chiral_matches_dense(chain, temperature):
     assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature, x), determinant)
 
     per_state = chiral_state_expectations(fast, x)
-    assert np.array_equal(per_state, per_state[::-1])  # chiral partners share <X>
+    assert np.array_equal(per_state[:n], per_state[n:])  # chiral partners share <X>
     literal = polarization_from_states(fast_ensemble, per_state, "literal")
     dense_literal = thermal_polarization_literal(ensemble, x)
     assert abs(literal.expectation - dense_literal.expectation) <= LITERAL_TOL
     levels = np.sort(fast.energies)
     if np.diff(levels).min() >= WEIGHTED_MIN_GAP:
         dense_states = state_expectations(spectrum.vectors, x)
-        assert np.abs(per_state - dense_states).max() <= PER_STATE_TOL
+        assert np.abs(per_state[order] - dense_states).max() <= PER_STATE_TOL
         weighted = polarization_from_states(fast_ensemble, per_state, "weighted")
         dense_weighted = thermal_polarization_weighted(ensemble, x)
         assert abs(weighted.magnitude - dense_weighted.magnitude) <= PER_STATE_TOL
@@ -171,14 +184,15 @@ def test_fold_is_a_singular_value_decomposition(n, boundary, v, w, z):
     assert np.array_equal(folded, folded.T)
     block = h[0::2, 1::2]
     fast = chiral_spectrum(params)
-    s = fast.singular_values
+    s = singular_values(fast)
     assert np.all(s >= 0.0) and np.all(np.diff(s) <= 0.0)
     assert np.abs(s - np.linalg.svd(block, compute_uv=False)).max() <= FOLD_TOL * max(1.0, s[0])
-    u, vt = fast.left, fast.right.T
+    assert np.all(np.abs(fast.signs) == 1.0)
+    u, vt = fast.fold_vectors, right_vectors(fast).T
     assert np.abs((u * s) @ vt - block).max() <= FOLD_TOL
     assert np.abs(u.T @ u - np.eye(n)).max() <= FOLD_TOL
     assert np.abs(vt @ vt.T - np.eye(n)).max() <= FOLD_TOL
-    assert np.array_equal(fast.energies, np.concatenate([-s, s[::-1]]))
+    assert np.array_equal(fast.energies, np.concatenate([-s, s]))
 
 
 def test_fold_rejects_a_block_that_is_not_persymmetric(monkeypatch):
@@ -200,7 +214,7 @@ def full_real_determinant(fast, temperature, x):
     half_angles = 0.5 * x.delta * np.arange(fast.n_cells)
     cosines, sines = np.diag(np.cos(half_angles)), np.sin(half_angles)
     lower, upper = fast.bands(fermi_occupations(fast, temperature))
-    tanh_block = (fast.left * (lower - upper)) @ fast.right.T
+    tanh_block = (fast.fold_vectors * (lower - upper)) @ right_vectors(fast).T
     upper_right, lower_left = tanh_block * sines, -tanh_block.T * sines
     return np.linalg.det(np.block([[cosines, upper_right], [lower_left, cosines]]))
 
@@ -213,7 +227,7 @@ def test_eliminated_determinant_matches_the_full_real_determinant(n):
     for v, w, z in ((0.3, 0.5, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.1), (-0.8, 0.5, -0.2)):
         fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
         temperatures = [0.02, 0.5, 1e6]
-        if fast.singular_values[-1] >= T0_MIN_GAP:
+        if singular_values(fast)[-1] >= T0_MIN_GAP:
             temperatures.insert(0, 0.0)
         batched = chiral_polarization_determinant(fast, np.array(temperatures), x)
         for index, temperature in enumerate(temperatures):
@@ -255,7 +269,7 @@ def test_determinant_half_fills_an_exact_zero_mode_at_zero_temperature():
     n, w = 6, 0.5
     x = position_phase_operator(n)
     fast = chiral_spectrum(ModelParams(n_cells=n, v=0.0, w=w, z=0.0, boundary=OPEN))
-    assert fast.singular_values[-1] == 0.0
+    assert singular_values(fast)[-1] == 0.0
     occupation = np.zeros((2 * n, 2 * n))
     for m in range(n - 1):
         bonding = np.zeros(2 * n)
@@ -280,11 +294,13 @@ def test_edge_pair_is_the_equal_weight_sublattice_combination():
     params = ModelParams(n_cells=n, v=0.1, w=0.5, z=0.2, boundary=OPEN)
     fast = chiral_spectrum(params)
     assert winding_number(0.1, 0.5, 0.2) == 1
-    assert np.count_nonzero(fast.singular_values < 1e-8) == 1
-    assert fast.singular_values[-2] > 0.1
+    assert np.count_nonzero(singular_values(fast) < 1e-8) == 1
+    assert singular_values(fast)[-2] > 0.1
     x = position_phase_operator(n)
     per_state = chiral_state_expectations(fast, x)
-    assert per_state[n - 1] == per_state[n]
+    assert per_state[n - 1] == per_state[2 * n - 1]
+    # In ascending order, the edge pair sits at n - 1 and n, as in the dense spectrum.
+    ascending = per_state[np.argsort(fast.energies, kind="stable")]
 
     spectrum = diagonalize(build_hamiltonian(params))
     pair = spectrum.vectors[:, n - 1 : n + 1]
@@ -296,11 +312,11 @@ def test_edge_pair_is_the_equal_weight_sublattice_combination():
         edge[sublattice::2] = projected[:, 0]
         edges.append(state_expectations(edge[:, None], x)[0])
     rule = 0.5 * (edges[0] + edges[1])
-    assert abs(per_state[n] - rule) <= PER_STATE_TOL
+    assert abs(per_state[n - 1] - rule) <= PER_STATE_TOL
     # Away from the pair, the levels are nondegenerate and the dense
     # per-state values agree.
     bulk = np.r_[0 : n - 1, n + 1 : 2 * n]
-    assert np.abs(per_state[bulk] - dense_states[bulk]).max() <= PER_STATE_TOL
+    assert np.abs(ascending[bulk] - dense_states[bulk]).max() <= PER_STATE_TOL
 
     expected = dense_states.copy()
     expected[n - 1 : n + 1] = rule
@@ -319,7 +335,7 @@ def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
     params = ModelParams(n_cells=18, v=0.0, w=0.5, z=-1.0, boundary=OPEN)
     x = position_phase_operator(18)
     fast = chiral_spectrum(params)
-    assert fast.singular_values[0] - fast.singular_values[1] > 1e-3
+    assert singular_values(fast)[0] - singular_values(fast)[1] > 1e-3
     got = polarization_from_states(gibbs_weights(fast, 0.0), chiral_state_expectations(fast, x), "weighted")
     want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0), x)
     assert got.defined and want.defined
@@ -368,7 +384,7 @@ def test_bulk_boundary_correspondence():
         n = 120 + index % 2
         fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
         nu = winding_number(v, w, z)
-        assert np.count_nonzero(fast.singular_values < 1e-8) == abs(nu)
+        assert np.count_nonzero(singular_values(fast) < 1e-8) == abs(nu)
         counts[abs(nu)] += 1
     assert counts[0] >= 10 and counts[1] >= 10
 

@@ -367,9 +367,9 @@ def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
 
 
 # Traced peak of one open-chain spectrum's sweep, in N x N float64 arrays.
-# ChiralSpectrum holds two (U and V); each chiral function adds its own
-# buffers on top while it runs.
-OPEN_SWEEP_PEAK_MATRICES = 7.5
+# ChiralSpectrum holds one (Q); each chiral function adds its own buffers
+# on top while it runs.
+OPEN_SWEEP_PEAK_MATRICES = 6.5
 
 
 def test_open_chain_sweep_stays_in_a_bounded_working_set():

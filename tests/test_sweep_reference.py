@@ -1,11 +1,13 @@
 """Sweep outputs against committed reference values.
 
-tests/data/sweep_reference.json holds every output column of three
+tests/data/sweep_reference.json holds every output column of these
 sweeps:
 - `open_n400` and `ring_n400`: the seed-0 configs of the benchmark
   workloads of the same names (N = 400, w = 0.5, z = 0.2, 4 values of v
   by 5 temperatures, all quantities and modes, 60 rows each);
-- `3a`: figure 3a on every 10th grid value of each axis (121 rows).
+- `2a`, `2b`, `3a`, `3b`, `3c` and `3d`: the QFI figure presets on every
+  10th grid value of each axis (121 rows for a (T, hopping) map, 11 for
+  a line cut).
 Rows do not depend on the batch they are computed in, so the subsampled
 spec reproduces the full grid's rows.
 
@@ -23,18 +25,20 @@ OPENBLAS_NUM_THREADS=1 the `weighted` magnitudes move by up to 1.3e-13
 absolute, more than the tolerance on the smallest of them.
 
 Regenerate the file only in a change that means to move these values,
-and say which cells moved and why:
+and say which cells moved and why. Named cases are recomputed and the
+others kept as they are; with no names, every case is recomputed:
 
-    PYTHONPATH=src python tests/test_sweep_reference.py
+    PYTHONPATH=src python tests/test_sweep_reference.py [case ...]
 """
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from topo_thermo.figures import build_figure_spec
+from topo_thermo.figures import FIGURE_PRESETS, build_figure_spec
 from topo_thermo.polarization import MODE_LITERAL, MODE_WEIGHTED
 from topo_thermo.sweep import SweepSpec, run_sweep
 
@@ -51,8 +55,8 @@ ALL_MODES = ("literal", "weighted", "determinant")
 
 
 def _spec(name: str) -> SweepSpec:
-    if name == "3a":
-        spec = build_figure_spec("3a")
+    if name in FIGURE_PRESETS:
+        spec = build_figure_spec(name)
         spec.axes = tuple((axis, grid[::SUBSAMPLE]) for axis, grid in spec.axes)
         return spec
     return SweepSpec(
@@ -64,7 +68,10 @@ def _spec(name: str) -> SweepSpec:
     )
 
 
-CASES = {"open_n400": 60, "ring_n400": 60, "3a": 121}
+CASES = {
+    "open_n400": 60, "ring_n400": 60, "3a": 121,
+    "2a": 121, "2b": 11, "3b": 11, "3c": 121, "3d": 11,
+}
 
 
 def _columns(name: str) -> dict:
@@ -123,5 +130,8 @@ def test_sweep_matches_reference(name):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    reference = json.loads(REFERENCE.read_text()) if REFERENCE.exists() else {}
+    reference.update((name, _columns(name)) for name in names)
     REFERENCE.parent.mkdir(exist_ok=True)
-    REFERENCE.write_text(json.dumps({name: _columns(name) for name in CASES}, indent=1) + "\n")
+    REFERENCE.write_text(json.dumps(reference, indent=1) + "\n")

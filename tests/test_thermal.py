@@ -7,6 +7,7 @@ import pytest
 
 from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.thermal import (
+    BandSpectrum,
     Spectrum,
     diagonalize,
     ensemble_diagnostics,
@@ -112,15 +113,16 @@ def test_batched_temperatures_match_single_calls_bitwise():
     rng = np.random.default_rng(12)
     energies = np.sort(np.concatenate([[-1.0, -1.0 + 1e-12], rng.standard_normal(9)]))
     s = Spectrum(energies=energies, vectors=np.eye(11))
+    shifted = Spectrum(energies=energies - 0.1, vectors=np.eye(11))
     temps = np.array([0.0, 1e-3, 0.05, 0.7, 3.0, 1e12])
     ensemble = gibbs_weights(s, temps)
-    occupations = fermi_occupations(s, temps, 0.1)
+    occupations = fermi_occupations(shifted, temps)
     diagnostics = ensemble_diagnostics(ensemble)
     assert ensemble.weights.shape == occupations.shape == (6, 11)
     for i, t in enumerate(temps):
         alone = gibbs_weights(s, t)
         assert np.array_equal(ensemble.weights[i], alone.weights)
-        assert np.array_equal(occupations[i], fermi_occupations(s, t, 0.1))
+        assert np.array_equal(occupations[i], fermi_occupations(shifted, t))
         assert diagnostics.purity[i] == ensemble_diagnostics(alone).purity
         assert diagnostics.entropy[i] == ensemble_diagnostics(alone).entropy
     with pytest.raises(ValueError):
@@ -193,12 +195,39 @@ def test_fermi_closed_forms():
 def test_fermi_matches_logistic_formula():
     rng = np.random.default_rng(4)
     energies = np.sort(rng.standard_normal(9))
-    s = Spectrum(energies=energies, vectors=np.eye(9))
     for t, mu in [(0.7, 0.0), (1.3, 0.4), (0.2, -0.6)]:
-        occ = fermi_occupations(s, t, mu)
+        # Occupations are at half filling; a level shift stands in for mu.
+        occ = fermi_occupations(Spectrum(energies=energies - mu, vectors=np.eye(9)), t)
         direct = 1.0 / (1.0 + np.exp((energies - mu) / t))
         assert np.abs(occ - direct).max() <= 1e-12
         assert np.all(np.diff(occ) <= 1e-15)
+
+
+def test_band_order_matches_the_sorted_spectrum():
+    # Band order [-e, +e] against the same levels sorted ascending. The
+    # lowest level -2 sits twice in mid-array, and a zero level gives the
+    # step's 1/2. At T = 0 both are exact; at T > 0 the weights differ only
+    # in the order of the normalizing sum.
+    rng = np.random.default_rng(15)
+    clustered = np.array([0.5, 2.0, 1.0, 2.0, 0.0, 0.7])
+    for e in (clustered, rng.uniform(0.0, 2.0, 9)):
+        bands = BandSpectrum(n_cells=len(e), energies=np.concatenate([-e, e]))
+        order = np.argsort(bands.energies, kind="stable")
+        dense = Spectrum(energies=bands.energies[order], vectors=np.eye(2 * len(e)))
+        temperatures = np.array([0.0, 0.05, 0.7, 3.0, 1e6])
+        weights = gibbs_weights(bands, temperatures).weights[:, order]
+        dense_weights = gibbs_weights(dense, temperatures).weights
+        assert np.array_equal(weights[0], dense_weights[0])
+        assert np.all(np.abs(weights - dense_weights) <= 1e-15 * dense_weights)
+        occupations = fermi_occupations(bands, temperatures)[:, order]
+        assert np.array_equal(occupations, fermi_occupations(dense, temperatures))
+    clustered_bands = BandSpectrum(n_cells=6, energies=np.concatenate([-clustered, clustered]))
+    ground = gibbs_weights(clustered_bands, 0.0).weights
+    assert np.array_equal(ground, [0, 0.5, 0, 0.5, 0, 0, 0, 0, 0, 0, 0, 0])
+    lower, upper = bands.bands(np.arange(18))
+    assert np.array_equal(lower, np.arange(9)) and np.array_equal(upper, np.arange(9, 18))
+    with pytest.raises(ValueError):
+        bands.bands(np.arange(17))
 
 
 def test_fermi_zero_temperature_step():
