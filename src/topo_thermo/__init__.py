@@ -19,22 +19,16 @@ from .lattice import (
     OPEN,
     PERIODIC,
     ModelParams,
-    PauliObservable,
-    PositionPhaseOperator,
     build_folded_block,
     build_hamiltonian,
-    pauli_observable,
-    position_phase_operator,
 )
 from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
     MODE_LITERAL,
-    MODE_PURE,
     MODE_WEIGHTED,
     PolarizationResult,
     polarization_from_states,
-    pure_state_phase,
     thermal_polarization_determinant,
     thermal_polarization_literal,
     thermal_polarization_weighted,
@@ -62,9 +56,7 @@ __all__ = [
     "BlochSpectrum",
     "ChiralSpectrum",
     "ModelParams",
-    "PauliObservable",
     "PolarizationResult",
-    "PositionPhaseOperator",
     "GibbsEnsemble",
     "QfiReport",
     "ResultRecord",
@@ -75,7 +67,6 @@ __all__ = [
     "OPEN",
     "MODE_DETERMINANT",
     "MODE_LITERAL",
-    "MODE_PURE",
     "MODE_WEIGHTED",
     "DEFAULT_MAGNITUDE_CUTOFF",
     "bloch_polarization_determinant",
@@ -94,10 +85,7 @@ __all__ = [
     "gibbs_weights",
     "interferometric_power",
     "locate_extremum",
-    "pauli_observable",
     "polarization_from_states",
-    "position_phase_operator",
-    "pure_state_phase",
     "qfi_fidelity_oracle",
     "qfi_matrix",
     "qfi_scalar",

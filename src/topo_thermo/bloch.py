@@ -140,8 +140,8 @@ def bloch_polarization_determinant(
     """Determinant-mode polarization of a ring, in O(N) per temperature.
 
     Same quantity, background phase and branch rule as
-    polarization.thermal_polarization_determinant with
-    X = position_phase_operator(N). Row block j of M = (1 - F) + F U is
+    polarization.thermal_polarization_determinant, X = exp(i 2 pi x / N)
+    of the ring's own N. Row block j of M = (1 - F) + F U is
     A_j y_j + B_j y_{j-1 mod N} with A_j = 1 - F_j, B_j = F_j, F_j = F(k_j)
     the 2x2 Fermi operator at mu = 0. For invertible A_j,
     det M = prod det A_j det(1 + s P) with P = prod A_j^-1 B_j and
@@ -177,8 +177,7 @@ def bloch_polarization_determinant(
     sign = 1.0 if n % 2 else -1.0
     dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=0)
     dets += sign * np.prod(0.5 * (1.0 + t2), axis=0) * trace
-    delta = 2.0 * np.pi / n
-    return _per_temperature(_determinant_result(dets, n, delta, magnitude_cutoff), temperature)
+    return _per_temperature(_determinant_result(dets, n, magnitude_cutoff), temperature)
 
 
 def bloch_polarization_vanishing(

@@ -28,11 +28,13 @@ LU per temperature:
                I (x) sigma_l have matrix elements (S or A) / 2 between
                states k and l, and sigma_z couples only chiral partners;
   determinant  tanh(H / 2T) = [[0, G], [G^T, 0]] with G = U diag(t) V^T
-               and t_k = f(-s_k) - f(+s_k); X is e^{i theta_m} on both
-               sites of cell m. In half angles every column of cell m in
-               1 + F (X - 1) carries e^{i theta_m / 2}, and their product
-               cancels the neutralizing-background phase exactly, so the
-               expectation is the determinant of a real 2N x 2N matrix.
+               and t_k = f(-s_k) - f(+s_k); X is e^{i theta_m},
+               theta_m = 2 pi m / N, on both sites of cell m, so the
+               spectrum's own N fixes it. In half angles every column
+               of cell m in 1 + F (X - 1) carries e^{i theta_m / 2},
+               and their product cancels the neutralizing-background
+               phase exactly, so the expectation is the determinant of
+               a real 2N x 2N matrix.
                Block elimination of the B sites, on pivots
                cos(theta_m / 2) of at least BORDER_COSINE, reduces it to
                N + n_b rows; the n_b border cells near m = N/2 keep
@@ -75,11 +77,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import ModelParams, PositionPhaseOperator, build_folded_block
+from .lattice import ModelParams, build_folded_block, cell_phases
 from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
-    _check_dimension,
     _make_result,
     _per_temperature,
 )
@@ -183,9 +184,7 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
     return matrices if np.ndim(weights) == 2 else matrices[0]
 
 
-def chiral_state_expectations(
-    spectrum: ChiralSpectrum, x_operator: PositionPhaseOperator
-) -> np.ndarray:
+def chiral_state_expectations(spectrum: ChiralSpectrum) -> np.ndarray:
     """<n|X|n> = (u.X_c u + v.X_c v) / 2 for every state, in `energies` order.
 
     With v_k = J u_k sigma_k this is sum_m Q_mk^2 (phi_m + phi_{N-1-m}) / 2,
@@ -194,9 +193,8 @@ def chiral_state_expectations(
     phases, so the sums do not depend on how many states are evaluated
     together. The result feeds polarization.polarization_from_states.
     """
-    _check_dimension(spectrum.dimension, x_operator, "spectrum")
-    cell_phases = x_operator.diagonal[0::2]
-    folded = 0.5 * (cell_phases + cell_phases[::-1])
+    phases = cell_phases(spectrum.n_cells)
+    folded = 0.5 * (phases + phases[::-1])
     squares = np.square(spectrum.fold_vectors)
     sums = np.einsum("mk,jm->jk", squares, np.stack([folded.real, folded.imag]))
     per_pair = np.empty(spectrum.n_cells, dtype=complex)
@@ -207,22 +205,21 @@ def chiral_state_expectations(
 def chiral_polarization_determinant(
     spectrum: ChiralSpectrum,
     temperature,
-    x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
     """Determinant-mode polarization of a chain from its chiral block.
 
     The same expectation as polarization.thermal_polarization_determinant,
-    exp(-i delta sum_m m) det[1 + F (X - 1)], as the determinant of one
+    exp(-i 2 pi/N sum_m m) det[1 + F (X - 1)], as the determinant of one
     real (N + n_b)-square matrix per temperature. In sublattice order
     F = (1 - tanh(H / 2T)) / 2 with tanh(H / 2T) = [[0, G], [G^T, 0]],
     G = U diag(t) V^T and t_k = f(-s_k) - f(+s_k) taken from the
     occupation rows, so the T = 0 step and the edge pair follow
-    fermi_occupations. With theta_m = delta m and the half-angle forms
+    fermi_occupations. With theta_m = 2 pi m / N and the half-angle forms
     1 + X = 2 e^{i theta / 2} cos(theta / 2), X - 1 = 2i e^{i theta / 2}
     sin(theta / 2), every column of cell m carries e^{i theta_m / 2}; the
-    2N of them multiply to exp(i delta sum_m m), which the background
-    phase cancels exactly for any delta, and a similarity by diag(1, -i)
+    2N of them multiply to exp(i 2 pi/N sum_m m), which the background
+    phase cancels exactly, and a similarity by diag(1, -i)
     removes the remaining i:
 
       E = det [[C, G S], [-G^T S, C]],  C = diag cos(theta_m / 2),
@@ -253,10 +250,9 @@ def chiral_polarization_determinant(
     of temperatures gives one result of arrays with an entry per
     temperature, each row factored alone.
     """
-    _check_dimension(spectrum.dimension, x_operator, "spectrum")
     occupations = fermi_occupations(spectrum, temperature)
     n = spectrum.n_cells
-    half_angles = 0.5 * x_operator.delta * np.arange(n)
+    half_angles = 0.5 * (2.0 * np.pi / n) * np.arange(n)
     cosines, sines = np.cos(half_angles), np.sin(half_angles)
     border = np.abs(cosines) < BORDER_COSINE
     tangents = np.where(border, 0.0, sines / cosines)

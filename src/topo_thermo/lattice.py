@@ -10,7 +10,7 @@ contiguous 2x2 block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,20 +20,6 @@ BOUNDARIES = (PERIODIC, OPEN)
 
 SUBLATTICE_A = 0
 SUBLATTICE_B = 1
-
-PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-AXIS_VECTORS = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
-
-UNIT_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -124,68 +110,10 @@ def build_folded_block(params: ModelParams) -> np.ndarray:
     return folded
 
 
-@dataclass(frozen=True)
-class PositionPhaseOperator:
-    """Diagonal unitary exp(i * delta * x) with delta = 2*pi/N.
+def cell_phases(n_cells: int) -> np.ndarray:
+    """exp(i * 2*pi/N * m) for the cells m = 0..N-1: the diagonal of X on either sublattice.
 
-    The position operator weights both sublattices of cell m with the cell
-    coordinate m, so the entry at (m, A) equals the entry at (m, B).
+    X = exp(i * 2*pi/N * x) weights both sites of cell m with the cell
+    coordinate m (Resta, Phys. Rev. Lett. 80, 1800 (1998)).
     """
-
-    n_cells: int
-    delta: float
-    diagonal: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * self.n_cells
-
-
-def position_phase_operator(n_cells: int) -> PositionPhaseOperator:
-    """Build exp(i * 2*pi/N * x) for an N-cell chain."""
-    if not isinstance(n_cells, (int, np.integer)) or isinstance(n_cells, bool):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
-    if n_cells < 2:
-        raise ValueError(f"n_cells must be >= 2, got {n_cells}")
-    delta = 2.0 * np.pi / n_cells
-    cell_phases = np.exp(1j * delta * np.arange(n_cells))
-    return PositionPhaseOperator(
-        n_cells=int(n_cells),
-        delta=delta,
-        diagonal=np.repeat(cell_phases, 2),
-    )
-
-
-@dataclass(frozen=True)
-class PauliObservable:
-    """Sublattice observable n . sigma replicated over all cells."""
-
-    direction: np.ndarray = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def pauli_observable(direction, n_cells: int) -> PauliObservable:
-    """2N x 2N observable I_cells (x) (n . sigma).
-
-    `direction` is either an axis name ('x', 'y', 'z') or a real unit
-    3-vector (|n| = 1 within 1e-10).
-    """
-    if isinstance(direction, str):
-        if direction not in AXIS_VECTORS:
-            raise ValueError(f"unknown axis {direction!r}, expected one of x, y, z")
-        vec = AXIS_VECTORS[direction]
-    else:
-        vec = np.asarray(direction, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError(f"direction must be a 3-vector, got shape {vec.shape}")
-        if abs(np.linalg.norm(vec) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"direction must have unit norm, got |n| = {np.linalg.norm(vec)}")
-    block = vec[0] * PAULI["x"] + vec[1] * PAULI["y"] + vec[2] * PAULI["z"]
-    return PauliObservable(
-        direction=vec,
-        matrix=np.kron(np.eye(n_cells), block),
-    )
+    return np.exp(1j * (2.0 * np.pi / n_cells) * np.arange(n_cells))

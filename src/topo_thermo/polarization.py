@@ -1,11 +1,12 @@
-"""Electric polarization of pure states and thermal ensembles.
+"""Electric polarization of thermal ensembles.
 
-P = Im ln <exp(i * delta * x)> / (2*pi) under periodic boundaries, with
-the principal branch in (-pi, pi] so P lies in (-1/2, 1/2]. Because the
-exact answer depends on which state the average is taken over, the modes
-are explicit and a required argument downstream:
+P = Im ln <X> / (2*pi) with X = exp(i * 2*pi/N * x), Resta's position
+phase of an N-cell chain, with the principal branch in (-pi, pi] so P
+lies in (-1/2, 1/2]. The chain's dimension 2N fixes X, so every function
+takes a spectrum or an ensemble and derives X from it. Because the exact
+answer depends on which state the average is taken over, the modes are
+explicit and a required argument downstream:
 
-  pure        single eigenstate expectation,
   literal     Tr[rho X] over the single-particle Gibbs mixture (vanishes
               identically for translation-invariant rings; exposed to make
               that fact observable),
@@ -30,20 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import PositionPhaseOperator
+from .lattice import cell_phases
 from .thermal import GibbsEnsemble, Spectrum, fermi_occupations
 
-MODE_PURE = "pure"
 MODE_LITERAL = "literal"
 MODE_WEIGHTED = "weighted"
 MODE_DETERMINANT = "determinant"
-MODES = (MODE_LITERAL, MODE_WEIGHTED, MODE_DETERMINANT, MODE_PURE)
+MODES = (MODE_LITERAL, MODE_WEIGHTED, MODE_DETERMINANT)
 
 # Expectation magnitudes below this are numerically unreliable and mapped
 # to "undefined" (configurable per call).
 DEFAULT_MAGNITUDE_CUTOFF = 1e-3
-
-STATE_NORM_TOL = 1e-10
 
 # Weights below this do not contribute to the weighted-phase average.
 CONTRIBUTING_WEIGHT_CUTOFF = 1e-6
@@ -119,43 +117,26 @@ def _per_temperature(result: PolarizationResult, temperature) -> PolarizationRes
     return result if np.ndim(temperature) else result.row(0)
 
 
-def state_expectations(vectors: np.ndarray, x_operator: PositionPhaseOperator) -> np.ndarray:
+def _cell_count(dimension: int) -> int:
+    """N of a 2N-dimensional chain; an odd dimension has no two-site cells."""
+    if dimension % 2 != 0:
+        raise ValueError(f"dimension must be even (two sublattices per cell), got {dimension}")
+    return dimension // 2
+
+
+def state_expectations(vectors: np.ndarray) -> np.ndarray:
     """<n|X|n> for every column n of `vectors`, in one pass.
 
-    Each entry is a sum along a contiguous row, so it does not depend on
+    The 2N rows fix X; an odd row count raises ValueError. Each entry is a sum along a contiguous row, so it does not depend on
     how many states are evaluated together.
     """
     probabilities = np.ascontiguousarray(np.abs(vectors.T) ** 2)
-    diagonal = x_operator.diagonal
+    # X on the interleaved basis: each cell's phase on both of its sites.
+    diagonal = np.repeat(cell_phases(_cell_count(vectors.shape[0])), 2)
     expectations = np.empty(probabilities.shape[0], dtype=complex)
     expectations.real = np.sum(probabilities * diagonal.real, axis=1)
     expectations.imag = np.sum(probabilities * diagonal.imag, axis=1)
     return expectations
-
-
-def _check_dimension(dimension: int, x_operator: PositionPhaseOperator, what: str) -> None:
-    if dimension != x_operator.dimension:
-        raise ValueError(
-            f"{what} dimension {dimension} does not match operator dimension {x_operator.dimension}"
-        )
-
-
-def pure_state_phase(
-    state: np.ndarray,
-    x_operator: PositionPhaseOperator,
-    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-) -> PolarizationResult:
-    """Polarization of a single normalized state."""
-    state = np.asarray(state)
-    if state.shape != (x_operator.dimension,):
-        raise ValueError(
-            f"state has shape {state.shape}, operator dimension is {x_operator.dimension}"
-        )
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state must be normalized, got |state| = {norm}")
-    expectation = state_expectations(state[:, None], x_operator)
-    return _make_result(expectation, _absolute(expectation), MODE_PURE, magnitude_cutoff).row(0)
 
 
 def polarization_from_states(
@@ -205,7 +186,6 @@ def polarization_from_states(
 
 def thermal_polarization_literal(
     ensemble: GibbsEnsemble,
-    x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
     """Tr[rho X] with rho in spectral form (see polarization_from_states).
@@ -216,14 +196,12 @@ def thermal_polarization_literal(
     batched ensemble gives one result of arrays with an entry per
     temperature.
     """
-    _check_dimension(ensemble.dimension, x_operator, "ensemble")
-    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    per_state = state_expectations(ensemble.spectrum.vectors)
     return polarization_from_states(ensemble, per_state, MODE_LITERAL, magnitude_cutoff)
 
 
 def thermal_polarization_weighted(
     ensemble: GibbsEnsemble,
-    x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
     """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
@@ -232,23 +210,16 @@ def thermal_polarization_weighted(
     over the eigenvectors of a dense spectrum. A batched ensemble gives one
     result of arrays with an entry per temperature.
     """
-    _check_dimension(ensemble.dimension, x_operator, "ensemble")
-    per_state = state_expectations(ensemble.spectrum.vectors, x_operator)
+    per_state = state_expectations(ensemble.spectrum.vectors)
     return polarization_from_states(ensemble, per_state, MODE_WEIGHTED, magnitude_cutoff)
 
 
-def _background_phase_factor(n: int, delta: float) -> complex:
-    # exp(-i*delta*sum_m m) for one unit of neutralizing charge per cell
-    # at the cell coordinate. For the canonical delta = 2*pi/N this is
-    # exactly (-1)^(N-1); evaluate it as an integer parity to avoid
-    # injecting float-pi noise into the determinant's branch.
-    if delta == 2.0 * np.pi / n:
-        return 1.0 if (n - 1) % 2 == 0 else -1.0
-    return complex(np.exp(-1j * delta * (n * (n - 1) // 2)))
-
-
-def _determinant_result(dets, n: int, delta: float, cutoff: float) -> PolarizationResult:
+def _determinant_result(dets, n: int, cutoff: float) -> PolarizationResult:
     """Determinant-mode results from an array of det[(1 - F) + F U], background included.
+
+    The neutralizing background, one unit of charge per cell at the cell
+    coordinate, contributes exp(-i * 2*pi/N * sum_m m) = (-1)^(N-1). It is
+    applied as an integer parity, so no float-pi noise enters the branch.
 
     For a real chiral Hamiltonian at mu = 0 the expectation is exactly
     real, so an imaginary part within REAL_EXPECTATION_TOL of |E| is
@@ -256,7 +227,8 @@ def _determinant_result(dets, n: int, delta: float, cutoff: float) -> Polarizati
     {0, +1/2}) instead of the sign of that noise. The expectation is kept
     as computed.
     """
-    expectation = (np.asarray(dets) * _background_phase_factor(n, delta)).astype(complex)
+    parity = 1.0 if (n - 1) % 2 == 0 else -1.0
+    expectation = (np.asarray(dets) * parity).astype(complex)
     magnitude = _absolute(expectation)
     real = np.abs(expectation.imag) <= REAL_EXPECTATION_TOL * magnitude
     branch = np.where(real, expectation.real, expectation)
@@ -266,29 +238,27 @@ def _determinant_result(dets, n: int, delta: float, cutoff: float) -> Polarizati
 def thermal_polarization_determinant(
     spectrum: Spectrum,
     temperature,
-    x_operator: PositionPhaseOperator,
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
 ):
     """Half-filled free-fermion expectation of the position phase.
 
-    expectation = exp(-i delta sum_m m) * det[(1 - F) + F U] with F the
+    expectation = exp(-i 2 pi/N sum_m m) * det[(1 - F) + F U] with F the
     Fermi occupation operator at mu = 0 and U the diagonal position-phase
-    unitary. The prefactor is the phase of the neutralizing ionic
+    unitary X. The prefactor is the phase of the neutralizing ionic
     background (one positive charge per cell at the cell coordinate),
-    equal to (-1)^(N-1) for the canonical delta = 2*pi/N; without it the
-    quantized values come out shifted by 1/2 for even N. At T = 0 this
-    reduces to the occupied-band overlap determinant. A numerically real
-    expectation takes its branch from the sign of its real part. An array
-    of temperatures gives one result of arrays with an entry per
-    temperature.
+    equal to (-1)^(N-1); without it the quantized values come out shifted
+    by 1/2 for even N. At T = 0 this reduces to the occupied-band overlap
+    determinant. A numerically real expectation takes its branch from the
+    sign of its real part. An array of temperatures gives one result of
+    arrays with an entry per temperature.
 
     With real eigenvectors V, F = V diag(f) V^T and W = V^T U V (two real
     matrix products), (1 - F) + F U = V [(1 - f) + diag(f) W] V^T. V is
     orthogonal, so only the bracket's determinant is formed per temperature.
     """
-    _check_dimension(spectrum.dimension, x_operator, "spectrum")
+    n = _cell_count(spectrum.dimension)
     occupations = fermi_occupations(spectrum, temperature)
-    vectors, diagonal = spectrum.vectors, x_operator.diagonal
+    vectors, diagonal = spectrum.vectors, np.repeat(cell_phases(n), 2)
     rotated = np.empty(vectors.shape, dtype=complex)
     rotated.real = (vectors.T * diagonal.real) @ vectors
     rotated.imag = (vectors.T * diagonal.imag) @ vectors
@@ -297,7 +267,5 @@ def thermal_polarization_determinant(
         mixture = rotated * row[:, None]
         mixture[np.diag_indices_from(mixture)] += 1.0 - row
         dets.append(np.linalg.det(mixture))
-    result = _determinant_result(
-        np.array(dets), x_operator.n_cells, x_operator.delta, magnitude_cutoff
-    )
+    result = _determinant_result(np.array(dets), n, magnitude_cutoff)
     return _per_temperature(result, temperature)

@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import PauliObservable
 from .thermal import GibbsEnsemble, Spectrum
 
 # Pairs with l_m + l_n below this are skipped; the induced error is
@@ -69,7 +68,7 @@ def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:
 
 
 def _generator_matrix(generator) -> np.ndarray:
-    matrix = generator.matrix if isinstance(generator, PauliObservable) else np.asarray(generator)
+    matrix = np.asarray(generator)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {matrix.shape}")
     return matrix

@@ -35,12 +35,11 @@ from .chiral import (
     chiral_spectrum,
     chiral_state_expectations,
 )
-from .lattice import BOUNDARIES, PERIODIC, ModelParams, position_phase_operator
+from .lattice import BOUNDARIES, PERIODIC, ModelParams
 from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
-    MODE_LITERAL,
-    MODE_WEIGHTED,
+    MODES,
     PolarizationResult,
     polarization_from_states,
 )
@@ -113,7 +112,7 @@ class SweepSpec:
             if not self.polarization_modes:
                 raise ValueError("polarization requested without polarization_modes")
             for mode in self.polarization_modes:
-                if mode not in (MODE_LITERAL, MODE_WEIGHTED, MODE_DETERMINANT):
+                if mode not in MODES:
                     raise ValueError(f"unknown polarization mode {mode!r}")
         elif self.polarization_modes:
             raise ValueError("polarization_modes given but polarization not requested")
@@ -287,21 +286,18 @@ def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarr
         or any(mode != MODE_DETERMINANT for mode in table.polarization)
     ):
         ensemble = gibbs_weights(spectrum, temperatures)
-    x_operator = per_state = None
+    per_state = None
     for mode, column in table.polarization.items():
         if periodic and mode == MODE_DETERMINANT:
             result = bloch_polarization_determinant(spectrum, temperatures, cutoff)
         elif periodic:
             result = bloch_polarization_vanishing(mode, cutoff)
+        elif mode == MODE_DETERMINANT:
+            result = chiral_polarization_determinant(spectrum, temperatures, cutoff)
         else:
-            if x_operator is None:
-                x_operator = position_phase_operator(spectrum.n_cells)
-            if mode == MODE_DETERMINANT:
-                result = chiral_polarization_determinant(spectrum, temperatures, x_operator, cutoff)
-            else:
-                if per_state is None:
-                    per_state = chiral_state_expectations(spectrum, x_operator)
-                result = polarization_from_states(ensemble, per_state, mode, cutoff)
+            if per_state is None:
+                per_state = chiral_state_expectations(spectrum)
+            result = polarization_from_states(ensemble, per_state, mode, cutoff)
         for name in RESULT_FIELDS:
             getattr(column, name)[points] = getattr(result, name)
     if need_qfi:

@@ -13,13 +13,7 @@ import numpy as np
 
 from topo_thermo.cli import EXIT_OK, cli_main
 from topo_thermo.figures import build_figure_spec
-from topo_thermo.lattice import (
-    OPEN,
-    PERIODIC,
-    ModelParams,
-    build_hamiltonian,
-    position_phase_operator,
-)
+from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
     thermal_polarization_determinant,
     thermal_polarization_literal,
@@ -172,9 +166,8 @@ def test_criterion_8_literal_trace_null():
         n = int(rng.integers(3, 12))
         v, w, z = rng.uniform(0.05, 1.0, size=3)
         spectrum = _spectrum(n, v, w, z)
-        x = position_phase_operator(n)
         for t in (0.05, 0.5):
-            res = thermal_polarization_literal(gibbs_weights(spectrum, t), x)
+            res = thermal_polarization_literal(gibbs_weights(spectrum, t))
             worst = max(worst, res.magnitude)
             all_undefined = all_undefined and not res.defined
     ok = worst <= 1e-10 and all_undefined
@@ -186,9 +179,7 @@ def test_criterion_9a_determinant_quantization():
     for v in (0.1, 0.3, 0.5):
         for w in (0.1, 0.3, 0.5):
             for z in (0.1, 0.3, 0.5):
-                res = thermal_polarization_determinant(
-                    _spectrum(50, v, w, z), 0.02, position_phase_operator(50)
-                )
+                res = thermal_polarization_determinant(_spectrum(50, v, w, z), 0.02)
                 if not res.defined:
                     continue
                 distance = min(abs(res.polarization - q) for q in (-0.5, 0.0, 0.5))
@@ -202,9 +193,8 @@ def test_criterion_9a_determinant_quantization():
 
 
 def test_criterion_9b_sign_split_across_hopping_crossing():
-    x = position_phase_operator(50)
-    low = thermal_polarization_determinant(_spectrum(50, 0.3, 0.5, 0.2), 0.02, x)
-    high = thermal_polarization_determinant(_spectrum(50, 0.3, 0.5, 0.8), 0.02, x)
+    low = thermal_polarization_determinant(_spectrum(50, 0.3, 0.5, 0.2), 0.02)
+    high = thermal_polarization_determinant(_spectrum(50, 0.3, 0.5, 0.8), 0.02)
     magnitudes_ok = (
         abs(abs(low.polarization) - 0.5) <= 1e-2 and abs(abs(high.polarization) - 0.5) <= 1e-2
     )
@@ -221,9 +211,7 @@ def test_criterion_9b_sign_split_across_hopping_crossing():
 
 
 def test_criterion_9c_thermal_washout():
-    res = thermal_polarization_determinant(
-        _spectrum(50, 0.3, 0.5, 0.2), 0.6, position_phase_operator(50)
-    )
+    res = thermal_polarization_determinant(_spectrum(50, 0.3, 0.5, 0.2), 0.6)
     ok = (not res.defined) or abs(res.polarization) < 0.1
     _report(
         "9c",

@@ -12,7 +12,7 @@ from topo_thermo.bloch import (
     bloch_qfi_matrix,
     bloch_spectrum,
 )
-from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian, position_phase_operator
+from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
     thermal_polarization_determinant,
     thermal_polarization_literal,
@@ -87,7 +87,6 @@ def test_bloch_matches_dense(ring, temperature):
         near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
         assume(np.abs(bands.coupling).min() >= T0_MIN_GAP and not near_ground.any())
     spectrum = diagonalize(build_hamiltonian(params))
-    x = position_phase_operator(n)
     # Band order [-|a|, +|a|] against the dense ascending order.
     order = np.argsort(bands.energies, kind="stable")
     assert np.abs(bands.energies[order] - spectrum.energies).max() <= 1e-13
@@ -103,11 +102,11 @@ def test_bloch_matches_dense(ring, temperature):
         assert abs(got - want) <= QFI_TOL
 
     assert_determinants_agree(
-        thermal_polarization_determinant(spectrum, temperature, x),
+        thermal_polarization_determinant(spectrum, temperature),
         bloch_polarization_determinant(bands, temperature),
     )
 
-    literal = thermal_polarization_literal(ensemble, x)
+    literal = thermal_polarization_literal(ensemble)
     bloch_literal = bloch_polarization_vanishing("literal")
     assert (bloch_literal.polarization, bloch_literal.defined) == (
         literal.polarization,
@@ -119,7 +118,7 @@ def test_bloch_matches_dense(ring, temperature):
     magnitude = np.abs(bands.coupling)
     connected = np.abs(magnitude - np.roll(magnitude, 1)).min() < 1e-9
     if n % 2 == 0 and not connected:
-        weighted = thermal_polarization_weighted(ensemble, x)
+        weighted = thermal_polarization_weighted(ensemble)
         bloch_weighted = bloch_polarization_vanishing("weighted")
         assert (bloch_weighted.polarization, bloch_weighted.defined) == (
             weighted.polarization,
@@ -212,9 +211,7 @@ def test_bloch_hamiltonian_matches_real_space_convention():
 def test_low_temperature_determinant_at_large_ring():
     # 1 - F(k) is singular in float64 here; the trace formula never inverts it.
     params = ModelParams(n_cells=120, v=0.3, w=0.5, z=0.2)
-    dense = thermal_polarization_determinant(
-        diagonalize(build_hamiltonian(params)), 1e-4, position_phase_operator(120)
-    )
+    dense = thermal_polarization_determinant(diagonalize(build_hamiltonian(params)), 1e-4)
     assert_determinants_agree(dense, bloch_polarization_determinant(bloch_spectrum(params), 1e-4))
     assert dense.defined and dense.polarization == 0.5
 
@@ -272,9 +269,7 @@ def test_low_temperature_determinant_against_dense(phase):
         v, w, z = PHASES[phase](a, b, c)
         params = ModelParams(n_cells=n, v=v, w=w, z=z)
         temperatures = np.array([1e-4, 1e-3, 1e-2])
-        dense = thermal_polarization_determinant(
-            diagonalize(build_hamiltonian(params)), temperatures, position_phase_operator(n)
-        )
+        dense = thermal_polarization_determinant(diagonalize(build_hamiltonian(params)), temperatures)
         bloch = bloch_polarization_determinant(bloch_spectrum(params), temperatures)
         assert np.all(bloch.expectation.imag == 0.0)
         for index in range(len(temperatures)):

@@ -20,7 +20,6 @@ from topo_thermo.lattice import (
     build_folded_block,
     build_hamiltonian,
     flat_index,
-    position_phase_operator,
 )
 from topo_thermo.polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
@@ -112,7 +111,6 @@ def test_chiral_matches_dense(chain, temperature):
         near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
         assume(singular_values(fast)[-1] >= T0_MIN_GAP and not near_ground.any())
     spectrum = diagonalize(build_hamiltonian(params))
-    x = position_phase_operator(n)
     # Band order [-s, +s] against the dense ascending order.
     order = np.argsort(fast.energies, kind="stable")
     assert np.abs(fast.energies[order] - spectrum.energies).max() <= 1e-13
@@ -129,21 +127,21 @@ def test_chiral_matches_dense(chain, temperature):
     for got, want in zip(ensemble_diagnostics(fast_ensemble), ensemble_diagnostics(ensemble)):
         assert abs(got - want) <= QFI_TOL
 
-    determinant = chiral_polarization_determinant(fast, temperature, x)
+    determinant = chiral_polarization_determinant(fast, temperature)
     assert determinant.expectation.imag == 0.0  # real by construction, for any N
-    assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature, x), determinant)
+    assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature), determinant)
 
-    per_state = chiral_state_expectations(fast, x)
+    per_state = chiral_state_expectations(fast)
     assert np.array_equal(per_state[:n], per_state[n:])  # chiral partners share <X>
     literal = polarization_from_states(fast_ensemble, per_state, "literal")
-    dense_literal = thermal_polarization_literal(ensemble, x)
+    dense_literal = thermal_polarization_literal(ensemble)
     assert abs(literal.expectation - dense_literal.expectation) <= LITERAL_TOL
     levels = np.sort(fast.energies)
     if np.diff(levels).min() >= WEIGHTED_MIN_GAP:
-        dense_states = state_expectations(spectrum.vectors, x)
+        dense_states = state_expectations(spectrum.vectors)
         assert np.abs(per_state[order] - dense_states).max() <= PER_STATE_TOL
         weighted = polarization_from_states(fast_ensemble, per_state, "weighted")
-        dense_weighted = thermal_polarization_weighted(ensemble, x)
+        dense_weighted = thermal_polarization_weighted(ensemble)
         assert abs(weighted.magnitude - dense_weighted.magnitude) <= PER_STATE_TOL
         assert weighted.defined == dense_weighted.defined
         assert wrap_distance(weighted.polarization, dense_weighted.polarization) <= 1e-8
@@ -153,7 +151,7 @@ def test_chiral_matches_dense(chain, temperature):
     batched = gibbs_weights(fast, batch)
     assert np.array_equal(batched.weights[1], fast_ensemble.weights)
     assert np.array_equal(chiral_qfi_matrix(fast, batched.weights)[1], matrix)
-    batched_determinants = chiral_polarization_determinant(fast, batch, x)
+    batched_determinants = chiral_polarization_determinant(fast, batch)
     assert batched_determinants.row(1) == determinant
     assert np.all(batched_determinants.expectation.imag == 0.0)
     for mode in ("literal", "weighted"):
@@ -209,9 +207,9 @@ def test_fold_rejects_a_block_that_is_not_persymmetric(monkeypatch):
         chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2, boundary=OPEN))
 
 
-def full_real_determinant(fast, temperature, x):
+def full_real_determinant(fast, temperature):
     """det [[C, G S], [-G^T S, C]] over all 2N sites, the matrix the elimination reduces."""
-    half_angles = 0.5 * x.delta * np.arange(fast.n_cells)
+    half_angles = np.pi * np.arange(fast.n_cells) / fast.n_cells
     cosines, sines = np.diag(np.cos(half_angles)), np.sin(half_angles)
     lower, upper = fast.bands(fermi_occupations(fast, temperature))
     tanh_block = (fast.fold_vectors * (lower - upper)) @ right_vectors(fast).T
@@ -223,17 +221,16 @@ def full_real_determinant(fast, temperature, x):
 def test_eliminated_determinant_matches_the_full_real_determinant(n):
     # Winding +1, winding -1, and two trivial chains. Even N puts a border
     # cell at m = N / 2; odd N >= 17 has border cells on both sides of it.
-    x = position_phase_operator(n)
     for v, w, z in ((0.3, 0.5, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.1), (-0.8, 0.5, -0.2)):
         fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
         temperatures = [0.02, 0.5, 1e6]
         if singular_values(fast)[-1] >= T0_MIN_GAP:
             temperatures.insert(0, 0.0)
-        batched = chiral_polarization_determinant(fast, np.array(temperatures), x)
+        batched = chiral_polarization_determinant(fast, np.array(temperatures))
         for index, temperature in enumerate(temperatures):
-            got = chiral_polarization_determinant(fast, temperature, x)
+            got = chiral_polarization_determinant(fast, temperature)
             assert batched.row(index) == got
-            want = full_real_determinant(fast, temperature, x)
+            want = full_real_determinant(fast, temperature)
             assert got.expectation.imag == 0.0
             tolerance = 1e-11 * abs(want) if abs(want) >= 1e-10 else 1e-15
             assert abs(got.expectation.real - want) <= tolerance, (v, w, z, temperature)
@@ -248,10 +245,9 @@ def test_determinant_infinite_temperature_closed_form():
     # the factor m = N / 2 vanishes.
     hoppings = ((0.3, 0.5, 0.2), (0.1, 0.5, 0.2), (0.5, 0.3, 0.1), (0.2, -0.4, 0.9))
     for n in (3, 4, 5, 6, 7, 50):
-        x = position_phase_operator(n)
         for v, w, z in hoppings:
             fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
-            result = chiral_polarization_determinant(fast, 1e9, x)
+            result = chiral_polarization_determinant(fast, 1e9)
             if n % 2:
                 assert abs(result.expectation - 4.0 ** (1 - n)) <= 1e-12 * 4.0 ** (1 - n)
                 assert result.polarization == 0.0
@@ -267,7 +263,6 @@ def test_determinant_half_fills_an_exact_zero_mode_at_zero_temperature():
     # (t = 0). Oracle: F built by hand from the N - 1 bonding dimers
     # (B_m, A_m+1) plus 1/2 on each isolated site, through a complex LU.
     n, w = 6, 0.5
-    x = position_phase_operator(n)
     fast = chiral_spectrum(ModelParams(n_cells=n, v=0.0, w=w, z=0.0, boundary=OPEN))
     assert singular_values(fast)[-1] == 0.0
     occupation = np.zeros((2 * n, 2 * n))
@@ -277,8 +272,9 @@ def test_determinant_half_fills_an_exact_zero_mode_at_zero_temperature():
         occupation += np.outer(bonding, bonding) / 2.0
     for site in (flat_index(0, 0), flat_index(n - 1, 1)):
         occupation[site, site] = 0.5
-    oracle = (-1) ** (n - 1) * np.linalg.det(np.eye(2 * n) + occupation * (x.diagonal - 1.0))
-    result = chiral_polarization_determinant(fast, 0.0, x)
+    x_diagonal = np.repeat(np.exp(2j * np.pi * np.arange(n) / n), 2)
+    oracle = (-1) ** (n - 1) * np.linalg.det(np.eye(2 * n) + occupation * (x_diagonal - 1.0))
+    result = chiral_polarization_determinant(fast, 0.0)
     assert abs(result.expectation - oracle) <= 1e-14
     assert result.expectation.imag == 0.0
     assert result.defined and result.polarization == 0.5
@@ -296,21 +292,20 @@ def test_edge_pair_is_the_equal_weight_sublattice_combination():
     assert winding_number(0.1, 0.5, 0.2) == 1
     assert np.count_nonzero(singular_values(fast) < 1e-8) == 1
     assert singular_values(fast)[-2] > 0.1
-    x = position_phase_operator(n)
-    per_state = chiral_state_expectations(fast, x)
+    per_state = chiral_state_expectations(fast)
     assert per_state[n - 1] == per_state[2 * n - 1]
     # In ascending order, the edge pair sits at n - 1 and n, as in the dense spectrum.
     ascending = per_state[np.argsort(fast.energies, kind="stable")]
 
     spectrum = diagonalize(build_hamiltonian(params))
     pair = spectrum.vectors[:, n - 1 : n + 1]
-    dense_states = state_expectations(spectrum.vectors, x)
+    dense_states = state_expectations(spectrum.vectors)
     edges = []
     for sublattice in (0, 1):
         projected, _, _ = np.linalg.svd(pair[sublattice::2])
         edge = np.zeros(2 * n)
         edge[sublattice::2] = projected[:, 0]
-        edges.append(state_expectations(edge[:, None], x)[0])
+        edges.append(state_expectations(edge[:, None])[0])
     rule = 0.5 * (edges[0] + edges[1])
     assert abs(per_state[n - 1] - rule) <= PER_STATE_TOL
     # Away from the pair, the levels are nondegenerate and the dense
@@ -333,11 +328,10 @@ def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
     # basis LAPACK picks. The open chain's ground state is nondegenerate,
     # so the chiral and dense answers agree and are defined.
     params = ModelParams(n_cells=18, v=0.0, w=0.5, z=-1.0, boundary=OPEN)
-    x = position_phase_operator(18)
     fast = chiral_spectrum(params)
     assert singular_values(fast)[0] - singular_values(fast)[1] > 1e-3
-    got = polarization_from_states(gibbs_weights(fast, 0.0), chiral_state_expectations(fast, x), "weighted")
-    want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0), x)
+    got = polarization_from_states(gibbs_weights(fast, 0.0), chiral_state_expectations(fast), "weighted")
+    want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0))
     assert got.defined and want.defined
     assert abs(got.polarization - want.polarization) <= 1e-12
     assert abs(got.polarization - 0.4722222222222) <= 1e-12
@@ -396,9 +390,7 @@ def test_chiral_rejects_bad_input():
     with pytest.raises(ValueError):
         chiral_qfi_matrix(fast, -np.ones(8) / 8)
     with pytest.raises(ValueError):
-        chiral_polarization_determinant(fast, -0.1, position_phase_operator(4))
-    with pytest.raises(ValueError):
-        chiral_state_expectations(fast, position_phase_operator(5))
+        chiral_polarization_determinant(fast, -0.1)
     with pytest.raises(ValueError):
         polarization_from_states(gibbs_weights(fast, 0.1), np.ones(6, dtype=complex), "weighted")
     with pytest.raises(ValueError):

@@ -6,13 +6,7 @@ from fock import position_phase_expectations
 
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import chiral_polarization_determinant, chiral_spectrum
-from topo_thermo.lattice import (
-    OPEN,
-    PERIODIC,
-    ModelParams,
-    build_hamiltonian,
-    position_phase_operator,
-)
+from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.polarization import thermal_polarization_determinant
 from topo_thermo.thermal import diagonalize
 
@@ -48,7 +42,6 @@ def test_fock_oracle_without_hopping():
 @pytest.mark.parametrize("boundary", (OPEN, PERIODIC))
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_determinants_match_the_fock_space_expectation(n, boundary):
-    x = position_phase_operator(n)
     compared = 0
     for v, w, z in HOPPINGS:
         params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=boundary)
@@ -62,8 +55,8 @@ def test_determinants_match_the_fock_space_expectation(n, boundary):
         exact_values = position_phase_expectations(params, temperatures)
         for temperature, exact in zip(temperatures, exact_values):
             results = [
-                thermal_polarization_determinant(dense, temperature, x),
-                chiral_polarization_determinant(chiral, temperature, x),
+                thermal_polarization_determinant(dense, temperature),
+                chiral_polarization_determinant(chiral, temperature),
             ]
             if bands is not None:
                 results.append(bloch_polarization_determinant(bands, temperature))

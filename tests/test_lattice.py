@@ -11,10 +11,12 @@ from topo_thermo.lattice import (
     ModelParams,
     build_folded_block,
     build_hamiltonian,
+    cell_phases,
     flat_index,
-    pauli_observable,
-    position_phase_operator,
 )
+from topo_thermo.polarization import state_expectations
+from topo_thermo.qfi import transformed_paulis
+from topo_thermo.thermal import Spectrum
 
 
 def idx(cell, sub):
@@ -148,48 +150,51 @@ def test_flat_index_bijection():
 
 
 def test_position_phase_entries():
-    x = position_phase_operator(4)
-    assert x.delta == pytest.approx(np.pi / 2)
-    assert x.diagonal[flat_index(2, 0)] == pytest.approx(-1.0)
-    x2 = position_phase_operator(2)
-    assert np.allclose(x2.diagonal, [1.0, 1.0, -1.0, -1.0])
+    assert cell_phases(4)[2] == pytest.approx(-1.0)
+    assert np.allclose(cell_phases(2), [1.0, -1.0])
+    for n in (3, 8, 25):
+        expected = [np.exp(2j * np.pi * m / n) for m in range(n)]
+        assert np.abs(cell_phases(n) - expected).max() <= 1e-12
 
 
 def test_position_phase_unitary_and_sublattice_blind():
     for n in (2, 3, 8, 25):
-        x = position_phase_operator(n)
-        assert np.abs(np.abs(x.diagonal) - 1.0).max() <= 1e-12
-        assert np.all(x.diagonal[0::2] == x.diagonal[1::2])
+        assert np.abs(np.abs(cell_phases(n)) - 1.0).max() <= 1e-12
+        # A site state's <X> is its cell's phase, on either sublattice.
+        sites = state_expectations(np.eye(2 * n))
+        assert np.array_equal(sites[0::2], cell_phases(n))
+        assert np.array_equal(sites[1::2], cell_phases(n))
     with pytest.raises(ValueError):
-        position_phase_operator(1)
+        state_expectations(np.eye(5))
+
+
+def sublattice_paulis(n_cells):
+    """I_cells (x) sigma_l for l = x, y, z: the QFI generators in the site basis."""
+    sites = Spectrum(energies=np.zeros(2 * n_cells), vectors=np.eye(2 * n_cells))
+    paulis = transformed_paulis(sites)
+    return paulis.x, 1j * paulis.y_imag, paulis.z
 
 
 def test_pauli_axis_blocks():
-    z = pauli_observable("z", 3).matrix
+    z = sublattice_paulis(3)[2]
     assert z[0, 0] == 1.0 and z[1, 1] == -1.0 and z[4, 4] == 1.0
-    x = pauli_observable("x", 2).matrix
+    x = sublattice_paulis(2)[0]
     assert x[0, 1] == 1.0 and x[1, 0] == 1.0 and x[0, 0] == 0.0
 
 
 def test_pauli_tilted_direction_block():
     n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    block = pauli_observable(n, 1).matrix
+    block = sum(component * pauli for component, pauli in zip(n, sublattice_paulis(1)))
     expected = np.array([[0.0, (1 - 1j) / np.sqrt(2)], [(1 + 1j) / np.sqrt(2), 0.0]])
     assert np.abs(block - expected).max() <= 1e-12
 
 
 def test_pauli_squares_to_identity():
     rng = np.random.default_rng(3)
+    paulis = sublattice_paulis(4)
     for _ in range(10):
         n = rng.standard_normal(3)
         n /= np.linalg.norm(n)
-        obs = pauli_observable(n, 4)
-        assert np.abs(obs.matrix @ obs.matrix - np.eye(8)).max() <= 1e-12
-        assert np.abs(obs.matrix - obs.matrix.conj().T).max() <= 1e-12
-
-
-def test_pauli_rejects_non_unit_direction():
-    with pytest.raises(ValueError):
-        pauli_observable(np.array([1.0, 1.0, 0.0]), 4)
-    with pytest.raises(ValueError):
-        pauli_observable("q", 4)
+        matrix = sum(component * pauli for component, pauli in zip(n, paulis))
+        assert np.abs(matrix @ matrix - np.eye(8)).max() <= 1e-12
+        assert np.abs(matrix - matrix.conj().T).max() <= 1e-12

@@ -1,4 +1,4 @@
-"""Polarization modes: pure, literal trace, weighted phases, determinant."""
+"""Polarization modes: literal trace, weighted phases, determinant."""
 
 import numpy as np
 import pytest
@@ -13,20 +13,19 @@ from topo_thermo.lattice import (
     OPEN,
     PERIODIC,
     ModelParams,
-    PositionPhaseOperator,
     build_hamiltonian,
     flat_index,
-    position_phase_operator,
 )
 from topo_thermo.polarization import (
+    DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
     MODE_LITERAL,
-    MODE_PURE,
     MODE_WEIGHTED,
+    _absolute,
     _determinant_result,
     _make_result,
     polarization_from_states,
-    pure_state_phase,
+    state_expectations,
     thermal_polarization_determinant,
     thermal_polarization_literal,
     thermal_polarization_weighted,
@@ -40,20 +39,25 @@ def basis_state(n_cells, cell, sublattice=0):
     return state
 
 
-def occupied_band_determinant(spectrum, x):
+def state_polarization(state, magnitude_cutoff=DEFAULT_MAGNITUDE_CUTOFF):
+    """Literal polarization Tr[rho X] of the pure state rho = |state><state|."""
+    expectation = state_expectations(np.asarray(state)[:, None])
+    return _make_result(expectation, _absolute(expectation), MODE_LITERAL, magnitude_cutoff).row(0)
+
+
+def occupied_band_determinant(spectrum):
     """Independent T -> 0 oracle: overlap determinant over the N lowest
     states, times the neutralizing-background parity."""
-    n = x.n_cells
+    n = spectrum.dimension // 2
     occupied = spectrum.vectors[:, :n]
-    overlap = occupied.T @ (x.diagonal[:, None] * occupied)
+    x_diagonal = np.repeat(np.exp(2j * np.pi * np.arange(n) / n), 2)
+    overlap = occupied.T @ (x_diagonal[:, None] * occupied)
     parity = 1.0 if (n - 1) % 2 == 0 else -1.0
     return np.linalg.det(overlap) * parity
 
 
 def test_pure_localized_state():
-    x = position_phase_operator(4)
-    res = pure_state_phase(basis_state(4, 2), x)
-    assert res.mode == MODE_PURE
+    res = state_polarization(basis_state(4, 2))
     assert abs(res.expectation - (-1.0)) <= 1e-12
     assert res.phase == pytest.approx(np.pi, abs=1e-12)
     assert res.polarization == pytest.approx(0.5, abs=1e-12)
@@ -62,29 +66,19 @@ def test_pure_localized_state():
 
 def test_pure_uniform_state_is_undefined():
     n = 6
-    x = position_phase_operator(n)
     state = np.full(2 * n, 1.0 / np.sqrt(2 * n))
-    res = pure_state_phase(state, x)
+    res = state_polarization(state)
     assert res.magnitude <= 1e-14
     assert not res.defined
     assert res.polarization == 0.0 and res.phase == 0.0
 
 
 def test_pure_two_site_superposition():
-    x = position_phase_operator(4)
     state = (basis_state(4, 0) + basis_state(4, 1)) / np.sqrt(2.0)
-    res = pure_state_phase(state, x)
+    res = state_polarization(state)
     assert abs(res.expectation - (0.5 + 0.5j)) <= 1e-12
     assert res.phase == pytest.approx(np.pi / 4.0, abs=1e-12)
     assert res.magnitude == pytest.approx(np.sqrt(2.0) / 2.0, abs=1e-12)
-
-
-def test_pure_rejects_unnormalized_state():
-    x = position_phase_operator(4)
-    with pytest.raises(ValueError):
-        pure_state_phase(2.0 * basis_state(4, 1), x)
-    with pytest.raises(ValueError):
-        pure_state_phase(np.ones(6) / np.sqrt(6.0), x)
 
 
 def test_literal_vanishes_for_periodic_thermal_states():
@@ -99,9 +93,8 @@ def test_literal_vanishes_for_periodic_thermal_states():
             boundary=PERIODIC,
         )
         spectrum = diagonalize(build_hamiltonian(params))
-        x = position_phase_operator(n)
         for t in (0.05, 0.5):
-            res = thermal_polarization_literal(gibbs_weights(spectrum, t), x)
+            res = thermal_polarization_literal(gibbs_weights(spectrum, t))
             assert res.magnitude <= 1e-10
             assert not res.defined
             assert res.polarization == 0.0
@@ -110,7 +103,7 @@ def test_literal_vanishes_for_periodic_thermal_states():
 def test_literal_infinite_temperature_trace():
     params = ModelParams(n_cells=8, v=0.3, w=0.5, z=0.2)
     spectrum = diagonalize(build_hamiltonian(params))
-    res = thermal_polarization_literal(gibbs_weights(spectrum, 1e12), position_phase_operator(8))
+    res = thermal_polarization_literal(gibbs_weights(spectrum, 1e12))
     assert res.magnitude <= 1e-13
     assert not res.defined
 
@@ -120,18 +113,16 @@ def test_literal_pure_ensemble_matches_pure_mode_bitwise():
     spectrum = diagonalize(build_hamiltonian(params))
     ensemble = gibbs_weights(spectrum, 0.0)
     assert np.array_equal(ensemble.weights[:1], [1.0])
-    x = position_phase_operator(5)
-    lit = thermal_polarization_literal(ensemble, x, magnitude_cutoff=0.0)
-    pure = pure_state_phase(spectrum.vectors[:, 0], x, magnitude_cutoff=0.0)
+    lit = thermal_polarization_literal(ensemble, magnitude_cutoff=0.0)
+    pure = state_polarization(spectrum.vectors[:, 0], magnitude_cutoff=0.0)
     assert lit.phase == pure.phase
     assert lit.polarization == pure.polarization
 
 
 def test_weighted_single_localized_state():
-    x = position_phase_operator(4)
     vectors = np.eye(8)[:, [flat_index(2, 0)] + [i for i in range(8) if i != flat_index(2, 0)]]
     spectrum = Spectrum(energies=np.arange(8.0), vectors=vectors)
-    res = thermal_polarization_weighted(gibbs_weights(spectrum, 0.0), x)
+    res = thermal_polarization_weighted(gibbs_weights(spectrum, 0.0))
     assert res.mode == MODE_WEIGHTED
     assert res.polarization == pytest.approx(0.5, abs=1e-12)
 
@@ -144,7 +135,7 @@ def test_weighted_opposite_phases_cancel():
     spectrum = Spectrum(energies=np.array([0.0, 0.0, 1, 2, 3, 4, 5, 6]), vectors=vectors)
     ensemble = gibbs_weights(spectrum, 0.0)
     assert np.array_equal(ensemble.weights[:2], [0.5, 0.5])
-    res = thermal_polarization_weighted(ensemble, position_phase_operator(4))
+    res = thermal_polarization_weighted(ensemble)
     assert res.polarization == pytest.approx(0.0, abs=1e-15)
     assert res.defined
     assert res.magnitude == pytest.approx(1.0, abs=1e-12)
@@ -169,29 +160,19 @@ def test_weighted_all_states_below_cutoff_is_undefined():
     other = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     rest = np.linalg.qr(np.column_stack([half, other, np.eye(4)[:, :2]]))[0]
     spectrum = Spectrum(energies=np.array([0.0, 0.0, 1.0, 2.0]), vectors=rest)
-    res = thermal_polarization_weighted(gibbs_weights(spectrum, 0.0), position_phase_operator(2))
+    res = thermal_polarization_weighted(gibbs_weights(spectrum, 0.0))
     assert not res.defined
     assert res.polarization == 0.0
 
 
-def test_determinant_identity_probe():
-    params = ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2)
-    spectrum = diagonalize(build_hamiltonian(params))
-    probe = PositionPhaseOperator(n_cells=6, delta=0.0, diagonal=np.ones(12, dtype=complex))
-    res = thermal_polarization_determinant(spectrum, 0.1, probe)
-    assert res.expectation == pytest.approx(1.0, abs=1e-12)
-    assert res.polarization == pytest.approx(0.0, abs=1e-12)
-
-
 def test_determinant_quantization_topological_and_trivial():
-    x = position_phase_operator(50)
     top = diagonalize(build_hamiltonian(ModelParams(n_cells=50, v=0.1, w=0.5, z=0.0)))
-    res = thermal_polarization_determinant(top, 0.02, x)
+    res = thermal_polarization_determinant(top, 0.02)
     assert res.defined
     assert abs(res.polarization) == pytest.approx(0.5, abs=1e-2)
 
     triv = diagonalize(build_hamiltonian(ModelParams(n_cells=50, v=0.5, w=0.1, z=0.0)))
-    res = thermal_polarization_determinant(triv, 0.02, x)
+    res = thermal_polarization_determinant(triv, 0.02)
     assert res.defined
     assert res.polarization == pytest.approx(0.0, abs=1e-2)
 
@@ -207,20 +188,18 @@ def test_determinant_matches_occupied_band_oracle_at_low_temperature():
             z=rng.uniform(0.0, 0.3),
         )
         spectrum = diagonalize(build_hamiltonian(params))
-        x = position_phase_operator(n)
-        reference = occupied_band_determinant(spectrum, x)
-        frozen = thermal_polarization_determinant(spectrum, 0.0, x)
+        reference = occupied_band_determinant(spectrum)
+        frozen = thermal_polarization_determinant(spectrum, 0.0)
         assert abs(frozen.expectation - reference) <= 1e-12
-        cold = thermal_polarization_determinant(spectrum, 1e-6, x)
+        cold = thermal_polarization_determinant(spectrum, 1e-6)
         assert abs(cold.expectation - reference) / abs(reference) <= 1e-8
 
 
 def test_determinant_washout_is_monotone_until_undefined():
     spectrum = diagonalize(build_hamiltonian(ModelParams(n_cells=50, v=0.3, w=0.5, z=0.2)))
-    x = position_phase_operator(50)
     previous = None
     for t in (0.02, 0.1, 0.2, 0.4, 0.6):
-        res = thermal_polarization_determinant(spectrum, t, x)
+        res = thermal_polarization_determinant(spectrum, t)
         if not res.defined or abs(res.polarization) < 0.1:
             break
         if previous is not None:
@@ -232,34 +211,32 @@ def test_determinant_branch_follows_real_part_not_rounding_noise():
     # E is exactly real at half filling; here its rounding noise is negative,
     # which used to print P = -1/2 where other points of the phase print +1/2.
     spectrum = diagonalize(build_hamiltonian(ModelParams(n_cells=50, v=0.3, w=0.5, z=0.0)))
-    res = thermal_polarization_determinant(spectrum, 0.02, position_phase_operator(50))
+    res = thermal_polarization_determinant(spectrum, 0.02)
     assert res.expectation.real < 0.0 and res.expectation.imag < 0.0
     assert res.defined and res.phase == np.pi and res.polarization == 0.5
 
     # N = 6: the background factor is (-1)^(N-1) = -1, so E = -det.
-    delta = position_phase_operator(6).delta
     for expectation, polarization in ((-0.4 - 1e-17j, 0.5), (-0.4 + 1e-17j, 0.5), (0.3 - 1e-17j, 0.0)):
-        res = _determinant_result(-expectation, 6, delta, 1e-3)
+        res = _determinant_result(-expectation, 6, 1e-3)
         assert res.polarization == polarization
         assert res.expectation == expectation
-    genuinely_complex = _determinant_result(-0.3 + 0.2j, 6, delta, 1e-3)
+    genuinely_complex = _determinant_result(-0.3 + 0.2j, 6, 1e-3)
     assert genuinely_complex.phase == np.angle(0.3 - 0.2j)
 
 
 def test_principal_branch_contract():
     rng = np.random.default_rng(29)
-    x = position_phase_operator(6)
     params = ModelParams(n_cells=6, v=0.4, w=0.8, z=0.1)
     spectrum = diagonalize(build_hamiltonian(params))
     results = [
-        thermal_polarization_determinant(spectrum, 0.05, x),
-        thermal_polarization_literal(gibbs_weights(spectrum, 0.5), x),
-        pure_state_phase(basis_state(6, 4), x),
+        thermal_polarization_determinant(spectrum, 0.05),
+        thermal_polarization_literal(gibbs_weights(spectrum, 0.5)),
+        state_polarization(basis_state(6, 4)),
     ]
     for _ in range(5):
         state = rng.standard_normal(12)
         state /= np.linalg.norm(state)
-        results.append(pure_state_phase(state, x))
+        results.append(state_polarization(state))
     for res in results:
         assert -0.5 < res.polarization <= 0.5
         assert res.polarization * 2.0 * np.pi == res.phase
@@ -278,23 +255,23 @@ def test_mode_consistency_for_pure_ensembles():
     params = ModelParams(n_cells=4, v=0.9, w=0.2, z=0.05)
     spectrum = diagonalize(build_hamiltonian(params))
     ensemble = gibbs_weights(spectrum, 0.0)
-    x = position_phase_operator(4)
-    lit = thermal_polarization_literal(ensemble, x, magnitude_cutoff=0.0)
-    weighted = thermal_polarization_weighted(ensemble, x, magnitude_cutoff=0.0)
-    pure = pure_state_phase(spectrum.vectors[:, 0], x, magnitude_cutoff=0.0)
+    lit = thermal_polarization_literal(ensemble, magnitude_cutoff=0.0)
+    weighted = thermal_polarization_weighted(ensemble, magnitude_cutoff=0.0)
+    pure = state_polarization(spectrum.vectors[:, 0], magnitude_cutoff=0.0)
     assert lit.phase == pure.phase == weighted.phase
 
 
-def test_dimension_mismatch_rejected():
-    params = ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0)
-    spectrum = diagonalize(build_hamiltonian(params))
-    x = position_phase_operator(5)
-    with pytest.raises(ValueError):
-        thermal_polarization_literal(gibbs_weights(spectrum, 0.1), x)
-    with pytest.raises(ValueError):
-        thermal_polarization_determinant(spectrum, 0.1, x)
-    with pytest.raises(ValueError):
-        thermal_polarization_weighted(gibbs_weights(spectrum, 0.1), x)
+def test_odd_dimension_rejected():
+    # X = exp(2 pi i x / N) needs two sites per cell: a 2N + 1 level system has no N.
+    spectrum = Spectrum(energies=np.arange(7.0), vectors=np.eye(7))
+    with pytest.raises(ValueError, match="even"):
+        thermal_polarization_literal(gibbs_weights(spectrum, 0.1))
+    with pytest.raises(ValueError, match="even"):
+        thermal_polarization_determinant(spectrum, 0.1)
+    with pytest.raises(ValueError, match="even"):
+        thermal_polarization_weighted(gibbs_weights(spectrum, 0.1))
+    with pytest.raises(ValueError, match="even"):
+        state_expectations(np.eye(7)[:, :1])
 
 
 RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
@@ -314,19 +291,16 @@ def test_batched_results_are_bitwise_single_temperature_results():
     temperatures = np.array([0.0, 0.02, 0.3, np.inf])
     ring = ModelParams(n_cells=50, v=0.3, w=0.5, z=0.0)
     dense = diagonalize(build_hamiltonian(ring))
-    x = position_phase_operator(50)
     bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2))
     chain = ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2, boundary=OPEN)
     block = chiral_spectrum(chain)
-    per_state = chiral_state_expectations(block, position_phase_operator(6))
+    per_state = chiral_state_expectations(block)
     evaluations = {
-        "dense determinant": lambda t: thermal_polarization_determinant(dense, t, x),
-        "dense literal": lambda t: thermal_polarization_literal(gibbs_weights(dense, t), x),
-        "dense weighted": lambda t: thermal_polarization_weighted(gibbs_weights(dense, t), x),
+        "dense determinant": lambda t: thermal_polarization_determinant(dense, t),
+        "dense literal": lambda t: thermal_polarization_literal(gibbs_weights(dense, t)),
+        "dense weighted": lambda t: thermal_polarization_weighted(gibbs_weights(dense, t)),
         "ring determinant": lambda t: bloch_polarization_determinant(bands, t),
-        "chain determinant": lambda t: chiral_polarization_determinant(
-            block, t, position_phase_operator(6)
-        ),
+        "chain determinant": lambda t: chiral_polarization_determinant(block, t),
         "chain literal": lambda t: polarization_from_states(
             gibbs_weights(block, t), per_state, MODE_LITERAL
         ),
@@ -347,11 +321,10 @@ def test_batched_results_are_bitwise_single_temperature_results():
     hot = batches["ring determinant"].row(3)
     assert hot.expectation == 0.0 and not hot.defined and hot.polarization == 0.0
 
-    delta = position_phase_operator(6).delta
     dets = np.array([0.4 + 1e-17j, 0.4 - 1e-17j, -0.3 + 1e-17j, 0.3 - 0.2j, 0.0])
     assert_rows_are_single_calls(
-        _determinant_result(dets, 6, delta, 1e-3),
-        [_determinant_result(dets[i : i + 1], 6, delta, 1e-3).row(0) for i in range(len(dets))],
+        _determinant_result(dets, 6, 1e-3),
+        [_determinant_result(dets[i : i + 1], 6, 1e-3).row(0) for i in range(len(dets))],
     )
 
 
@@ -372,9 +345,9 @@ def test_batched_minus_pi_fold_is_bitwise_single_temperature_results():
 
     expectations = np.array([complex(-1.0, -0.0), complex(-0.5, -0.0), 0.3 - 0.2j])
     magnitudes = np.abs(expectations)
-    batched = _make_result(expectations, magnitudes, MODE_PURE, 1e-3)
+    batched = _make_result(expectations, magnitudes, MODE_LITERAL, 1e-3)
     singles = [
-        _make_result(expectations[i : i + 1], magnitudes[i : i + 1], MODE_PURE, 1e-3).row(0)
+        _make_result(expectations[i : i + 1], magnitudes[i : i + 1], MODE_LITERAL, 1e-3).row(0)
         for i in range(len(expectations))
     ]
     assert_rows_are_single_calls(batched, singles)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from topo_thermo.lattice import ModelParams, build_hamiltonian, pauli_observable
+from topo_thermo.lattice import ModelParams, build_hamiltonian
 from topo_thermo.qfi import (
     PAIR_WEIGHT_CUTOFF,
     interferometric_power,
@@ -14,6 +14,18 @@ from topo_thermo.qfi import (
     transformed_paulis,
 )
 from topo_thermo.thermal import GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
+
+
+PAULI_BLOCKS = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def sublattice_pauli(axis, n_cells):
+    """Dense 2N x 2N generator I_cells (x) sigma_axis."""
+    return np.kron(np.eye(n_cells), PAULI_BLOCKS[axis])
 
 
 def random_hermitian(rng, dim):
@@ -94,13 +106,6 @@ def test_qfi_scalar_validation():
         qfi_scalar(bad, np.eye(4))
 
 
-def test_qfi_scalar_accepts_observable_objects():
-    params = ModelParams(n_cells=4, v=0.2, w=0.6, z=0.0)
-    ensemble = gibbs_weights(diagonalize(build_hamiltonian(params)), 0.3)
-    obs = pauli_observable("z", 4)
-    assert qfi_scalar(ensemble, obs) == qfi_scalar(ensemble, obs.matrix)
-
-
 def test_matrix_vanishes_at_infinite_temperature():
     params = ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2)
     spectrum = diagonalize(build_hamiltonian(params))
@@ -133,7 +138,7 @@ def test_flat_band_brute_force_small_chain():
     spectrum = diagonalize(build_hamiltonian(params))
     ensemble = gibbs_weights(spectrum, 5e-4)
     for axis, expected in (("x", 0.5), ("y", 0.5), ("z", 1.0)):
-        generator = pauli_observable(axis, 6).matrix
+        generator = sublattice_pauli(axis, 6)
         reference = dense_qfi_reference(ensemble.weights, spectrum.vectors, generator)
         assert reference == pytest.approx(expected, abs=1e-6)
         assert qfi_scalar(ensemble, generator) == pytest.approx(reference, abs=1e-10)
@@ -177,7 +182,7 @@ def test_real_block_rotation_matches_kron_oracle(n, boundary):
     rotated = {"x": paulis.x, "y": 1j * paulis.y_imag, "z": paulis.z}
     for axis, matrix in rotated.items():
         assert np.isrealobj(getattr(paulis, "y_imag" if axis == "y" else axis))
-        oracle = vectors.T @ pauli_observable(axis, n).matrix @ vectors
+        oracle = vectors.T @ sublattice_pauli(axis, n) @ vectors
         assert np.abs(matrix - oracle).max() <= 1e-14
 
     for matrix in qfi_matrix(gibbs_weights(spectrum, np.array([0.0, 0.05, 0.7]))):
@@ -314,7 +319,7 @@ def test_fidelity_oracle_pure_sublattice_state():
     energies = np.concatenate([[0.0], np.arange(1.0, 8.0)])
     spectrum = Spectrum(energies=energies, vectors=np.eye(8))
     ensemble = gibbs_weights(spectrum, 0.0)
-    generator = pauli_observable("x", 4).matrix
+    generator = sublattice_pauli("x", 4)
     value = qfi_fidelity_oracle(ensemble, generator, 1e-3)
     assert value == pytest.approx(1.0, rel=1e-4)
 

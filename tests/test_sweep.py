@@ -22,7 +22,7 @@ from topo_thermo.chiral import (
     chiral_state_expectations,
 )
 from topo_thermo.figures import build_figure_spec
-from topo_thermo.lattice import ModelParams, build_hamiltonian, position_phase_operator
+from topo_thermo.lattice import ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
     polarization_from_states,
     thermal_polarization_determinant,
@@ -97,15 +97,14 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     dense_ensemble = gibbs_weights(spectrum, 0.37)
     dense_matrix = qfi_matrix(dense_ensemble)
     dense_diagnostics = ensemble_diagnostics(dense_ensemble)
-    x_operator = position_phase_operator(5)
-    dense_determinant = thermal_polarization_determinant(spectrum, 0.37, x_operator)
+    dense_determinant = thermal_polarization_determinant(spectrum, 0.37)
     if boundary == "open":
         # An open chain goes through the public chiral functions, bit for bit.
         fast = chiral_spectrum(params)
         ensemble = gibbs_weights(fast, 0.37)
         matrix = chiral_qfi_matrix(fast, ensemble.weights)
-        determinant = chiral_polarization_determinant(fast, 0.37, x_operator)
-        per_state = chiral_state_expectations(fast, x_operator)
+        determinant = chiral_polarization_determinant(fast, 0.37)
+        per_state = chiral_state_expectations(fast)
         state_modes = {
             mode: polarization_from_states(ensemble, per_state, mode) for mode in ("literal", "weighted")
         }
@@ -138,8 +137,8 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
         # This chain has no near-degenerate levels, so the per-state
         # expectations, and with them both modes, match the dense ones.
         for mode, dense in (
-            ("literal", thermal_polarization_literal(dense_ensemble, x_operator)),
-            ("weighted", thermal_polarization_weighted(dense_ensemble, x_operator)),
+            ("literal", thermal_polarization_literal(dense_ensemble)),
+            ("weighted", thermal_polarization_weighted(dense_ensemble)),
         ):
             result = record.polarization[mode]
             assert abs(result.expectation - dense.expectation) <= 1e-13
@@ -316,7 +315,7 @@ DENSE_CALLS = (
 )
 CHIRAL_CALLS = (
     "build_folded_block",
-    "position_phase_operator",
+    "cell_phases",
     "chiral_spectrum",
     "chiral_qfi_matrix",
     "chiral_polarization_determinant",
