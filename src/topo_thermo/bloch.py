@@ -11,7 +11,8 @@ bonds of N = 2 included. The bands are -|a(k)| and +|a(k)| with
 eigenvectors u_-(k), u_+(k) = (exp(i phi), -1) / sqrt(2), (exp(i phi), 1) / sqrt(2),
 phi = arg a(k). Each quantity the sweep needs then costs O(N):
 
-  QFI          I (x) sigma_l couples only the two bands at the same k;
+  QFI          I (x) sigma_l couples only the two bands at the same k,
+               and the 3x3 matrix is diagonal;
   determinant  X = exp(i 2 pi x / N) shifts k by 2 pi/N, so (1 - F) + F U
                is block-cyclic bidiagonal with 2x2 blocks, and at mu = 0
                its determinant is the closed form
@@ -55,10 +56,12 @@ class BlochSpectrum(BandSpectrum):
     `coupling` holds a(k_j), and `energies` = [-|a|, +|a|] the lower band
     at every k_j, then the upper band in the same order. With
     g_l = u_-(k_j)^dagger sigma_l u_+(k_j) = (-i sin phi_j, -i cos phi_j, 1),
-    Re(g_l conj(g_m)) has four distinct non-zero entries: xx, xy = yx,
-    yy and zz. `generators` has shape (4, N), one row each, and the xz
-    and yz entries are exactly 0. Keeping k along the contiguous axis
-    lets the QFI sum over k one row at a time.
+    the diagonal of Re(g_l conj(g_m)) is sin^2 phi_j, cos^2 phi_j and 1.
+    `generators` has shape (3, N), one row each. The xz and yz entries are
+    0 term by term. The xy entry sin phi_j cos phi_j is odd in k, since
+    a(-k) = conj(a(k)) flips phi, while the pair weights are even, so it
+    sums to 0 over the ring and has no row. Keeping k along the contiguous
+    axis lets the QFI sum over k one row at a time.
     """
 
     coupling: np.ndarray = field(repr=False)
@@ -83,7 +86,7 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
     # g_x = -i sin(phi), g_y = -i cos(phi), g_z = 1.
     phi = np.angle(coupling)
     sin, cos = np.sin(phi), np.cos(phi)
-    generators = np.stack([sin * sin, sin * cos, cos * cos, np.ones(n)])
+    generators = np.stack([sin * sin, cos * cos, np.ones(n)])
     return BlochSpectrum(
         n_cells=n,
         energies=np.concatenate([-magnitude, magnitude]),
@@ -97,18 +100,17 @@ def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray
 
     Same normalization and pair cutoff as qfi.qfi_matrix. The generators
     connect only the two bands at one k, and the (-, +) and (+, -) pairs
-    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Only the four
-    distinct non-zero entries are summed; M_yx copies M_xy and the xz, yz
-    entries stay exactly 0. Weights of shape (n_T, 2N) give (n_T, 3, 3);
-    each entry is a sum along the contiguous k axis, so it does not depend
-    on how many temperatures share the call.
+    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Only the
+    diagonal is summed; every off-diagonal entry is exactly 0 (see
+    BlochSpectrum). Weights of shape (n_T, 2N) give (n_T, 3, 3); each
+    entry is a sum along the contiguous k axis, so it does not depend on
+    how many temperatures share the call.
     """
     lower, upper = spectrum.bands(weights)
     pair = pair_weights(lower, upper)
     entries = np.sum(pair[..., None, :] * spectrum.generators, axis=-1)
     matrices = np.zeros((*pair.shape[:-1], 3, 3))
-    # xx, xy, yx, yy, zz from the rows (sin^2, sin cos, cos^2, 1)
-    matrices[..., (0, 0, 1, 1, 2), (0, 1, 0, 1, 2)] = entries[..., (0, 1, 1, 2, 3)]
+    matrices[..., (0, 1, 2), (0, 1, 2)] = entries
     return matrices
 
 
