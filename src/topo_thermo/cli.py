@@ -245,7 +245,6 @@ def _point_sweep_spec(config: RunConfig, quantities: tuple, modes: tuple) -> Swe
         quantities=quantities,
         polarization_modes=modes,
         magnitude_cutoff=config.tau_mag,
-        label=config.label,
     )
 
 
@@ -335,7 +334,6 @@ def _run_sweep_command(config: RunConfig) -> int:
         quantities=tuple(config.quantities),
         polarization_modes=modes,
         magnitude_cutoff=config.tau_mag,
-        label=config.label,
     )
     return _emit(config, run_sweep(spec))
 

@@ -70,6 +70,5 @@ def build_figure_spec(figure_id: str, magnitude_cutoff: float | None = None) -> 
         fixed=fixed,
         quantities=quantities,
         polarization_modes=modes,
-        label=f"figure-{figure_id}",
         **kwargs,
     )

@@ -75,7 +75,6 @@ class SweepSpec:
     quantities: tuple = ()
     polarization_modes: tuple = ()
     magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF
-    label: str = ""
 
     def __post_init__(self):
         self.axes = tuple((str(name), tuple(grid)) for name, grid in self.axes)

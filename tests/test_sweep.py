@@ -256,6 +256,44 @@ def test_batched_rows_equal_single_temperature_sweeps(
         assert record.polarization.keys() == single.polarization.keys()
 
 
+@seed(20261018)
+@settings(max_examples=84, deadline=None, database=None)
+@given(
+    n=st.integers(2, 12),
+    boundary=st.sampled_from(["periodic", "open"]),
+    hoppings=st.tuples(hopping, hopping, hopping),
+    closing=st.sampled_from(["none", "w = z", "v = -(w + z)"]),
+    temperatures=st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=6, unique=True),
+)
+def test_qfi_matrices_are_diagonal_and_i_p_is_their_smallest_entry(
+    n, boundary, hoppings, closing, temperatures
+):
+    # Both fast engines give M_xy = M_xz = M_yz = 0 exactly, at T = 0 and
+    # at gap closings too, so i_p is the smallest diagonal entry and the
+    # optimal direction is the axis that carries it.
+    v, w, z = hoppings
+    if closing == "w = z":
+        z = w
+    elif closing == "v = -(w + z)":
+        v = -(w + z)
+    spec = SweepSpec(
+        axes=(("T", tuple(sorted({0.0, *temperatures}))),),
+        fixed={"v": v, "w": w, "z": z, "N": n},
+        boundary=boundary,
+        quantities=QFI_QUANTITIES,
+    )
+    table = run_sweep(spec)
+    assert not table.errors
+    assert np.all(table.qfi[:, ~np.eye(3, dtype=bool)] == 0.0)
+    diagonal = np.diagonal(table.qfi, axis1=1, axis2=2)
+    assert np.array_equal(table.i_p, np.maximum(diagonal.min(axis=1), 0.0))
+    directions = table.optimal_direction
+    assert np.all((directions == 0.0) | (directions == 1.0))
+    assert np.all(directions.sum(axis=1) == 1.0)
+    axis = np.argmax(directions, axis=1)
+    assert np.array_equal(diagonal[np.arange(len(table)), axis], table.i_p)
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_each_quantity_alone_matches_the_full_sweep(boundary):
     # A sweep that asks for one quantity (figure 1a asks for determinant
