@@ -127,8 +127,9 @@ def _cell_count(dimension: int) -> int:
 def state_expectations(vectors: np.ndarray) -> np.ndarray:
     """<n|X|n> for every column n of `vectors`, in one pass.
 
-    The 2N rows fix X; an odd row count raises ValueError. Each entry is a sum along a contiguous row, so it does not depend on
-    how many states are evaluated together.
+    The 2N rows fix X; an odd row count raises ValueError. Each entry is
+    a sum along a contiguous row, so it does not depend on how many
+    states are evaluated together.
     """
     probabilities = np.ascontiguousarray(np.abs(vectors.T) ** 2)
     # X on the interleaved basis: each cell's phase on both of its sites.

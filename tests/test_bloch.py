@@ -276,7 +276,8 @@ def test_low_temperature_determinant_against_dense(phase):
         v, w, z = PHASES[phase](a, b, c)
         params = ModelParams(n_cells=n, v=v, w=w, z=z)
         temperatures = np.array([1e-4, 1e-3, 1e-2])
-        dense = thermal_polarization_determinant(diagonalize(build_hamiltonian(params)), temperatures)
+        dense_spectrum = diagonalize(build_hamiltonian(params))
+        dense = thermal_polarization_determinant(dense_spectrum, temperatures)
         bloch = bloch_polarization_determinant(bloch_spectrum(params), temperatures)
         assert np.all(bloch.expectation.imag == 0.0)
         for index in range(len(temperatures)):

@@ -330,7 +330,8 @@ def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
     params = ModelParams(n_cells=18, v=0.0, w=0.5, z=-1.0, boundary=OPEN)
     fast = chiral_spectrum(params)
     assert singular_values(fast)[0] - singular_values(fast)[1] > 1e-3
-    got = polarization_from_states(gibbs_weights(fast, 0.0), chiral_state_expectations(fast), "weighted")
+    per_state = chiral_state_expectations(fast)
+    got = polarization_from_states(gibbs_weights(fast, 0.0), per_state, "weighted")
     want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0))
     assert got.defined and want.defined
     assert abs(got.polarization - want.polarization) <= 1e-12
