@@ -20,8 +20,8 @@ sigma = -1 where lambda < 0 and +1 otherwise, so a zero lambda still
 gives a unit column. ChiralSpectrum stores Q, sigma and the band-ordered
 energies [-s, +s], s descending, and forms V = J Q diag(sigma) only as
 far as a quantity needs it. Each quantity the sweep needs then costs
-N x N work instead of 2N x 2N, the determinant one real (N + n_b)-square
-LU per temperature:
+N x N work instead of 2N x 2N, the determinant two N x N products per
+spectrum and one real (N + n_b)-square LU per temperature:
 
   QFI          with C = U^T V = Q^T (J Q diag(sigma)), S = C + C^T and
                A = C - C^T, the generators
@@ -34,11 +34,11 @@ LU per temperature:
                of cell m in 1 + F (X - 1) carries e^{i theta_m / 2},
                and their product cancels the neutralizing-background
                phase exactly, so the expectation is the determinant of
-               a real 2N x 2N matrix.
-               Block elimination of the B sites, on pivots
-               cos(theta_m / 2) of at least BORDER_COSINE, reduces it to
-               N + n_b rows; the n_b border cells near m = N/2 keep
-               their B site;
+               a real 2N x 2N matrix. Eliminating the B sites leaves
+               det(U^T cot U + diag(t) V^T tan V diag(t)) of the cell
+               half angles times a prefactor; the two products depend
+               on the spectrum alone, and the n_b cells near m = 0 and
+               m = N/2, where cot or tan diverges, become border rows;
   literal,     <psi|X|psi> = (u.X_c u + v.X_c v) / 2, the same for both
   weighted     partners of a pair: with v = J u sigma, the sum of u^2
                against the folded cell phases (phi_m + phi_{N-1-m}) / 2.
@@ -63,8 +63,8 @@ Working set: besides Q, each function allocates its N x N arrays once
 per call and rewrites them per temperature, so one spectrum's sweep
 holds about 6 N x N float64 arrays at its peak, whatever the number of
 temperatures: the QFI its two kernels and one pair-weight buffer, the
-determinant its gathered rows of V, U diag(t), the product and the
-reduced matrix, the expectations one buffer of squares.
+determinant its two products and the bordered matrix with the copy its
+LU factors, the expectations one buffer of squares.
 
 run_sweep evaluates open chains here. The dense functions of thermal,
 qfi and polarization stay public; they are the `spectrum` subcommand's
@@ -87,10 +87,12 @@ from .polarization import (
 from .qfi import pair_weights
 from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations
 
-# Cells with |cos(theta_m / 2)| below this keep their B site in the
-# determinant's reduced matrix; every other B site is eliminated on a
-# pivot at least this large, so |tan(theta_m / 2)| <= 10.
-BORDER_COSINE = 0.1
+# A cell whose |sin(theta_m / 2)| or |cos(theta_m / 2)| is below this
+# leaves the determinant's cot or tan sum for a border row, so no cot or
+# tan in the two sums exceeds 1 / BORDER_COSINE. At N = 400, 0.01 gives
+# n_b = 6 and 0.1 gives n_b = 50, a larger LU per temperature, with the
+# same accuracy against an extended-precision LU.
+BORDER_COSINE = 0.01
 
 
 @dataclass(frozen=True)
@@ -210,41 +212,48 @@ def chiral_polarization_determinant(
     """Determinant-mode polarization of a chain from its chiral block.
 
     The same expectation as polarization.thermal_polarization_determinant,
-    exp(-i 2 pi/N sum_m m) det[1 + F (X - 1)], as the determinant of one
-    real (N + n_b)-square matrix per temperature. In sublattice order
-    F = (1 - tanh(H / 2T)) / 2 with tanh(H / 2T) = [[0, G], [G^T, 0]],
-    G = U diag(t) V^T and t_k = f(-s_k) - f(+s_k) taken from the
-    occupation rows, so the T = 0 step and the edge pair follow
-    fermi_occupations. With theta_m = 2 pi m / N and the half-angle forms
+    exp(-i 2 pi/N sum_m m) det[1 + F (X - 1)], as a prefactor times the
+    determinant of one real (N + n_b)-square matrix per temperature. In
+    sublattice order F = (1 - tanh(H / 2T)) / 2 with
+    tanh(H / 2T) = [[0, G], [G^T, 0]], G = U diag(t) V^T and
+    t_k = f(-s_k) - f(+s_k) taken from the occupation rows, so the T = 0
+    step and the edge pair follow fermi_occupations. With
+    theta_m = 2 pi m / N and the half-angle forms
     1 + X = 2 e^{i theta / 2} cos(theta / 2), X - 1 = 2i e^{i theta / 2}
     sin(theta / 2), every column of cell m carries e^{i theta_m / 2}; the
     2N of them multiply to exp(i 2 pi/N sum_m m), which the background
-    phase cancels exactly, and a similarity by diag(1, -i)
-    removes the remaining i:
+    phase cancels exactly, and a similarity by diag(1, -i) removes the
+    remaining i:
 
       E = det [[C, G S], [-G^T S, C]],  C = diag cos(theta_m / 2),
                                          S = diag sin(theta_m / 2).
 
-    The B site of every cell m in g, the cells with |cos(theta_m / 2)| >=
-    BORDER_COSINE, is eliminated on its diagonal pivot cos(theta_m / 2).
-    Its multipliers are tan(theta_m / 2) times entries of G, and
-    |G| <= 1, so they are at most 10 and element growth is bounded. The
-    n_b border cells near m = N/2, whose pivots vanish, keep their B site:
+    Eliminating the B sites on C and taking S out of the Schur
+    complement, with cot = C S^-1 and tan = S C^-1,
 
-      E = det [[R (C + G_g diag(tan) G_g^T S), R G_b S_b],
-               [-G_b^T S,                      C_b      ]],
+      E = det C det S det(U^T cot U + diag(t) V^T tan V diag(t)),
 
-    where R scales the A row of each cell in g by its cos(theta_m / 2),
-    which folds det C_g into the one LU. G_g diag(tan) G_g^T is formed as
-    a a^T - b b^T with a and b the columns of G at positive and negative
-    tangents scaled by sqrt|tan|, two symmetric rank-k updates.
+    where V^T tan V = sigma Q^T diag(tan, reversed) Q sigma, so V is never
+    formed. Both products depend on the spectrum alone and are formed
+    once per call; each temperature then costs N^2 elementwise work and
+    one LU. cot diverges at m = 0 and tan at m = N/2. A cell with
+    |sin(theta_m / 2)| or |cos(theta_m / 2)| below BORDER_COSINE leaves
+    the cot or the tan sum. Its term is rank 1, p c p^T, with c the
+    large cot or tan and p row m of Q, or row N - 1 - m of Q times
+    sigma and t, and a border restores it:
 
-    Working set: the scaled rows of V are gathered once per call into one
-    array, and U diag(t), the product (U diag(t)) V^T[:, cells] that holds
-    a, b and G_b, and the reduced matrix each get one buffer, allocated
-    once per call and rewritten per temperature. a a^T goes straight into
-    the top-left block of the reduced matrix, b b^T into the U diag(t)
-    buffer, which the product has freed.
+      det(H + P Gamma P^T) = det Gamma det [[H, P], [-P^T, Gamma^-1]],
+
+    with the small 1 / c = tan or cot on the border's diagonal. det Gamma
+    joins det C det S in the prefactor: sin cos for every other cell,
+    cos^2 for a cot border cell and sin^2 for a tan border cell. The
+    prefactor is summed as logs, since at high T it alone underflows
+    near N = 540, and the (N + n_b)-square matrix is factored by
+    np.linalg.slogdet.
+
+    Working set: besides Q, the two products, one N x N buffer while
+    they are formed, and the (N + n_b)-square matrix, rewritten per
+    temperature, with the copy slogdet factors.
 
     E is real by construction, so P is 0 or +1/2 from its sign. An array
     of temperatures gives one result of arrays with an entry per
@@ -252,38 +261,47 @@ def chiral_polarization_determinant(
     """
     occupations = fermi_occupations(spectrum, temperature)
     n = spectrum.n_cells
-    half_angles = 0.5 * (2.0 * np.pi / n) * np.arange(n)
+    vectors = spectrum.fold_vectors
+    half_angles = np.pi / n * np.arange(n)
     cosines, sines = np.cos(half_angles), np.sin(half_angles)
-    border = np.abs(cosines) < BORDER_COSINE
-    tangents = np.where(border, 0.0, sines / cosines)
-    rising, falling = np.flatnonzero(tangents > 0.0), np.flatnonzero(tangents < 0.0)
-    cells = np.concatenate([rising, falling, np.flatnonzero(border)])
-    split_a, split_b = len(rising), len(rising) + len(falling)
-    # Rows of V = J Q diag(sigma), scaled, so that one product with
-    # U diag(t) gives the columns a, b and G_b of the elimination.
-    scaled_rows = spectrum.fold_vectors[n - 1 - cells] * spectrum.signs
-    scaled_rows[:split_b] *= np.sqrt(np.abs(tangents[cells[:split_b]]))[:, None]
-    columns = scaled_rows.T
-    row_scale = np.where(border, 1.0, cosines)[:, None]
-    border_sines, negative_sines = sines[border], -sines
-    matrix = np.diag(np.concatenate([np.zeros(n), cosines[border]]))
-    top_left = matrix[:n, :n]
-    scaled_left, product = np.empty((n, n)), np.empty((n, len(cells)))
-    a, b, edge = product[:, :split_a], product[:, split_a:split_b], product[:, split_b:]
+    cot_border, tan_border = sines < BORDER_COSINE, np.abs(cosines) < BORDER_COSINE
+    interior = ~(cot_border | tan_border)
+    cotangents = np.divide(cosines, sines, out=np.zeros(n), where=~cot_border)
+    tangents = np.divide(sines, cosines, out=np.zeros(n), where=~tan_border)
+    log_prefactor = (
+        np.sum(np.log(sines[interior] * np.abs(cosines[interior])))
+        + 2.0 * np.sum(np.log(np.abs(cosines[cot_border])))
+        + 2.0 * np.sum(np.log(sines[tan_border]))
+    )
+    prefactor_sign = np.prod(np.sign(cosines[interior]))
+    # U^T cot U, and Q^T diag(tan, reversed) Q, which sigma t scales per temperature.
+    scaled = vectors * cotangents[:, None]
+    cot_sum = scaled.T @ vectors
+    np.multiply(vectors, tangents[::-1, None], out=scaled)
+    tan_sum = scaled.T @ vectors
+    del scaled
+    cot_cells, tan_cells = np.flatnonzero(cot_border), np.flatnonzero(tan_border)
+    split = n + len(cot_cells)
+    size = split + len(tan_cells)
+    matrix = np.zeros((size, size))
+    matrix[:n, n:split] = vectors[cot_cells].T
+    matrix[n:split, :n] = -vectors[cot_cells]
+    border = np.arange(n, size)
+    matrix[border, border] = np.concatenate([tangents[cot_cells], cotangents[tan_cells]])
+    tan_rows = vectors[n - 1 - tan_cells].T
+    top_left, tan_columns = matrix[:n, :n], matrix[:n, split:]
     rows = np.atleast_2d(occupations)
     expectations = np.empty(len(rows))
     for index, row in enumerate(rows):
         lower, upper = spectrum.bands(row)
-        np.multiply(spectrum.fold_vectors, lower - upper, out=scaled_left)
-        np.matmul(scaled_left, columns, out=product)
-        np.matmul(a, a.T, out=top_left)
-        top_left -= np.matmul(b, b.T, out=scaled_left)
-        top_left *= sines
-        top_left.flat[:: n + 1] += cosines
-        np.multiply(edge, border_sines, out=matrix[:n, n:])
-        matrix[:n] *= row_scale
-        np.multiply(edge.T, negative_sines, out=matrix[n:, :n])
-        expectations[index] = np.linalg.det(matrix)
+        scale = (lower - upper) * spectrum.signs
+        np.multiply(tan_sum, scale[:, None], out=top_left)
+        top_left *= scale
+        top_left += cot_sum
+        np.multiply(tan_rows, scale[:, None], out=tan_columns)
+        np.negative(tan_columns.T, out=matrix[split:, :n])
+        sign, log_magnitude = np.linalg.slogdet(matrix)
+        expectations[index] = prefactor_sign * sign * np.exp(log_prefactor + log_magnitude)
     result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)
     return _per_temperature(result, temperature)
 

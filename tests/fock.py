@@ -20,49 +20,62 @@ import numpy as np
 
 from topo_thermo.lattice import ModelParams, build_hamiltonian
 
-# 2^8 = 256 Fock states, N <= 4 cells.
-MAX_SITES = 8
-
-
-def annihilators(sites: int) -> list[np.ndarray]:
-    """Jordan-Wigner c_j = Z (x) ... (x) Z (x) a (x) 1 (x) ... (x) 1, site 0 leftmost."""
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # a|1> = |0>
-    parity = np.diag([1.0, -1.0])
-    operators = []
-    for j in range(sites):
-        operator = np.ones((1, 1))
-        for factor in [parity] * j + [lower] + [np.eye(2)] * (sites - j - 1):
-            operator = np.kron(operator, factor)
-        operators.append(operator)
-    return operators
+# 2^10 = 1024 Fock states, N <= 5 cells.
+MAX_SITES = 10
 
 
 def many_body_hamiltonian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H = sum_ij h_ij c_i^dagger c_j, and the occupations n_j of every Fock state, (2N, 2^2N)."""
+    """H = sum_ij h_ij c_i^dagger c_j, and the occupations n_j of every Fock state, (2N, 2^2N).
+
+    Fock state s has n_j = bit (2N - 1 - j) of s, site 0 leading. The
+    Jordan-Wigner operators act as c_j |n> = (-1)^(n_0 + ... + n_(j-1))
+    |n - e_j> when n_j = 1, and c_i^dagger |n> = (-1)^(n_0 + ... + n_(i-1))
+    |n + e_i> when n_i = 0; each term h_ij c_i^dagger c_j is written from
+    these rules, one column per Fock state it does not annihilate.
+    """
     sites = h.shape[0]
     if sites > MAX_SITES:
         raise ValueError(f"the Fock space of {sites} sites is too large for a dense oracle")
-    c = annihilators(sites)
-    hamiltonian = sum(c[i].T @ sum(h[i, j] * c[j] for j in range(sites)) for i in range(sites))
-    occupations = np.array([np.diag(op.T @ op) for op in c])
+    states = np.arange(2**sites)
+    bits = 1 << np.arange(sites - 1, -1, -1)
+    occupations = ((states & bits[:, None]) != 0).astype(int)
+    strings = np.cumsum(occupations, axis=0) - occupations  # n_0 + ... + n_(j-1)
+    hamiltonian = np.zeros((2**sites, 2**sites))
+    for i, j in zip(*np.nonzero(h)):
+        if i == j:
+            hamiltonian[states, states] += h[i, i] * occupations[i]
+            continue
+        hop = (occupations[j] == 1) & (occupations[i] == 0)
+        # c_j empties site j, which leaves one fewer particle ahead of i when j < i.
+        parity = strings[j, hop] + strings[i, hop] - (j < i)
+        hamiltonian[states[hop] - bits[j] + bits[i], states[hop]] += h[i, j] * (-1.0) ** parity
     return hamiltonian, occupations
 
 
 def position_phase_expectations(params: ModelParams, temperatures) -> np.ndarray:
     """E = Tr[rho exp(i delta sum_j x_j n_j)] exp(-i delta N (N - 1) / 2) at mu = 0.
 
-    One value per entry of `temperatures`; H is diagonalized once.
+    One value per entry of `temperatures`; H is diagonalized once, one
+    particle-number sector at a time.
     """
     n = params.n_cells
     hamiltonian, occupations = many_body_hamiltonian(build_hamiltonian(params))
-    levels, states = np.linalg.eigh(hamiltonian)
-    excitation = levels - levels[0]
     delta = 2.0 * np.pi / n
     cells = np.arange(2 * n) // 2
-    # The position phase and the background, per Fock state, rotated into
-    # the eigenbasis of H: <a| exp(i delta sum_j x_j n_j) |a>.
+    # The position phase and the background, per Fock state.
     phases = np.exp(1j * delta * (cells @ occupations - n * (n - 1) / 2))
-    diagonal = phases @ (states * states)
+    # H conserves the particle number: diagonalize it one number sector
+    # at a time, and rotate the phases into each sector's eigenbasis,
+    # <a| exp(i delta sum_j x_j n_j) |a>.
+    levels, diagonal = [], []
+    counts = occupations.sum(axis=0)
+    for count in range(2 * n + 1):
+        sector = np.flatnonzero(counts == count)
+        sector_levels, states = np.linalg.eigh(hamiltonian[np.ix_(sector, sector)])
+        levels.append(sector_levels)
+        diagonal.append(phases[sector] @ (states * states))
+    levels, diagonal = np.concatenate(levels), np.concatenate(diagonal)
+    excitation = levels - levels.min()
     expectations = []
     for temperature in temperatures:
         if temperature == 0.0:

@@ -207,36 +207,70 @@ def test_fold_rejects_a_block_that_is_not_persymmetric(monkeypatch):
         chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2, boundary=OPEN))
 
 
-def full_real_determinant(fast, temperature):
-    """det [[C, G S], [-G^T S, C]] over all 2N sites, the matrix the elimination reduces."""
+def full_real_matrix(fast, temperature):
+    """[[C, G S], [-G^T S, C]] over all 2N sites, whose determinant E the chiral path factors."""
     half_angles = np.pi * np.arange(fast.n_cells) / fast.n_cells
     cosines, sines = np.diag(np.cos(half_angles)), np.sin(half_angles)
     lower, upper = fast.bands(fermi_occupations(fast, temperature))
     tanh_block = (fast.fold_vectors * (lower - upper)) @ right_vectors(fast).T
     upper_right, lower_left = tanh_block * sines, -tanh_block.T * sines
-    return np.linalg.det(np.block([[cosines, upper_right], [lower_left, cosines]]))
+    return np.block([[cosines, upper_right], [lower_left, cosines]])
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5, 40, 41, 200, 201))
-def test_eliminated_determinant_matches_the_full_real_determinant(n):
-    # Winding +1, winding -1, and two trivial chains. Even N puts a border
-    # cell at m = N / 2; odd N >= 17 has border cells on both sides of it.
+def assert_matches_the_full_real_determinant(n, temperatures):
+    # Winding +1, winding -1, and two trivial chains.
     for v, w, z in ((0.3, 0.5, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.1), (-0.8, 0.5, -0.2)):
         fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
-        temperatures = [0.02, 0.5, 1e6]
+        chain_temperatures = list(temperatures)
         if singular_values(fast)[-1] >= T0_MIN_GAP:
-            temperatures.insert(0, 0.0)
-        batched = chiral_polarization_determinant(fast, np.array(temperatures))
-        for index, temperature in enumerate(temperatures):
+            chain_temperatures.insert(0, 0.0)
+        batched = chiral_polarization_determinant(fast, np.array(chain_temperatures))
+        for index, temperature in enumerate(chain_temperatures):
             got = chiral_polarization_determinant(fast, temperature)
             assert batched.row(index) == got
-            want = full_real_determinant(fast, temperature)
+            want = np.linalg.det(full_real_matrix(fast, temperature))
             assert got.expectation.imag == 0.0
             tolerance = 1e-11 * abs(want) if abs(want) >= 1e-10 else 1e-15
             assert abs(got.expectation.real - want) <= tolerance, (v, w, z, temperature)
             defined = abs(want) >= DEFAULT_MAGNITUDE_CUTOFF
             assert got.defined == defined
             assert got.polarization == (0.5 if defined and want < 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 40, 41, 200, 201))
+def test_eliminated_determinant_matches_the_full_real_determinant(n):
+    # Every N has a cot border cell at m = 0 and even N a tan border cell
+    # at m = N / 2; at N = 200 and 201 there are two or three of each.
+    assert_matches_the_full_real_determinant(n, (0.02, 0.5, 1e6))
+
+
+def test_determinant_with_nearly_every_cell_bordered(monkeypatch):
+    # At 0.7 a cell stays in both sums only if sin and cos of its half
+    # angle both exceed 0.7, a window 0.02 wide around pi / 4 and 3 pi / 4:
+    # at most one such cell each for these N, and none at N = 2, 3 or 4.
+    monkeypatch.setattr(chiral_mod, "BORDER_COSINE", 0.7)
+    for n in (2, 3, 4, 5, 8, 9, 40, 41):
+        assert_matches_the_full_real_determinant(n, (0.02, 0.5, 5.0, 1e9))
+
+
+# ln|E| of the chiral path against a dense float64 slogdet of the full
+# 2N x 2N matrix. Both carry rounding: against an extended-precision LU
+# of the same matrix, each was within 1.3e-12 at N <= 401 on the chains
+# below and seeded random ones.
+LOG_DET_TOL = 5e-12
+
+
+def test_determinant_at_n_400_against_a_dense_log_determinant():
+    n = 400
+    temperatures = np.array([0.0, 0.02, 0.1, 0.5, 1.0, 2.0, 5.0])
+    for v, w, z in ((0.3, 0.5, 0.2), (0.3, 0.2, 0.5), (0.5, 0.3, 0.1)):
+        fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
+        result = chiral_polarization_determinant(fast, temperatures)
+        for index, temperature in enumerate(temperatures):
+            sign, log_magnitude = np.linalg.slogdet(full_real_matrix(fast, temperature))
+            got = result.expectation[index].real
+            assert np.sign(got) == sign
+            assert abs(np.log(abs(got)) - log_magnitude) <= LOG_DET_TOL, (v, w, z, temperature)
 
 
 def test_determinant_infinite_temperature_closed_form():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from fock import position_phase_expectations
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import chiral_polarization_determinant, chiral_spectrum
@@ -38,7 +40,7 @@ def test_fock_oracle_without_hopping():
 
 
 # N = 2 and N = 4 have a border cell at m = N / 2, where the chiral
-# elimination keeps the B site; N = 3 has none.
+# determinant's tan diverges, and every N one at m = 0, where its cot does.
 @pytest.mark.parametrize("boundary", (OPEN, PERIODIC))
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_determinants_match_the_fock_space_expectation(n, boundary):
@@ -64,3 +66,26 @@ def test_determinants_match_the_fock_space_expectation(n, boundary):
                 assert abs(result.expectation - exact) <= TOL, (v, w, z, temperature)
             compared += temperature == 0.0
     assert compared >= 2
+
+
+hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+# Up to 2N = 10 sites. At N = 2 both cells are border cells of the chiral
+# determinant (sin = 0 at m = 0, cos = 0 at m = 1); N = 4 has two of four.
+@seed(20261020)
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(2, 5),
+    v=hopping,
+    w=hopping,
+    z=hopping,
+    temperature=st.one_of(st.just(0.0), st.floats(0.02, 5.0), st.just(1e9)),
+)
+def test_chiral_determinant_matches_the_fock_space_expectation(n, v, w, z, temperature):
+    params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN)
+    if temperature == 0.0:
+        assume(np.abs(np.linalg.eigvalsh(build_hamiltonian(params))).min() >= ZERO_MODE_GAP)
+    (exact,) = position_phase_expectations(params, [temperature])
+    result = chiral_polarization_determinant(chiral_spectrum(params), temperature)
+    assert abs(result.expectation - exact) <= TOL
