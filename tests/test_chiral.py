@@ -240,7 +240,7 @@ def assert_matches_the_full_real_determinant(n, temperatures):
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 40, 41, 200, 201))
 def test_eliminated_determinant_matches_the_full_real_determinant(n):
     # Every N has a cot border cell at m = 0 and even N a tan border cell
-    # at m = N / 2; at N = 200 and 201 there are two or three of each.
+    # at m = N / 2; N = 201 has two, on either side of it.
     assert_matches_the_full_real_determinant(n, (0.02, 0.5, 1e6))
 
 
