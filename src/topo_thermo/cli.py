@@ -3,7 +3,8 @@
 Subcommands: spectrum, polarization, qfi, sweep, figure. Options resolve
 with the precedence command-line flag > config-file value > documented
 default. The config file (--config) is a flat JSON object whose keys
-mirror the RunConfig field names. Exit codes: 0 success, 2 configuration
+mirror the RunConfig field names; flag values pass through the same
+coercion as config values. Exit codes: 0 success, 2 configuration
 error, 3 numerical failure or unwritable output. A polarization, qfi,
 sweep or figure run in which any point failed still writes every row,
 with the failure in the error column, then reports "k of n points
@@ -126,8 +127,7 @@ def _parse_axis_flag(text: str) -> tuple:
             grid = np.array([float(item) for item in rhs.split(",")])
     except ValueError:
         raise ConfigError(f"could not parse axis grid {rhs!r}")
-    values = [_coerce_int(x) if name == "N" else x for x in grid.tolist()]
-    return name, tuple(values)
+    return name, tuple(grid.tolist())
 
 
 def _coerce_axes(value) -> list:
@@ -217,33 +217,54 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
     return config
 
 
-def _require_model(config: RunConfig) -> dict:
-    missing = [name for name in ("n_cells", "v", "w", "z") if getattr(config, name) is None]
+# Sweep parameter name -> RunConfig field that holds its fixed value.
+_PARAMETERS = {"T": "temperature", "v": "v", "w": "w", "z": "z", "N": "n_cells"}
+
+# The point subcommands: a sweep whose only axis is the --temperature list.
+_POINT_QUANTITIES = {
+    "polarization": (QUANTITY_POLARIZATION, QUANTITY_DIAGNOSTICS),
+    "qfi": (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER, QUANTITY_DIAGNOSTICS),
+}
+
+
+def _fixed_parameters(config: RunConfig, names) -> dict:
+    """Fixed values of the named sweep parameters; any missing one is a ConfigError."""
+    fixed = {name: getattr(config, _PARAMETERS[name]) for name in names}
+    missing = [_PARAMETERS[name] for name, value in fixed.items() if value is None]
     if missing:
-        raise ConfigError(f"missing required model parameters: {', '.join(missing)}")
-    return {
-        "N": config.n_cells,
-        "v": config.v,
-        "w": config.w,
-        "z": config.z,
-    }
+        raise ConfigError(f"missing required parameters: {', '.join(missing)}")
+    if "T" in fixed:
+        if len(fixed["T"]) != 1:
+            raise ConfigError("a fixed temperature must be a single value")
+        fixed["T"] = fixed["T"][0]
+    return fixed
 
 
-def _require_temperature(config: RunConfig) -> list:
-    if not config.temperature:
-        raise ConfigError("missing required --temperature")
-    return config.temperature
+def _polarization_modes(config: RunConfig, quantities) -> tuple:
+    """The requested modes, or the determinant with a note; modes need polarization output."""
+    if QUANTITY_POLARIZATION not in quantities:
+        if config.modes:
+            raise ConfigError("polarization modes are only meaningful for polarization output")
+        return ()
+    if config.modes:
+        return tuple(config.modes)
+    print(
+        "note: polarization mode defaulted to 'determinant'; "
+        "the ensemble-trace reading is available via --mode literal",
+        file=sys.stderr,
+    )
+    return (MODE_DETERMINANT,)
 
 
-def _point_sweep_spec(config: RunConfig, quantities: tuple, modes: tuple) -> SweepSpec:
-    fixed = _require_model(config)
-    temps = tuple(_require_temperature(config))
+def _sweep_spec(config: RunConfig, axes, quantities) -> SweepSpec:
+    """The sweep over `axes`; every other parameter takes its fixed value from `config`."""
+    axis_names = {name for name, _ in axes}
     return SweepSpec(
-        axes=(("T", temps),),
-        fixed=fixed,
+        axes=axes,
+        fixed=_fixed_parameters(config, [name for name in _PARAMETERS if name not in axis_names]),
         boundary=config.boundary,
         quantities=quantities,
-        polarization_modes=modes,
+        polarization_modes=_polarization_modes(config, quantities),
         magnitude_cutoff=config.tau_mag,
     )
 
@@ -263,9 +284,8 @@ def _emit(config: RunConfig, table: SweepTable) -> int:
 
 
 def _run_spectrum(config: RunConfig) -> int:
-    if config.modes:
-        raise ConfigError("polarization modes are only meaningful for polarization output")
-    model = _require_model(config)
+    _polarization_modes(config, ())
+    model = _fixed_parameters(config, ("N", "v", "w", "z"))
     params = ModelParams(
         n_cells=model["N"], v=model["v"], w=model["w"], z=model["z"], boundary=config.boundary
     )
@@ -279,94 +299,40 @@ def _run_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_polarization(config: RunConfig) -> int:
-    modes = config.modes
-    if not modes:
-        modes = [MODE_DETERMINANT]
-        print(
-            "note: polarization mode defaulted to 'determinant'; "
-            "the ensemble-trace reading is available via --mode literal",
-            file=sys.stderr,
-        )
-    spec = _point_sweep_spec(
-        config, (QUANTITY_POLARIZATION, QUANTITY_DIAGNOSTICS), tuple(modes)
-    )
-    return _emit(config, run_sweep(spec))
-
-
-def _run_qfi(config: RunConfig) -> int:
-    if config.modes:
-        raise ConfigError("polarization modes are only meaningful for polarization output")
-    spec = _point_sweep_spec(
-        config,
-        (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER, QUANTITY_DIAGNOSTICS),
-        (),
-    )
-    return _emit(config, run_sweep(spec))
-
-
-def _run_sweep_command(config: RunConfig) -> int:
+def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
+    """The SweepSpec of a polarization, qfi, sweep or figure run."""
+    if config.subcommand == "figure":
+        if figure_id.startswith("1"):
+            print(
+                f"note: figure {figure_id} uses determinant-mode polarization; "
+                "the ensemble-trace reading is available via the polarization subcommand",
+                file=sys.stderr,
+            )
+        return build_figure_spec(figure_id, magnitude_cutoff=config.tau_mag)
+    if config.subcommand in _POINT_QUANTITIES:
+        axes = [("T", config.temperature)] if config.temperature else []
+        return _sweep_spec(config, axes, _POINT_QUANTITIES[config.subcommand])
     if not config.axes:
         raise ConfigError("sweep needs at least one axis (config 'axes' or --axis)")
     if not config.quantities:
         raise ConfigError("sweep needs 'quantities' (config key or --quantities)")
-    axis_names = [name for name, _ in config.axes]
-    fixed = {}
-    for name, attr in (("T", "temperature"), ("v", "v"), ("w", "w"), ("z", "z"), ("N", "n_cells")):
-        if name in axis_names:
-            continue
-        value = getattr(config, attr)
-        if value is None:
-            raise ConfigError(f"parameter {name!r} is neither an axis nor fixed")
-        if name == "T":
-            if len(value) != 1:
-                raise ConfigError("a fixed temperature must be a single value")
-            value = value[0]
-        fixed[name] = value
-    modes = tuple(config.modes) if config.modes else ()
-    if QUANTITY_POLARIZATION in config.quantities and not modes:
-        modes = (MODE_DETERMINANT,)
-        print("note: polarization mode defaulted to 'determinant'", file=sys.stderr)
-    spec = SweepSpec(
-        axes=config.axes,
-        fixed=fixed,
-        boundary=config.boundary,
-        quantities=tuple(config.quantities),
-        polarization_modes=modes,
-        magnitude_cutoff=config.tau_mag,
-    )
-    return _emit(config, run_sweep(spec))
-
-
-def _run_figure(config: RunConfig, figure_id: str) -> int:
-    spec = build_figure_spec(figure_id, magnitude_cutoff=config.tau_mag)
-    if figure_id.startswith("1"):
-        print(
-            f"note: figure {figure_id} uses determinant-mode polarization; "
-            "the ensemble-trace reading is available via the polarization subcommand",
-            file=sys.stderr,
-        )
-    return _emit(config, run_sweep(spec))
+    return _sweep_spec(config, config.axes, config.quantities)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> None:
     parser.add_argument("--config", help="flat JSON config file")
     if model:
-        parser.add_argument("--n-cells", dest="n_cells", type=int)
-        parser.add_argument("--v", type=float, help="intra-cell hopping")
-        parser.add_argument("--w", type=float, help="inter-cell hopping")
-        parser.add_argument("--z", type=float, help="second-neighbor hopping")
+        parser.add_argument("--n-cells", dest="n_cells")
+        parser.add_argument("--v", help="intra-cell hopping")
+        parser.add_argument("--w", help="inter-cell hopping")
+        parser.add_argument("--z", help="second-neighbor hopping")
         parser.add_argument("--boundary", choices=BOUNDARIES)
     parser.add_argument("--out", "-o", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=io_mod.FORMATS)
-    parser.add_argument("--precision", type=int, help="significant digits (default 12)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        help="accepted for compatibility, no effect (default 1)",
-    )
-    parser.add_argument("--tau-mag", dest="tau_mag", type=float, help="magnitude cutoff")
-    parser.add_argument("--label", help="free-text run identifier")
+    parser.add_argument("--precision", help="significant digits (default 12)")
+    parser.add_argument("--workers", help="accepted for compatibility, no effect (default 1)")
+    parser.add_argument("--tau-mag", dest="tau_mag", help="magnitude cutoff")
+    parser.add_argument("--label", help="free-text run identifier; accepted, not recorded yet")
     parser.add_argument("--verbose", dest="verbosity", action="count", help="more logging")
 
 
@@ -383,16 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pol = sub.add_parser("polarization", help="polarization at a single parameter point")
     _add_common_flags(p_pol)
-    p_pol.add_argument("--temperature", "-T", action="append", type=float)
+    p_pol.add_argument("--temperature", "-T", action="append")
     p_pol.add_argument("--mode", dest="modes", action="append", help="repeatable")
 
     p_qfi = sub.add_parser("qfi", help="QFI matrix and interferometric power at a point")
     _add_common_flags(p_qfi)
-    p_qfi.add_argument("--temperature", "-T", action="append", type=float)
+    p_qfi.add_argument("--temperature", "-T", action="append")
 
     p_sweep = sub.add_parser("sweep", help="grid sweep from a config file plus overrides")
     _add_common_flags(p_sweep)
-    p_sweep.add_argument("--temperature", "-T", action="append", type=float)
+    p_sweep.add_argument("--temperature", "-T", action="append")
     p_sweep.add_argument("--axis", dest="axes", action="append", help="NAME=START:STOP:COUNT")
     p_sweep.add_argument("--quantities", help="comma list from: " + ", ".join(QUANTITIES))
     p_sweep.add_argument("--mode", dest="modes", action="append")
@@ -427,15 +393,7 @@ def cli_main(argv=None) -> int:
         )
         if args.subcommand == "spectrum":
             return _run_spectrum(config)
-        if args.subcommand == "polarization":
-            return _run_polarization(config)
-        if args.subcommand == "qfi":
-            return _run_qfi(config)
-        if args.subcommand == "sweep":
-            return _run_sweep_command(config)
-        if args.subcommand == "figure":
-            return _run_figure(config, args.figure_id)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        return _emit(config, run_sweep(_spec(config, getattr(args, "figure_id", None))))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

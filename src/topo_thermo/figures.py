@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .polarization import MODE_DETERMINANT
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, MODE_DETERMINANT
 from .sweep import (
     QUANTITY_INTERFEROMETRIC_POWER,
     QUANTITY_POLARIZATION,
@@ -48,7 +48,9 @@ def _axis_grid(name: str) -> tuple:
     return tuple(float(x) for x in np.linspace(low, high, GRID_POINTS))
 
 
-def build_figure_spec(figure_id: str, magnitude_cutoff: float | None = None) -> SweepSpec:
+def build_figure_spec(
+    figure_id: str, magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF
+) -> SweepSpec:
     """SweepSpec reproducing the named preset."""
     if figure_id not in FIGURE_PRESETS:
         raise ValueError(f"unknown figure {figure_id!r}, expected one of {FIGURE_IDS}")
@@ -62,13 +64,10 @@ def build_figure_spec(figure_id: str, magnitude_cutoff: float | None = None) -> 
     else:
         quantities = (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER)
         modes = ()
-    kwargs = {}
-    if magnitude_cutoff is not None:
-        kwargs["magnitude_cutoff"] = magnitude_cutoff
     return SweepSpec(
         axes=axes,
         fixed=fixed,
         quantities=quantities,
         polarization_modes=modes,
-        **kwargs,
+        magnitude_cutoff=magnitude_cutoff,
     )

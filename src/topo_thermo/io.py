@@ -220,14 +220,11 @@ def read_json_records(text: str) -> list[dict]:
 
 
 def write_text(text: str, destination) -> None:
-    """Write to a path, an open file object, or '-' for stdout."""
+    """Write to a path, or '-' for stdout."""
     if destination == "-":
         import sys
 
         sys.stdout.write(text)
-        return
-    if hasattr(destination, "write"):
-        destination.write(text)
         return
     with open(destination, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -236,7 +233,7 @@ def write_text(text: str, destination) -> None:
 def emit_records(
     records, output_format: str, precision: int, destination, columns=CSV_COLUMNS
 ) -> None:
-    """Write a table as CSV or JSON to a path, file object, or '-' (stdout).
+    """Write a table as CSV or JSON to a path, or '-' (stdout).
 
     `records` is a SweepTable, or rows: dicts under the default columns,
     or sequences in the order of `columns` for auxiliary tables.

@@ -263,6 +263,68 @@ def test_sweep_requires_axes_and_quantities(capsys):
     assert code == EXIT_CONFIG and "quantities" in err
 
 
+def test_sweep_takes_a_fixed_temperature_of_one_value(capsys):
+    model = ["--n-cells", "8", "--v", "0.3", "--w", "0.5", "--axis", "z=0,0.2"]
+    code, out, _ = run_cli(
+        ["sweep", *model, "-T", "0.1", "--quantities", "interferometric_power"], capsys
+    )
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert [(row["T"], row["z"]) for row in rows] == [("0.1", "0"), ("0.1", "0.2")]
+    assert all(row["i_p"] != "" for row in rows)
+
+    code, out, err = run_cli(
+        ["sweep", *model, "-T", "0.1", "-T", "0.2", "--quantities", "interferometric_power"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_CONFIG, "") and "temperature" in err
+
+
+def test_sweep_names_a_parameter_that_is_neither_axis_nor_fixed(capsys):
+    code, out, err = run_cli(
+        ["sweep", *MODEL_ARGS, "--axis", "T=0.1:0.5:3", "--quantities", "interferometric_power"],
+        capsys,
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "z" in err.split(":", 1)[1]
+
+
+def test_sweep_polarization_defaults_to_determinant_with_notice(capsys):
+    code, out, err = run_cli(
+        ["sweep", *MODEL_ARGS, "--z", "0.2", "--axis", "T=0.02,0.1",
+         "--quantities", "polarization"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert [row["mode"] for row in rows] == ["determinant", "determinant"]
+    assert err.startswith("note:") and "determinant" in err
+
+
+def test_figure_1a_notes_its_determinant_mode(tmp_path, capsys):
+    target = tmp_path / "fig1a.csv"
+    code, out, err = run_cli(["figure", "1a", "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_OK, "")
+    assert err.startswith("note:") and "1a" in err and "determinant" in err
+    rows = read_csv(target.read_text())
+    assert len(rows) == 101 * 101 and {row["mode"] for row in rows} == {"determinant"}
+
+
+def test_sweep_axes_from_config_as_name_grid_pairs(tmp_path, capsys):
+    config = tmp_path / "pairs.json"
+    config.write_text(json.dumps({
+        "axes": [["T", [0.1, 0.5]], ["N", [4.0, 6]]],
+        "v": 0.3, "w": 0.5, "z": 0.2,
+        "quantities": ["diagnostics"],
+    }))
+    code, out, _ = run_cli(["sweep", "--config", str(config)], capsys)
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert [(row["T"], row["N"]) for row in rows] == [
+        ("0.1", "4"), ("0.1", "6"), ("0.5", "4"), ("0.5", "6")
+    ]
+
+
 def test_spectrum_subcommand(capsys):
     code, out, _ = run_cli(
         ["spectrum", "--n-cells", "3", "--v", "0.2", "--w", "0.7", "--z", "0.1"], capsys
