@@ -3,9 +3,9 @@
 from .bloch import (
     BlochSpectrum,
     bloch_polarization_determinant,
-    bloch_polarization_vanishing,
     bloch_qfi_matrix,
     bloch_spectrum,
+    bloch_state_expectations,
 )
 from .chiral import (
     ChiralSpectrum,
@@ -70,9 +70,9 @@ __all__ = [
     "MODE_WEIGHTED",
     "DEFAULT_MAGNITUDE_CUTOFF",
     "bloch_polarization_determinant",
-    "bloch_polarization_vanishing",
     "bloch_qfi_matrix",
     "bloch_spectrum",
+    "bloch_state_expectations",
     "build_folded_block",
     "build_hamiltonian",
     "chiral_polarization_determinant",

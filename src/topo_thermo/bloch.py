@@ -20,8 +20,9 @@ phi = arg a(k). Each quantity the sweep needs then costs O(N):
                s = (-1)^(N+1): a real trace of N ordered 2x2 matrices,
                multiplied pairwise in log2 N passes over complex arrays
                laid out k by temperature;
-  literal,     every Bloch state has <k,b|X|k,b> = 0 exactly.
-  weighted
+  literal,     every Bloch state has <k,b|X|k,b> = 0 exactly, and these
+  weighted     per-state values go through polarization_from_states, the
+               reduction open chains and the dense oracle share.
 
 The spectrum lists the energies in band order, [-|a(k_j)|, +|a(k_j)|],
 and every weight and occupation row follows it, so each quantity reads
@@ -36,17 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import PERIODIC, ModelParams
-from .polarization import (
-    DEFAULT_MAGNITUDE_CUTOFF,
-    MODE_LITERAL,
-    MODE_WEIGHTED,
-    PolarizationResult,
-    _determinant_result,
-    _make_result,
-    _per_temperature,
-)
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _determinant_result, _per_temperature
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _fermi, _require_finite_energies, _temperature_column
+from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations
 
 
 @dataclass(frozen=True)
@@ -162,16 +155,14 @@ def bloch_polarization_determinant(
 
     Nothing inverts 1 - F, which is singular in float64 at low T, and every
     factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
-    lower band, and the trace is the occupied-band Wilson loop. t is the
-    Fermi function of the spectrum's energies, laid out k by temperature,
-    with the T = 0 step rule of fermi_occupations. An
-    array of temperatures gives one result of arrays with an entry per
-    temperature, all evaluated together.
+    lower band, and the trace is the occupied-band Wilson loop. t comes
+    from the bands of fermi_occupations, transposed to k by temperature in
+    C order. An array of temperatures gives one result of arrays with an
+    entry per temperature, all evaluated together.
     """
     n = spectrum.n_cells
-    temperatures = _temperature_column(temperature)[:, 0]
-    occupations = _fermi(spectrum.energies[:, None], temperatures)
-    t = occupations[:n] - occupations[n:]
+    lower, upper = spectrum.bands(np.atleast_2d(fermi_occupations(spectrum, temperature)))
+    t = np.ascontiguousarray((lower - upper).T)
     t2 = t * t
     r = 2.0 * t / (1.0 + t2)
     q = -0.5 * r * np.exp(1j * np.angle(spectrum.coupling))[:, None]
@@ -182,17 +173,14 @@ def bloch_polarization_determinant(
     return _per_temperature(_determinant_result(dets, n, magnitude_cutoff), temperature)
 
 
-def bloch_polarization_vanishing(
-    mode: str, magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF
-) -> PolarizationResult:
-    """Literal or weighted polarization of a ring, in the Bloch eigenbasis.
+def bloch_state_expectations(spectrum: BlochSpectrum) -> np.ndarray:
+    """<k,b|X|k,b> of every Bloch state, in `energies` order: exactly 0.
 
-    X maps |k, b> onto momentum k + 2 pi/N, so <k,b|X|k,b> = 0 for every
-    Bloch state. Tr[rho X] and every per-state phase magnitude are exactly
-    zero, and the result is undefined for any positive cutoff. The dense
-    modes return rounding noise here, or, inside degenerate clusters, the
+    X maps |k, b> onto momentum k + 2 pi/N, so every diagonal element
+    vanishes. Through polarization_from_states, Tr[rho X] and every
+    per-state phase magnitude are then exactly zero, and literal and
+    weighted are undefined for any positive cutoff. The dense modes
+    return rounding noise here, or, inside degenerate clusters, the
     answer for whatever basis LAPACK picked there.
     """
-    if mode not in (MODE_LITERAL, MODE_WEIGHTED):
-        raise ValueError(f"mode must be {MODE_LITERAL!r} or {MODE_WEIGHTED!r}, got {mode!r}")
-    return _make_result(np.zeros(1, dtype=complex), np.zeros(1), mode, magnitude_cutoff).row(0)
+    return np.zeros(spectrum.dimension, dtype=complex)

@@ -93,10 +93,18 @@ def _coerce_temperature(value) -> list:
 
 def _coerce_int(value) -> int:
     """An int, a numeric string or an integral float; fractions are refused, not truncated."""
-    number = int(value)
-    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
-        raise ConfigError(f"expected an integer, got {value!r}")
-    return number
+    number = value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:  # "4.0": parsed as a float, then held to the integral rule
+            number = float(value)
+    if isinstance(value, bool) or int(number) != number:
+        raise ConfigError(
+            f"expected an integer, got {value!r}: an integral number or numeric string "
+            "such as 4 or '4.0'; fractions are refused, not truncated, and so are booleans"
+        )
+    return int(number)
 
 
 def _coerce_bool(value) -> bool:

@@ -149,9 +149,10 @@ def polarization_from_states(
     """Literal or weighted polarization from per-state expectations <n|X|n>.
 
     `per_state` lists <n|X|n> in the order of the ensemble's weights, as
-    state_expectations or chiral.chiral_state_expectations give it; the
-    dense and the chiral path share these reductions. A batched ensemble
-    gives one result of arrays with an entry per temperature.
+    state_expectations, chiral.chiral_state_expectations or
+    bloch.bloch_state_expectations give it; the dense, chiral and Bloch
+    paths share these reductions. A batched ensemble gives one result of
+    arrays with an entry per temperature.
 
       literal   Tr[rho X] = sum_n lambda_n <n|X|n>;
       weighted  P = sum_n lambda_n gamma_n / (2*pi) over the per-state
@@ -159,7 +160,10 @@ def polarization_from_states(
                 Contributing states whose own expectation magnitude falls
                 below the cutoff are excluded from the average and force
                 the result to undefined; the reported magnitude is the
-                minimum over contributing states.
+                minimum over contributing states. With no contributing
+                state at all, as once 2N > 1e6 at high T, the average is
+                washed out: magnitude 0, undefined under any positive
+                cutoff.
     """
     if per_state.shape != (ensemble.dimension,):
         raise ValueError(
@@ -176,7 +180,9 @@ def polarization_from_states(
     phases = np.angle(per_state)
     phases = np.where(phases == -np.pi, np.pi, phases)
     contributing = weights > CONTRIBUTING_WEIGHT_CUTOFF
-    min_magnitudes = np.min(np.where(contributing, magnitudes, np.inf), axis=1)
+    min_magnitudes = np.where(
+        contributing.any(axis=1), np.min(np.where(contributing, magnitudes, np.inf), axis=1), 0.0
+    )
     counted = contributing & (magnitudes >= magnitude_cutoff)
     phase_sums = np.sum(np.where(counted, weights * phases, 0.0), axis=1)
     phase_sums = np.where(phase_sums == -np.pi, np.pi, phase_sums)

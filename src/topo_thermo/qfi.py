@@ -67,21 +67,21 @@ def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:
     return pair_weights(weights[:, None], weights[None, :])
 
 
-def _generator_matrix(generator) -> np.ndarray:
+def _generator_matrix(generator, dimension: int) -> np.ndarray:
+    """The generator as a square matrix of an ensemble's dimension; anything else raises."""
     matrix = np.asarray(generator)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"generator must be a square matrix, got shape {matrix.shape}")
+    if matrix.shape[0] != dimension:
+        raise ValueError(
+            f"generator dimension {matrix.shape[0]} does not match ensemble dimension {dimension}"
+        )
     return matrix
 
 
 def qfi_scalar(ensemble: GibbsEnsemble, generator) -> float:
     """QFI of one Hermitian generator against a Gibbs ensemble."""
-    matrix = _generator_matrix(generator)
-    if matrix.shape[0] != ensemble.dimension:
-        raise ValueError(
-            f"generator dimension {matrix.shape[0]} does not match "
-            f"ensemble dimension {ensemble.dimension}"
-        )
+    matrix = _generator_matrix(generator, ensemble.dimension)
     vectors = ensemble.spectrum.vectors
     transformed = vectors.conj().T @ matrix @ vectors
     pair_weights = pair_weight_matrix(ensemble.weights)
@@ -194,12 +194,7 @@ def qfi_fidelity_oracle(ensemble: GibbsEnsemble, generator, dtheta: float) -> fl
         raise ValueError(
             f"oracle limited to dimension {ORACLE_MAX_DIMENSION}, got {ensemble.dimension}"
         )
-    matrix = _generator_matrix(generator)
-    if matrix.shape[0] != ensemble.dimension:
-        raise ValueError(
-            f"generator dimension {matrix.shape[0]} does not match "
-            f"ensemble dimension {ensemble.dimension}"
-        )
+    matrix = _generator_matrix(generator, ensemble.dimension)
     vectors = ensemble.spectrum.vectors
     rho = (vectors * ensemble.weights) @ vectors.conj().T
     gen_values, gen_basis = np.linalg.eigh(matrix)

@@ -7,11 +7,13 @@ batched 3x3 eigh. Every per-temperature row is computed exactly as it
 would be alone, so outputs do not depend on how the grid groups
 temperatures. The results go straight into the preallocated columns of
 a SweepTable, one index slice per spectrum, and each spectrum is dropped
-once its slice is written. Each boundary has one evaluation path:
-periodic rings use the Bloch engine (bloch.py), open chains the
-chiral block D = H[A, B] (chiral.py), decomposed by one eigh of the
-symmetric folded block D J, through the same public functions a caller
-would use. The dense eigendecomposition is their oracle. A failing
+once its slice is written. Each boundary has one evaluation path, whose
+functions _engine picks in one place: periodic rings use the Bloch engine
+(bloch.py), open chains the chiral block D = H[A, B] (chiral.py),
+decomposed by one eigh of the symmetric folded block D J, through the
+same public functions a caller would use. Both engines give per-state
+<n|X|n>, which polarization_from_states reduces to the literal and
+weighted modes. The dense eigendecomposition is their oracle. A failing
 column is evaluated again one temperature at a time, so a failure lands
 in the error of exactly the points that fail.
 """
@@ -25,9 +27,9 @@ import numpy as np
 
 from .bloch import (
     bloch_polarization_determinant,
-    bloch_polarization_vanishing,
     bloch_qfi_matrix,
     bloch_spectrum,
+    bloch_state_expectations,
 )
 from .chiral import (
     chiral_polarization_determinant,
@@ -261,21 +263,27 @@ def _needs_qfi(spec: SweepSpec) -> bool:
     return any(q in spec.quantities for q in (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER))
 
 
-def _spectrum(parameters: dict, boundary: str):
-    """Bloch bands of a ring, or the chiral-block decomposition of an open chain."""
-    params = ModelParams(
-        n_cells=parameters["N"], v=parameters["v"], w=parameters["w"], z=parameters["z"],
-        boundary=boundary,
-    )
+def _engine(boundary: str) -> tuple:
+    """(spectrum, QFI matrix from weights, determinant P, per-state <n|X|n>) of a boundary.
+
+    The names resolve when called, so a function rebound on this module
+    after import, to trace or to test it, is the one a sweep then calls.
+    """
     if boundary == PERIODIC:
-        return bloch_spectrum(params)
-    return chiral_spectrum(params)
+        return (
+            bloch_spectrum, bloch_qfi_matrix, bloch_polarization_determinant,
+            bloch_state_expectations,
+        )
+    return (
+        chiral_spectrum, chiral_qfi_matrix, chiral_polarization_determinant,
+        chiral_state_expectations,
+    )
 
 
 def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarray) -> None:
     """Write one spectrum's outputs at `temperatures` into the table's columns at `points`."""
     spec = table.spec
-    periodic = spec.boundary == PERIODIC
+    _, qfi_matrix_of, determinant_of, state_expectations_of = _engine(spec.boundary)
     cutoff = spec.magnitude_cutoff
     need_qfi = _needs_qfi(spec)
     ensemble = None
@@ -287,23 +295,16 @@ def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarr
         ensemble = gibbs_weights(spectrum, temperatures)
     per_state = None
     for mode, column in table.polarization.items():
-        if periodic and mode == MODE_DETERMINANT:
-            result = bloch_polarization_determinant(spectrum, temperatures, cutoff)
-        elif periodic:
-            result = bloch_polarization_vanishing(mode, cutoff)
-        elif mode == MODE_DETERMINANT:
-            result = chiral_polarization_determinant(spectrum, temperatures, cutoff)
+        if mode == MODE_DETERMINANT:
+            result = determinant_of(spectrum, temperatures, cutoff)
         else:
             if per_state is None:
-                per_state = chiral_state_expectations(spectrum)
+                per_state = state_expectations_of(spectrum)
             result = polarization_from_states(ensemble, per_state, mode, cutoff)
         for name in RESULT_FIELDS:
             getattr(column, name)[points] = getattr(result, name)
     if need_qfi:
-        if periodic:
-            matrices = bloch_qfi_matrix(spectrum, ensemble.weights)
-        else:
-            matrices = chiral_qfi_matrix(spectrum, ensemble.weights)
+        matrices = qfi_matrix_of(spectrum, ensemble.weights)
         if table.qfi is not None:
             table.qfi[points] = matrices
         if table.i_p is not None:
@@ -329,8 +330,14 @@ def _evaluate_column(table: SweepTable, first: int, stride: int, temperatures: n
     temperatures are flagged.
     """
     points = range(first, first + len(temperatures) * stride, stride)
+    boundary = table.spec.boundary
     try:
-        spectrum = _spectrum(table.parameters(first), table.spec.boundary)
+        parameters = table.parameters(first)
+        params = ModelParams(
+            n_cells=parameters["N"], v=parameters["v"], w=parameters["w"], z=parameters["z"],
+            boundary=boundary,
+        )
+        spectrum = _engine(boundary)[0](params)
     except Exception as exc:  # degrade to flagged points, never abort the sweep
         table.errors.update(dict.fromkeys(points, _failure(exc)))
         return

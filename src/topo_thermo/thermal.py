@@ -169,22 +169,14 @@ def fermi_occupations(spectrum: Spectrum | BandSpectrum, temperature) -> np.ndar
     E_n == 0. Shapes follow gibbs_weights: (2N,) for a scalar
     temperature, (n_T, 2N) for an array.
     """
-    occupations = _fermi(spectrum.energies, _temperature_column(temperature))
-    return per_temperature(occupations, temperature)
-
-
-def _fermi(energies: np.ndarray, temperatures: np.ndarray):
-    """Elementwise Fermi function of energies and checked temperatures, broadcast together.
-
-    The rule of fermi_occupations, for callers that need another layout
-    than the spectrum's (n_T, 2N) rows.
-    """
-    frozen = temperatures == 0.0
+    column = _temperature_column(temperature)
+    energies = spectrum.energies
+    frozen = column == 0.0
     step = np.where(energies < 0.0, 1.0, np.where(energies > 0.0, 0.0, 0.5))
-    exponent = energies / np.where(frozen, 1.0, temperatures)
+    exponent = energies / np.where(frozen, 1.0, column)
     with np.errstate(over="ignore"):  # exp overflows to inf, the occupation to 0
         fermi = 1.0 / (1.0 + np.exp(exponent))
-    return np.where(frozen, step, fermi)
+    return per_temperature(np.where(frozen, step, fermi), temperature)
 
 
 def ensemble_diagnostics(ensemble: GibbsEnsemble) -> EnsembleDiagnostics:

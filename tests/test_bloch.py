@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from topo_thermo.bloch import (
     _ordered_product,
     bloch_polarization_determinant,
-    bloch_polarization_vanishing,
     bloch_qfi_matrix,
     bloch_spectrum,
+    bloch_state_expectations,
 )
 from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
+    polarization_from_states,
     thermal_polarization_determinant,
     thermal_polarization_literal,
     thermal_polarization_weighted,
@@ -106,8 +107,9 @@ def test_bloch_matches_dense(ring, temperature):
         bloch_polarization_determinant(bands, temperature),
     )
 
+    per_state = bloch_state_expectations(bands)
     literal = thermal_polarization_literal(ensemble)
-    bloch_literal = bloch_polarization_vanishing("literal")
+    bloch_literal = polarization_from_states(bloch_ensemble, per_state, "literal")
     assert (bloch_literal.polarization, bloch_literal.defined) == (
         literal.polarization,
         literal.defined,
@@ -119,7 +121,7 @@ def test_bloch_matches_dense(ring, temperature):
     connected = np.abs(magnitude - np.roll(magnitude, 1)).min() < 1e-9
     if n % 2 == 0 and not connected:
         weighted = thermal_polarization_weighted(ensemble)
-        bloch_weighted = bloch_polarization_vanishing("weighted")
+        bloch_weighted = polarization_from_states(bloch_ensemble, per_state, "weighted")
         assert (bloch_weighted.polarization, bloch_weighted.defined) == (
             weighted.polarization,
             weighted.defined,
@@ -296,12 +298,21 @@ def test_bloch_rejects_bad_input():
         bloch_qfi_matrix(bands, -np.ones(8) / 8)
     with pytest.raises(ValueError):
         bloch_polarization_determinant(bands, -0.1)
-    with pytest.raises(ValueError):
-        bloch_polarization_vanishing("determinant")
+    ensemble, per_state = gibbs_weights(bands, 0.1), bloch_state_expectations(bands)
+    with pytest.raises(ValueError):  # the determinant has no per-state reduction
+        polarization_from_states(ensemble, per_state, "determinant")
 
 
 def test_vanishing_modes_are_closed_form():
-    for mode in ("literal", "weighted"):
-        res = bloch_polarization_vanishing(mode)
-        assert (res.expectation, res.magnitude, res.polarization, res.defined) == (0j, 0.0, 0.0, False)
-        assert res.mode == mode
+    # Every <k,b|X|k,b> is exactly 0, so literal and weighted reduce to
+    # magnitude 0 and undefined at every temperature, T = 0 included.
+    bands = bloch_spectrum(ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2))
+    per_state = bloch_state_expectations(bands)
+    assert per_state.dtype == complex
+    assert np.array_equal(per_state, np.zeros(12))
+    for temperature in (0.0, 0.3, 1e6):
+        ensemble = gibbs_weights(bands, temperature)
+        for mode in ("literal", "weighted"):
+            res = polarization_from_states(ensemble, per_state, mode)
+            assert (res.expectation, res.magnitude, res.polarization, res.defined) == (0j, 0.0, 0.0, False)
+            assert res.mode == mode

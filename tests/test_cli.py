@@ -471,6 +471,28 @@ def test_integral_config_values_are_kept_exactly():
     assert all(type(n) is int for n in config.axes[0][1])
 
 
+def test_integral_numeric_strings_are_integers(tmp_path, capsys):
+    args = ["spectrum", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
+    want = run_cli([*args, "--n-cells", "4"], capsys)
+    assert want[0] == EXIT_OK
+    assert run_cli([*args, "--n-cells", "4.0"], capsys) == want
+    config = tmp_path / "cells.json"
+    config.write_text(json.dumps({"n_cells": "4.0"}))
+    assert run_cli([*args, "--config", str(config)], capsys) == want
+
+
+@pytest.mark.parametrize("value", ["4.5", True])
+def test_fractional_or_boolean_cell_counts_name_the_rule(tmp_path, value, capsys):
+    config = tmp_path / "cells.json"
+    config.write_text(json.dumps({"n_cells": value}))
+    code, out, err = run_cli(
+        ["spectrum", "--v", "0.3", "--w", "0.5", "--z", "0.2", "--config", str(config)], capsys
+    )
+    assert code == EXIT_CONFIG and out == ""
+    assert f"expected an integer, got {value!r}" in err
+    assert "fractions are refused, not truncated, and so are booleans" in err
+
+
 def test_fractional_cell_count_axis_is_a_config_error(capsys):
     code, out, err = run_cli(
         ["sweep", "--v", "0.3", "--w", "0.5", "--z", "0", "-T", "0.1",
@@ -479,3 +501,52 @@ def test_fractional_cell_count_axis_is_a_config_error(capsys):
     )
     assert code == EXIT_CONFIG and out == ""
     assert "expected an integer, got 4.66666" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_ring_without_contributing_states_prints_washed_out_weighted_p(capsys):
+    # At 2N = 1.2e6 and T = 1e6 every Gibbs weight lies below the 1e-6
+    # contributing cutoff of the weighted mode.
+    code, out, _ = run_cli(
+        ["sweep", "--n-cells", "600000", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+         "--axis", "T=1e6", "--quantities", "polarization", "--mode", "weighted"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    (row,) = read_csv(out)
+    assert (row["P"], row["P_defined"], row["magnitude"]) == ("0", "false", "0")
+
+
+# Names that bench/spans.py rebinds to time the layers of a traced run.
+TRACE_SEAMS = {
+    "topo_thermo.sweep": ("gibbs_weights", "ensemble_diagnostics", "interferometric_power"),
+    "topo_thermo.cli": ("run_sweep",),
+    "topo_thermo.io": ("render_csv", "render_json", "write_text"),
+}
+
+
+def test_trace_seams_stay_module_attributes_that_a_run_calls(tmp_path, monkeypatch, capsys):
+    # Each seam must exist and be looked up when called, so that rebinding
+    # it times every call a CLI sweep makes.
+    calls = []
+    for module_name, names in TRACE_SEAMS.items():
+        module = sys.modules[module_name]
+        for name in names:
+            real = getattr(module, name, None)
+            assert callable(real), f"{module_name}.{name} is gone"
+
+            def counted(*args, _name=f"{module_name}.{name}", _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    for fmt in ("csv", "json"):
+        code, _, _ = run_cli(
+            ["sweep", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+             "--axis", "T=0.1,0.5", "--quantities", "interferometric_power,diagnostics",
+             "--format", fmt, "--out", str(tmp_path / f"out.{fmt}")],
+            capsys,
+        )
+        assert code == EXIT_OK
+    want = {f"{module}.{name}" for module, names in TRACE_SEAMS.items() for name in names}
+    assert set(calls) == want

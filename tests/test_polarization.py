@@ -30,7 +30,7 @@ from topo_thermo.polarization import (
     thermal_polarization_literal,
     thermal_polarization_weighted,
 )
-from topo_thermo.thermal import Spectrum, diagonalize, gibbs_weights
+from topo_thermo.thermal import BandSpectrum, GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
 
 
 def basis_state(n_cells, cell, sublattice=0):
@@ -163,6 +163,32 @@ def test_weighted_all_states_below_cutoff_is_undefined():
     res = thermal_polarization_weighted(gibbs_weights(spectrum, 0.0))
     assert not res.defined
     assert res.polarization == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_weighted_with_no_contributing_state_is_washed_out():
+    # A uniform mixture over 2N = 1.2e6 states puts every weight below the
+    # 1e-6 contributing cutoff: no state enters the average, so nothing is
+    # left to carry a phase. The result is magnitude 0, not inf and NaN.
+    # The second row, one pure state, is unaffected by the first.
+    dimension = 1_200_000
+    weights = np.zeros((2, dimension))
+    weights[0] = 1.0 / dimension
+    weights[1, 0] = 1.0
+    ensemble = GibbsEnsemble(
+        temperature=np.array([1e6, 0.0]),
+        weights=weights,
+        spectrum=BandSpectrum(n_cells=dimension // 2, energies=np.zeros(dimension)),
+    )
+    per_state = np.full(dimension, -1.0 + 0j)
+    res = polarization_from_states(ensemble, per_state, MODE_WEIGHTED)
+    assert res.expectation[0] == 0j
+    assert res.magnitude.tolist() == [0.0, 1.0]
+    assert res.defined.tolist() == [False, True]
+    assert res.polarization.tolist() == [0.0, 0.5]
+    # The cutoff alone decides whether a magnitude of 0 is defined.
+    at_zero_cutoff = polarization_from_states(ensemble, per_state, MODE_WEIGHTED, 0.0)
+    assert at_zero_cutoff.defined.tolist() == [True, True]
 
 
 def test_determinant_quantization_topological_and_trivial():

@@ -343,3 +343,13 @@ def test_fidelity_oracle_rejects_bad_step():
     for bad in (1e-7, 0.1, 0.0):
         with pytest.raises(ValueError):
             qfi_fidelity_oracle(ensemble, generator, bad)
+
+
+def test_generator_shape_is_checked_by_both_dense_qfis():
+    rng = np.random.default_rng(3)
+    ensemble = seeded_ensemble(rng, 4)
+    for qfi in (qfi_scalar, lambda ens, gen: qfi_fidelity_oracle(ens, gen, 1e-4)):
+        with pytest.raises(ValueError, match="does not match ensemble dimension 4"):
+            qfi(ensemble, random_hermitian(rng, 6))
+        with pytest.raises(ValueError, match="square"):
+            qfi(ensemble, np.ones((4, 3)))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 import topo_thermo.sweep as sweep_mod
 from topo_thermo.bloch import (
     bloch_polarization_determinant,
-    bloch_polarization_vanishing,
     bloch_qfi_matrix,
     bloch_spectrum,
+    bloch_state_expectations,
 )
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
@@ -98,22 +98,23 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     dense_matrix = qfi_matrix(dense_ensemble)
     dense_diagnostics = ensemble_diagnostics(dense_ensemble)
     dense_determinant = thermal_polarization_determinant(spectrum, 0.37)
+    # Each boundary goes through the public functions of its engine, bit for
+    # bit, and both reduce literal and weighted from per-state <n|X|n>.
     if boundary == "open":
-        # An open chain goes through the public chiral functions, bit for bit.
         fast = chiral_spectrum(params)
         ensemble = gibbs_weights(fast, 0.37)
         matrix = chiral_qfi_matrix(fast, ensemble.weights)
         determinant = chiral_polarization_determinant(fast, 0.37)
         per_state = chiral_state_expectations(fast)
-        state_modes = {
-            mode: polarization_from_states(ensemble, per_state, mode) for mode in ("literal", "weighted")
-        }
     else:
         fast = bloch_spectrum(params)
         ensemble = gibbs_weights(fast, 0.37)
         matrix = bloch_qfi_matrix(fast, ensemble.weights)
         determinant = bloch_polarization_determinant(fast, 0.37)
-        state_modes = {mode: bloch_polarization_vanishing(mode) for mode in ("literal", "weighted")}
+        per_state = bloch_state_expectations(fast)
+    state_modes = {
+        mode: polarization_from_states(ensemble, per_state, mode) for mode in ("literal", "weighted")
+    }
     report = interferometric_power(matrix)
     diagnostics = ensemble_diagnostics(ensemble)
 
@@ -358,7 +359,12 @@ CHIRAL_CALLS = (
     "chiral_qfi_matrix",
     "chiral_polarization_determinant",
     "chiral_state_expectations",
-    "polarization_from_states",
+)
+BLOCH_CALLS = (
+    "bloch_spectrum",
+    "bloch_qfi_matrix",
+    "bloch_polarization_determinant",
+    "bloch_state_expectations",
 )
 
 
@@ -382,11 +388,12 @@ def log_calls(monkeypatch, names, calls, forbidden):
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
-    # No sweep calls a dense function, under any name it is bound to. A ring
-    # calls no chiral function either; an open chain calls every one.
-    dense_calls, chiral_calls = [], []
+    # No sweep calls a dense function, under any name it is bound to. Each
+    # boundary calls every function of its own engine and none of the other's.
+    dense_calls, chiral_calls, bloch_calls = [], [], []
     log_calls(monkeypatch, DENSE_CALLS, dense_calls, forbidden=True)
     log_calls(monkeypatch, CHIRAL_CALLS, chiral_calls, forbidden=boundary == "periodic")
+    log_calls(monkeypatch, BLOCH_CALLS, bloch_calls, forbidden=boundary == "open")
     spec = SweepSpec(
         axes=(("T", (0.0, 0.3)), ("v", (0.2, 0.6))),
         fixed={"w": 0.5, "z": 0.2, "N": 7},
@@ -399,7 +406,9 @@ def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
     assert dense_calls == []
     if boundary == "periodic":
         assert chiral_calls == []
+        assert sorted(set(bloch_calls)) == sorted(BLOCH_CALLS)
     else:
+        assert bloch_calls == []
         assert sorted(set(chiral_calls)) == sorted(CHIRAL_CALLS)
 
 
