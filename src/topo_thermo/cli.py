@@ -130,10 +130,12 @@ def _parse_axis_flag(text: str) -> tuple:
     try:
         if ":" in rhs:
             start, stop, count = rhs.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            grid = np.linspace(float(start), float(stop), _coerce_int(count))
         else:
             grid = np.array([float(item) for item in rhs.split(",")])
-    except ValueError:
+    except ConfigError:  # a fractional count, refused by _coerce_int with its own message
+        raise
+    except (ValueError, OverflowError):
         raise ConfigError(f"could not parse axis grid {rhs!r}")
     return name, tuple(grid.tolist())
 
@@ -220,7 +222,7 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
         raise ConfigError(f"precision must be >= 1, got {config.precision}")
     if config.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if config.tau_mag < 0.0:
+    if not config.tau_mag >= 0.0:
         raise ConfigError(f"tau_mag must be >= 0, got {config.tau_mag}")
     return config
 

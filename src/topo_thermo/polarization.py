@@ -259,20 +259,17 @@ def thermal_polarization_determinant(
     sign of its real part. An array of temperatures gives one result of
     arrays with an entry per temperature.
 
-    With real eigenvectors V, F = V diag(f) V^T and W = V^T U V (two real
-    matrix products), (1 - F) + F U = V [(1 - f) + diag(f) W] V^T. V is
-    orthogonal, so only the bracket's determinant is formed per temperature.
+    Each temperature forms F = V diag(f) V^dagger from the eigenvectors V
+    and the occupations f, and takes det[(1 - F) + F U] as written; U is
+    diagonal, so F U scales the columns of F by its phases.
     """
     n = _cell_count(spectrum.dimension)
     occupations = fermi_occupations(spectrum, temperature)
     vectors, diagonal = spectrum.vectors, np.repeat(cell_phases(n), 2)
-    rotated = np.empty(vectors.shape, dtype=complex)
-    rotated.real = (vectors.T * diagonal.real) @ vectors
-    rotated.imag = (vectors.T * diagonal.imag) @ vectors
+    identity = np.eye(spectrum.dimension)
     dets = []
     for row in np.atleast_2d(occupations):
-        mixture = rotated * row[:, None]
-        mixture[np.diag_indices_from(mixture)] += 1.0 - row
-        dets.append(np.linalg.det(mixture))
+        occupied = (vectors * row) @ vectors.conj().T
+        dets.append(np.linalg.det(identity - occupied + occupied * diagonal))
     result = _determinant_result(np.array(dets), n, magnitude_cutoff)
     return _per_temperature(result, temperature)

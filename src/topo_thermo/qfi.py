@@ -1,16 +1,23 @@
-"""Quantum Fisher information over spectral ensembles.
+"""Quantum Fisher information over spectral ensembles, computed as written.
 
-Normalization: F[rho, A] = (1/2) sum_{m,n} (l_m - l_n)^2 / (l_m + l_n)
-|<n|A|m>|^2, whose pure-state limit is the plain variance <A^2> - <A>^2
-(one quarter of the conventional QFI). The 3x3 matrix over the sublattice
-Pauli generators I_cells (x) sigma_l is real symmetric positive
+With eigenvectors V, weights l_n and the matrix elements g_mn = (V^dagger G V)_mn
+of a generator G, every QFI here is one spectral sum (Hauke, Heyl,
+Tagliacozzo, Zoller, Nat. Phys. 12, 778 (2016)):
+
+  M[G, H] = (1/2) sum_{m,n} pw_mn Re(g_mn conj h_mn),
+  pw_mn   = (l_m - l_n)^2 / (l_m + l_n).
+
+F[rho, G] = M[G, G] has the plain variance <G^2> - <G>^2 as its
+pure-state limit (one quarter of the conventional QFI). qfi_scalar takes
+any Hermitian G; qfi_matrix takes the sublattice Pauli generators
+I_cells (x) sigma_l, built with np.kron, and is the dense oracle of the
+Bloch and chiral engines. That 3x3 matrix is real symmetric positive
 semidefinite; its minimum eigenvalue is the interferometric power.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +69,10 @@ def pair_weights(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = N
     return diff
 
 
-def pair_weight_matrix(weights: np.ndarray) -> np.ndarray:
-    """pair_weights over all (m, n) pairs of one ensemble."""
-    return pair_weights(weights[:, None], weights[None, :])
+def sublattice_paulis(n_cells: int) -> tuple:
+    """The generators I_cells (x) sigma_l for l = x, y, z as dense 2N x 2N matrices."""
+    paulis = ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]])
+    return tuple(np.kron(np.eye(n_cells), block) for block in paulis)
 
 
 def _generator_matrix(generator, dimension: int) -> np.ndarray:
@@ -79,64 +87,45 @@ def _generator_matrix(generator, dimension: int) -> np.ndarray:
     return matrix
 
 
+def _eigenbasis(spectrum: Spectrum, generator: np.ndarray) -> np.ndarray:
+    """V^dagger G V: the generator's matrix elements g_mn between eigenstates."""
+    vectors = spectrum.vectors
+    return vectors.conj().T @ generator @ vectors
+
+
+def _spectral_sum(weights: np.ndarray, pairs) -> list:
+    """(1/2) sum_mn pw_mn Re(g_mn conj h_mn) for each (g, h) in `pairs`, over one weight row."""
+    pair = pair_weights(weights[:, None], weights[None, :])
+    return [float(0.5 * np.sum(pair * (g.real * h.real + g.imag * h.imag))) for g, h in pairs]
+
+
 def qfi_scalar(ensemble: GibbsEnsemble, generator) -> float:
     """QFI of one Hermitian generator against a Gibbs ensemble."""
-    matrix = _generator_matrix(generator, ensemble.dimension)
-    vectors = ensemble.spectrum.vectors
-    transformed = vectors.conj().T @ matrix @ vectors
-    pair_weights = pair_weight_matrix(ensemble.weights)
-    return float(0.5 * np.sum(pair_weights * np.abs(transformed) ** 2))
-
-
-class EigenbasisPaulis(NamedTuple):
-    """I_cells (x) sigma_l rotated into a real eigenbasis, stored as real arrays.
-
-    g_x = x and g_z = z are real symmetric; g_y = 1j * y_imag with y_imag
-    real antisymmetric.
-    """
-
-    x: np.ndarray
-    y_imag: np.ndarray
-    z: np.ndarray
-
-
-def transformed_paulis(spectrum: Spectrum) -> EigenbasisPaulis:
-    """All three Pauli generators rotated into the eigenbasis.
-
-    With the sublattice rows A = V[0::2] and B = V[1::2] of the real
-    eigenvectors, V^T (I (x) sigma_l) V is A^T B + B^T A for x,
-    1j (B^T A - A^T B) for y and A^T A - B^T B for z: real products, no
-    2N x 2N Kronecker matrix.
-    """
-    vectors = np.asarray(spectrum.vectors)
-    if np.iscomplexobj(vectors):
-        raise ValueError("the real-block Pauli rotation needs real eigenvectors")
-    if vectors.shape[0] % 2 != 0:
-        raise ValueError("dimension must be even (two sublattices per cell)")
-    a, b = vectors[0::2], vectors[1::2]
-    a_b = a.T @ b
-    return EigenbasisPaulis(x=a_b + a_b.T, y_imag=a_b.T - a_b, z=a.T @ a - b.T @ b)
+    g = _eigenbasis(ensemble.spectrum, _generator_matrix(generator, ensemble.dimension))
+    return _spectral_sum(ensemble.weights, [(g, g)])[0]
 
 
 def qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
-    """3x3 QFI matrix over the sublattice Pauli generators.
+    """3x3 QFI matrix M_kl = (1/2) sum_mn pw_mn Re(g_k,mn conj g_l,mn) over I_cells (x) sigma_l.
 
-    A batched ensemble, weights (n_T, 2N), gives (n_T, 3, 3). M_xy and
-    M_yz are exactly 0: g_x and g_z are real and g_y imaginary, so
-    Re(g_x conj(g_y)) vanishes term by term.
+    A batched ensemble, weights (n_T, 2N), gives (n_T, 3, 3). With real
+    eigenvectors g_x and g_z are real and g_y imaginary, so M_xy and M_yz
+    vanish term by term and are left at exactly 0.
     """
     if ensemble.dimension % 2 != 0:
         raise ValueError("ensemble dimension must be even (two sublattices per cell)")
-    paulis = transformed_paulis(ensemble.spectrum)
+    if np.iscomplexobj(ensemble.spectrum.vectors):
+        raise ValueError("the QFI matrix needs real eigenvectors")
+    g_x, g_y, g_z = (
+        _eigenbasis(ensemble.spectrum, generator)
+        for generator in sublattice_paulis(ensemble.dimension // 2)
+    )
     rows = np.atleast_2d(ensemble.weights)
     matrices = np.zeros((rows.shape[0], 3, 3))
     for matrix, row in zip(matrices, rows):
-        pair = pair_weight_matrix(row)
-        pair_x = pair * paulis.x
-        matrix[0, 0] = 0.5 * np.sum(pair_x * paulis.x)
-        matrix[0, 2] = matrix[2, 0] = 0.5 * np.sum(pair_x * paulis.z)
-        matrix[1, 1] = 0.5 * np.sum(pair * paulis.y_imag * paulis.y_imag)
-        matrix[2, 2] = 0.5 * np.sum(pair * paulis.z * paulis.z)
+        xx, yy, zz, xz = _spectral_sum(row, [(g_x, g_x), (g_y, g_y), (g_z, g_z), (g_x, g_z)])
+        matrix[np.diag_indices(3)] = xx, yy, zz
+        matrix[0, 2] = matrix[2, 0] = xz
     return matrices if ensemble.weights.ndim == 2 else matrices[0]
 
 

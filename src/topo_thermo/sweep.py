@@ -118,12 +118,18 @@ class SweepSpec:
         elif self.polarization_modes:
             raise ValueError("polarization_modes given but polarization not requested")
         axis_grids = dict(self.axes)
-        temperatures = axis_grids.get("T", (self.fixed.get("T"),))
-        if not all(t >= 0.0 for t in temperatures):
+        values = {name: axis_grids.get(name, (self.fixed.get(name),)) for name in AXIS_NAMES}
+        if not all(t >= 0.0 for t in values["T"]):
             raise ValueError("temperatures must be >= 0")
-        for n in axis_grids.get("N", (self.fixed.get("N"),)):
+        for name in ("v", "w", "z", "N"):
+            for value in values[name]:
+                if not math.isfinite(float(value)):
+                    raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
+        for n in values["N"]:
             if int(n) != n or n < 2:
                 raise ValueError(f"N must be an integer >= 2, got {n!r}")
+        if not self.magnitude_cutoff >= 0.0:
+            raise ValueError(f"magnitude_cutoff must be >= 0, got {self.magnitude_cutoff!r}")
 
 
 @dataclass

@@ -242,6 +242,32 @@ def test_nan_temperature_is_a_config_error(tmp_path, capsys):
     assert (code, out) == (EXIT_CONFIG, "") and "temperature" in err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ["--v", "nan", "--w", "0.5", "--axis", "T=0.1,0.2"],
+        ["--v", "0.3", "--w", "inf", "--axis", "T=0.1,0.2"],
+        ["--axis", "v=nan,0.5", "--w", "0.5", "-T", "0.1"],
+    ],
+)
+def test_non_finite_hoppings_are_config_errors(model, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--n-cells", "4", "--z", "0.2", *model, "--quantities", "diagnostics"], capsys
+    )
+    assert (code, out) == (EXIT_CONFIG, "") and "must be finite" in err
+
+
+def test_nan_tau_mag_is_a_config_error(tmp_path, capsys):
+    point = ["polarization", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+             "-T", "0.1"]
+    code, out, err = run_cli([*point, "--tau-mag", "nan"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "") and "tau_mag must be >= 0" in err
+    config = tmp_path / "nan-tau.json"
+    config.write_text('{"tau_mag": NaN}')
+    code, out, err = run_cli([*point, "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "") and "tau_mag must be >= 0" in err
+
+
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_overflowing_bands_are_error_rows_and_exit_3(boundary, capsys):
     model = ["--n-cells", "4", "--v", "1e308", "--w", "1e308", "--z", "0.2", "--boundary", boundary]
@@ -501,6 +527,17 @@ def test_fractional_cell_count_axis_is_a_config_error(capsys):
     )
     assert code == EXIT_CONFIG and out == ""
     assert "expected an integer, got 4.66666" in err
+
+
+def test_axis_flag_count_takes_the_integer_rule(capsys):
+    args = ["sweep", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+            "--quantities", "diagnostics"]
+    code, out, _ = run_cli([*args, "--axis", "T=0.1:0.5:3.0"], capsys)
+    assert code == EXIT_OK
+    assert [row["T"] for row in read_csv(out)] == ["0.1", "0.3", "0.5"]
+    code, out, err = run_cli([*args, "--axis", "T=0.1:0.5:3.5"], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "expected an integer, got '3.5'" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,8 +15,7 @@ from topo_thermo.lattice import (
     flat_index,
 )
 from topo_thermo.polarization import state_expectations
-from topo_thermo.qfi import transformed_paulis
-from topo_thermo.thermal import Spectrum
+from topo_thermo.qfi import sublattice_paulis
 
 
 def idx(cell, sub):
@@ -166,13 +165,6 @@ def test_position_phase_unitary_and_sublattice_blind():
         assert np.array_equal(sites[1::2], cell_phases(n))
     with pytest.raises(ValueError):
         state_expectations(np.eye(5))
-
-
-def sublattice_paulis(n_cells):
-    """I_cells (x) sigma_l for l = x, y, z: the QFI generators in the site basis."""
-    sites = Spectrum(energies=np.zeros(2 * n_cells), vectors=np.eye(2 * n_cells))
-    paulis = transformed_paulis(sites)
-    return paulis.x, 1j * paulis.y_imag, paulis.z
 
 
 def test_pauli_axis_blocks():

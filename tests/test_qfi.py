@@ -11,7 +11,7 @@ from topo_thermo.qfi import (
     qfi_fidelity_oracle,
     qfi_matrix,
     qfi_scalar,
-    transformed_paulis,
+    sublattice_paulis,
 )
 from topo_thermo.thermal import GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
 
@@ -175,19 +175,44 @@ def test_matrix_invariant_under_degenerate_cluster_rotation():
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 @pytest.mark.parametrize("n", [2, 3, 7, 20])
 def test_real_block_rotation_matches_kron_oracle(n, boundary):
+    # In a real eigenbasis the Kronecker generators stay real (x, z) or
+    # imaginary (y), so M_xy and M_yz vanish term by term and print as 0.
     params = ModelParams(n_cells=n, v=0.3, w=0.5, z=0.2, boundary=boundary)
     spectrum = diagonalize(build_hamiltonian(params))
     vectors = spectrum.vectors
-    paulis = transformed_paulis(spectrum)
-    rotated = {"x": paulis.x, "y": 1j * paulis.y_imag, "z": paulis.z}
-    for axis, matrix in rotated.items():
-        assert np.isrealobj(getattr(paulis, "y_imag" if axis == "y" else axis))
-        oracle = vectors.T @ sublattice_pauli(axis, n) @ vectors
-        assert np.abs(matrix - oracle).max() <= 1e-14
+    assert np.isrealobj(vectors)
+    for axis, generator in zip("xyz", sublattice_paulis(n)):
+        assert np.array_equal(generator, sublattice_pauli(axis, n))
+        rotated = vectors.T @ generator @ vectors
+        assert np.all((rotated.real if axis == "y" else rotated.imag) == 0.0)
 
     for matrix in qfi_matrix(gibbs_weights(spectrum, np.array([0.0, 0.05, 0.7]))):
         assert matrix[0, 1] == matrix[1, 0] == 0.0
         assert matrix[1, 2] == matrix[2, 1] == 0.0
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_matrix_entries_are_qfi_scalar_sums(boundary):
+    # The diagonal is F(g_l) and M_xz the polarization identity
+    # [F(g_x + g_z) - F(g_x) - F(g_z)] / 2, each from qfi_scalar.
+    rng = np.random.default_rng(41 if boundary == "periodic" else 42)
+    temperatures = np.array([0.0, 0.05, 0.7])
+    for _ in range(6):
+        n = int(rng.integers(2, 13))
+        params = ModelParams(
+            n_cells=n, v=rng.uniform(0.0, 1.0), w=rng.uniform(0.0, 1.0),
+            z=rng.uniform(0.0, 1.0), boundary=boundary,
+        )
+        spectrum = diagonalize(build_hamiltonian(params))
+        matrices = qfi_matrix(gibbs_weights(spectrum, temperatures))
+        x, y, z = (sublattice_pauli(axis, n) for axis in "xyz")
+        for t, matrix in zip(temperatures, matrices):
+            ensemble = gibbs_weights(spectrum, t)
+            diagonal = [qfi_scalar(ensemble, generator) for generator in (x, y, z)]
+            assert np.abs(np.diag(matrix) - diagonal).max() <= 1e-12
+            cross = (qfi_scalar(ensemble, x + z) - diagonal[0] - diagonal[2]) / 2.0
+            assert matrix[0, 2] == matrix[2, 0]
+            assert abs(matrix[0, 2] - cross) <= 1e-12
 
 
 def test_pair_skip_error_is_bounded():

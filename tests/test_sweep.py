@@ -346,7 +346,6 @@ def test_line_cut_rows_equal_the_matching_rows_of_a_heatmap():
 DENSE_CALLS = (
     "diagonalize",
     "qfi_matrix",
-    "transformed_paulis",
     "state_expectations",
     "thermal_polarization_determinant",
     "thermal_polarization_literal",
@@ -464,10 +463,20 @@ def test_spec_validation():
         dict(good, axes=(("T", (0.1, float("nan"))),)),
         dict(good, fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": 1}),
         dict(good, boundary="mixed"),
+        dict(good, fixed={"v": float("nan"), "w": 0.5, "z": 0.0, "N": 4}),
+        dict(good, fixed={"v": 0.3, "w": float("inf"), "z": 0.0, "N": 4}),
+        dict(good, fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": float("inf")}),
+        dict(good, axes=(("T", (0.1,)), ("z", (0.0, float("nan")))),
+             fixed={"v": 0.3, "w": 0.5, "N": 4}),
+        dict(good, axes=(("T", (0.1,)), ("N", (2, float("inf")))),
+             fixed={"v": 0.3, "w": 0.5, "z": 0.0}),
+        dict(good, magnitude_cutoff=float("nan")),
+        dict(good, magnitude_cutoff=-1e-3),
     ]
     for case in bad_cases:
         with pytest.raises(ValueError):
             SweepSpec(**case).validate()
+    SweepSpec(**dict(good, axes=(("T", (0.1, float("inf"))),))).validate()
 
 
 def test_locate_extremum_basics():
