@@ -1,25 +1,25 @@
 """Command-line front end.
 
-Subcommands: spectrum, polarization, qfi, sweep, figure. Options resolve
-with the precedence command-line flag > config-file value > documented
-default. The config file (--config) is a flat JSON object whose keys
-mirror the RunConfig field names; flag values pass through the same
-coercion as config values. Exit codes: 0 success, 2 configuration
-error, 3 numerical failure or unwritable output. A polarization, qfi,
-sweep or figure run in which any point failed still writes every row,
-with the failure in the error column, then reports "k of n points
-failed" on stderr and exits 3. --workers (config key `workers`) is
-validated and accepted for compatibility; it changes neither the output
-nor the speed.
+Subcommands: spectrum, polarization, qfi, sweep, figure. Each option is
+one RunConfig field that declares its default, the reader of its flag
+and config values (type and range), its flags and the subcommands that
+take it; `build_parser` and `assemble_config` work from these alone.
+Options resolve as flag > config file (a flat JSON object keyed by field
+name) > default; a config key its subcommand does not take is an error.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or
+unwritable output. A run in which any point failed still writes every
+row, with the failure in the error column, then reports "k of n points
+failed" on stderr and exits 3. --verbose writes a one-line summary of
+the sweep to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,33 +43,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-log = logging.getLogger("topo_thermo")
+_SUBCOMMANDS = {
+    "spectrum": "energies (and optionally eigenvectors)",
+    "polarization": "polarization at a single parameter point",
+    "qfi": "QFI matrix and interferometric power at a point",
+    "sweep": "grid sweep from a config file plus overrides",
+    "figure": "emit a bundled phase-diagram preset",
+}
+_MODEL = ("spectrum", "polarization", "qfi", "sweep")
+_THERMAL = ("polarization", "qfi", "sweep")
 
 
 class ConfigError(ValueError):
     """Bad flags, config file, or inconsistent run configuration."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    n_cells: int | None = None
-    v: float | None = None
-    w: float | None = None
-    z: float | None = None
-    boundary: str = PERIODIC
-    temperature: list | None = None
-    modes: list | None = None
-    axes: list | None = None
-    quantities: list | None = None
-    label: str = ""
-    out: str = "-"
-    format: str = io_mod.FORMAT_CSV
-    precision: int = io_mod.DEFAULT_PRECISION
-    workers: int = 1
-    tau_mag: float = DEFAULT_MAGNITUDE_CUTOFF
-    verbosity: int = 0
-    eigenvectors: bool = False
 
 
 def _coerce_float(value) -> float:
@@ -130,10 +116,16 @@ def _parse_axis_flag(text: str) -> tuple:
     try:
         if ":" in rhs:
             start, stop, count = rhs.split(":")
-            grid = np.linspace(float(start), float(stop), _coerce_int(count))
+            start, stop = float(start), float(stop)
+            if not (math.isfinite(start) and math.isfinite(stop)):
+                raise ConfigError(
+                    f"axis range {rhs!r} needs a finite START and STOP; "
+                    f"list a non-finite value instead, as in {name}=0.1,inf"
+                )
+            grid = np.linspace(start, stop, _coerce_int(count))
         else:
             grid = np.array([float(item) for item in rhs.split(",")])
-    except ConfigError:  # a fractional count, refused by _coerce_int with its own message
+    except ConfigError:  # a non-finite endpoint or a fractional count, with its own message
         raise
     except (ValueError, OverflowError):
         raise ConfigError(f"could not parse axis grid {rhs!r}")
@@ -163,25 +155,80 @@ def _coerce_axes(value) -> list:
     return axes
 
 
-_COERCERS = {
-    "n_cells": _coerce_int,
-    "v": _coerce_float,
-    "w": _coerce_float,
-    "z": _coerce_float,
-    "boundary": lambda v: str(v),
-    "temperature": _coerce_temperature,
-    "modes": lambda v: _coerce_list(v, "modes"),
-    "axes": _coerce_axes,
-    "quantities": lambda v: _coerce_list(v, "quantities"),
-    "label": lambda v: str(v),
-    "out": lambda v: str(v),
-    "format": lambda v: str(v),
-    "precision": _coerce_int,
-    "workers": _coerce_int,
-    "tau_mag": _coerce_float,
-    "verbosity": _coerce_int,
-    "eigenvectors": _coerce_bool,
-}
+def _checked(read, ok, rule: str):
+    """`read`, then refuse a value for which `ok` is false, naming `rule`."""
+    def read_checked(value):
+        result = read(value)
+        if not ok(result):
+            raise ConfigError(f"{rule}, got {result!r}")
+        return result
+    return read_checked
+
+
+def _option(default, read, flags: str, takes=tuple(_SUBCOMMANDS), **argparse_kwargs):
+    """A RunConfig field: default, reader, flags, subcommands that take it, argparse keywords."""
+    metadata = {"read": read, "flags": flags.split(), "takes": takes, "argparse": argparse_kwargs}
+    return field(default=default, metadata=metadata)
+
+
+@dataclass
+class RunConfig:
+    subcommand: str
+    n_cells: int | None = _option(None, _coerce_int, "--n-cells", _MODEL)
+    v: float | None = _option(None, _coerce_float, "--v", _MODEL, help="intra-cell hopping")
+    w: float | None = _option(None, _coerce_float, "--w", _MODEL, help="inter-cell hopping")
+    z: float | None = _option(None, _coerce_float, "--z", _MODEL, help="second-neighbor hopping")
+    boundary: str = _option(
+        PERIODIC, _checked(str, lambda b: b in BOUNDARIES, f"must be one of {BOUNDARIES}"),
+        "--boundary", _MODEL,
+    )
+    temperature: list | None = _option(
+        None, _coerce_temperature, "--temperature -T", _THERMAL, action="append"
+    )
+    modes: list | None = _option(
+        None, lambda v: _coerce_list(v, "modes"), "--mode", ("polarization", "sweep"),
+        action="append", help="repeatable",
+    )
+    axes: list | None = _option(
+        None, _coerce_axes, "--axis", ("sweep",), action="append", help="NAME=START:STOP:COUNT"
+    )
+    quantities: list | None = _option(
+        None, lambda v: _coerce_list(v, "quantities"), "--quantities", ("sweep",),
+        help="comma list from: " + ", ".join(QUANTITIES),
+    )
+    label: str = _option(
+        "", str, "--label", help="free-text run identifier; accepted, not recorded yet"
+    )
+    out: str = _option("-", str, "--out -o", help="output path, '-' for stdout")
+    format: str = _option(
+        io_mod.FORMAT_CSV,
+        _checked(str, lambda f: f in io_mod.FORMATS, f"must be one of {io_mod.FORMATS}"),
+        "--format",
+    )
+    precision: int = _option(
+        io_mod.DEFAULT_PRECISION, _checked(_coerce_int, lambda n: n >= 1, "must be >= 1"),
+        "--precision", help="significant digits (default 12)",
+    )
+    workers: int = _option(
+        1, _checked(_coerce_int, lambda n: n >= 1, "must be >= 1"), "--workers",
+        help="accepted for compatibility, no effect (default 1)",
+    )
+    tau_mag: float = _option(
+        DEFAULT_MAGNITUDE_CUTOFF, _checked(_coerce_float, lambda x: x >= 0, "must be >= 0"),
+        "--tau-mag", help="magnitude cutoff",
+    )
+    verbosity: int = _option(
+        0, _coerce_int, "--verbose", action="count",
+        help="write a one-line summary of the sweep to stderr",
+    )
+    eigenvectors: bool = _option(
+        False, _coerce_bool, "--eigenvectors", ("spectrum",), action="store_true"
+    )
+
+
+def _options(subcommand: str) -> dict:
+    """The RunConfig fields that `subcommand` takes, by name."""
+    return {f.name: f for f in fields(RunConfig) if subcommand in f.metadata.get("takes", ())}
 
 
 def load_config_file(path: str) -> dict:
@@ -198,32 +245,28 @@ def load_config_file(path: str) -> dict:
 
 
 def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> RunConfig:
-    """Resolve defaults, then config-file values, then explicit flags."""
-    known = {f.name for f in fields(RunConfig)} - {"subcommand"}
-    for key in config_values:
-        if key == "subcommand":
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    """Resolve defaults, then config-file values, then explicit flags.
+
+    Every value goes through its option's reader; a key that `subcommand`
+    does not take is a ConfigError.
+    """
+    options = _options(subcommand)
     config = RunConfig(subcommand=subcommand)
     for source in (config_values, flag_values):
         for key, value in source.items():
-            if key == "subcommand" or value is None:
+            if key == "subcommand":
+                continue
+            if key not in options:
+                raise ConfigError(
+                    f"{subcommand} does not take config key {key!r}; it takes "
+                    + ", ".join(options)
+                )
+            if value is None:
                 continue
             try:
-                setattr(config, key, _COERCERS[key](value))
+                setattr(config, key, options[key].metadata["read"](value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key}: {exc}")
-    if config.boundary not in BOUNDARIES:
-        raise ConfigError(f"boundary must be one of {BOUNDARIES}, got {config.boundary!r}")
-    if config.format not in io_mod.FORMATS:
-        raise ConfigError(f"format must be one of {io_mod.FORMATS}, got {config.format!r}")
-    if config.precision < 1:
-        raise ConfigError(f"precision must be >= 1, got {config.precision}")
-    if config.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {config.workers}")
-    if not config.tau_mag >= 0.0:
-        raise ConfigError(f"tau_mag must be >= 0, got {config.tau_mag}")
     return config
 
 
@@ -282,10 +325,9 @@ def _sweep_spec(config: RunConfig, axes, quantities) -> SweepSpec:
 def _emit(config: RunConfig, table: SweepTable) -> int:
     """Write every row, then turn error rows into the numerical-failure exit code."""
     failed = len(table.errors)
-    log.info(
-        "swept %d points on %d unique spectra: %d error rows, %d undefined-P rows",
-        len(table), table.spectra, failed, table.undefined_p_rows(),
-    )
+    if config.verbosity >= 1:
+        print(f"INFO swept {len(table)} points on {table.spectra} unique spectra: {failed} error "
+              f"rows, {table.undefined_p_rows()} undefined-P rows", file=sys.stderr)
     io_mod.emit_records(table, config.format, config.precision, config.out)
     if failed:
         print(f"{failed} of {len(table)} points failed", file=sys.stderr)
@@ -294,7 +336,6 @@ def _emit(config: RunConfig, table: SweepTable) -> int:
 
 
 def _run_spectrum(config: RunConfig) -> int:
-    _polarization_modes(config, ())
     model = _fixed_parameters(config, ("N", "v", "w", "z"))
     params = ModelParams(
         n_cells=model["N"], v=model["v"], w=model["w"], z=model["z"], boundary=config.boundary
@@ -329,54 +370,21 @@ def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
     return _sweep_spec(config, config.axes, config.quantities)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, model: bool = True) -> None:
-    parser.add_argument("--config", help="flat JSON config file")
-    if model:
-        parser.add_argument("--n-cells", dest="n_cells")
-        parser.add_argument("--v", help="intra-cell hopping")
-        parser.add_argument("--w", help="inter-cell hopping")
-        parser.add_argument("--z", help="second-neighbor hopping")
-        parser.add_argument("--boundary", choices=BOUNDARIES)
-    parser.add_argument("--out", "-o", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=io_mod.FORMATS)
-    parser.add_argument("--precision", help="significant digits (default 12)")
-    parser.add_argument("--workers", help="accepted for compatibility, no effect (default 1)")
-    parser.add_argument("--tau-mag", dest="tau_mag", help="magnitude cutoff")
-    parser.add_argument("--label", help="free-text run identifier; accepted, not recorded yet")
-    parser.add_argument("--verbose", dest="verbosity", action="count", help="more logging")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topo-thermo",
         description="Thermal extended SSH chain: polarization and quantum Fisher information.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_spectrum = sub.add_parser("spectrum", help="energies (and optionally eigenvectors)")
-    _add_common_flags(p_spectrum)
-    p_spectrum.add_argument("--eigenvectors", action="store_true", default=None)
-
-    p_pol = sub.add_parser("polarization", help="polarization at a single parameter point")
-    _add_common_flags(p_pol)
-    p_pol.add_argument("--temperature", "-T", action="append")
-    p_pol.add_argument("--mode", dest="modes", action="append", help="repeatable")
-
-    p_qfi = sub.add_parser("qfi", help="QFI matrix and interferometric power at a point")
-    _add_common_flags(p_qfi)
-    p_qfi.add_argument("--temperature", "-T", action="append")
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep from a config file plus overrides")
-    _add_common_flags(p_sweep)
-    p_sweep.add_argument("--temperature", "-T", action="append")
-    p_sweep.add_argument("--axis", dest="axes", action="append", help="NAME=START:STOP:COUNT")
-    p_sweep.add_argument("--quantities", help="comma list from: " + ", ".join(QUANTITIES))
-    p_sweep.add_argument("--mode", dest="modes", action="append")
-
-    p_fig = sub.add_parser("figure", help="emit a bundled phase-diagram preset")
-    p_fig.add_argument("figure_id", choices=FIGURE_IDS)
-    _add_common_flags(p_fig, model=False)
-
+    for subcommand, help_text in _SUBCOMMANDS.items():
+        p_sub = sub.add_parser(subcommand, help=help_text)
+        if subcommand == "figure":
+            p_sub.add_argument("figure_id", choices=FIGURE_IDS)
+        p_sub.add_argument("--config", help="flat JSON config file")
+        for option in _options(subcommand).values():
+            # An absent flag stays None and leaves the config value or default.
+            meta = option.metadata
+            p_sub.add_argument(*meta["flags"], dest=option.name, default=None, **meta["argparse"])
     return parser
 
 
@@ -387,23 +395,14 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
 
-    flag_values = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("subcommand", "config", "figure_id")
-    }
+    flag_values = vars(args)
+    config_path, figure_id = flag_values.pop("config"), flag_values.pop("figure_id", None)
     try:
-        config_values = load_config_file(args.config) if getattr(args, "config", None) else {}
+        config_values = load_config_file(config_path) if config_path else {}
         config = assemble_config(args.subcommand, flag_values, config_values)
-        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-        log.setLevel(
-            logging.WARNING if config.verbosity == 0
-            else logging.INFO if config.verbosity == 1
-            else logging.DEBUG
-        )
         if args.subcommand == "spectrum":
             return _run_spectrum(config)
-        return _emit(config, run_sweep(_spec(config, getattr(args, "figure_id", None))))
+        return _emit(config, run_sweep(_spec(config, figure_id)))
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -88,17 +88,16 @@ def _cell(value, precision: int, as_json: bool) -> str:
 
 
 def _column(values, precision: int, as_json: bool) -> list[str]:
-    """Text of each cell: a float array, or a sequence of cells of any type."""
+    """Text of each cell: floats (an array or a sequence of floats), or cells of any type."""
     spec = f".{precision}g"
+    if not isinstance(values, np.ndarray) and set(map(type, values)) == {float}:
+        values = np.array(values)
     if isinstance(values, np.ndarray):
         if np.isfinite(values).all():
             # Adding 0.0 turns -0.0 into 0.0, so every zero prints as "0".
             distinct, index = np.unique(values + 0.0, return_inverse=True)
             return _expand([format(x, spec) for x in distinct.tolist()], index)
         values = values.tolist()
-    elif set(map(type, values)) == {float} and math.isfinite(sum(values)):
-        # An overflowing sum only sends finite floats down the general path.
-        return ["0" if x == 0.0 else format(x, spec) for x in values]
     return [_cell(x, precision, as_json) for x in values]
 
 

@@ -1,13 +1,15 @@
 """CLI behavior: flags, config precedence, exit codes, output wiring."""
 
 import csv
+import dataclasses
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import argparse
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from topo_thermo.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    RunConfig,
     assemble_config,
+    build_parser,
     cli_main,
 )
 from topo_thermo.figures import FIGURE_PRESETS, build_figure_spec
@@ -191,31 +195,26 @@ def test_sweep_axis_flag_overrides_config(tmp_path, capsys):
     assert [row["T"] for row in rows] == ["0.2", "0.3", "0.4"]
 
 
-def test_sweep_logs_point_and_spectrum_counts(caplog, capsys):
-    with caplog.at_level(logging.INFO, logger="topo_thermo"):
-        code, out, _ = run_cli(
-            ["sweep", *MODEL_ARGS, "--axis", "T=0.1:0.5:3", "--axis", "z=0,0.2",
-             "--quantities", "interferometric_power", "--verbose"],
-            capsys,
-        )
+def test_sweep_logs_point_and_spectrum_counts(capsys):
+    args = ["sweep", *MODEL_ARGS, "--axis", "T=0.1:0.5:3", "--axis", "z=0,0.2",
+            "--quantities", "interferometric_power"]
+    code, out, err = run_cli([*args, "--verbose"], capsys)
     assert code == EXIT_OK and len(read_csv(out)) == 6
-    assert caplog.messages == [
-        "swept 6 points on 2 unique spectra: 0 error rows, 0 undefined-P rows"
-    ]
+    assert err == "INFO swept 6 points on 2 unique spectra: 0 error rows, 0 undefined-P rows\n"
+    assert run_cli(args, capsys) == (EXIT_OK, out, "")
 
 
-def test_sweep_logs_error_and_undefined_rows(caplog, capsys, monkeypatch):
+def test_sweep_logs_error_and_undefined_rows(capsys, monkeypatch):
     # T = 0.5 fails on both spectra. The literal mode of a ring is undefined
     # on every other point; the determinant is defined at T = 0.02 and
     # washed out at T = 0.7.
     monkeypatch.setattr(sweep_mod, "gibbs_weights", failing_gibbs_weights(0.5))
-    with caplog.at_level(logging.INFO, logger="topo_thermo"):
-        code, out, _ = run_cli(
-            ["sweep", *MODEL_ARGS, "--axis", "T=0.02,0.5,0.7", "--axis", "z=0,0.2",
-             "--quantities", "polarization", "--mode", "literal", "--mode", "determinant",
-             "--verbose"],
-            capsys,
-        )
+    code, out, err = run_cli(
+        ["sweep", *MODEL_ARGS, "--axis", "T=0.02,0.5,0.7", "--axis", "z=0,0.2",
+         "--quantities", "polarization", "--mode", "literal", "--mode", "determinant",
+         "--verbose"],
+        capsys,
+    )
     assert code == EXIT_NUMERIC
     rows = read_csv(out)
     assert len(rows) == 2 + 2 * 2 * 2
@@ -224,9 +223,10 @@ def test_sweep_logs_error_and_undefined_rows(caplog, capsys, monkeypatch):
     assert sorted(set(undefined)) == [
         ("determinant", "0.7"), ("literal", "0.02"), ("literal", "0.7")
     ]
-    assert (
-        "swept 6 points on 2 unique spectra: 2 error rows, 6 undefined-P rows" in caplog.messages
-    )
+    assert err.splitlines() == [
+        "INFO swept 6 points on 2 unique spectra: 2 error rows, 6 undefined-P rows",
+        "2 of 6 points failed",
+    ]
 
 
 def test_nan_temperature_is_a_config_error(tmp_path, capsys):
@@ -261,11 +261,11 @@ def test_nan_tau_mag_is_a_config_error(tmp_path, capsys):
     point = ["polarization", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
              "-T", "0.1"]
     code, out, err = run_cli([*point, "--tau-mag", "nan"], capsys)
-    assert (code, out) == (EXIT_CONFIG, "") and "tau_mag must be >= 0" in err
+    assert (code, out) == (EXIT_CONFIG, "") and "bad value for tau_mag: must be >= 0" in err
     config = tmp_path / "nan-tau.json"
     config.write_text('{"tau_mag": NaN}')
     code, out, err = run_cli([*point, "--config", str(config)], capsys)
-    assert (code, out) == (EXIT_CONFIG, "") and "tau_mag must be >= 0" in err
+    assert (code, out) == (EXIT_CONFIG, "") and "bad value for tau_mag: must be >= 0" in err
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -394,6 +394,43 @@ def test_frozen_figure_parameter_table():
         build_figure_spec("9z")
 
 
+# Each subcommand's flags, option string -> dest; a subcommand's config keys are the same dests.
+COMMON_FLAGS = {
+    "-h": "help", "--help": "help", "--config": "config", "--out": "out", "-o": "out",
+    "--format": "format", "--precision": "precision", "--workers": "workers",
+    "--tau-mag": "tau_mag", "--label": "label", "--verbose": "verbosity",
+}
+MODEL_FLAGS = {
+    **COMMON_FLAGS, "--n-cells": "n_cells", "--v": "v", "--w": "w", "--z": "z",
+    "--boundary": "boundary",
+}
+THERMAL_FLAGS = {**MODEL_FLAGS, "--temperature": "temperature", "-T": "temperature"}
+SUBCOMMAND_FLAGS = {
+    "spectrum": {**MODEL_FLAGS, "--eigenvectors": "eigenvectors"},
+    "polarization": {**THERMAL_FLAGS, "--mode": "modes"},
+    "qfi": THERMAL_FLAGS,
+    "sweep": {**THERMAL_FLAGS, "--axis": "axes", "--quantities": "quantities", "--mode": "modes"},
+    "figure": COMMON_FLAGS,
+}
+# The config keys of each subcommand.
+SUBCOMMAND_KEYS = {
+    name: set(flags.values()) - {"help", "config"} for name, flags in SUBCOMMAND_FLAGS.items()
+}
+
+
+def test_each_subcommand_keeps_its_flag_set():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(subparsers.choices) == set(SUBCOMMAND_FLAGS)
+    for name, parser in subparsers.choices.items():
+        flags = {flag: action.dest for action in parser._actions for flag in action.option_strings}
+        assert flags == SUBCOMMAND_FLAGS[name], name
+        positionals = [action.dest for action in parser._actions if not action.option_strings]
+        assert positionals == (["figure_id"] if name == "figure" else []), name
+
+
 PRECEDENCE_CASES = [
     ("n_cells", 10, 20, 10, 20),
     ("v", 0.1, 0.9, 0.1, 0.9),
@@ -417,15 +454,99 @@ PRECEDENCE_CASES = [
 ]
 
 
+def test_every_option_has_a_precedence_case():
+    options = {f.name for f in dataclasses.fields(RunConfig)} - {"subcommand"}
+    assert {case[0] for case in PRECEDENCE_CASES} == options
+    assert set().union(*SUBCOMMAND_KEYS.values()) == options
+
+
+def parsed_flags(subcommand, name, value):
+    """The flags that give option `name` the config value `value`, parsed as cli_main does."""
+    flag = next(flag for flag, dest in SUBCOMMAND_FLAGS[subcommand].items() if dest == name)
+    if name in ("verbosity", "eigenvectors"):  # counted and on/off flags take no argument
+        argv = [flag] * int(value)
+    else:
+        argv = [arg for item in (value if isinstance(value, list) else [value])
+                for arg in (flag, str(item))]
+    prefix = [subcommand, "1a"] if subcommand == "figure" else [subcommand]
+    flags = vars(build_parser().parse_args([*prefix, *argv]))
+    for key in ("subcommand", "config", "figure_id"):
+        flags.pop(key, None)
+    return flags
+
+
 @pytest.mark.parametrize("name,cfg,flag,cfg_want,flag_want", PRECEDENCE_CASES)
 def test_flag_overrides_config_overrides_default(name, cfg, flag, cfg_want, flag_want):
-    base = assemble_config("sweep", {}, {})
-    from_config = assemble_config("sweep", {}, {name: cfg})
-    from_flag = assemble_config("sweep", {name: flag}, {name: cfg})
-    assert getattr(from_config, name) == cfg_want
-    assert getattr(from_flag, name) == flag_want
-    if name not in ("eigenvectors",):
-        assert getattr(base, name) != cfg_want or getattr(base, name) != flag_want
+    for subcommand in [sub for sub, keys in SUBCOMMAND_KEYS.items() if name in keys]:
+        base = assemble_config(subcommand, {}, {})
+        flags = parsed_flags(subcommand, name, flag)
+        from_config = assemble_config(subcommand, {}, {name: cfg})
+        from_flag = assemble_config(subcommand, flags, {name: cfg})
+        assert getattr(from_config, name) == cfg_want
+        assert from_flag == dataclasses.replace(base, **{name: flag_want})
+        # A flag and the same value in a config file give the same RunConfig.
+        assert assemble_config(subcommand, flags, {}) == from_flag
+        assert assemble_config(subcommand, {}, {name: flag}) == from_flag
+        if name not in ("eigenvectors",):
+            assert getattr(base, name) != cfg_want or getattr(base, name) != flag_want
+
+
+# A command line of each subcommand that runs; the refused keys are added to it.
+RUNNABLE = {
+    "spectrum": ["spectrum", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"],
+    "polarization": ["polarization", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+                     "-T", "0.1"],
+    "qfi": ["qfi", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2", "-T", "0.1"],
+    "sweep": ["sweep", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+              "--axis", "T=0.1,0.2", "--quantities", "diagnostics"],
+    "figure": ["figure", "2b"],
+}
+REFUSED_KEYS = {
+    "figure": ["n_cells", "v", "w", "z", "boundary", "temperature", "modes", "axes", "quantities",
+               "eigenvectors"],
+    "spectrum": ["temperature", "axes", "quantities", "modes"],
+    "polarization": ["axes", "quantities", "eigenvectors"],
+    "qfi": ["axes", "quantities", "eigenvectors", "modes"],
+    "sweep": ["eigenvectors"],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand,key",
+    [(subcommand, key) for subcommand, keys in REFUSED_KEYS.items() for key in keys],
+)
+def test_config_key_the_subcommand_does_not_take_is_refused(subcommand, key, tmp_path, capsys):
+    assert key not in SUBCOMMAND_KEYS[subcommand]
+    value = next(case[1] for case in PRECEDENCE_CASES if case[0] == key)
+    target = tmp_path / "out.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    code, out, err = run_cli(
+        [*RUNNABLE[subcommand], "--config", str(config), "--out", str(target)], capsys
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"{subcommand} does not take config key {key!r}" in err
+    assert not target.exists()
+    config.write_text("{}")
+    assert run_cli([*RUNNABLE[subcommand], "--config", str(config), "--out", "-"], capsys)[0] == (
+        EXIT_OK
+    )
+
+
+@pytest.mark.parametrize(
+    "name,flag,bad",
+    [("boundary", "--boundary", "bogus"), ("format", "--format", "yaml"),
+     ("precision", "--precision", "0"), ("workers", "--workers", "0"),
+     ("tau_mag", "--tau-mag", "-1")],
+)
+def test_a_bad_flag_and_config_value_fail_alike(name, flag, bad, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({name: bad}))
+    from_flag = run_cli([*RUNNABLE["qfi"], flag, bad], capsys)
+    from_config = run_cli([*RUNNABLE["qfi"], "--config", str(config)], capsys)
+    assert from_flag == from_config
+    code, out, err = from_flag
+    assert (code, out) == (EXIT_CONFIG, "") and err.startswith(f"error: bad value for {name}: ")
 
 
 def test_documented_defaults():
@@ -483,16 +604,18 @@ def test_assemble_rejects_inconsistent_values():
         {"temperature": [False]},
         {"axes": {"z": [0.0, True]}},
     ):
-        with pytest.raises(ConfigError):
-            assemble_config("qfi", {}, bad)
+        ((key, _),) = bad.items()
+        subcommand = next(name for name, keys in SUBCOMMAND_KEYS.items() if key in keys)
+        with pytest.raises(ConfigError, match=f"bad value for {key}"):
+            assemble_config(subcommand, {}, bad)
 
 
 def test_integral_config_values_are_kept_exactly():
     config = assemble_config(
-        "spectrum", {}, {"n_cells": 4.0, "precision": "7", "eigenvectors": False,
-                         "axes": {"N": [2.0, 10]}}
+        "spectrum", {}, {"n_cells": 4.0, "precision": "7", "eigenvectors": False}
     )
     assert (config.n_cells, config.precision, config.eigenvectors) == (4, 7, False)
+    config = assemble_config("sweep", {}, {"axes": {"N": [2.0, 10]}})
     assert config.axes == [("N", (2, 10))]
     assert all(type(n) is int for n in config.axes[0][1])
 
@@ -538,6 +661,22 @@ def test_axis_flag_count_takes_the_integer_rule(capsys):
     code, out, err = run_cli([*args, "--axis", "T=0.1:0.5:3.5"], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
     assert "expected an integer, got '3.5'" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", ["T=0.1:inf:2", "T=nan:1:3"])
+def test_axis_range_with_a_non_finite_endpoint_is_a_config_error(axis, capsys):
+    sweep = ["sweep", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+             "--quantities", "diagnostics"]
+    code, out, err = run_cli([*sweep, "--axis", axis], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (
+        f"error: bad value for axes: axis range {axis[2:]!r} needs a finite START and STOP; "
+        "list a non-finite value instead, as in T=0.1,inf\n"
+    )
+    code, out, _ = run_cli([*sweep, "--axis", "T=0.1,inf"], capsys)
+    assert code == EXIT_OK and [row["T"] for row in read_csv(out)] == ["0.1", "inf"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -2,11 +2,12 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 from pathlib import Path
 
-from topo_thermo.cli import EXIT_OK, cli_main
+from topo_thermo.cli import EXIT_OK, assemble_config, cli_main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,8 +34,8 @@ def test_library_examples_run():
 
 
 def test_cli_examples_run(tmp_path, monkeypatch, capsys):
-    # The CLI section's JSON block is the sweep.json its sweep line reads.
-    (config,) = code_blocks("CLI", "json")
+    # The CLI section's first JSON block is the sweep.json its sweep line reads.
+    config, _ = code_blocks("CLI", "json")
     (commands,) = code_blocks("CLI", "sh")
     lines = [shlex.split(line) for line in commands.splitlines() if line.strip()]
     assert lines and all(line[0] == "topo-thermo" for line in lines)
@@ -43,3 +44,16 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
     for line in lines:
         assert cli_main(line[1:]) == EXIT_OK, " ".join(line)
         capsys.readouterr()
+
+
+def test_open_boundary_recipe_is_figure_3a_on_an_open_chain(tmp_path, capsys):
+    # The CLI section's second JSON block: figure 3a's sweep on an open chain.
+    _, recipe = code_blocks("CLI", "json")
+    config = json.loads(recipe)
+    assert assemble_config("sweep", {}, config).boundary == "open"
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(dict(config, boundary="periodic")))
+    assert cli_main(["figure", "3a"]) == EXIT_OK
+    figure = capsys.readouterr().out
+    assert cli_main(["sweep", "--config", str(ring)]) == EXIT_OK
+    assert capsys.readouterr().out == figure
