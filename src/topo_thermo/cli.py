@@ -218,7 +218,7 @@ class RunConfig:
         "--tau-mag", help="magnitude cutoff",
     )
     verbosity: int = _option(
-        0, _coerce_int, "--verbose", action="count",
+        0, _checked(_coerce_int, lambda n: n >= 0, "must be >= 0"), "--verbose", action="count",
         help="write a one-line summary of the sweep to stderr",
     )
     eigenvectors: bool = _option(
@@ -254,8 +254,6 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
     config = RunConfig(subcommand=subcommand)
     for source in (config_values, flag_values):
         for key, value in source.items():
-            if key == "subcommand":
-                continue
             if key not in options:
                 raise ConfigError(
                     f"{subcommand} does not take config key {key!r}; it takes "
@@ -396,11 +394,12 @@ def cli_main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
 
     flag_values = vars(args)
-    config_path, figure_id = flag_values.pop("config"), flag_values.pop("figure_id", None)
+    subcommand, config_path = flag_values.pop("subcommand"), flag_values.pop("config")
+    figure_id = flag_values.pop("figure_id", None)
     try:
         config_values = load_config_file(config_path) if config_path else {}
-        config = assemble_config(args.subcommand, flag_values, config_values)
-        if args.subcommand == "spectrum":
+        config = assemble_config(subcommand, flag_values, config_values)
+        if subcommand == "spectrum":
             return _run_spectrum(config)
         return _emit(config, run_sweep(_spec(config, figure_id)))
     except ValueError as exc:  # ConfigError included

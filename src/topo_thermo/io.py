@@ -1,12 +1,13 @@
 """Deterministic CSV/JSON emission of tables.
 
 Both formats render a table (column names and rows) through one path,
-blocks of columns of cell text. A SweepTable gives its columns directly:
-a failed point gives one row with its error, a point without error one
-row per polarization mode (one row without polarization), in the fixed
-`CSV_COLUMNS` order. Any other table is rows: a plain dict, such as a
-parsed JSON row, gives its cells by column name, and any other row is a
-sequence already in column order; rows are transposed into columns.
+blocks of columns of cell text. A SweepTable gives its columns directly,
+its outputs through `SweepTable.columns()`: a failed point gives one row
+with its error, a point without error one row per polarization mode (one
+row without polarization), in the fixed `CSV_COLUMNS` order. Any other
+table is rows: a plain dict, such as a parsed JSON row, gives its cells
+by column name, and any other row is a sequence already in column
+order; rows are transposed into columns.
 Either way `BLOCK_ROWS` rows are formatted together, so the cells held
 beside the output text never exceed one block, however long the table.
 
@@ -51,10 +52,6 @@ FORMAT_CSV = "csv"
 FORMAT_JSON = "json"
 FORMATS = (FORMAT_CSV, FORMAT_JSON)
 
-QFI_COLUMNS = (
-    ("M_xx", 0, 0), ("M_xy", 0, 1), ("M_xz", 0, 2), ("M_yy", 1, 1), ("M_yz", 1, 2), ("M_zz", 2, 2),
-)
-
 
 def format_number(value, precision: int = DEFAULT_PRECISION) -> str:
     """Significant-digit rendering shared by both output formats."""
@@ -88,11 +85,13 @@ def _cell(value, precision: int, as_json: bool) -> str:
 
 
 def _column(values, precision: int, as_json: bool) -> list[str]:
-    """Text of each cell: floats (an array or a sequence of floats), or cells of any type."""
+    """Text of each cell: floats (an array or a sequence of floats), flags, or any cells."""
     spec = f".{precision}g"
     if not isinstance(values, np.ndarray) and set(map(type, values)) == {float}:
         values = np.array(values)
     if isinstance(values, np.ndarray):
+        if values.dtype == bool:
+            return _expand(["false", "true"], values)
         if np.isfinite(values).all():
             # Adding 0.0 turns -0.0 into 0.0, so every zero prints as "0".
             distinct, index = np.unique(values + 0.0, return_inverse=True)
@@ -122,67 +121,42 @@ def _row_blocks(rows: Iterable, columns, precision: int, as_json: bool):
 def _table_blocks(table: SweepTable, columns, precision: int, as_json: bool):
     """A sweep table's output rows, BLOCK_ROWS at a time, as lists of column text.
 
-    A failed point gives one row, any other point one row per polarization
-    mode (one row without polarization): output row r belongs to point
-    row_point[r] and mode row_mode[r]. Parameters, modes and flags are
-    texts of distinct values picked per row; other outputs are numbers
+    The rows are every point x polarization mode (one mode without
+    polarization), a failed point keeping only its first row, whose output
+    cells are empty. Parameters are texts of distinct values picked per
+    row; every output is a column of `table.columns()`, a number (or flag)
     per point, or per point and mode.
     """
     none = _cell(None, precision, as_json)
-    modes = list(table.polarization)
+    numbers = {name: v for name, v in table.columns().items() if name not in AXIS_NAMES}
+    modes = [_cell(mode, precision, as_json) for mode in table.polarization]
     failed = table.failed()
-    per_point = np.where(failed, 1, max(len(modes), 1))
-    row_point = np.repeat(np.arange(len(table)), per_point)
-    row_mode = np.arange(len(row_point)) - np.repeat(np.cumsum(per_point) - per_point, per_point)
+    keep = ~failed[:, None] | (np.arange(max(len(modes), 1)) == 0)
+    row_point, row_mode = np.nonzero(keep)
     parameters = {
         name: _column(table.parameter_values(name), precision, as_json) for name in AXIS_NAMES
     }
     boundary = _cell(table.spec.boundary, precision, as_json)
-    numbers = {}
-    if modes:
-        results = [table.polarization[mode] for mode in modes]
-        mode_texts = [_cell(mode, precision, as_json) for mode in modes]
-        defined = np.stack([result.defined for result in results], axis=1)
-        numbers["P"] = np.stack([result.polarization for result in results], axis=1)
-        numbers["magnitude"] = np.stack([result.magnitude for result in results], axis=1)
-    if table.qfi is not None:
-        numbers.update((name, table.qfi[:, i, j]) for name, i, j in QFI_COLUMNS)
-    if table.i_p is not None:
-        numbers["i_p"] = table.i_p
-        numbers.update(zip(("dir_x", "dir_y", "dir_z"), table.optimal_direction.T))
-    if table.purity is not None:
-        numbers["purity"], numbers["entropy"] = table.purity, table.entropy
-
     for start in range(0, len(row_point), BLOCK_ROWS):
         point = row_point[start : start + BLOCK_ROWS]
         mode = row_mode[start : start + BLOCK_ROWS]
-        bad = failed[point]
-        good = None if not bad.any() else ~bad
-
-        def outputs(texts, index):
-            """Texts picked by index, or none on error rows."""
-            if good is None:
-                return _expand(texts, index)
-            return _expand(texts + [none], np.where(good, index, len(texts)))
-
-        def formatted(values):
-            if good is None:
-                return _column(values, precision, as_json)
-            return outputs(_column(values[good], precision, as_json), np.cumsum(good) - 1)
-
+        outputs = {"mode": _expand(modes, mode)} if modes else {}
+        for name, values in numbers.items():
+            picked = values[point, mode] if values.ndim == 2 else values[point]
+            outputs[name] = _column(picked, precision, as_json)
+        bad = np.flatnonzero(failed[point]).tolist()
+        if bad:
+            for cells in outputs.values():
+                for row in bad:
+                    cells[row] = none
+            errors = map(table.errors.get, point.tolist())
+            outputs["error"] = [_cell(error, precision, as_json) for error in errors]
         block = {
             name: _expand(parameters[name], table.parameter_index(name, point))
             for name in AXIS_NAMES
         }
         block["boundary"] = [boundary] * len(point)
-        if modes:
-            block["mode"] = outputs(mode_texts, mode)
-            block["P_defined"] = outputs(["false", "true"], defined[point, mode])
-        for name, values in numbers.items():
-            block[name] = formatted(values[point, mode] if values.ndim == 2 else values[point])
-        if good is not None:
-            errors = map(table.errors.get, point.tolist())
-            block["error"] = [_cell(error, precision, as_json) for error in errors]
+        block.update(outputs)
         empty = [none] * len(point)
         yield [block.get(name, empty) for name in columns]
 

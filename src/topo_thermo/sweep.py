@@ -16,12 +16,20 @@ same public functions a caller would use. Both engines give per-state
 weighted modes. The dense eigendecomposition is their oracle. A failing
 column is evaluated again one temperature at a time, so a failure lands
 in the error of exactly the points that fail.
+
+Every output but polarization is declared once, in `_OUTPUTS`: its
+SweepTable and ResultRecord attribute, the quantity that requests it, its
+shape per point and its printed columns. The table's columns, its row
+view, `SweepTable.columns()` and so the renderer and `locate_extremum`
+all read that declaration; polarization keeps one PolarizationResult of
+arrays per mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +114,10 @@ class SweepSpec:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
         if not self.quantities:
             raise ValueError("no quantities requested")
+        for kind, values in (("quantity", self.quantities), ("mode", self.polarization_modes)):
+            for index, value in enumerate(values):
+                if value in values[:index]:
+                    raise ValueError(f"{kind} {value!r} is requested more than once")
         for quantity in self.quantities:
             if quantity not in QUANTITIES:
                 raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -156,14 +168,41 @@ PARAMETER_TYPES = {"T": float, "v": float, "w": float, "z": float, "N": int}
 
 RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
 
+# Printed polarization column -> PolarizationResult field, one value per point and mode.
+_POLARIZATION_COLUMNS = {"P": "polarization", "P_defined": "defined", "magnitude": "magnitude"}
+
+
+class _Output(NamedTuple):
+    """An output other than polarization: what requests it, its shape, what prints it."""
+
+    quantity: str
+    shape: tuple  # of one point's value
+    columns: dict  # printed column -> index of its entry in one point's value
+
+
+# Every output but polarization, by its SweepTable and ResultRecord attribute.
+_OUTPUTS = {
+    "qfi": _Output(QUANTITY_QFI_MATRIX, (3, 3), {
+        "M_xx": (0, 0), "M_xy": (0, 1), "M_xz": (0, 2),
+        "M_yy": (1, 1), "M_yz": (1, 2), "M_zz": (2, 2),
+    }),
+    "i_p": _Output(QUANTITY_INTERFEROMETRIC_POWER, (), {"i_p": ()}),
+    "optimal_direction": _Output(
+        QUANTITY_INTERFEROMETRIC_POWER, (3,), {"dir_x": (0,), "dir_y": (1,), "dir_z": (2,)}
+    ),
+    "purity": _Output(QUANTITY_DIAGNOSTICS, (), {"purity": ()}),
+    "entropy": _Output(QUANTITY_DIAGNOSTICS, (), {"entropy": ()}),
+}
+
 
 class SweepTable:
     """Results of a sweep as columns, one entry per grid point.
 
-    Points are in row-major order of the axes as declared. Each output is
-    a NumPy array preallocated for every point and written by index slice,
-    once per spectrum; an output the spec did not request is None.
-    `polarization` maps each mode to a PolarizationResult of arrays.
+    Points are in row-major order of the axes as declared. Each output of
+    `_OUTPUTS` is a NumPy array preallocated for every point and written by
+    index slice, once per spectrum; an output the spec did not request is
+    None. `polarization` maps each mode to a PolarizationResult of arrays.
+    `columns()` gives every printed number by column name.
     `errors` maps the index of each failed point to its message; the
     columns hold no meaning there. Parameters are not stored per point:
     `parameter_index` derives them from the axis grids by index arithmetic.
@@ -193,14 +232,36 @@ class SweepTable:
                     defined=np.zeros(n, dtype=bool),
                     mode=mode,
                 )
-        self.qfi = np.zeros((n, 3, 3)) if QUANTITY_QFI_MATRIX in spec.quantities else None
-        self.i_p = self.optimal_direction = None
-        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
-            self.i_p, self.optimal_direction = np.zeros(n), np.zeros((n, 3))
-        self.purity = self.entropy = None
-        if QUANTITY_DIAGNOSTICS in spec.quantities:
-            self.purity, self.entropy = np.zeros(n), np.zeros(n)
+        for name, output in _OUTPUTS.items():
+            requested = output.quantity in spec.quantities
+            setattr(self, name, np.zeros((n, *output.shape)) if requested else None)
         self.errors: dict[int, str] = {}
+
+    def _outputs(self) -> dict:
+        """Column of each requested output of `_OUTPUTS`, by attribute."""
+        return {name: getattr(self, name) for name in _OUTPUTS if getattr(self, name) is not None}
+
+    def columns(self) -> dict:
+        """Every printed number by column name, in CSV_COLUMNS order.
+
+        These are the parameters and the requested outputs. P, P_defined
+        and magnitude are (points, modes) arrays, modes in the order of
+        `polarization`; every other column is one entry per point. At a
+        failed point the outputs hold no meaning.
+        """
+        points = np.arange(self.size)
+        columns = {
+            name: np.array(self.parameter_values(name))[self.parameter_index(name, points)]
+            for name in AXIS_NAMES
+        }
+        if self.polarization:
+            results = self.polarization.values()
+            for name, attribute in _POLARIZATION_COLUMNS.items():
+                columns[name] = np.stack([getattr(r, attribute) for r in results], axis=1)
+        for name, column in self._outputs().items():
+            for label, entry in _OUTPUTS[name].columns.items():
+                columns[label] = column[(slice(None), *entry)]
+        return columns
 
     def __len__(self) -> int:
         return self.size
@@ -252,21 +313,13 @@ class SweepTable:
         if record.error is not None:
             return record
         record.polarization = {mode: r.row(index) for mode, r in self.polarization.items()}
-        if self.qfi is not None:
-            record.qfi = self.qfi[index].copy()
-        if self.i_p is not None:
-            record.i_p = float(self.i_p[index])
-            record.optimal_direction = self.optimal_direction[index].copy()
-        if self.purity is not None:
-            record.purity, record.entropy = float(self.purity[index]), float(self.entropy[index])
+        for name, column in self._outputs().items():
+            value = column[index]
+            setattr(record, name, value.copy() if value.ndim else float(value))
         return record
 
     def __iter__(self):
         return map(self.__getitem__, range(self.size))
-
-
-def _needs_qfi(spec: SweepSpec) -> bool:
-    return any(q in spec.quantities for q in (QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER))
 
 
 def _engine(boundary: str) -> tuple:
@@ -291,7 +344,7 @@ def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarr
     spec = table.spec
     _, qfi_matrix_of, determinant_of, state_expectations_of = _engine(spec.boundary)
     cutoff = spec.magnitude_cutoff
-    need_qfi = _needs_qfi(spec)
+    need_qfi = {QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER} & set(spec.quantities)
     ensemble = None
     if (
         need_qfi
@@ -309,18 +362,17 @@ def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarr
             result = polarization_from_states(ensemble, per_state, mode, cutoff)
         for name in RESULT_FIELDS:
             getattr(column, name)[points] = getattr(result, name)
+    # Each output of `_OUTPUTS` by attribute: QfiReport and EnsembleDiagnostics
+    # name their fields as the table names its columns.
+    values = {}
     if need_qfi:
-        matrices = qfi_matrix_of(spectrum, ensemble.weights)
-        if table.qfi is not None:
-            table.qfi[points] = matrices
-        if table.i_p is not None:
-            report = interferometric_power(matrices)
-            table.i_p[points] = report.i_p
-            table.optimal_direction[points] = report.optimal_direction
-    if table.purity is not None:
-        diagnostics = ensemble_diagnostics(ensemble)
-        table.purity[points] = diagnostics.purity
-        table.entropy[points] = diagnostics.entropy
+        values["qfi"] = qfi_matrix_of(spectrum, ensemble.weights)
+        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
+            values.update(vars(interferometric_power(values["qfi"])))
+    if QUANTITY_DIAGNOSTICS in spec.quantities:
+        values.update(ensemble_diagnostics(ensemble)._asdict())
+    for name, column in table._outputs().items():
+        column[points] = values[name]
 
 
 def _failure(exc: Exception) -> str:
@@ -371,26 +423,6 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return table
 
 
-def _quantity_column(table: SweepTable, quantity: str, mode: str | None) -> np.ndarray:
-    if quantity in ("i_p", "purity", "entropy"):
-        column = getattr(table, quantity)
-    elif quantity in ("P", "magnitude"):
-        if mode is None:
-            if len(table.polarization) > 1:
-                raise ValueError("table holds several polarization modes, pass mode=")
-            result = next(iter(table.polarization.values()), None)
-        else:
-            result = table.polarization.get(mode)
-        column = None
-        if result is not None:
-            column = result.polarization if quantity == "P" else result.magnitude
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    if column is None:
-        raise ValueError(f"quantity {quantity!r} absent from the table")
-    return column
-
-
 def locate_extremum(
     table: SweepTable,
     quantity: str,
@@ -399,11 +431,24 @@ def locate_extremum(
 ) -> tuple[ResultRecord, float]:
     """First point (in sweep order) attaining the min or max of a quantity, as (row, value).
 
-    A table with error rows raises ValueError: their columns hold no meaning.
+    `quantity` names any number the table prints (a key of `table.columns()`
+    other than the P_defined flag); `mode` picks the polarization mode when
+    the table holds several. A table with error rows raises ValueError:
+    their columns hold no meaning.
     """
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be 'min' or 'max', got {objective!r}")
-    column = _quantity_column(table, quantity, mode)
+    columns = table.columns()
+    if quantity not in columns or quantity == "P_defined":
+        numbers = ", ".join(name for name in columns if name != "P_defined")
+        raise ValueError(f"quantity {quantity!r} is not a number this table prints: {numbers}")
+    column, modes = columns[quantity], list(table.polarization)
+    if column.ndim == 2:
+        if mode is None and len(modes) == 1:
+            mode = modes[0]
+        if mode not in modes:
+            raise ValueError(f"{quantity} needs mode= naming one of {modes}, got {mode!r}")
+        column = column[:, modes.index(mode)]
     if table.errors:
         raise ValueError(f"{len(table.errors)} points carry an error")
     index = int(np.argmax(column) if objective == "max" else np.argmin(column))

@@ -726,3 +726,45 @@ def test_trace_seams_stay_module_attributes_that_a_run_calls(tmp_path, monkeypat
         assert code == EXIT_OK
     want = {f"{module}.{name}" for module, names in TRACE_SEAMS.items() for name in names}
     assert set(calls) == want
+
+
+def test_a_config_key_named_subcommand_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"subcommand": "figure", "n_cells": 4, "v": 0.3, "w": 0.5, "z": 0.2}
+    ))
+    target = tmp_path / "out.csv"
+    code, out, err = run_cli(
+        ["qfi", "--config", str(config), "-T", "0.1", "--out", str(target)], capsys
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "qfi does not take config key 'subcommand'" in err
+    assert not target.exists()
+
+
+def test_verbosity_must_not_be_negative(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"verbosity": -1}))
+    code, out, err = run_cli([*RUNNABLE["qfi"], "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: bad value for verbosity: must be >= 0")
+    quiet = run_cli(RUNNABLE["qfi"], capsys)
+    assert quiet[0] == EXIT_OK and quiet[2] == ""
+    summary = "INFO swept 1 points on 1 unique spectra: 0 error rows, 0 undefined-P rows\n"
+    for flags in (["--verbose"], ["--verbose", "--verbose"]):
+        assert run_cli([*RUNNABLE["qfi"], *flags], capsys) == (EXIT_OK, quiet[1], summary)
+
+
+@pytest.mark.parametrize("args,repeated", [
+    (["polarization", "--mode", "literal", "--mode", "literal", "-T", "0.1", "-T", "0.2"],
+     "mode 'literal'"),
+    (["sweep", "--axis", "T=0.1,0.2", "--quantities", "qfi_matrix,diagnostics,qfi_matrix"],
+     "quantity 'qfi_matrix'"),
+])
+def test_a_repeated_mode_or_quantity_is_refused(args, repeated, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    model = ["--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
+    code, out, err = run_cli([*args, *model, "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert f"{repeated} is requested more than once" in err
+    assert not target.exists()

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from topo_thermo.io import (
     render_csv,
     render_json,
 )
-from topo_thermo.sweep import SweepSpec, run_sweep
+from topo_thermo.sweep import SweepSpec, locate_extremum, run_sweep
 
 EXPECTED_HEADER = (
     "T,v,w,z,N,boundary,mode,P,P_defined,magnitude,"
@@ -237,3 +238,52 @@ def test_large_table_renders_as_its_records_one_by_one(monkeypatch):
     failed = len(table.errors)
     assert csv_text.count("\n") - 1 == failed + 2 * (len(table) - failed) > 2 * BLOCK_ROWS
     assert render_json(read_json_records(json_text)) == json_text
+
+
+# Columns whose cells are text, not numbers.
+TEXT_COLUMNS = ("boundary", "mode", "P_defined", "error")
+
+
+def test_locate_extremum_agrees_with_every_rendered_number_column():
+    # The extremum of each column as read back from the CSV: the first row of
+    # the mode in the file's order that holds the max or min. Seventeen
+    # digits print every float exactly, so ties are the table's own.
+    modes = ("weighted", "determinant")
+    table = run_sweep(SweepSpec(
+        axes=(("T", (0.0, 0.05, 0.3, 0.9)), ("z", (0.0, 0.2, 0.55, 0.9))),
+        fixed={"v": 0.3, "w": 0.5, "N": 6},
+        boundary="open",
+        quantities=ALL_QUANTITIES,
+        polarization_modes=modes,
+    ))
+    rows = list(csv.DictReader(io.StringIO(render_csv(table, precision=17))))
+    assert len(rows) == len(modes) * len(table)
+    names = [name for name in CSV_COLUMNS if name not in TEXT_COLUMNS]
+    for mode, name, objective in itertools.product(modes, names, ("max", "min")):
+        own = [row for row in rows if row["mode"] == mode]
+        values = [float(row[name]) for row in own]
+        pick = np.argmax(values) if objective == "max" else np.argmin(values)
+        best, value = locate_extremum(table, name, objective, mode=mode)
+        assert value == values[pick], (mode, name, objective)
+        assert (best.temperature, best.z) == (float(own[pick]["T"]), float(own[pick]["z"]))
+    with pytest.raises(ValueError, match="not a number"):
+        locate_extremum(table, "P_defined", "max", mode="weighted")
+
+
+@pytest.mark.parametrize("size", range(1, len(ALL_QUANTITIES) + 1))
+def test_columns_are_the_printed_values_in_csv_order(size):
+    for quantities in itertools.combinations(ALL_QUANTITIES, size):
+        modes = ("determinant", "literal") if "polarization" in quantities else ()
+        table = run_sweep(SweepSpec(
+            axes=(("T", (0.1, 0.4)),),
+            fixed={"v": 0.3, "w": 0.5, "z": 0.2, "N": 4},
+            quantities=quantities,
+            polarization_modes=modes,
+        ))
+        rows = list(csv.DictReader(io.StringIO(render_csv(table))))
+        printed = [name for name in CSV_COLUMNS if any(row[name] for row in rows)]
+        columns = table.columns()
+        assert list(columns) == [name for name in printed if name not in ("boundary", "mode")]
+        for name, column in columns.items():
+            per_mode = name in ("P", "P_defined", "magnitude")
+            assert column.shape == ((len(table), len(modes)) if per_mode else (len(table),))

@@ -487,9 +487,15 @@ def test_locate_extremum_basics():
     assert value == 0.6 and (best.temperature, best.z) == (0.05, 0.3)
     best, value = locate_extremum(table, "i_p", "min")
     assert value == 0.1 and (best.temperature, best.z) == (0.8, 0.0)
-    for quantity in ("purity", "entropy"):
+    # Printed column -> (table and record attribute, index of its entry per point).
+    entries = {
+        "purity": ("purity", ()), "entropy": ("entropy", ()),
+        "M_zz": ("qfi", (2, 2)), "dir_x": ("optimal_direction", (0,)),
+    }
+    for quantity, (attribute, entry) in entries.items():
         best, value = locate_extremum(table, quantity, "min")
-        assert value == getattr(table, quantity).min() == getattr(best, quantity)
+        column = getattr(table, attribute)[(slice(None), *entry)]
+        assert value == column.min() == np.asarray(getattr(best, attribute))[entry]
 
     fixed = {"v": 0.3, "w": 0.5, "z": 0.0, "N": 6}
     single = run_sweep(small_qfi_spec(axes=(("T", (0.1,)),), fixed=fixed))
@@ -558,3 +564,21 @@ def test_interferometric_power_dies_at_hopping_crossing():
     assert len(crossing) == 1 and crossing[0].i_p <= 1e-6
     best, _ = locate_extremum(records, "i_p", "min")
     assert best.z == 0.5
+
+
+def test_spec_refuses_a_repeated_mode_or_quantity():
+    spec = dict(
+        axes=(("T", (0.1, 0.2)),),
+        fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": 4},
+        quantities=("polarization", "diagnostics"),
+        polarization_modes=("literal", "weighted"),
+    )
+    SweepSpec(**spec).validate()
+    for repeated, case in (
+        ("mode 'literal'", dict(spec, polarization_modes=("literal", "weighted", "literal"))),
+        ("quantity 'diagnostics'", dict(spec, quantities=("diagnostics", "polarization") * 2)),
+    ):
+        with pytest.raises(ValueError, match=f"{repeated} is requested more than once"):
+            SweepSpec(**case).validate()
+        with pytest.raises(ValueError, match=repeated):
+            run_sweep(SweepSpec(**case))
