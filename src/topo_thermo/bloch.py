@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import PERIODIC, ModelParams
-from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _determinant_result, _per_temperature
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _determinant_result
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations
+from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations, per_temperature
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def bloch_polarization_determinant(
     sign = 1.0 if n % 2 else -1.0
     dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=0)
     dets += sign * np.prod(0.5 * (1.0 + t2), axis=0) * trace
-    return _per_temperature(_determinant_result(dets, n, magnitude_cutoff), temperature)
+    return per_temperature(_determinant_result(dets, n, magnitude_cutoff), temperature)
 
 
 def bloch_state_expectations(spectrum: BlochSpectrum) -> np.ndarray:

@@ -82,10 +82,9 @@ from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
     _make_result,
-    _per_temperature,
 )
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations
+from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations, per_temperature
 
 # A cell whose |sin(theta_m / 2)| or |cos(theta_m / 2)| is below this
 # leaves the determinant's cot or tan sum for a border row, so no cot or
@@ -303,7 +302,7 @@ def chiral_polarization_determinant(
         sign, log_magnitude = np.linalg.slogdet(matrix)
         expectations[index] = prefactor_sign * sign * np.exp(log_prefactor + log_magnitude)
     result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)
-    return _per_temperature(result, temperature)
+    return per_temperature(result, temperature)
 
 
 def winding_number(v: float, w: float, z: float) -> int:

@@ -35,6 +35,7 @@ from .sweep import (
     QUANTITY_QFI_MATRIX,
     SweepSpec,
     SweepTable,
+    _PARAMETER_FIELDS,
     run_sweep,
 )
 from .thermal import diagonalize
@@ -268,9 +269,6 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
     return config
 
 
-# Sweep parameter name -> RunConfig field that holds its fixed value.
-_PARAMETERS = {"T": "temperature", "v": "v", "w": "w", "z": "z", "N": "n_cells"}
-
 # The point subcommands: a sweep whose only axis is the --temperature list.
 _POINT_QUANTITIES = {
     "polarization": (QUANTITY_POLARIZATION, QUANTITY_DIAGNOSTICS),
@@ -280,8 +278,8 @@ _POINT_QUANTITIES = {
 
 def _fixed_parameters(config: RunConfig, names) -> dict:
     """Fixed values of the named sweep parameters; any missing one is a ConfigError."""
-    fixed = {name: getattr(config, _PARAMETERS[name]) for name in names}
-    missing = [_PARAMETERS[name] for name, value in fixed.items() if value is None]
+    fixed = {name: getattr(config, _PARAMETER_FIELDS[name]) for name in names}
+    missing = [_PARAMETER_FIELDS[name] for name, value in fixed.items() if value is None]
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
     if "T" in fixed:
@@ -312,7 +310,7 @@ def _sweep_spec(config: RunConfig, axes, quantities) -> SweepSpec:
     axis_names = {name for name, _ in axes}
     return SweepSpec(
         axes=axes,
-        fixed=_fixed_parameters(config, [name for name in _PARAMETERS if name not in axis_names]),
+        fixed=_fixed_parameters(config, [n for n in _PARAMETER_FIELDS if n not in axis_names]),
         boundary=config.boundary,
         quantities=quantities,
         polarization_modes=_polarization_modes(config, quantities),

@@ -1,10 +1,11 @@
 """Deterministic CSV/JSON emission of tables.
 
 Both formats render a table (column names and rows) through one path,
-blocks of columns of cell text. A SweepTable gives its columns directly,
-its outputs through `SweepTable.columns()`: a failed point gives one row
-with its error, a point without error one row per polarization mode (one
-row without polarization), in the fixed `CSV_COLUMNS` order. Any other
+blocks of columns of cell text. A SweepTable gives every number it
+prints, its parameters included, through `SweepTable.columns()`: a
+failed point gives one row with its error, a point without error one row
+per polarization mode (one row without polarization), in the fixed
+`CSV_COLUMNS` order, which follows the sweep's declared outputs. Any other
 table is rows: a plain dict, such as a parsed JSON row, gives its cells
 by column name, and any other row is a sequence already in column
 order; rows are transposed into columns.
@@ -14,9 +15,10 @@ beside the output text never exceed one block, however long the table.
 Each column of a block is formatted by `_column` at once. An all-finite
 float column is formatted once per distinct value (np.unique) at a
 configurable number of significant digits, with zero as "0", and
-expanded by index, so the QFI entries and directions that repeat along
-a grid cost one format each; a parameter, a mode or a flag is likewise
-formatted once per distinct value; a constant column costs one format.
+expanded by index, so the parameters, QFI entries and directions that
+repeat along a grid cost one format each per block; a mode or a flag is
+likewise formatted once per distinct value, and an integer column, such
+as N, prints whole, as format_number prints an int.
 JSON writes non-finite numbers as null. Lines end with a bare newline
 and JSON key order is fixed, so identical inputs give identical bytes,
 and parsing an emitted JSON file and re-emitting it reproduces them.
@@ -33,14 +35,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .sweep import AXIS_NAMES, SweepTable
+from .sweep import _OUTPUTS, _POLARIZATION_COLUMNS, AXIS_NAMES, SweepTable
 
+# A sweep row: the parameters, the boundary and mode, every declared output, the error.
 CSV_COLUMNS = (
-    "T", "v", "w", "z", "N", "boundary", "mode",
-    "P", "P_defined", "magnitude",
-    "M_xx", "M_xy", "M_xz", "M_yy", "M_yz", "M_zz",
-    "i_p", "dir_x", "dir_y", "dir_z",
-    "purity", "entropy", "error",
+    *AXIS_NAMES, "boundary", "mode", *_POLARIZATION_COLUMNS,
+    *(name for output in _OUTPUTS.values() for name in output.columns), "error",
 )
 
 DEFAULT_PRECISION = 12
@@ -92,6 +92,8 @@ def _column(values, precision: int, as_json: bool) -> list[str]:
     if isinstance(values, np.ndarray):
         if values.dtype == bool:
             return _expand(["false", "true"], values)
+        if values.dtype.kind == "i":  # whole at any precision, as format_number prints an int
+            return list(map(str, values.tolist()))
         if np.isfinite(values).all():
             # Adding 0.0 turns -0.0 into 0.0, so every zero prints as "0".
             distinct, index = np.unique(values + 0.0, return_inverse=True)
@@ -122,41 +124,34 @@ def _table_blocks(table: SweepTable, columns, precision: int, as_json: bool):
     """A sweep table's output rows, BLOCK_ROWS at a time, as lists of column text.
 
     The rows are every point x polarization mode (one mode without
-    polarization), a failed point keeping only its first row, whose output
-    cells are empty. Parameters are texts of distinct values picked per
-    row; every output is a column of `table.columns()`, a number (or flag)
-    per point, or per point and mode.
+    polarization), a failed point keeping only its first row, whose cells
+    other than its parameters and boundary are empty. Every number (or
+    flag) is a column of `table.columns()`, one entry per point, or per
+    point and mode.
     """
     none = _cell(None, precision, as_json)
-    numbers = {name: v for name, v in table.columns().items() if name not in AXIS_NAMES}
+    numbers = table.columns()
     modes = [_cell(mode, precision, as_json) for mode in table.polarization]
     failed = table.failed()
     keep = ~failed[:, None] | (np.arange(max(len(modes), 1)) == 0)
     row_point, row_mode = np.nonzero(keep)
-    parameters = {
-        name: _column(table.parameter_values(name), precision, as_json) for name in AXIS_NAMES
-    }
     boundary = _cell(table.spec.boundary, precision, as_json)
     for start in range(0, len(row_point), BLOCK_ROWS):
         point = row_point[start : start + BLOCK_ROWS]
         mode = row_mode[start : start + BLOCK_ROWS]
-        outputs = {"mode": _expand(modes, mode)} if modes else {}
+        block = {"mode": _expand(modes, mode)} if modes else {}
         for name, values in numbers.items():
             picked = values[point, mode] if values.ndim == 2 else values[point]
-            outputs[name] = _column(picked, precision, as_json)
+            block[name] = _column(picked, precision, as_json)
         bad = np.flatnonzero(failed[point]).tolist()
         if bad:
-            for cells in outputs.values():
-                for row in bad:
-                    cells[row] = none
+            for name, cells in block.items():
+                if name not in AXIS_NAMES:
+                    for row in bad:
+                        cells[row] = none
             errors = map(table.errors.get, point.tolist())
-            outputs["error"] = [_cell(error, precision, as_json) for error in errors]
-        block = {
-            name: _expand(parameters[name], table.parameter_index(name, point))
-            for name in AXIS_NAMES
-        }
+            block["error"] = [_cell(error, precision, as_json) for error in errors]
         block["boundary"] = [boundary] * len(point)
-        block.update(outputs)
         empty = [none] * len(point)
         yield [block.get(name, empty) for name in columns]
 

@@ -27,12 +27,12 @@ tell "trivial" from "washed out".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .lattice import cell_phases
-from .thermal import GibbsEnsemble, Spectrum, fermi_occupations
+from .thermal import GibbsEnsemble, Spectrum, fermi_occupations, per_temperature
 
 MODE_LITERAL = "literal"
 MODE_WEIGHTED = "weighted"
@@ -69,14 +69,14 @@ class PolarizationResult:
 
     def row(self, index: int) -> PolarizationResult:
         """The one-temperature result at `index` of a batch, as Python scalars."""
-        return PolarizationResult(
-            expectation=complex(self.expectation[index]),
-            magnitude=float(self.magnitude[index]),
-            phase=float(self.phase[index]),
-            polarization=float(self.polarization[index]),
-            defined=bool(self.defined[index]),
-            mode=self.mode,
-        )
+        return replace(self, **{name: getattr(self, name)[index].item() for name in RESULT_FIELDS})
+
+    # result[i] is row i, so thermal.per_temperature shapes a result as it does an array.
+    __getitem__ = row
+
+
+# The fields with one entry per temperature in a batch: every field but `mode`.
+RESULT_FIELDS = tuple(f.name for f in fields(PolarizationResult) if f.name != "mode")
 
 
 def _make_result(
@@ -110,11 +110,6 @@ def _absolute(values: np.ndarray) -> np.ndarray:
     # hypot, as Python's abs(complex) computes it: np.abs of a complex array
     # differs from it in the last bit.
     return np.hypot(values.real, values.imag)
-
-
-def _per_temperature(result: PolarizationResult, temperature) -> PolarizationResult:
-    """The batch as computed, or its one row for a scalar temperature, as thermal.per_temperature."""
-    return result if np.ndim(temperature) else result.row(0)
 
 
 def _cell_count(dimension: int) -> int:
@@ -173,7 +168,7 @@ def polarization_from_states(
     if mode == MODE_LITERAL:
         expectations = np.sum(weights * per_state, axis=1)
         result = _make_result(expectations, _absolute(expectations), MODE_LITERAL, magnitude_cutoff)
-        return _per_temperature(result, ensemble.temperature)
+        return per_temperature(result, ensemble.temperature)
     if mode != MODE_WEIGHTED:
         raise ValueError(f"mode must be {MODE_LITERAL!r} or {MODE_WEIGHTED!r}, got {mode!r}")
     magnitudes = np.abs(per_state)
@@ -188,7 +183,7 @@ def polarization_from_states(
     phase_sums = np.where(phase_sums == -np.pi, np.pi, phase_sums)
     synthetic = min_magnitudes * np.exp(1j * phase_sums)
     result = _make_result(synthetic, min_magnitudes, MODE_WEIGHTED, magnitude_cutoff)
-    return _per_temperature(result, ensemble.temperature)
+    return per_temperature(result, ensemble.temperature)
 
 
 def thermal_polarization_literal(
@@ -272,4 +267,4 @@ def thermal_polarization_determinant(
         occupied = (vectors * row) @ vectors.conj().T
         dets.append(np.linalg.det(identity - occupied + occupied * diagonal))
     result = _determinant_result(np.array(dets), n, magnitude_cutoff)
-    return _per_temperature(result, temperature)
+    return per_temperature(result, temperature)

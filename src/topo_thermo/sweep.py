@@ -50,7 +50,8 @@ from .polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     MODE_DETERMINANT,
     MODES,
-    PolarizationResult,
+    RESULT_FIELDS,
+    _make_result,
     polarization_from_states,
 )
 from .qfi import interferometric_power
@@ -166,7 +167,8 @@ class ResultRecord:
 # Type of each parameter's values in records and output.
 PARAMETER_TYPES = {"T": float, "v": float, "w": float, "z": float, "N": int}
 
-RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
+# Field of each parameter in ResultRecord, and in ModelParams and cli.RunConfig.
+_PARAMETER_FIELDS = {"T": "temperature", "v": "v", "w": "w", "z": "z", "N": "n_cells"}
 
 # Printed polarization column -> PolarizationResult field, one value per point and mode.
 _POLARIZATION_COLUMNS = {"P": "polarization", "P_defined": "defined", "magnitude": "magnitude"}
@@ -221,17 +223,11 @@ class SweepTable:
             stride //= len(grid)
             self._grids[name] = (tuple(map(PARAMETER_TYPES[name], grid)), stride)
         n = self.size
-        self.polarization = {}
-        if QUANTITY_POLARIZATION in spec.quantities:
-            for mode in spec.polarization_modes:
-                self.polarization[mode] = PolarizationResult(
-                    expectation=np.zeros(n, dtype=complex),
-                    magnitude=np.zeros(n),
-                    phase=np.zeros(n),
-                    polarization=np.zeros(n),
-                    defined=np.zeros(n, dtype=bool),
-                    mode=mode,
-                )
+        modes = spec.polarization_modes if QUANTITY_POLARIZATION in spec.quantities else ()
+        cutoff = spec.magnitude_cutoff
+        self.polarization = {
+            mode: _make_result(np.zeros(n), np.zeros(n), mode, cutoff) for mode in modes
+        }
         for name, output in _OUTPUTS.items():
             requested = output.quantity in spec.quantities
             setattr(self, name, np.zeros((n, *output.shape)) if requested else None)
@@ -300,13 +296,8 @@ class SweepTable:
 
     def __getitem__(self, index: int) -> ResultRecord:
         index = range(self.size)[index]
-        parameters = self.parameters(index)
         record = ResultRecord(
-            temperature=parameters["T"],
-            v=parameters["v"],
-            w=parameters["w"],
-            z=parameters["z"],
-            n_cells=parameters["N"],
+            **{_PARAMETER_FIELDS[name]: value for name, value in self.parameters(index).items()},
             boundary=self.spec.boundary,
             error=self.errors.get(index),
         )
@@ -390,12 +381,11 @@ def _evaluate_column(table: SweepTable, first: int, stride: int, temperatures: n
     points = range(first, first + len(temperatures) * stride, stride)
     boundary = table.spec.boundary
     try:
-        parameters = table.parameters(first)
-        params = ModelParams(
-            n_cells=parameters["N"], v=parameters["v"], w=parameters["w"], z=parameters["z"],
-            boundary=boundary,
-        )
-        spectrum = _engine(boundary)[0](params)
+        model = {
+            _PARAMETER_FIELDS[name]: value
+            for name, value in table.parameters(first).items() if name != "T"
+        }
+        spectrum = _engine(boundary)[0](ModelParams(**model, boundary=boundary))
     except Exception as exc:  # degrade to flagged points, never abort the sweep
         table.errors.update(dict.fromkeys(points, _failure(exc)))
         return
@@ -433,8 +423,10 @@ def locate_extremum(
 
     `quantity` names any number the table prints (a key of `table.columns()`
     other than the P_defined flag); `mode` picks the polarization mode when
-    the table holds several. A table with error rows raises ValueError:
-    their columns hold no meaning.
+    the table holds several. Only meaningful cells are ranked: a NaN cell
+    never is, and `P` only where `P_defined` is true, since an undefined P
+    holds 0. With no cell left, and for a table with error rows, whose
+    columns hold no meaning, it raises ValueError.
     """
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be 'min' or 'max', got {objective!r}")
@@ -451,5 +443,13 @@ def locate_extremum(
         column = column[:, modes.index(mode)]
     if table.errors:
         raise ValueError(f"{len(table.errors)} points carry an error")
-    index = int(np.argmax(column) if objective == "max" else np.argmin(column))
+    ranked = ~np.isnan(column)
+    if quantity == "P":
+        ranked &= table.polarization[mode].defined
+    points = np.flatnonzero(ranked)
+    if not points.size:
+        why = "P is undefined or NaN" if quantity == "P" else f"{quantity} is NaN"
+        raise ValueError(f"no point to rank: {why} at every point")
+    values = column[points]
+    index = int(points[np.argmax(values) if objective == "max" else np.argmin(values)])
     return table[index], float(column[index])

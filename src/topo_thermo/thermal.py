@@ -141,18 +141,21 @@ def gibbs_weights(spectrum: Spectrum | BandSpectrum, temperature) -> GibbsEnsemb
     The energies may come in any order; E_0 is their minimum, subtracted
     before exponentiating for overflow safety. Weights below 1e-300 are
     flushed to exactly zero. At T = 0 the weight is spread uniformly over
-    the ground-degenerate cluster {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)}.
-    A scalar temperature gives weights of shape (2N,), a 1-D array of n_T
-    temperatures (n_T, 2N); each row is computed exactly as for that
-    temperature alone.
+    the ground-degenerate cluster {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)},
+    and at T = inf uniformly over every level. A scalar temperature gives
+    weights of shape (2N,), a 1-D array of n_T temperatures (n_T, 2N);
+    each row is computed exactly as for that temperature alone.
     """
     column = _temperature_column(temperature)
     energies = spectrum.energies
     ground = energies.min()
-    excitation = energies - ground
     frozen = column == 0.0
-    weights = np.exp(-excitation / np.where(frozen, 1.0, column))
+    # A spread beyond float64 overflows to an infinite excitation, whose weight is 0 at finite T.
+    with np.errstate(over="ignore", invalid="ignore"):
+        excitation = energies - ground
+        weights = np.exp(-excitation / np.where(frozen, 1.0, column))
     weights[weights < WEIGHT_FLOOR] = 0.0
+    weights[np.isinf(column[:, 0])] = 1.0  # whatever the spread, not inf / inf
     eps = DEGENERACY_SCALE * max(1.0, abs(ground))
     weights = np.where(frozen, (excitation <= eps).astype(float), weights)
     weights /= weights.sum(axis=1, keepdims=True)
@@ -173,8 +176,8 @@ def fermi_occupations(spectrum: Spectrum | BandSpectrum, temperature) -> np.ndar
     energies = spectrum.energies
     frozen = column == 0.0
     step = np.where(energies < 0.0, 1.0, np.where(energies > 0.0, 0.0, 0.5))
-    exponent = energies / np.where(frozen, 1.0, column)
-    with np.errstate(over="ignore"):  # exp overflows to inf, the occupation to 0
+    with np.errstate(over="ignore"):  # E / T and exp overflow to inf, the occupation to 0
+        exponent = energies / np.where(frozen, 1.0, column)
         fermi = 1.0 / (1.0 + np.exp(exponent))
     return per_temperature(np.where(frozen, step, fermi), temperature)
 

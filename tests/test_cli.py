@@ -280,6 +280,45 @@ def test_overflowing_bands_are_error_rows_and_exit_3(boundary, capsys):
         assert all(row["P"] == row["i_p"] == row["purity"] == "" for row in rows)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_spread_beyond_float64_prints_the_limit_rows_not_nan(capsys):
+    # At w = 1e308 the band spread overflows float64; every printed cell but
+    # w must equal the w = 1e300 row, at T = inf too, where the weights are
+    # uniform.
+    code, out, err = run_cli(
+        ["sweep", "--n-cells", "4", "--v", "0.3", "--z", "0.2",
+         "--axis", "w=1e300,1e308", "--axis", "T=0,0.1,0.5,inf",
+         "--quantities", "polarization,qfi_matrix,interferometric_power,diagnostics",
+         "--mode", "literal", "--mode", "weighted", "--mode", "determinant"],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    rows = read_csv(out)
+    assert len(rows) == 2 * 4 * 3 and not any("nan" in row.values() for row in rows)
+    assert all(row["error"] == "" for row in rows)
+    lower, upper = rows[:12], rows[12:]
+    assert {row["w"] for row in lower} == {"1e+300"} and {row["w"] for row in upper} == {"1e+308"}
+    for a, b in zip(lower, upper):
+        assert {**a, "w": None} == {**b, "w": None}
+    code, out, _ = run_cli(
+        ["qfi", "--n-cells", "4", "--v", "0.3", "--w", "1e308", "--z", "0.2", "-T", "inf"], capsys
+    )
+    (row,) = read_csv(out)
+    assert code == EXIT_OK and (row["purity"], row["i_p"]) == ("0.125", "0")
+
+
+def test_an_integer_axis_prints_whole_at_any_precision(capsys):
+    args = ["sweep", "--v", "0.3", "--w", "0.5", "--z", "0.2", "-T", "0.1",
+            "--axis", "N=2,3,12,123", "--quantities", "diagnostics", "--precision", "1"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == EXIT_OK
+    assert [(row["N"], row["T"]) for row in read_csv(out)] == [
+        ("2", "0.1"), ("3", "0.1"), ("12", "0.1"), ("123", "0.1")
+    ]
+    code, out, _ = run_cli([*args, "--format", "json"], capsys)
+    assert code == EXIT_OK and [row["N"] for row in json.loads(out)] == [2, 3, 12, 123]
+
+
 def test_sweep_requires_axes_and_quantities(capsys):
     code, _, err = run_cli(["sweep", *MODEL_ARGS, "--z", "0"], capsys)
     assert code == EXIT_CONFIG and "axis" in err

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
+from topo_thermo.bloch import (
+    bloch_polarization_determinant,
+    bloch_spectrum,
+    bloch_state_expectations,
+)
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
     chiral_spectrum,
@@ -301,13 +305,16 @@ def test_odd_dimension_rejected():
 
 
 RESULT_FIELDS = ("expectation", "magnitude", "phase", "polarization", "defined")
+SCALAR_TYPES = [complex, float, float, float, bool]
 
 
 def assert_rows_are_single_calls(batched, singles):
-    """Every row of a batched result equals its one-temperature result bit for bit."""
+    """Every row of a batched result is Python scalars, bit for bit its one-temperature result."""
     for index, single in enumerate(singles):
         row = batched.row(index)
-        assert (row.mode, type(single.defined)) == (single.mode, bool)
+        assert row.mode == single.mode and batched[index] == row
+        for result in (row, single):
+            assert [type(getattr(result, name)) for name in RESULT_FIELDS] == SCALAR_TYPES
         for name in RESULT_FIELDS:
             got, want = np.array(getattr(row, name)), np.array(getattr(single, name))
             assert got.tobytes() == want.tobytes()
@@ -318,6 +325,7 @@ def test_batched_results_are_bitwise_single_temperature_results():
     ring = ModelParams(n_cells=50, v=0.3, w=0.5, z=0.0)
     dense = diagonalize(build_hamiltonian(ring))
     bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.2))
+    ring_per_state = bloch_state_expectations(bands)
     chain = ModelParams(n_cells=6, v=0.3, w=0.5, z=0.2, boundary=OPEN)
     block = chiral_spectrum(chain)
     per_state = chiral_state_expectations(block)
@@ -326,6 +334,12 @@ def test_batched_results_are_bitwise_single_temperature_results():
         "dense literal": lambda t: thermal_polarization_literal(gibbs_weights(dense, t)),
         "dense weighted": lambda t: thermal_polarization_weighted(gibbs_weights(dense, t)),
         "ring determinant": lambda t: bloch_polarization_determinant(bands, t),
+        "ring literal": lambda t: polarization_from_states(
+            gibbs_weights(bands, t), ring_per_state, MODE_LITERAL
+        ),
+        "ring weighted": lambda t: polarization_from_states(
+            gibbs_weights(bands, t), ring_per_state, MODE_WEIGHTED
+        ),
         "chain determinant": lambda t: chiral_polarization_determinant(block, t),
         "chain literal": lambda t: polarization_from_states(
             gibbs_weights(block, t), per_state, MODE_LITERAL

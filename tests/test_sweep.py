@@ -515,7 +515,7 @@ def test_locate_extremum_basics():
         best, value = locate_extremum(modes, "magnitude", "max", mode=mode)
         assert value == column.magnitude.max() == best.polarization[mode].magnitude
         _, value = locate_extremum(modes, "P", "min", mode=mode)
-        assert value == column.polarization.min()
+        assert value == column.polarization[column.defined].min()
 
 
 def test_locate_extremum_errors(monkeypatch):
@@ -551,6 +551,47 @@ def test_locate_extremum_errors(monkeypatch):
     assert len(failed.errors) == 2
     with pytest.raises(ValueError):
         locate_extremum(failed, "i_p", "max")
+
+
+def test_locate_extremum_ranks_p_only_where_it_is_defined():
+    # Every Bloch state has <X> = 0, so ring literal P is undefined at every
+    # point and holds a meaningless 0.
+    ring = run_sweep(SweepSpec(
+        axes=(("T", (0.02, 0.5, 2.0)),),
+        fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": 50},
+        quantities=("polarization",),
+        polarization_modes=("literal",),
+    ))
+    assert not ring.polarization["literal"].defined.any()
+    for objective in ("min", "max"):
+        with pytest.raises(ValueError, match="P is undefined or NaN at every point"):
+            locate_extremum(ring, "P", objective)
+    assert locate_extremum(ring, "magnitude", "max")[1] == 0.0  # the magnitude still ranks
+
+    table = run_sweep(
+        small_qfi_spec(quantities=("polarization",), polarization_modes=("determinant",))
+    )
+    result = table.polarization["determinant"]
+    result.polarization[:] = (0.5, 0.0, 0.5, 0.5, 0.0, 0.25)
+    result.defined[:] = (True, False, True, True, True, True)
+    best, value = locate_extremum(table, "P", "min")
+    assert value == 0.0 and (best.temperature, best.z) == (0.8, 0.0)
+    result.defined[4] = False
+    best, value = locate_extremum(table, "P", "min")
+    assert value == 0.25 and (best.temperature, best.z) == (0.8, 0.3)
+
+
+def test_locate_extremum_skips_nan_cells():
+    # Points in row-major order of (T, z): index p is T[p // 2], z[p % 2].
+    table = run_sweep(small_qfi_spec())
+    table.entropy[:] = (np.nan, 0.3, np.nan, 0.7, 0.1, np.nan)
+    best, value = locate_extremum(table, "entropy", "max")
+    assert value == 0.7 and (best.temperature, best.z) == (0.2, 0.3)
+    best, value = locate_extremum(table, "entropy", "min")
+    assert value == 0.1 and (best.temperature, best.z) == (0.8, 0.0)
+    table.entropy[:] = np.nan
+    with pytest.raises(ValueError, match="entropy is NaN at every point"):
+        locate_extremum(table, "entropy", "max")
 
 
 def test_interferometric_power_dies_at_hopping_crossing():

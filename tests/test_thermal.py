@@ -95,6 +95,15 @@ def test_gibbs_closed_forms():
     assert ens.weights[1] == pytest.approx(1.0 / (1.0 + e2), abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gibbs_weights_are_uniform_at_infinite_temperature_whatever_the_spread():
+    # The spread 2e308 overflows float64: the excitation is inf, never inf / inf.
+    band = BandSpectrum(n_cells=1, energies=np.array([-1e308, 1e308]))
+    weights = gibbs_weights(band, np.array([0.0, 0.1, np.inf])).weights
+    assert np.array_equal(weights, [[1.0, 0.0], [1.0, 0.0], [0.5, 0.5]])
+    assert np.array_equal(fermi_occupations(band, np.array([0.1, np.inf])), [[1, 0], [0.5, 0.5]])
+
+
 def test_gibbs_invariants():
     rng = np.random.default_rng(2)
     for _ in range(20):
