@@ -306,8 +306,16 @@ def _polarization_modes(config: RunConfig, quantities) -> tuple:
 
 
 def _sweep_spec(config: RunConfig, axes, quantities) -> SweepSpec:
-    """The sweep over `axes`; every other parameter takes its fixed value from `config`."""
-    axis_names = {name for name, _ in axes}
+    """The sweep over `axes`; every other parameter takes its fixed value from `config`.
+
+    A `sweep` run refuses a fixed value of a swept parameter rather than
+    drop it; a point subcommand's T axis is its temperature list.
+    """
+    axis_names = [name for name, _ in axes]
+    for name in axis_names if config.subcommand == "sweep" else ():
+        key = _PARAMETER_FIELDS.get(name)
+        if key and getattr(config, key) is not None:
+            raise ConfigError(f"parameter {name!r} is swept by an axis and also fixed by {key!r}")
     return SweepSpec(
         axes=axes,
         fixed=_fixed_parameters(config, [n for n in _PARAMETER_FIELDS if n not in axis_names]),

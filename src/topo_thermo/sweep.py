@@ -5,17 +5,18 @@ temperature column of its grid points is evaluated in one call of each
 public function: weights of shape (n_T, 2N), one QFI contraction, one
 batched 3x3 eigh. Every per-temperature row is computed exactly as it
 would be alone, so outputs do not depend on how the grid groups
-temperatures. The results go straight into the preallocated columns of
-a SweepTable, one index slice per spectrum, and each spectrum is dropped
-once its slice is written. Each boundary has one evaluation path, whose
-functions _engine picks in one place: periodic rings use the Bloch engine
-(bloch.py), open chains the chiral block D = H[A, B] (chiral.py),
-decomposed by one eigh of the symmetric folded block D J, through the
-same public functions a caller would use. Both engines give per-state
-<n|X|n>, which polarization_from_states reduces to the literal and
-weighted modes. The dense eigendecomposition is their oracle. A failing
-column is evaluated again one temperature at a time, so a failure lands
-in the error of exactly the points that fail.
+temperatures. The grid of point indices, reshaped with the T axis last,
+gives the points of one spectrum per row. The results go straight into
+the preallocated columns of a SweepTable at those points, and each
+spectrum is dropped once they are written. Each boundary has one
+evaluation path, whose functions _engine picks in one place: periodic
+rings use the Bloch engine (bloch.py), open chains the chiral block
+D = H[A, B] (chiral.py), decomposed by one eigh of the symmetric folded
+block D J, through the same public functions a caller would use. Both
+engines give per-state <n|X|n>, which polarization_from_states reduces
+to the literal and weighted modes. The dense eigendecomposition is their
+oracle. A failing column is evaluated again one temperature at a time,
+so a failure lands in the error of exactly the points that fail.
 
 Every output but polarization is declared once, in `_OUTPUTS`: its
 SweepTable and ResultRecord attribute, the quantity that requests it, its
@@ -93,6 +94,10 @@ class SweepSpec:
         self.quantities = tuple(self.quantities)
         self.polarization_modes = tuple(self.polarization_modes)
 
+    def grids(self) -> dict:
+        """Values of each parameter: the axes as declared, then each fixed value as one value."""
+        return {**dict(self.axes), **{name: (value,) for name, value in self.fixed.items()}}
+
     def validate(self) -> None:
         seen = []
         for name, grid in self.axes:
@@ -130,17 +135,17 @@ class SweepSpec:
                     raise ValueError(f"unknown polarization mode {mode!r}")
         elif self.polarization_modes:
             raise ValueError("polarization_modes given but polarization not requested")
-        axis_grids = dict(self.axes)
-        values = {name: axis_grids.get(name, (self.fixed.get(name),)) for name in AXIS_NAMES}
-        if not all(t >= 0.0 for t in values["T"]):
+        grids = self.grids()
+        if not all(t >= 0.0 for t in grids["T"]):
             raise ValueError("temperatures must be >= 0")
-        for name in ("v", "w", "z", "N"):
-            for value in values[name]:
+        for name in ("v", "w", "z"):
+            for value in grids[name]:
                 if not math.isfinite(float(value)):
                     raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
-        for n in values["N"]:
-            if int(n) != n or n < 2:
-                raise ValueError(f"N must be an integer >= 2, got {n!r}")
+        for n in grids["N"]:
+            # The table stores N as int64; the range refuses NaN and inf before int() sees them.
+            if not (2 <= n < 2**63 and int(n) == n):
+                raise ValueError(f"N must be an integer from 2 to 2**63 - 1, got {n!r}")
         if not self.magnitude_cutoff >= 0.0:
             raise ValueError(f"magnitude_cutoff must be >= 0, got {self.magnitude_cutoff!r}")
 
@@ -164,8 +169,8 @@ class ResultRecord:
     error: str | None = None
 
 
-# Type of each parameter's values in records and output.
-PARAMETER_TYPES = {"T": float, "v": float, "w": float, "z": float, "N": int}
+# Type of each parameter's per-point column; .item() gives a record's float or int.
+PARAMETER_TYPES = {**dict.fromkeys(AXIS_NAMES, np.float64), "N": np.int64}
 
 # Field of each parameter in ResultRecord, and in ModelParams and cli.RunConfig.
 _PARAMETER_FIELDS = {"T": "temperature", "v": "v", "w": "w", "z": "z", "N": "n_cells"}
@@ -201,28 +206,24 @@ class SweepTable:
     """Results of a sweep as columns, one entry per grid point.
 
     Points are in row-major order of the axes as declared. Each output of
-    `_OUTPUTS` is a NumPy array preallocated for every point and written by
-    index slice, once per spectrum; an output the spec did not request is
-    None. `polarization` maps each mode to a PolarizationResult of arrays.
-    `columns()` gives every printed number by column name.
+    `_OUTPUTS` is a NumPy array preallocated for every point and written at
+    the points of one spectrum at a time; an output the spec did not
+    request is None. `polarization` maps each mode to a PolarizationResult
+    of arrays. `columns()` gives every printed number by column name.
     `errors` maps the index of each failed point to its message; the
-    columns hold no meaning there. Parameters are not stored per point:
-    `parameter_index` derives them from the axis grids by index arithmetic.
+    columns hold no meaning there. Each parameter is a per-point column
+    too (float64, int64 for N), built once from `spec.grids()`; `columns()`,
+    `parameters(i)`, the rows and the sweep read it.
     len() counts points; indexing and iteration give ResultRecord rows.
     """
 
     def __init__(self, spec: SweepSpec):
         self.spec = spec
-        self.size = math.prod(len(grid) for _, grid in spec.axes)
-        # name -> (distinct values, stride): point p holds values[p // stride % len(values)].
-        self._grids = {
-            name: ((PARAMETER_TYPES[name](value),), self.size) for name, value in spec.fixed.items()
-        }
-        stride = self.size
-        for name, grid in spec.axes:
-            stride //= len(grid)
-            self._grids[name] = (tuple(map(PARAMETER_TYPES[name], grid)), stride)
-        n = self.size
+        grids = spec.grids()
+        arrays = [np.array(grid, PARAMETER_TYPES[name]) for name, grid in grids.items()]
+        mesh = dict(zip(grids, np.meshgrid(*arrays, indexing="ij")))
+        self._parameters = {name: mesh[name].ravel() for name in AXIS_NAMES}
+        self.size = n = self._parameters["T"].size
         modes = spec.polarization_modes if QUANTITY_POLARIZATION in spec.quantities else ()
         cutoff = spec.magnitude_cutoff
         self.polarization = {
@@ -245,11 +246,7 @@ class SweepTable:
         `polarization`; every other column is one entry per point. At a
         failed point the outputs hold no meaning.
         """
-        points = np.arange(self.size)
-        columns = {
-            name: np.array(self.parameter_values(name))[self.parameter_index(name, points)]
-            for name in AXIS_NAMES
-        }
+        columns = dict(self._parameters)
         if self.polarization:
             results = self.polarization.values()
             for name, attribute in _POLARIZATION_COLUMNS.items():
@@ -262,26 +259,14 @@ class SweepTable:
     def __len__(self) -> int:
         return self.size
 
-    def parameter_values(self, name: str) -> tuple:
-        """Distinct values of a parameter: its grid, or its one fixed value."""
-        return self._grids[name][0]
-
-    def parameter_index(self, name: str, points: np.ndarray) -> np.ndarray:
-        """Index of each point's value of a parameter in parameter_values(name)."""
-        values, stride = self._grids[name]
-        return points // stride % len(values)
-
     def parameters(self, index: int) -> dict:
-        """Parameter values of one point."""
-        return {
-            name: self.parameter_values(name)[self.parameter_index(name, index)]
-            for name in AXIS_NAMES
-        }
+        """Parameter values of one point, as Python floats and an int N."""
+        return {name: column[index].item() for name, column in self._parameters.items()}
 
     @property
     def spectra(self) -> int:
         """Number of unique spectra: every (v, w, z, N) combination."""
-        return self.size // len(self._grids["T"][0])
+        return self.size // len(self.spec.grids()["T"])
 
     def failed(self) -> np.ndarray:
         """Boolean mask of the points that carry an error."""
@@ -330,7 +315,7 @@ def _engine(boundary: str) -> tuple:
     )
 
 
-def _evaluate(table: SweepTable, points: slice, spectrum, temperatures: np.ndarray) -> None:
+def _evaluate(table: SweepTable, points: np.ndarray, spectrum, temperatures: np.ndarray) -> None:
     """Write one spectrum's outputs at `temperatures` into the table's columns at `points`."""
     spec = table.spec
     _, qfi_matrix_of, determinant_of, state_expectations_of = _engine(spec.boundary)
@@ -370,33 +355,32 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate_column(table: SweepTable, first: int, stride: int, temperatures: np.ndarray) -> None:
-    """Outputs of the spectrum of point `first` at every temperature; failures become errors.
+def _evaluate_column(table: SweepTable, points: np.ndarray) -> None:
+    """Outputs at `points`, the points of one spectrum in T order; failures become errors.
 
-    The column's points are first, first + stride, ... A failed spectrum
-    flags every one of them. A failed column is evaluated again one
-    temperature at a time through the same call, so exactly the failing
-    temperatures are flagged.
+    A failed spectrum flags every point. A failed column is evaluated again
+    one temperature at a time through the same call, so exactly the
+    failing temperatures are flagged.
     """
-    points = range(first, first + len(temperatures) * stride, stride)
     boundary = table.spec.boundary
+    temperatures = table._parameters["T"][points]
     try:
         model = {
             _PARAMETER_FIELDS[name]: value
-            for name, value in table.parameters(first).items() if name != "T"
+            for name, value in table.parameters(points[0]).items() if name != "T"
         }
         spectrum = _engine(boundary)[0](ModelParams(**model, boundary=boundary))
     except Exception as exc:  # degrade to flagged points, never abort the sweep
-        table.errors.update(dict.fromkeys(points, _failure(exc)))
+        table.errors.update(dict.fromkeys(points.tolist(), _failure(exc)))
         return
     try:
-        _evaluate(table, slice(points.start, points.stop, stride), spectrum, temperatures)
+        _evaluate(table, points, spectrum, temperatures)
         return
     except Exception:
         pass
-    for index, point in enumerate(points):
+    for index, point in enumerate(points.tolist()):
         try:
-            _evaluate(table, slice(point, point + 1), spectrum, temperatures[index : index + 1])
+            _evaluate(table, points[index : index + 1], spectrum, temperatures[index : index + 1])
         except Exception as exc:
             table.errors[point] = _failure(exc)
 
@@ -405,11 +389,11 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid point, one spectrum at a time, into a SweepTable."""
     spec.validate()
     table = SweepTable(spec)
-    grid, stride = table._grids["T"]
-    temperatures = np.array(grid)
-    firsts = np.flatnonzero(np.arange(len(table)) // stride % len(grid) == 0)
-    for first in firsts.tolist():
-        _evaluate_column(table, first, stride, temperatures)
+    grids = spec.grids()
+    points = np.arange(table.size).reshape([len(grid) for grid in grids.values()])
+    spectra = np.moveaxis(points, list(grids).index("T"), -1).reshape(-1, len(grids["T"]))
+    for column in spectra:
+        _evaluate_column(table, column)
     return table
 
 
@@ -423,10 +407,11 @@ def locate_extremum(
 
     `quantity` names any number the table prints (a key of `table.columns()`
     other than the P_defined flag); `mode` picks the polarization mode when
-    the table holds several. Only meaningful cells are ranked: a NaN cell
-    never is, and `P` only where `P_defined` is true, since an undefined P
-    holds 0. With no cell left, and for a table with error rows, whose
-    columns hold no meaning, it raises ValueError.
+    the table holds several, and must name a swept mode whatever the
+    column. Only meaningful cells are ranked: a NaN cell never is, and `P`
+    only where `P_defined` is true, since an undefined P holds 0. With no
+    cell left, and for a table with error rows, whose columns hold no
+    meaning, it raises ValueError.
     """
     if objective not in ("min", "max"):
         raise ValueError(f"objective must be 'min' or 'max', got {objective!r}")
@@ -435,6 +420,8 @@ def locate_extremum(
         numbers = ", ".join(name for name in columns if name != "P_defined")
         raise ValueError(f"quantity {quantity!r} is not a number this table prints: {numbers}")
     column, modes = columns[quantity], list(table.polarization)
+    if mode is not None and mode not in modes:
+        raise ValueError(f"mode={mode!r} names no swept mode; the table holds {modes}")
     if column.ndim == 2:
         if mode is None and len(modes) == 1:
             mode = modes[0]

@@ -319,6 +319,14 @@ def test_an_integer_axis_prints_whole_at_any_precision(capsys):
     assert code == EXIT_OK and [row["N"] for row in json.loads(out)] == [2, 3, 12, 123]
 
 
+@pytest.mark.parametrize("n_cells", ["9223372036854775808", "100000000000000000000"])
+def test_a_cell_count_beyond_int64_is_a_config_error(n_cells, capsys):
+    args = ["qfi", "--n-cells", n_cells, "--v", "0.3", "--w", "0.5", "--z", "0.2", "-T", "0.1"]
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: N must be an integer from 2 to 2**63 - 1, got {n_cells}\n"
+
+
 def test_sweep_requires_axes_and_quantities(capsys):
     code, _, err = run_cli(["sweep", *MODEL_ARGS, "--z", "0"], capsys)
     assert code == EXIT_CONFIG and "axis" in err
@@ -352,6 +360,21 @@ def test_sweep_names_a_parameter_that_is_neither_axis_nor_fixed(capsys):
     )
     assert (code, out) == (EXIT_CONFIG, "")
     assert "z" in err.split(":", 1)[1]
+
+
+@pytest.mark.parametrize("args,config,named", [
+    (["--axis", "T=0.1,0.2", "-T", "0.5", "--v", "0.3"], {}, ("T", "temperature")),
+    (["--axis", "v=0.1", "--v", "0.3", "-T", "0.1"], {}, ("v", "v")),
+    (["--axis", "v=0.1", "-T", "0.1"], {"v": 0.3}, ("v", "v")),
+    (["-T", "0.5", "--v", "0.3"], {"axes": {"T": [0.1, 0.2]}}, ("T", "temperature")),
+])
+def test_sweep_refuses_a_fixed_value_of_a_swept_parameter(args, config, named, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    model = ["--n-cells", "4", "--w", "0.5", "--z", "0.2", "--quantities", "diagnostics"]
+    code, out, err = run_cli(["sweep", *args, *model, "--config", str(path)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "parameter %r is swept by an axis and also fixed by %r" % named in err
 
 
 def test_sweep_polarization_defaults_to_determinant_with_notice(capsys):

@@ -1,5 +1,6 @@
 """Sweep engine: ordering, determinism, reuse, failure capture, extrema."""
 
+import itertools
 import sys
 import tracemalloc
 
@@ -71,14 +72,30 @@ def records_equal(a, b):
     return all(checks)
 
 
+# (axes, fixed) with T the first axis, the middle axis, and fixed.
+ORDERING_CASES = (
+    ((("T", (0.1,)), ("z", (0.0, 0.5))), {"v": 0.3, "w": 0.5, "N": 50}),
+    ((("z", (0.0, 0.5)), ("T", (0.0, 0.1, 0.5)), ("v", (0.2, 0.4))), {"w": 0.5, "N": 6}),
+    ((("N", (3, 5)), ("z", (0.0, 0.5))), {"T": 0.1, "v": 0.3, "w": 0.5}),
+)
+
+
 def test_record_ordering_contract():
-    spec = SweepSpec(
-        axes=(("T", (0.1,)), ("z", (0.0, 0.5))),
-        fixed={"v": 0.3, "w": 0.5, "N": 50},
-        quantities=QFI_QUANTITIES,
-    )
-    records = run_sweep(spec)
-    assert [(r.temperature, r.z) for r in records] == [(0.1, 0.0), (0.1, 0.5)]
+    # Row-major order of the axes as declared, wherever T is, and each row
+    # is the one-point sweep of its own parameters.
+    outputs = dict(quantities=ALL_QUANTITIES, polarization_modes=ALL_MODES)
+    for (axes, fixed), boundary in itertools.product(ORDERING_CASES, ("periodic", "open")):
+        table = run_sweep(SweepSpec(axes=axes, fixed=fixed, boundary=boundary, **outputs))
+        names = [name for name, _ in axes]
+        rows = [table.parameters(index) for index in range(len(table))]
+        assert [tuple(row[name] for name in names) for row in rows] == list(
+            itertools.product(*(grid for _, grid in axes))
+        )
+        for row, record in zip(rows, table):
+            assert row.items() >= fixed.items() and type(row["N"]) is int
+            assert {type(value) for name, value in row.items() if name != "N"} == {float}
+            (single,) = run_sweep(SweepSpec(fixed=row, boundary=boundary, **outputs))
+            assert record.error is None and records_equal(record, single)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -538,6 +555,13 @@ def test_locate_extremum_errors(monkeypatch):
     )
     with pytest.raises(ValueError):
         locate_extremum(several, "P", "max")
+    # A mode that names no swept mode is refused whatever the column.
+    for quantity in ("P", "magnitude"):
+        with pytest.raises(ValueError, match="mode='bogus' names no swept mode"):
+            locate_extremum(several, quantity, "max", mode="bogus")
+    for mode in ("bogus", "determinant"):
+        with pytest.raises(ValueError, match=f"mode={mode!r} names no swept mode"):
+            locate_extremum(table, "i_p", "max", mode=mode)
 
     real = sweep_mod.gibbs_weights
 
