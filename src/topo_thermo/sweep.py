@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -150,25 +151,6 @@ class SweepSpec:
             raise ValueError(f"magnitude_cutoff must be >= 0, got {self.magnitude_cutoff!r}")
 
 
-@dataclass
-class ResultRecord:
-    """One grid point of a SweepTable as a row: parameters plus requested outputs."""
-
-    temperature: float
-    v: float
-    w: float
-    z: float
-    n_cells: int
-    boundary: str
-    polarization: dict = field(default_factory=dict)
-    qfi: np.ndarray | None = None
-    i_p: float | None = None
-    optimal_direction: np.ndarray | None = None
-    purity: float | None = None
-    entropy: float | None = None
-    error: str | None = None
-
-
 # Type of each parameter's per-point column; .item() gives a record's float or int.
 PARAMETER_TYPES = {**dict.fromkeys(AXIS_NAMES, np.float64), "N": np.int64}
 
@@ -200,6 +182,16 @@ _OUTPUTS = {
     "purity": _Output(QUANTITY_DIAGNOSTICS, (), {"purity": ()}),
     "entropy": _Output(QUANTITY_DIAGNOSTICS, (), {"entropy": ()}),
 }
+
+
+class ResultRecord(SimpleNamespace):
+    """One grid point of a SweepTable as a row, built only by SweepTable[i].
+
+    Its attributes are the table's declarations at that point: each
+    parameter by its `_PARAMETER_FIELDS` name, `boundary`, `polarization`
+    (a scalar PolarizationResult per mode), every `_OUTPUTS` attribute
+    (None when not requested or at a failed point) and `error`.
+    """
 
 
 class SweepTable:
@@ -281,18 +273,20 @@ class SweepTable:
 
     def __getitem__(self, index: int) -> ResultRecord:
         index = range(self.size)[index]
-        record = ResultRecord(
+        error = self.errors.get(index)
+        outputs = {
+            name: column[index].copy() if column.ndim > 1 else column[index].item()
+            for name, column in self._outputs().items() if error is None
+        }
+        return ResultRecord(
             **{_PARAMETER_FIELDS[name]: value for name, value in self.parameters(index).items()},
             boundary=self.spec.boundary,
-            error=self.errors.get(index),
+            polarization={
+                mode: r.row(index) for mode, r in self.polarization.items() if error is None
+            },
+            **{name: outputs.get(name) for name in _OUTPUTS},
+            error=error,
         )
-        if record.error is not None:
-            return record
-        record.polarization = {mode: r.row(index) for mode, r in self.polarization.items()}
-        for name, column in self._outputs().items():
-            value = column[index]
-            setattr(record, name, value.copy() if value.ndim else float(value))
-        return record
 
     def __iter__(self):
         return map(self.__getitem__, range(self.size))

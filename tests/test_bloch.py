@@ -12,6 +12,7 @@ from topo_thermo.bloch import (
     bloch_spectrum,
     bloch_state_expectations,
 )
+from topo_thermo.chiral import winding_number
 from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
     polarization_from_states,
@@ -258,6 +259,46 @@ def test_zero_temperature_determinant_is_the_occupied_band_wilson_loop(n, v, w, 
     # At N = 2 with w or z dominant, phi turns by pi from k = 0 to pi: no overlap.
     if abs(want) >= DET_SCALE:
         assert got.defined and got.polarization == (0.0 if want.real > 0 else 0.5)
+
+
+def test_ring_determinant_follows_the_winding_number():
+    """Every defined ring P is 1/2 with winding and 0 without, when the k grid resolves a(k).
+
+    At T = 0 the determinant is the occupied-band Wilson loop on the ring's
+    own momenta k_j = 2 pi j / N, whose phase is half the sum of the steps
+    of phi = arg a(k) between neighbours, each taken in (-pi, pi]. That sum
+    is 2 pi times the winding only when phi truly turns by less than pi
+    from each k_j to the next; a coarse grid across a steep stretch of phi
+    breaks this at small N. With thermal weights a step of 0.69 pi already
+    sufficed (N = 11 and 16 at T = 0.05, about 1.8 times the gap). So the
+    rings are drawn with N in 2..60 and a bulk gap min |a(k)| >= 0.02, and
+    kept when phi, followed on a grid 64 times finer, turns by less than
+    pi / 2 between neighbouring k_j. Measured: no violation in 159,871
+    defined rows of 40,000 such rings at these temperatures, T up to 2.5
+    times the gap. Without that condition, 18 of 79,955 rows with N in
+    10..60 broke, at N = 11 and 13 (phi steps of 0.69 pi to 1.03 pi), so N
+    alone does not bound the domain.
+    """
+    rng = np.random.default_rng(0)
+    temperatures = np.array([0.0, 0.01, 0.02, 0.05])
+    checked, defined = 0, {0.0: 0, 0.5: 0}
+    while checked < 400:
+        n = int(rng.integers(2, 61))
+        v, w, z = rng.uniform(-1.0, 1.0, 3)
+        fine = np.linspace(0.0, 2.0 * np.pi, 64 * n + 1)
+        coupling = v + w * np.exp(-1j * fine) + z * np.exp(1j * fine)
+        steps = np.diff(np.unwrap(np.angle(coupling))[::64])
+        if np.abs(coupling).min() < 0.02 or np.abs(steps).max() >= np.pi / 2:
+            continue
+        checked += 1
+        expected = 0.5 if winding_number(v, w, z) else 0.0
+        result = bloch_polarization_determinant(
+            bloch_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z)), temperatures
+        )
+        assert np.all(result.polarization[result.defined] == expected), (n, v, w, z)
+        defined[expected] += int(np.count_nonzero(result.defined))
+    # Both phases are sampled and their rows defined (measured 776 and 824 of 1600).
+    assert min(defined.values()) >= 400
 
 
 PHASES = {

@@ -198,6 +198,51 @@ def test_per_point_failure_degrades_to_error_record(monkeypatch):
     assert all(records_equal(a, b) for a, b in zip(records, clean) if a.error is None)
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_row_view_is_the_table_declarations_at_one_point(boundary, monkeypatch):
+    # For every quantity subset, with the T = 0.2 points failing: each row
+    # holds exactly the parameters, boundary, polarization, every output of
+    # _OUTPUTS and error; a requested output is its column's entry (a float,
+    # or a copy of its array), any other None, and a failed point has none.
+    real = sweep_mod.gibbs_weights
+
+    def explode(spectrum, temperature):
+        if np.any(np.asarray(temperature) == 0.2):
+            raise ArithmeticError("synthetic failure")
+        return real(spectrum, temperature)
+
+    monkeypatch.setattr(sweep_mod, "gibbs_weights", explode)
+    fields = sweep_mod._PARAMETER_FIELDS
+    attributes = [*fields.values(), "boundary", "polarization", *sweep_mod._OUTPUTS, "error"]
+    for size in range(1, len(ALL_QUANTITIES) + 1):
+        for quantities in itertools.combinations(ALL_QUANTITIES, size):
+            modes = ALL_MODES if "polarization" in quantities else ()
+            spec = small_qfi_spec(boundary=boundary, quantities=quantities, polarization_modes=modes)
+            table = run_sweep(spec)
+            assert len(table.errors) == 2
+            for index, row in enumerate(table):
+                assert list(vars(row)) == attributes
+                for name, value in table.parameters(index).items():
+                    got = getattr(row, fields[name])
+                    assert got == value and type(got) is type(value)
+                assert row.boundary == boundary and row.error == table.errors.get(index)
+                failed = row.error is not None
+                assert row.polarization == {
+                    mode: result.row(index)
+                    for mode, result in table.polarization.items() if not failed
+                }
+                for name, output in sweep_mod._OUTPUTS.items():
+                    value, column = getattr(row, name), getattr(table, name)
+                    assert (column is None) == (output.quantity not in quantities)
+                    if failed or column is None:
+                        assert value is None
+                    elif output.shape:
+                        assert type(value) is np.ndarray and np.array_equal(value, column[index])
+                        assert not np.shares_memory(value, column)
+                    else:
+                        assert type(value) is float and value == column[index]
+
+
 def test_workspace_failure_flags_all_points_of_that_model(monkeypatch):
     # Each boundary has its own per-model seam: the Bloch builder for rings,
     # the chiral-block SVD for open chains.
