@@ -11,11 +11,17 @@ unwritable output. A run in which any point failed still writes every
 row, with the failure in the error column, then reports "k of n points
 failed" on stderr and exits 3. --verbose writes a one-line summary of
 the sweep to stderr.
+
+The `topo-thermo` script and `python -m topo_thermo.cli` enter through
+`main`, which leaves the import-time object graph to the operating system
+at exit instead of collecting it; `cli_main` callers (tests, the benchmark
+trace, library use) find the garbage collector as they left it.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -420,7 +426,14 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    code = cli_main()
+    # Every object still alive dies with the process, Python does not promise
+    # to run __del__ for objects alive at exit, and io.write_text has already
+    # closed the output file. Frozen objects skip the exit collection, so the
+    # reference cycles of the loaded modules are left to the OS to reclaim;
+    # finalization still flushes stdout and stderr and runs atexit hooks.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

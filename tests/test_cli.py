@@ -622,25 +622,109 @@ def test_documented_defaults():
     assert config.verbosity == 0
 
 
+SRC = str(Path(topo_thermo.__file__).resolve().parents[1])
+
+
+def python_child(*argv):
+    """A child `python *argv` that imports this package's source tree, with one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=False)
+
+
 def test_importing_the_cli_does_not_load_scipy():
     # Nothing in the package needs SciPy: importing the CLI and running a
     # periodic determinant sweep (the Bloch trace formula) load none of it.
-    src = str(Path(topo_thermo.__file__).resolve().parents[1])
     loaded = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
     sweep = (
         "topo_thermo.cli.cli_main(['sweep', '--n-cells', '8', '--v', '0.3', '--w', '0.5',"
         " '--z', '0.2', '--boundary', 'periodic', '--axis', 'T=0,0.1,1', '--mode', 'determinant',"
         " '--quantities', 'polarization', '--out', os.devnull])"
     )
-    env = dict(os.environ, PYTHONPATH=src)
     for code, want in (
         (f"import sys, topo_thermo.cli; print({loaded})", "[]"),
         (f"import os, sys, topo_thermo.cli; print({sweep}, {loaded})", f"{EXIT_OK} []"),
     ):
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        done = python_child("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode().strip() == want
+
+
+SMALL_SWEEP = [
+    "sweep", "--n-cells", "6", "--v", "0.3", "--w", "0.5", "--z", "0.2", "--axis", "T=0,0.1,1",
+    "--quantities", "polarization,interferometric_power", "--mode", "determinant",
+]
+# argv, exit code, start of stderr; {dir} is the test's directory and {who}
+# names the run, so the two runs write different files.
+ENTRY_POINT_CASES = {
+    "ring-stdout": ([*SMALL_SWEEP, "--boundary", "periodic", "--out", "-"], EXIT_OK, ""),
+    "ring-file": (
+        [*SMALL_SWEEP, "--boundary", "periodic", "--out", "{dir}/{who}.csv"], EXIT_OK, "",
+    ),
+    "open-stdout": ([*SMALL_SWEEP, "--boundary", "open", "--out", "-"], EXIT_OK, ""),
+    "open-file": ([*SMALL_SWEEP, "--boundary", "open", "--out", "{dir}/{who}.csv"], EXIT_OK, ""),
+    "figure-2b": (["figure", "2b"], EXIT_OK, ""),
+    "config-key": (
+        ["sweep", "--config", "{dir}/config.json"], EXIT_CONFIG,
+        "error: sweep does not take config key 'eigenvectors'",
+    ),
+    "overflow": (
+        ["qfi", "--n-cells", "4", "--v", "1e308", "--w", "1e308", "--z", "1e308", "-T", "0.1"],
+        EXIT_NUMERIC, "1 of 1 points failed\n",
+    ),
+    "unwritable-out": (
+        [*SMALL_SWEEP, "--out", "{dir}/no/dir/x.csv"], EXIT_NUMERIC, "output failure: ",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "args, want, err_start", ENTRY_POINT_CASES.values(), ids=ENTRY_POINT_CASES.keys()
+)
+def test_the_process_entry_point_matches_cli_main(args, want, err_start, tmp_path, capsys):
+    # `python -m topo_thermo.cli` exits through main(); its exit code, stdout,
+    # output file and stderr are those of an in-process cli_main call.
+    (tmp_path / "config.json").write_text('{"eigenvectors": true}')
+    outcomes = {}
+    for who in ("in-process", "child"):
+        argv = [arg.format(dir=tmp_path, who=who) for arg in args]
+        if who == "child":
+            done = python_child("-m", "topo_thermo.cli", *argv)
+            code, out, err = done.returncode, done.stdout, done.stderr.decode()
+        else:
+            code = cli_main(argv)
+            captured = capsys.readouterr()
+            out, err = captured.out.encode(), captured.err
+        written = tmp_path / f"{who}.csv"
+        outcomes[who] = code, out, err, written.read_bytes() if written.exists() else None
+    assert outcomes["child"] == outcomes["in-process"]
+    code, out, err, written = outcomes["child"]
+    assert code == want and err.startswith(err_start) and (err == "") == (want == EXIT_OK)
+    if want == EXIT_OK:
+        assert (out == b"") == (written is not None)
+
+
+def test_only_the_process_entry_point_freezes_the_collector():
+    # Importing the package and calling cli_main leave the garbage collector
+    # as they found it; main() freezes it just before the process exits.
+    sweep = [*SMALL_SWEEP, "--out", os.devnull]
+    done = python_child(
+        "-c",
+        "import gc, topo_thermo; import topo_thermo.cli; "
+        f"code = topo_thermo.cli.cli_main({sweep!r}); "
+        "print(code, gc.get_freeze_count(), gc.isenabled())",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().split() == [str(EXIT_OK), "0", "True"]
+
+    for argv, want in ((sweep, EXIT_OK), ([*sweep, "--precision", "0"], EXIT_CONFIG)):
+        done = python_child(
+            "-c",
+            "import atexit, gc, sys, topo_thermo.cli; "
+            "atexit.register(lambda: print(gc.get_freeze_count())); "
+            f"sys.argv = ['topo-thermo', *{argv!r}]; topo_thermo.cli.main()",
         )
-        assert done.stdout.strip() == want
+        assert done.returncode == want, done.stderr
+        assert int(done.stdout) > 0
 
 
 def test_assemble_rejects_inconsistent_values():

@@ -9,8 +9,10 @@ The cases are every figure preset in CSV and JSON; the configs of the
 workloads of bench/run.py at seeds 0 and 1, as written and with
 `--precision 3 --format json`; sweeps of every quantity and mode at
 `--precision 17` with T as the first, middle and last axis and fixed, on
-both boundaries; and the polarization, qfi and `spectrum --eigenvectors`
-subcommands on both boundaries.
+both boundaries; the polarization, qfi and `spectrum --eigenvectors`
+subcommands on both boundaries; and the error exits: a bad config value
+(exit 2), and on both boundaries a spectrum that overflows float64 and an
+unwritable --out path (exit 3).
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
 """
@@ -47,6 +49,7 @@ SWEEPS = {
                 "--w", "0.5"),
 }
 TEMPERATURES = ("-T", "0", "-T", "0.05", "-T", "1")
+OVERFLOW = ("--n-cells", "4", "--v", "1e308", "--w", "1e308", "--z", "1e308")
 
 
 def _workloads() -> dict:
@@ -80,6 +83,13 @@ def cases(config_dir: Path) -> list:
         found.append((f"qfi-{boundary}", ("qfi", *MODEL, *TEMPERATURES, *where)))
         found.append((f"spectrum-eigenvectors-{boundary}",
                       ("spectrum", *MODEL, "--eigenvectors", *where)))
+        found.append((f"overflow-exit3-{boundary}", ("qfi", *OVERFLOW, "-T", "0.1", *where)))
+        found.append((f"unwritable-out-exit3-{boundary}",
+                      ("qfi", *MODEL, *TEMPERATURES, *where,
+                       "--out", str(config_dir / "no" / "dir" / "out.csv"))))
+    bad_value = config_dir / "bad-value.json"
+    bad_value.write_text(json.dumps({"precision": 0}))
+    found.append(("bad-config-value-exit2", ("figure", "2b", "--config", str(bad_value))))
     return found
 
 
