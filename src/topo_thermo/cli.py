@@ -5,7 +5,11 @@ one RunConfig field that declares its default, the reader of its flag
 and config values (type and range), its flags and the subcommands that
 take it; `build_parser` and `assemble_config` work from these alone.
 Options resolve as flag > config file (a flat JSON object keyed by field
-name) > default; a config key its subcommand does not take is an error.
+name) > default; a config key its subcommand does not take is an error,
+and so is a key repeated in any object of the file. `_spec` builds the
+SweepSpec of every sweep-backed run (polarization, qfi, sweep, figure) in
+one pass; the rules it shares with library callers, such as "polarization
+modes need polarization output", are stated only in SweepSpec.validate.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or
 unwritable output. A run in which any point failed still writes every
 row, with the failure in the error column, then reports "k of n points
@@ -239,12 +243,20 @@ def _options(subcommand: str) -> dict:
 
 
 def load_config_file(path: str) -> dict:
+    """The JSON object in `path`; a key repeated in any object of it is a ConfigError."""
+    def unique_keys(pairs: list) -> dict:
+        keys = [key for key, _ in pairs]
+        for index, key in enumerate(keys):
+            if key in keys[:index]:
+                raise ConfigError(f"config file {path} repeats key {key!r}")
+        return dict(pairs)
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -295,43 +307,6 @@ def _fixed_parameters(config: RunConfig, names) -> dict:
     return fixed
 
 
-def _polarization_modes(config: RunConfig, quantities) -> tuple:
-    """The requested modes, or the determinant with a note; modes need polarization output."""
-    if QUANTITY_POLARIZATION not in quantities:
-        if config.modes:
-            raise ConfigError("polarization modes are only meaningful for polarization output")
-        return ()
-    if config.modes:
-        return tuple(config.modes)
-    print(
-        "note: polarization mode defaulted to 'determinant'; "
-        "the ensemble-trace reading is available via --mode literal",
-        file=sys.stderr,
-    )
-    return (MODE_DETERMINANT,)
-
-
-def _sweep_spec(config: RunConfig, axes, quantities) -> SweepSpec:
-    """The sweep over `axes`; every other parameter takes its fixed value from `config`.
-
-    A `sweep` run refuses a fixed value of a swept parameter rather than
-    drop it; a point subcommand's T axis is its temperature list.
-    """
-    axis_names = [name for name, _ in axes]
-    for name in axis_names if config.subcommand == "sweep" else ():
-        key = _PARAMETER_FIELDS.get(name)
-        if key and getattr(config, key) is not None:
-            raise ConfigError(f"parameter {name!r} is swept by an axis and also fixed by {key!r}")
-    return SweepSpec(
-        axes=axes,
-        fixed=_fixed_parameters(config, [n for n in _PARAMETER_FIELDS if n not in axis_names]),
-        boundary=config.boundary,
-        quantities=quantities,
-        polarization_modes=_polarization_modes(config, quantities),
-        magnitude_cutoff=config.tau_mag,
-    )
-
-
 def _emit(config: RunConfig, table: SweepTable) -> int:
     """Write every row, then turn error rows into the numerical-failure exit code."""
     failed = len(table.errors)
@@ -347,10 +322,8 @@ def _emit(config: RunConfig, table: SweepTable) -> int:
 
 def _run_spectrum(config: RunConfig) -> int:
     model = _fixed_parameters(config, ("N", "v", "w", "z"))
-    params = ModelParams(
-        n_cells=model["N"], v=model["v"], w=model["w"], z=model["z"], boundary=config.boundary
-    )
-    spectrum = diagonalize(build_hamiltonian(params))
+    params = {_PARAMETER_FIELDS[name]: value for name, value in model.items()}
+    spectrum = diagonalize(build_hamiltonian(ModelParams(**params, boundary=config.boundary)))
     columns = ["n", "energy"]
     rows = list(enumerate(spectrum.energies.tolist()))
     if config.eigenvectors:
@@ -361,7 +334,12 @@ def _run_spectrum(config: RunConfig) -> int:
 
 
 def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
-    """The SweepSpec of a polarization, qfi, sweep or figure run."""
+    """The SweepSpec of a polarization, qfi, sweep or figure run.
+
+    A point subcommand sweeps its temperature list; a `sweep` run sweeps
+    its axes and refuses a fixed value of a swept parameter rather than
+    drop it. Every other parameter takes its fixed value from `config`.
+    """
     if config.subcommand == "figure":
         if figure_id.startswith("1"):
             print(
@@ -372,12 +350,33 @@ def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
         return build_figure_spec(figure_id, magnitude_cutoff=config.tau_mag)
     if config.subcommand in _POINT_QUANTITIES:
         axes = [("T", config.temperature)] if config.temperature else []
-        return _sweep_spec(config, axes, _POINT_QUANTITIES[config.subcommand])
-    if not config.axes:
-        raise ConfigError("sweep needs at least one axis (config 'axes' or --axis)")
-    if not config.quantities:
-        raise ConfigError("sweep needs 'quantities' (config key or --quantities)")
-    return _sweep_spec(config, config.axes, config.quantities)
+        quantities = _POINT_QUANTITIES[config.subcommand]
+    else:
+        if not config.axes:
+            raise ConfigError("sweep needs at least one axis (config 'axes' or --axis)")
+        if not config.quantities:
+            raise ConfigError("sweep needs 'quantities' (config key or --quantities)")
+        axes, quantities = config.axes, config.quantities
+        for name, _ in axes:
+            key = _PARAMETER_FIELDS.get(name)
+            if key and getattr(config, key) is not None:
+                raise ConfigError(
+                    f"parameter {name!r} is swept by an axis and also fixed by {key!r}"
+                )
+    fixed = _fixed_parameters(config, [n for n in _PARAMETER_FIELDS if n not in dict(axes)])
+    modes = tuple(config.modes or ())
+    if QUANTITY_POLARIZATION in quantities and not modes:
+        print(
+            "note: polarization mode defaulted to 'determinant'; "
+            "the ensemble-trace reading is available via --mode literal",
+            file=sys.stderr,
+        )
+        modes = (MODE_DETERMINANT,)
+    # SweepSpec.validate refuses modes without polarization output.
+    return SweepSpec(
+        axes=axes, fixed=fixed, boundary=config.boundary, quantities=quantities,
+        polarization_modes=modes, magnitude_cutoff=config.tau_mag,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,12 +413,12 @@ def cli_main(argv=None) -> int:
         if subcommand == "spectrum":
             return _run_spectrum(config)
         return _emit(config, run_sweep(_spec(config, figure_id)))
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except OSError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -135,7 +135,7 @@ class SweepSpec:
                 if mode not in MODES:
                     raise ValueError(f"unknown polarization mode {mode!r}")
         elif self.polarization_modes:
-            raise ValueError("polarization_modes given but polarization not requested")
+            raise ValueError("polarization modes are only meaningful for polarization output")
         grids = self.grids()
         if not all(t >= 0.0 for t in grids["T"]):
             raise ValueError("temperatures must be >= 0")

@@ -143,6 +143,19 @@ def test_figure_with_failed_points_exits_3(tmp_path, capsys, monkeypatch):
     assert len(rows) == 101 and all("did not converge" in row["error"] for row in rows)
 
 
+def test_a_linalg_failure_in_spectrum_exits_3(monkeypatch, capsys):
+    # LinAlgError is a ValueError, yet it is a numerical failure, not a configuration error.
+    def explode(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr("topo_thermo.cli.diagonalize", explode)
+    code, out, err = run_cli(
+        ["spectrum", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"], capsys
+    )
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err == "numerical failure: Eigenvalues did not converge\n"
+
+
 def test_modes_rejected_outside_polarization(tmp_path, capsys):
     config = tmp_path / "qfi.json"
     config.write_text(json.dumps({"modes": ["literal"]}))
@@ -163,6 +176,55 @@ def test_bad_config_files_exit_2(tmp_path, capsys):
     assert run_cli(["qfi", "--config", str(unknown)], capsys)[0] == EXIT_CONFIG
 
     assert run_cli(["qfi", "--config", str(tmp_path / "absent.json")], capsys)[0] == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"n_cells": 4, "n_cells": 5, "v": 0.3, "w": 0.5, "z": 0.2, "axes": {"T": [0.1]}, '
+     '"quantities": "diagnostics"}', "n_cells"),
+    ('{"n_cells": 4, "v": 0.3, "w": 0.5, "z": 0.2, "axes": {"T": [0.1, 0.2], "T": [0.5]}, '
+     '"quantities": "diagnostics"}', "T"),
+], ids=["top-level", "nested"])
+def test_a_repeated_config_key_is_refused_not_overwritten(text, key, tmp_path, capsys):
+    config, target = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text(text)
+    code, out, err = run_cli(["sweep", "--config", str(config), "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: config file {config} repeats key {key!r}\n"
+    assert not target.exists()
+
+
+def test_an_undecodable_config_file_is_named_as_not_json(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff{"n_cells": 4}')
+    code, out, err = run_cli(["qfi", "--config", str(config)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: config file {config} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("args,config,message", [
+    ([], {"quantities": 5},
+     "bad value for quantities: quantities must be a list or comma-separated string, got 5"),
+    (["--axis", "T0.1"], {},
+     "bad value for axes: axis must look like NAME=START:STOP:COUNT, got 'T0.1'"),
+    (["--axis", "T=0.1,x"], {}, "bad value for axes: could not parse axis grid '0.1,x'"),
+    ([], {"axes": [5]}, "bad value for axes: bad axis entry 5"),
+    ([], {"axes": 5}, "bad value for axes: axes must be an object or list, got 5"),
+    ([], {"axes": {"T": 0.1}}, "bad value for axes: axis 'T' grid must be a list, got 0.1"),
+    ([], [1, 2], "config file {config} must hold a JSON object"),
+    (["--axis", "T=0.1,0.2", "--quantities", "qfi_matrix", "--mode", "literal"], {},
+     "polarization modes are only meaningful for polarization output"),
+], ids=["list", "axis-no-equals", "axis-grid", "axis-entry", "axes-type", "axis-grid-type",
+        "config-not-object", "modes-without-polarization"])
+def test_each_sweep_refusal_exits_2_with_its_message(args, config, message, tmp_path, capsys):
+    path, target = tmp_path / "config.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(config))
+    model = ["--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
+    code, out, err = run_cli(
+        ["sweep", "--config", str(path), *model, *args, "--out", str(target)], capsys
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "error: " + message.format(config=path) + "\n"
+    assert not target.exists()
 
 
 def test_sweep_subcommand_from_config(tmp_path, capsys):

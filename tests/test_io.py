@@ -162,6 +162,13 @@ def test_emit_records_to_path_and_unwritable_destination(tmp_path):
         emit_records(qfi_table(), "yaml", 12, str(target))
 
 
+def test_no_records_render_as_an_empty_json_array_and_only_an_array_reads_back():
+    assert render_json([]) == "[]\n"
+    assert read_json_records(render_json([])) == []
+    with pytest.raises(ValueError, match="expected a JSON array of records"):
+        read_json_records('{"T": 0.1}')
+
+
 def test_non_finite_numbers_are_null_in_json_and_spelled_out_in_csv():
     table = qfi_table((0.1, 0.5))
     table.i_p[1], table.purity[1], table.entropy[1] = np.nan, np.inf, -np.inf

@@ -137,6 +137,12 @@ def test_rejects_small_chains():
         ModelParams(n_cells=4, v=0.1, w=0.1, z=0.0, boundary="twisted")
 
 
+@pytest.mark.parametrize("n_cells", [4.0, "4", True, np.float64(4.0)])
+def test_rejects_a_cell_count_that_is_not_an_integer(n_cells):
+    with pytest.raises(ValueError, match=r"n_cells must be an integer, got"):
+        ModelParams(n_cells=n_cells, v=0.1, w=0.1, z=0.0)
+
+
 def test_flat_index_bijection():
     n = 7
     seen = set()

@@ -321,6 +321,25 @@ def test_interferometric_power_clamps_and_rejects():
         interferometric_power(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 4), (2, 2, 3, 3)])
+def test_interferometric_power_refuses_a_shape_other_than_3x3(shape):
+    with pytest.raises(ValueError, match=r"expected a 3x3 matrix or a stack of them, got shape"):
+        interferometric_power(np.zeros(shape))
+
+
+@pytest.mark.parametrize("dim,dtype,message", [
+    (3, float, "ensemble dimension must be even (two sublattices per cell)"),
+    (4, complex, "the QFI matrix needs real eigenvectors"),
+], ids=["odd-dimension", "complex-eigenvectors"])
+def test_qfi_matrix_refuses_an_odd_dimension_or_complex_eigenvectors(dim, dtype, message):
+    rng = np.random.default_rng(5)
+    vectors = random_basis(rng, dim).astype(dtype)
+    spectrum = Spectrum(energies=np.sort(rng.standard_normal(dim)), vectors=vectors)
+    with pytest.raises(ValueError) as caught:
+        qfi_matrix(gibbs_weights(spectrum, 0.5))
+    assert str(caught.value) == message
+
+
 def test_high_temperature_destroys_interferometric_power():
     params = ModelParams(n_cells=50, v=0.3, w=0.5, z=0.2)
     spectrum = diagonalize(build_hamiltonian(params))
@@ -411,6 +430,13 @@ def test_fidelity_oracle_rejects_bad_step():
     for bad in (1e-7, 0.1, 0.0):
         with pytest.raises(ValueError):
             qfi_fidelity_oracle(ensemble, generator, bad)
+
+
+def test_fidelity_oracle_refuses_a_dimension_above_64():
+    rng = np.random.default_rng(4)
+    ensemble = seeded_ensemble(rng, 66)
+    with pytest.raises(ValueError, match="oracle limited to dimension 64, got 66"):
+        qfi_fidelity_oracle(ensemble, np.eye(66), 1e-4)
 
 
 def test_generator_shape_is_checked_by_both_dense_qfis():

@@ -541,6 +541,23 @@ def test_spec_validation():
     SweepSpec(**dict(good, axes=(("T", (0.1, float("inf"))),))).validate()
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"fixed": {"v": 0.3, "w": 0.5, "z": 0.0, "N": 4, "Q": 1.0}}, "unknown fixed parameter 'Q'"),
+    ({"quantities": ("polarization",), "polarization_modes": ("bogus",)},
+     "unknown polarization mode 'bogus'"),
+    ({"polarization_modes": ("determinant",)},
+     "polarization modes are only meaningful for polarization output"),
+], ids=["fixed-parameter", "mode", "modes-without-polarization"])
+def test_spec_validation_names_what_it_refuses(change, message):
+    good = dict(
+        axes=(("T", (0.1, 0.2)),), fixed={"v": 0.3, "w": 0.5, "z": 0.0, "N": 4},
+        quantities=QFI_QUANTITIES,
+    )
+    with pytest.raises(ValueError) as caught:
+        SweepSpec(**{**good, **change}).validate()
+    assert str(caught.value) == message
+
+
 def test_locate_extremum_basics():
     # Points in row-major order of (T, z): index p is T[p // 2], z[p % 2].
     table = run_sweep(small_qfi_spec())

@@ -10,9 +10,11 @@ workloads of bench/run.py at seeds 0 and 1, as written and with
 `--precision 3 --format json`; sweeps of every quantity and mode at
 `--precision 17` with T as the first, middle and last axis and fixed, on
 both boundaries; the polarization, qfi and `spectrum --eigenvectors`
-subcommands on both boundaries; and the error exits: a bad config value
-(exit 2), and on both boundaries a spectrum that overflows float64 and an
-unwritable --out path (exit 3).
+subcommands on both boundaries; a polarization sweep without --mode, which
+prints the default-mode note; and the error exits: a bad config value, a
+qfi run without -T, a sweep axis that is also fixed and a --mode without
+polarization output (exit 2), and on both boundaries a spectrum that
+overflows float64 and an unwritable --out path (exit 3).
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
 """
@@ -90,6 +92,15 @@ def cases(config_dir: Path) -> list:
     bad_value = config_dir / "bad-value.json"
     bad_value.write_text(json.dumps({"precision": 0}))
     found.append(("bad-config-value-exit2", ("figure", "2b", "--config", str(bad_value))))
+    found.append(("sweep-default-mode-note",
+                  ("sweep", *MODEL, "--axis", "T=0.02,0.1", "--quantities", "polarization")))
+    found.append(("qfi-no-temperature-exit2", ("qfi", *MODEL)))
+    found.append(("swept-and-fixed-exit2",
+                  ("sweep", *MODEL, "--axis", "T=0.1,0.2", "-T", "0.5",
+                   "--quantities", "diagnostics")))
+    found.append(("modes-without-polarization-exit2",
+                  ("sweep", *MODEL, "--axis", "T=0.1,0.2", "--quantities", "qfi_matrix",
+                   "--mode", "literal")))
     return found
 
 

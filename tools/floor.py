@@ -3,8 +3,10 @@
 bench/run.py --trace 1 runs the CLI in-process, so its per-layer metrics
 see neither start-up nor exit. This tool runs four children, alternating
 over the children and the source trees given, for a fixed number of
-rounds after one untimed round that fills the bytecode caches; the order
-of the trees flips each round:
+rounds after one untimed round that fills the bytecode caches (unless
+PYTHONDONTWRITEBYTECODE is set, in which case every child compiles the
+package from source; each report header says which); the order of the
+trees flips each round:
 
     pass    python -c pass
     numpy   import numpy
@@ -70,7 +72,9 @@ def report(src: Path, times: dict, rounds: int) -> None:
     ms = {name: [(1e3 * run, 1e3 * end) for run, end in pairs] for name, pairs in times.items()}
     run = {name: statistics.median(r for r, _ in pairs) for name, pairs in ms.items()}
     end = {name: statistics.median(e for _, e in pairs) for name, pairs in ms.items()}
-    print(f"{src} ({rounds} rounds; medians in ms, total's quartiles in brackets)")
+    writes = "no" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "yes"
+    print(f"{src} ({rounds} rounds; children write bytecode: {writes}; "
+          "medians in ms, total's quartiles in brackets)")
     print(f"  {'child':<6} {'run':>7} {'exit':>7} {'total':>7}")
     for name, pairs in ms.items():
         low, _, high = statistics.quantiles([r + e for r, e in pairs], n=4)
