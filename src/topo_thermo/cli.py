@@ -6,10 +6,16 @@ and config values (type and range), its flags and the subcommands that
 take it; `build_parser` and `assemble_config` work from these alone.
 Options resolve as flag > config file (a flat JSON object keyed by field
 name) > default; a config key its subcommand does not take is an error,
-and so is a key repeated in any object of the file. `_spec` builds the
-SweepSpec of every sweep-backed run (polarization, qfi, sweep, figure) in
-one pass; the rules it shares with library callers, such as "polarization
-modes need polarization output", are stated only in SweepSpec.validate.
+and so is a key repeated in any object of the file. A subcommand takes
+only the options that act on its run: `tau_mag` only where P can print
+(polarization, sweep, figure) and `verbosity` only on sweep-backed runs,
+so `spectrum` takes neither and `qfi` takes no `tau_mag`. The settings
+that still change nothing are `workers` and `label` everywhere, and
+`tau_mag` on a sweep or figure run without polarization output. `_spec`
+builds the SweepSpec of every sweep-backed run (polarization, qfi, sweep,
+figure) in one pass; the rules it shares with library callers, such as
+"polarization modes need polarization output", are stated only in
+SweepSpec.validate.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or
 unwritable output. A run in which any point failed still writes every
 row, with the failure in the error column, then reports "k of n points
@@ -63,6 +69,7 @@ _SUBCOMMANDS = {
 }
 _MODEL = ("spectrum", "polarization", "qfi", "sweep")
 _THERMAL = ("polarization", "qfi", "sweep")
+_SWEPT = ("polarization", "qfi", "sweep", "figure")
 
 
 class ConfigError(ValueError):
@@ -147,14 +154,10 @@ def _coerce_axes(value) -> list:
     if isinstance(value, dict):
         pairs = list(value.items())
     elif isinstance(value, (list, tuple)):
-        pairs = []
         for item in value:
-            if isinstance(item, str):
-                pairs.append(_parse_axis_flag(item))
-            elif isinstance(item, (list, tuple)) and len(item) == 2:
-                pairs.append((item[0], item[1]))
-            else:
+            if not isinstance(item, str):
                 raise ConfigError(f"bad axis entry {item!r}")
+        pairs = [_parse_axis_flag(item) for item in value]
     else:
         raise ConfigError(f"axes must be an object or list, got {value!r}")
     axes = []
@@ -226,11 +229,11 @@ class RunConfig:
     )
     tau_mag: float = _option(
         DEFAULT_MAGNITUDE_CUTOFF, _checked(_coerce_float, lambda x: x >= 0, "must be >= 0"),
-        "--tau-mag", help="magnitude cutoff",
+        "--tau-mag", ("polarization", "sweep", "figure"), help="magnitude cutoff",
     )
     verbosity: int = _option(
-        0, _checked(_coerce_int, lambda n: n >= 0, "must be >= 0"), "--verbose", action="count",
-        help="write a one-line summary of the sweep to stderr",
+        0, _checked(_coerce_int, lambda n: n >= 0, "must be >= 0"), "--verbose", _SWEPT,
+        action="count", help="write a one-line summary of the sweep to stderr",
     )
     eigenvectors: bool = _option(
         False, _coerce_bool, "--eigenvectors", ("spectrum",), action="store_true"

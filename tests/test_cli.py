@@ -22,6 +22,7 @@ from topo_thermo.cli import (
     EXIT_OK,
     ConfigError,
     RunConfig,
+    _options,
     assemble_config,
     build_parser,
     cli_main,
@@ -208,13 +209,14 @@ def test_an_undecodable_config_file_is_named_as_not_json(tmp_path, capsys):
      "bad value for axes: axis must look like NAME=START:STOP:COUNT, got 'T0.1'"),
     (["--axis", "T=0.1,x"], {}, "bad value for axes: could not parse axis grid '0.1,x'"),
     ([], {"axes": [5]}, "bad value for axes: bad axis entry 5"),
+    ([], {"axes": [["T", [0.1, 0.5]]]}, "bad value for axes: bad axis entry ['T', [0.1, 0.5]]"),
     ([], {"axes": 5}, "bad value for axes: axes must be an object or list, got 5"),
     ([], {"axes": {"T": 0.1}}, "bad value for axes: axis 'T' grid must be a list, got 0.1"),
     ([], [1, 2], "config file {config} must hold a JSON object"),
     (["--axis", "T=0.1,0.2", "--quantities", "qfi_matrix", "--mode", "literal"], {},
      "polarization modes are only meaningful for polarization output"),
-], ids=["list", "axis-no-equals", "axis-grid", "axis-entry", "axes-type", "axis-grid-type",
-        "config-not-object", "modes-without-polarization"])
+], ids=["list", "axis-no-equals", "axis-grid", "axis-entry", "axis-pair", "axes-type",
+        "axis-grid-type", "config-not-object", "modes-without-polarization"])
 def test_each_sweep_refusal_exits_2_with_its_message(args, config, message, tmp_path, capsys):
     path, target = tmp_path / "config.json", tmp_path / "out.csv"
     path.write_text(json.dumps(config))
@@ -460,10 +462,10 @@ def test_figure_1a_notes_its_determinant_mode(tmp_path, capsys):
     assert len(rows) == 101 * 101 and {row["mode"] for row in rows} == {"determinant"}
 
 
-def test_sweep_axes_from_config_as_name_grid_pairs(tmp_path, capsys):
-    config = tmp_path / "pairs.json"
+def test_sweep_axes_from_config_as_an_object_keep_their_order(tmp_path, capsys):
+    config = tmp_path / "axes.json"
     config.write_text(json.dumps({
-        "axes": [["T", [0.1, 0.5]], ["N", [4.0, 6]]],
+        "axes": {"T": [0.1, 0.5], "N": [4.0, 6]},
         "v": 0.3, "w": 0.5, "z": 0.2,
         "quantities": ["diagnostics"],
     }))
@@ -522,19 +524,24 @@ def test_frozen_figure_parameter_table():
 COMMON_FLAGS = {
     "-h": "help", "--help": "help", "--config": "config", "--out": "out", "-o": "out",
     "--format": "format", "--precision": "precision", "--workers": "workers",
-    "--tau-mag": "tau_mag", "--label": "label", "--verbose": "verbosity",
+    "--label": "label",
 }
 MODEL_FLAGS = {
     **COMMON_FLAGS, "--n-cells": "n_cells", "--v": "v", "--w": "w", "--z": "z",
     "--boundary": "boundary",
 }
-THERMAL_FLAGS = {**MODEL_FLAGS, "--temperature": "temperature", "-T": "temperature"}
+# Sweep-backed runs summarize with --verbose; those that can print P take --tau-mag.
+VERBOSE_FLAG = {"--verbose": "verbosity"}
+TAU_MAG_FLAG = {"--tau-mag": "tau_mag"}
+THERMAL_FLAGS = {**MODEL_FLAGS, "--temperature": "temperature", "-T": "temperature",
+                 **VERBOSE_FLAG}
 SUBCOMMAND_FLAGS = {
     "spectrum": {**MODEL_FLAGS, "--eigenvectors": "eigenvectors"},
-    "polarization": {**THERMAL_FLAGS, "--mode": "modes"},
+    "polarization": {**THERMAL_FLAGS, "--mode": "modes", **TAU_MAG_FLAG},
     "qfi": THERMAL_FLAGS,
-    "sweep": {**THERMAL_FLAGS, "--axis": "axes", "--quantities": "quantities", "--mode": "modes"},
-    "figure": COMMON_FLAGS,
+    "sweep": {**THERMAL_FLAGS, "--axis": "axes", "--quantities": "quantities", "--mode": "modes",
+              **TAU_MAG_FLAG},
+    "figure": {**COMMON_FLAGS, **VERBOSE_FLAG, **TAU_MAG_FLAG},
 }
 # The config keys of each subcommand.
 SUBCOMMAND_KEYS = {
@@ -628,9 +635,9 @@ RUNNABLE = {
 REFUSED_KEYS = {
     "figure": ["n_cells", "v", "w", "z", "boundary", "temperature", "modes", "axes", "quantities",
                "eigenvectors"],
-    "spectrum": ["temperature", "axes", "quantities", "modes"],
+    "spectrum": ["temperature", "axes", "quantities", "modes", "tau_mag", "verbosity"],
     "polarization": ["axes", "quantities", "eigenvectors"],
-    "qfi": ["axes", "quantities", "eigenvectors", "modes"],
+    "qfi": ["axes", "quantities", "eigenvectors", "modes", "tau_mag"],
     "sweep": ["eigenvectors"],
 }
 
@@ -657,6 +664,56 @@ def test_config_key_the_subcommand_does_not_take_is_refused(subcommand, key, tmp
     )
 
 
+# A run of each subcommand, given as a config file, on which each setting it takes can act.
+HOPPINGS = {"n_cells": 4, "v": 0.3, "w": 0.5}
+POINT_RUN = {**HOPPINGS, "z": 0.2, "temperature": [0.1]}
+SETTING_RUNS = {
+    "spectrum": (["spectrum"], {**HOPPINGS, "z": 0.2}),
+    "polarization": (["polarization"], POINT_RUN),
+    "qfi": (["qfi"], POINT_RUN),
+    "sweep": (["sweep"], {**HOPPINGS, "z": 0.2, "axes": {"T": [0.1, 0.2]},
+                          "quantities": ["polarization"]}),
+    "figure": (["figure", "2b"], {}),
+}
+# The settings whose run above is not where they act: the sweep's T is an axis, so a fixed
+# temperature would only be refused, and figure 2b prints no P.
+SETTING_RUN_OF = {
+    ("sweep", "temperature"): (["sweep"], {**HOPPINGS, "temperature": [0.1],
+                                           "axes": {"z": [0.1, 0.6]},
+                                           "quantities": ["polarization"]}),
+    ("figure", "tau_mag"): (["figure", "1a"], {}),
+}
+# A second value of each setting: not its default, and not the value in the runs above.
+OTHER_VALUES = {
+    "n_cells": 5, "v": 0.4, "w": 0.6, "z": 0.3, "boundary": "open", "temperature": [0.3],
+    "modes": ["literal"], "axes": {"T": [0.3]}, "quantities": ["diagnostics"],
+    "label": "other", "out": "other.csv", "format": "json", "precision": 3, "workers": 2,
+    "tau_mag": 0.99, "verbosity": 1, "eigenvectors": True,
+}
+# Documented to change nothing: workers is kept for compatibility, and label is not recorded.
+NO_OP_SETTINGS = ("workers", "label")
+
+
+@pytest.mark.parametrize(
+    "subcommand,key",
+    [(subcommand, key) for subcommand in SUBCOMMAND_FLAGS for key in _options(subcommand)],
+)
+def test_every_setting_a_subcommand_takes_acts_on_its_run(subcommand, key, tmp_path, capsys):
+    argv, config = SETTING_RUN_OF.get((subcommand, key), SETTING_RUNS[subcommand])
+    value = str(tmp_path / OTHER_VALUES[key]) if key == "out" else OTHER_VALUES[key]
+    path = tmp_path / "config.json"
+    runs = []
+    for settings in (config, {**config, key: value}):
+        path.write_text(json.dumps(settings))
+        runs.append(run_cli([*argv, "--config", str(path)], capsys))
+    base, changed = runs
+    assert base[0] == EXIT_OK, base[2]
+    assert (changed == base) == (key in NO_OP_SETTINGS)
+    if key == "out":  # the rows move from stdout to the file
+        written = (tmp_path / OTHER_VALUES["out"]).read_text()
+        assert (changed, written) == ((EXIT_OK, "", base[2]), base[1])
+
+
 @pytest.mark.parametrize(
     "name,flag,bad",
     [("boundary", "--boundary", "bogus"), ("format", "--format", "yaml"),
@@ -664,10 +721,12 @@ def test_config_key_the_subcommand_does_not_take_is_refused(subcommand, key, tmp
      ("tau_mag", "--tau-mag", "-1")],
 )
 def test_a_bad_flag_and_config_value_fail_alike(name, flag, bad, tmp_path, capsys):
+    # qfi where it takes the key; tau_mag, which qfi refuses, on polarization.
+    subcommand = next(sub for sub in ("qfi", "polarization") if name in SUBCOMMAND_KEYS[sub])
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({name: bad}))
-    from_flag = run_cli([*RUNNABLE["qfi"], flag, bad], capsys)
-    from_config = run_cli([*RUNNABLE["qfi"], "--config", str(config)], capsys)
+    from_flag = run_cli([*RUNNABLE[subcommand], flag, bad], capsys)
+    from_config = run_cli([*RUNNABLE[subcommand], "--config", str(config)], capsys)
     assert from_flag == from_config
     code, out, err = from_flag
     assert (code, out) == (EXIT_CONFIG, "") and err.startswith(f"error: bad value for {name}: ")

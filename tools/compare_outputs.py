@@ -9,11 +9,14 @@ The cases are every figure preset in CSV and JSON; the configs of the
 workloads of bench/run.py at seeds 0 and 1, as written and with
 `--precision 3 --format json`; sweeps of every quantity and mode at
 `--precision 17` with T as the first, middle and last axis and fixed, on
-both boundaries; the polarization, qfi and `spectrum --eigenvectors`
-subcommands on both boundaries; a polarization sweep without --mode, which
-prints the default-mode note; and the error exits: a bad config value, a
-qfi run without -T, a sweep axis that is also fixed and a --mode without
-polarization output (exit 2), and on both boundaries a spectrum that
+both boundaries; the polarization (also at `--tau-mag 0.5`), qfi and
+`spectrum --eigenvectors` subcommands on both boundaries; a polarization
+sweep without --mode, which prints the default-mode note; and the error
+exits: a bad config value, a qfi run without -T, a sweep axis that is also
+fixed, a --mode without polarization output and a config whose `axes` is a
+list of [name, grid] pairs (exit 2), on both boundaries a setting the
+subcommand does not take: `spectrum --tau-mag 0.01`, `spectrum --verbose`
+and `qfi --tau-mag 0.01` (exit 2), and on both boundaries a spectrum that
 overflows float64 and an unwritable --out path (exit 3).
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
@@ -82,9 +85,17 @@ def cases(config_dir: Path) -> list:
         modes = ("--mode", "literal", "--mode", "weighted", "--mode", "determinant")
         found.append((f"polarization-{boundary}",
                       ("polarization", *MODEL, *TEMPERATURES, *modes, *where)))
+        found.append((f"polarization-tau-mag-{boundary}",
+                      ("polarization", *MODEL, *TEMPERATURES, "--tau-mag", "0.5", *where)))
         found.append((f"qfi-{boundary}", ("qfi", *MODEL, *TEMPERATURES, *where)))
         found.append((f"spectrum-eigenvectors-{boundary}",
                       ("spectrum", *MODEL, "--eigenvectors", *where)))
+        found.append((f"spectrum-tau-mag-exit2-{boundary}",
+                      ("spectrum", *MODEL, "--tau-mag", "0.01", *where)))
+        found.append((f"spectrum-verbose-exit2-{boundary}",
+                      ("spectrum", *MODEL, "--verbose", *where)))
+        found.append((f"qfi-tau-mag-exit2-{boundary}",
+                      ("qfi", *MODEL, *TEMPERATURES, "--tau-mag", "0.01", *where)))
         found.append((f"overflow-exit3-{boundary}", ("qfi", *OVERFLOW, "-T", "0.1", *where)))
         found.append((f"unwritable-out-exit3-{boundary}",
                       ("qfi", *MODEL, *TEMPERATURES, *where,
@@ -92,6 +103,11 @@ def cases(config_dir: Path) -> list:
     bad_value = config_dir / "bad-value.json"
     bad_value.write_text(json.dumps({"precision": 0}))
     found.append(("bad-config-value-exit2", ("figure", "2b", "--config", str(bad_value))))
+    pair_axes = config_dir / "pair-axes.json"
+    pair_axes.write_text(json.dumps({"axes": [["T", [0.1, 0.5]], ["z", [0.2]]],
+                                     "quantities": "diagnostics", "n_cells": 7, "v": 0.3,
+                                     "w": 0.5}))
+    found.append(("axes-pair-list-exit2", ("sweep", "--config", str(pair_axes))))
     found.append(("sweep-default-mode-note",
                   ("sweep", *MODEL, "--axis", "T=0.02,0.1", "--quantities", "polarization")))
     found.append(("qfi-no-temperature-exit2", ("qfi", *MODEL)))
