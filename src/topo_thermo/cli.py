@@ -5,8 +5,13 @@ one RunConfig field that declares its default, the reader of its flag
 and config values (type and range), its flags and the subcommands that
 take it; `build_parser` and `assemble_config` work from these alone.
 Options resolve as flag > config file (a flat JSON object keyed by field
-name) > default; a config key its subcommand does not take is an error,
-and so is a key repeated in any object of the file. A subcommand takes
+name) > default; a config key or flag its subcommand does not take is an
+error with one message, naming what it does take, and so is a key
+repeated in any object of the file. Flags are never abbreviated. The list
+settings `temperature`, `modes` and `quantities` take a list, a
+comma-separated string, or repeated flags of either; blank entries are
+skipped, each other entry is read as the key's single value, and order
+and repetition are kept for SweepSpec.validate to judge. A subcommand takes
 only the options that act on its run: `tau_mag` only where P can print
 (polarization, sweep, figure) and `verbosity` only on sweep-backed runs,
 so `spectrum` takes neither and `qfi` takes no `tau_mag`. The settings
@@ -78,21 +83,8 @@ class ConfigError(ValueError):
 
 def _coerce_float(value) -> float:
     if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _coerce_temperature(value) -> list:
-    values = value if isinstance(value, (list, tuple)) else [value]
-    try:
-        temps = [_coerce_float(t) for t in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"temperature must be a number or list of numbers, got {value!r}")
-    if not temps:
-        raise ConfigError("temperature list is empty")
-    if not all(t >= 0.0 for t in temps):
-        raise ConfigError(f"temperatures must be >= 0, got {value!r}")
-    return sorted(set(temps))
 
 
 def _coerce_int(value) -> int:
@@ -117,16 +109,31 @@ def _coerce_bool(value) -> bool:
     return value
 
 
-def _coerce_list(value, name: str) -> list:
-    if isinstance(value, str):
-        return [item.strip() for item in value.split(",") if item.strip()]
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    raise ConfigError(f"{name} must be a list or comma-separated string, got {value!r}")
+def _coerce_list(read, rule: str):
+    """The reader of a list setting: `temperature`, `modes` or `quantities`.
+
+    A value is a list, a comma-separated string, or (from repeated flags) a
+    list of either. Blank entries are skipped and every other entry is read
+    by `read`, the key's scalar reader; a value with an entry that `read`
+    cannot read is refused as `rule`, and a ConfigError of `read` itself
+    (a range rule) passes through. Order and repetition are left as given.
+    """
+    def read_list(value) -> list:
+        try:
+            return [read(item) for entry in (value if isinstance(value, (list, tuple)) else [value])
+                    for item in (entry.split(",") if isinstance(entry, str) else [entry])
+                    if not isinstance(item, str) or item.strip()]
+        except ConfigError:
+            raise
+        except (TypeError, ValueError):
+            raise ConfigError(f"{rule}, got {value!r}")
+    return read_list
 
 
 def _parse_axis_flag(text: str) -> tuple:
     """'T=0.01:1.0:101' (linspace) or 'z=0,0.5,1' (explicit grid)."""
+    if not isinstance(text, str):
+        raise ConfigError(f"bad axis entry {text!r}")
     if "=" not in text:
         raise ConfigError(f"axis must look like NAME=START:STOP:COUNT, got {text!r}")
     name, _, rhs = text.partition("=")
@@ -154,9 +161,6 @@ def _coerce_axes(value) -> list:
     if isinstance(value, dict):
         pairs = list(value.items())
     elif isinstance(value, (list, tuple)):
-        for item in value:
-            if not isinstance(item, str):
-                raise ConfigError(f"bad axis entry {item!r}")
         pairs = [_parse_axis_flag(item) for item in value]
     else:
         raise ConfigError(f"axes must be an object or list, got {value!r}")
@@ -179,6 +183,9 @@ def _checked(read, ok, rule: str):
     return read_checked
 
 
+_temperature = _checked(_coerce_float, lambda t: t >= 0, "temperatures must be >= 0")
+
+
 def _option(default, read, flags: str, takes=tuple(_SUBCOMMANDS), **argparse_kwargs):
     """A RunConfig field: default, reader, flags, subcommands that take it, argparse keywords."""
     metadata = {"read": read, "flags": flags.split(), "takes": takes, "argparse": argparse_kwargs}
@@ -197,18 +204,22 @@ class RunConfig:
         "--boundary", _MODEL,
     )
     temperature: list | None = _option(
-        None, _coerce_temperature, "--temperature -T", _THERMAL, action="append"
+        None,
+        _checked(_coerce_list(_temperature, "temperature must be a number or list of numbers"),
+                 bool, "temperature list is empty"),
+        "--temperature -T", _THERMAL, action="append", help="repeatable",
     )
     modes: list | None = _option(
-        None, lambda v: _coerce_list(v, "modes"), "--mode", ("polarization", "sweep"),
-        action="append", help="repeatable",
+        None, _coerce_list(str.strip, "modes must be a list or comma-separated string"),
+        "--mode", ("polarization", "sweep"), action="append", help="repeatable",
     )
     axes: list | None = _option(
         None, _coerce_axes, "--axis", ("sweep",), action="append", help="NAME=START:STOP:COUNT"
     )
     quantities: list | None = _option(
-        None, lambda v: _coerce_list(v, "quantities"), "--quantities", ("sweep",),
-        help="comma list from: " + ", ".join(QUANTITIES),
+        None, _coerce_list(str.strip, "quantities must be a list or comma-separated string"),
+        "--quantities", ("sweep",), action="append",
+        help="repeatable; comma list from: " + ", ".join(QUANTITIES),
     )
     label: str = _option(
         "", str, "--label", help="free-text run identifier; accepted, not recorded yet"
@@ -248,9 +259,8 @@ def _options(subcommand: str) -> dict:
 def load_config_file(path: str) -> dict:
     """The JSON object in `path`; a key repeated in any object of it is a ConfigError."""
     def unique_keys(pairs: list) -> dict:
-        keys = [key for key, _ in pairs]
-        for index, key in enumerate(keys):
-            if key in keys[:index]:
+        for index, (key, _) in enumerate(pairs):
+            if key in dict(pairs[:index]):
                 raise ConfigError(f"config file {path} repeats key {key!r}")
         return dict(pairs)
 
@@ -266,6 +276,11 @@ def load_config_file(path: str) -> dict:
     return data
 
 
+def _not_taken(subcommand: str, what: str, names) -> ConfigError:
+    """The refusal of a config key or flag `what`, naming the ones `subcommand` takes."""
+    return ConfigError(f"{subcommand} does not take {what}; it takes " + ", ".join(names))
+
+
 def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> RunConfig:
     """Resolve defaults, then config-file values, then explicit flags.
 
@@ -277,10 +292,7 @@ def assemble_config(subcommand: str, flag_values: dict, config_values: dict) -> 
     for source in (config_values, flag_values):
         for key, value in source.items():
             if key not in options:
-                raise ConfigError(
-                    f"{subcommand} does not take config key {key!r}; it takes "
-                    + ", ".join(options)
-                )
+                raise _not_taken(subcommand, f"config key {key!r}", options)
             if value is None:
                 continue
             try:
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for subcommand, help_text in _SUBCOMMANDS.items():
-        p_sub = sub.add_parser(subcommand, help=help_text)
+        p_sub = sub.add_parser(subcommand, help=help_text, allow_abbrev=False)
         if subcommand == "figure":
             p_sub.add_argument("figure_id", choices=FIGURE_IDS)
         p_sub.add_argument("--config", help="flat JSON config file")
@@ -403,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
 
@@ -411,6 +423,9 @@ def cli_main(argv=None) -> int:
     subcommand, config_path = flag_values.pop("subcommand"), flag_values.pop("config")
     figure_id = flag_values.pop("figure_id", None)
     try:
+        if unknown:  # a flag the subcommand does not take, or a stray value
+            flags = [f.metadata["flags"][0] for f in _options(subcommand).values()]
+            raise _not_taken(subcommand, f"argument {unknown[0]!r}", ["--config", *flags])
         config_values = load_config_file(config_path) if config_path else {}
         config = assemble_config(subcommand, flag_values, config_values)
         if subcommand == "spectrum":

@@ -568,7 +568,7 @@ PRECEDENCE_CASES = [
     ("w", 0.2, 0.8, 0.2, 0.8),
     ("z", 0.0, 0.4, 0.0, 0.4),
     ("boundary", "open", "periodic", "open", "periodic"),
-    ("temperature", [0.2, 0.1], [0.5], [0.1, 0.2], [0.5]),
+    ("temperature", [0.2, 0.1], [0.5], [0.2, 0.1], [0.5]),
     ("modes", ["literal"], ["determinant"], ["literal"], ["determinant"]),
     ("axes", {"T": [0.1, 0.2]}, ["z=0:1:3"], [("T", (0.1, 0.2))],
      [("z", (0.0, 0.5, 1.0))]),
@@ -591,14 +591,18 @@ def test_every_option_has_a_precedence_case():
     assert set().union(*SUBCOMMAND_KEYS.values()) == options
 
 
-def parsed_flags(subcommand, name, value):
-    """The flags that give option `name` the config value `value`, parsed as cli_main does."""
-    flag = next(flag for flag, dest in SUBCOMMAND_FLAGS[subcommand].items() if dest == name)
+def flag_argv(name, value):
+    """The command-line words that give option `name` the config value `value`."""
+    flag = next(flag for flags in SUBCOMMAND_FLAGS.values() for flag, dest in flags.items()
+                if dest == name)
     if name in ("verbosity", "eigenvectors"):  # counted and on/off flags take no argument
-        argv = [flag] * int(value)
-    else:
-        argv = [arg for item in (value if isinstance(value, list) else [value])
-                for arg in (flag, str(item))]
+        return [flag] * int(value)
+    return [arg for item in (value if isinstance(value, list) else [value])
+            for arg in (flag, str(item))]
+
+
+def parsed_flags(subcommand, argv):
+    """The flag values of `argv` given to `subcommand`, parsed as cli_main does."""
     prefix = [subcommand, "1a"] if subcommand == "figure" else [subcommand]
     flags = vars(build_parser().parse_args([*prefix, *argv]))
     for key in ("subcommand", "config", "figure_id"):
@@ -610,7 +614,7 @@ def parsed_flags(subcommand, name, value):
 def test_flag_overrides_config_overrides_default(name, cfg, flag, cfg_want, flag_want):
     for subcommand in [sub for sub, keys in SUBCOMMAND_KEYS.items() if name in keys]:
         base = assemble_config(subcommand, {}, {})
-        flags = parsed_flags(subcommand, name, flag)
+        flags = parsed_flags(subcommand, flag_argv(name, flag))
         from_config = assemble_config(subcommand, {}, {name: cfg})
         from_flag = assemble_config(subcommand, flags, {name: cfg})
         assert getattr(from_config, name) == cfg_want
@@ -620,6 +624,30 @@ def test_flag_overrides_config_overrides_default(name, cfg, flag, cfg_want, flag
         assert assemble_config(subcommand, {}, {name: flag}) == from_flag
         if name not in ("eigenvectors",):
             assert getattr(base, name) != cfg_want or getattr(base, name) != flag_want
+
+
+# Two entries of each list setting, as they read.
+LIST_ENTRIES = {
+    "temperature": [0.1, 0.5],
+    "modes": ["literal", "weighted"],
+    "quantities": ["polarization", "diagnostics"],
+}
+
+
+@pytest.mark.parametrize("name", LIST_ENTRIES)
+def test_a_list_setting_reads_alike_in_every_form(name):
+    # One rule for every list setting: repeated flags, one comma-separated
+    # flag, a config string (blank entries skipped) and a config list.
+    first, second = LIST_ENTRIES[name]
+    flag = flag_argv(name, first)[0]
+    forms = [
+        assemble_config("sweep", parsed_flags("sweep", flag_argv(name, [first, second])), {}),
+        assemble_config("sweep", parsed_flags("sweep", [flag, f"{first},{second}"]), {}),
+        assemble_config("sweep", {}, {name: f" {first} , ,{second},"}),
+        assemble_config("sweep", {}, {name: [first, second]}),
+    ]
+    assert getattr(forms[0], name) == [first, second]
+    assert all(form == forms[0] for form in forms)
 
 
 # A command line of each subcommand that runs; the refused keys are added to it.
@@ -657,6 +685,17 @@ def test_config_key_the_subcommand_does_not_take_is_refused(subcommand, key, tmp
     )
     assert (code, out) == (EXIT_CONFIG, "")
     assert f"{subcommand} does not take config key {key!r}" in err
+    assert not target.exists()
+    # The same key as its flag is refused alike, naming the flags the subcommand takes;
+    # flags are never abbreviated, so figure reads no --v or --w as --verbose or --workers.
+    argv = flag_argv(key, next(case[2] for case in PRECEDENCE_CASES if case[0] == key))
+    code, out, err = run_cli([*RUNNABLE[subcommand], *argv, "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    refusal, _, taken = err.partition("; it takes ")
+    assert refusal == f"error: {subcommand} does not take argument {argv[0]!r}"
+    assert set(taken.rstrip("\n").split(", ")) == {
+        flag for flag in SUBCOMMAND_FLAGS[subcommand] if flag.startswith("--") and flag != "--help"
+    }
     assert not target.exists()
     config.write_text("{}")
     assert run_cli([*RUNNABLE[subcommand], "--config", str(config), "--out", "-"], capsys)[0] == (
@@ -1035,3 +1074,31 @@ def test_a_repeated_mode_or_quantity_is_refused(args, repeated, tmp_path, capsys
     assert (code, out) == (EXIT_CONFIG, "")
     assert f"{repeated} is requested more than once" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("temperatures", [["0.5", "0.1"], ["0.1", "0.1"]],
+                         ids=["descending", "repeated"])
+def test_a_temperature_list_keeps_its_order_and_follows_the_axis_rules(
+    temperatures, tmp_path, capsys
+):
+    # A -T list is the point subcommand's T axis: it is read as given, never
+    # sorted or merged, and must be strictly ascending like any axis grid.
+    target = tmp_path / "out.csv"
+    model = ["--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
+    argv = [arg for temperature in temperatures for arg in ("-T", temperature)]
+    code, out, err = run_cli(["qfi", *model, *argv, "--out", str(target)], capsys)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "error: axis 'T' grid must be strictly ascending\n"
+    assert not target.exists()
+
+
+def test_repeated_quantities_flags_fill_every_quantity(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2",
+         "--axis", "T=0.1,0.2", "--quantities", "polarization", "--quantities", "diagnostics"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    assert len(rows) == 2
+    assert all(row["P"] != "" and row["purity"] != "" for row in rows)

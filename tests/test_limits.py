@@ -1,4 +1,4 @@
-"""The T = 0 Fisher-metric identity of the ring, against the Brillouin-zone oracle.
+"""The ring's Fisher-metric identity at T = 0 and below the gap, against the zone oracle.
 
 At T = 0 the ring's determinant polarization has magnitude
 |E| = exp(-2 pi^2 <g> / N + O(N^-2)), with <g> the zone mean of the
@@ -6,11 +6,27 @@ lower band's quantum (Fubini-Study) metric (Resta and Sorella, Phys. Rev.
 Lett. 82, 370 (1999); Souza, Wilkens and Martin, Phys. Rev. B 62, 1666
 (2000)). Since <g> = <(d_k phi)^2> / 4 >= <d_k phi>^2 / 4 and phi turns by
 2 pi nu over the zone, a chain of winding nu carries <g> >= nu^2 / 4.
+
+|E(0)| is the product of the overlaps |<u_-(k_j)|u_-(k_(j+1))>| = |cos(dphi / 2)|
+over the ring's momenta, so expanding ln cos to fourth order in the step
+dphi = phi(k_(j+1)) - phi(k_j) gives the N^-2 term of the identity:
+N (-ln|E(0)|) / (2 pi^2) = <g> + pi^2 (<phi'^4> / 24 - <phi''^2> / 12) / N^2 + O(N^-4).
+
+Below the gap, heat enters |E| as one factor: ln|E(T)| = ln|E(0)| plus the
+log-probability that the ring is in its ground configuration.
 """
 
 import numpy as np
 import pytest
-from limits import coupling, metric_mean, momenta
+from limits import (
+    ZONE_POINTS,
+    coupling,
+    full_band_log_probability,
+    metric_mean,
+    momenta,
+    phase_derivatives,
+    zone_mean,
+)
 
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import winding_number
@@ -55,6 +71,41 @@ def test_zero_temperature_determinant_magnitude_is_the_metric(n_cells):
         magnitude = bloch_polarization_determinant(spectrum, 0.0).magnitude
         residual = n_cells * -np.log(magnitude) / (2.0 * np.pi**2) - metric_mean(v, w, z)
         assert abs(residual) <= 40.0 / n_cells**2, (v, w, z)
+
+
+@pytest.mark.parametrize("n_cells", [200, 800, 3200])
+def test_the_inverse_square_term_of_the_metric_identity(n_cells):
+    # N^2 (N (-ln|E(0)|) / (2 pi^2) - <g>) approaches the N^-2 coefficient
+    # as N^-2. Measured on these 40 chains, the largest distances are
+    # 5.5e-2, 3.5e-3 and 2.1e-4 at N = 200, 800 and 3200: a margin of 1.8
+    # under 4000 / N^2.
+    for v, w, z in CHAINS:
+        spectrum = bloch_spectrum(ModelParams(n_cells=n_cells, v=v, w=w, z=z))
+        magnitude = bloch_polarization_determinant(spectrum, 0.0).magnitude
+        residual = n_cells * -np.log(magnitude) / (2.0 * np.pi**2) - metric_mean(v, w, z)
+        slope, curvature = phase_derivatives(v, w, z, momenta(ZONE_POINTS))
+        coefficient = np.pi**2 * (zone_mean(slope**4) / 24.0 - zone_mean(curvature**2) / 12.0)
+        assert abs(n_cells**2 * residual - coefficient) <= 4000.0 / n_cells**2, (v, w, z)
+
+
+@pytest.mark.parametrize("n_cells", [50, 51, 200, 800])
+@pytest.mark.parametrize("divisor,bound", [(16, 1e-6), (32, 1e-11)])
+def test_below_the_gap_heat_enters_the_magnitude_as_the_ground_probability(
+    n_cells, divisor, bound
+):
+    # N |ln|E(T)| - ln|E(0)| - full_band_log_probability| / (2 pi^2) at
+    # T = gap / divisor, gap = 2 min_k |a(k)|. Measured on these 40 chains at
+    # N = 50 to 1600, the largest values are 6.9e-8 at gap / 16 and 2.9e-12
+    # at gap / 32. The split stops at gap / 8, where the largest is 2.7e-4.
+    for v, w, z in CHAINS:
+        spectrum = bloch_spectrum(ModelParams(n_cells=n_cells, v=v, w=w, z=z))
+        temperature = 2.0 * np.abs(coupling(v, w, z, momenta(4096))).min() / divisor
+        cold, warm = (
+            np.log(bloch_polarization_determinant(spectrum, t).magnitude)
+            for t in (0.0, temperature)
+        )
+        split = warm - cold - full_band_log_probability(v, w, z, n_cells, temperature)
+        assert n_cells * abs(split) / (2.0 * np.pi**2) <= bound, (v, w, z)
 
 
 def test_a_winding_carries_at_least_a_quarter_of_metric():

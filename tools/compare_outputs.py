@@ -17,7 +17,13 @@ fixed, a --mode without polarization output and a config whose `axes` is a
 list of [name, grid] pairs (exit 2), on both boundaries a setting the
 subcommand does not take: `spectrum --tau-mag 0.01`, `spectrum --verbose`
 and `qfi --tau-mag 0.01` (exit 2), and on both boundaries a spectrum that
-overflows float64 and an unwritable --out path (exit 3).
+overflows float64 and an unwritable --out path (exit 3). The list settings
+have their own cases: `qfi -T 0.5 -T 0.1` and `qfi -T 0.1 -T 0.1` (a T list
+that is not strictly ascending, exit 2), `polarization --mode
+literal,weighted` and `polarization -T 0.1,0.5` (comma-separated flags),
+`sweep --quantities polarization --quantities diagnostics` (a repeated
+flag), and `figure 2b --w 2` (a flag that figure does not take, never read
+as an abbreviation of `--workers`; exit 2).
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
 """
@@ -114,6 +120,15 @@ def cases(config_dir: Path) -> list:
     found.append(("swept-and-fixed-exit2",
                   ("sweep", *MODEL, "--axis", "T=0.1,0.2", "-T", "0.5",
                    "--quantities", "diagnostics")))
+    found.append(("qfi-descending-T-exit2", ("qfi", *MODEL, "-T", "0.5", "-T", "0.1")))
+    found.append(("qfi-repeated-T-exit2", ("qfi", *MODEL, "-T", "0.1", "-T", "0.1")))
+    found.append(("polarization-comma-modes",
+                  ("polarization", *MODEL, "-T", "0.1", "--mode", "literal,weighted")))
+    found.append(("polarization-comma-T", ("polarization", *MODEL, "-T", "0.1,0.5")))
+    found.append(("sweep-repeated-quantities",
+                  ("sweep", *MODEL, "--axis", "T=0.02,0.1", "--quantities", "polarization",
+                   "--quantities", "diagnostics")))
+    found.append(("figure-w-exit2", ("figure", "2b", "--w", "2")))
     found.append(("modes-without-polarization-exit2",
                   ("sweep", *MODEL, "--axis", "T=0.1,0.2", "--quantities", "qfi_matrix",
                    "--mode", "literal")))
