@@ -11,7 +11,9 @@ repeated in any object of the file. Flags are never abbreviated. The list
 settings `temperature`, `modes` and `quantities` take a list, a
 comma-separated string, or repeated flags of either; blank entries are
 skipped, each other entry is read as the key's single value, and order
-and repetition are kept for SweepSpec.validate to judge. A subcommand takes
+and repetition are kept: a temperature list must be strictly ascending
+when it is read, and a repeated mode or quantity is left for
+SweepSpec.validate to refuse. A subcommand takes
 only the options that act on its run: `tau_mag` only where P can print
 (polarization, sweep, figure) and `verbosity` only on sweep-backed runs,
 so `spectrum` takes neither and `qfi` takes no `tau_mag`. The settings
@@ -184,6 +186,7 @@ def _checked(read, ok, rule: str):
 
 
 _temperature = _checked(_coerce_float, lambda t: t >= 0, "temperatures must be >= 0")
+_temperatures = _coerce_list(_temperature, "temperature must be a number or list of numbers")
 
 
 def _option(default, read, flags: str, takes=tuple(_SUBCOMMANDS), **argparse_kwargs):
@@ -205,8 +208,8 @@ class RunConfig:
     )
     temperature: list | None = _option(
         None,
-        _checked(_coerce_list(_temperature, "temperature must be a number or list of numbers"),
-                 bool, "temperature list is empty"),
+        _checked(_checked(_temperatures, bool, "temperature list is empty"),
+                 lambda ts: ts == sorted(set(ts)), "temperatures must be strictly ascending"),
         "--temperature -T", _THERMAL, action="append", help="repeatable",
     )
     modes: list | None = _option(

@@ -20,16 +20,24 @@ so a failure lands in the error of exactly the points that fail.
 
 Every output but polarization is declared once, in `_OUTPUTS`: its
 SweepTable and ResultRecord attribute, the quantity that requests it, its
-shape per point and its printed columns. The table's columns, its row
+shape per point, its printed columns and its source, the attribute path
+of its value on the spectrum's `_Work`. The table's columns, its row
 view, `SweepTable.columns()` and so the renderer and `locate_extremum`
-all read that declaration; polarization keeps one PolarizationResult of
-arrays per mode.
+all read that declaration, `QUANTITIES` is derived from it, and
+`_evaluate` writes each requested output through its source; polarization
+keeps one PolarizationResult of arrays per mode. `_Work` forms each
+shared intermediate (Gibbs ensemble, QFI matrices, their report, the
+diagnostics, per-state <n|X|n>) at most once, on first use. So a new
+output is one `_OUTPUTS` entry, plus one `_Work` property if it reads an
+intermediate no output reads yet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -65,12 +73,6 @@ QUANTITY_POLARIZATION = "polarization"
 QUANTITY_QFI_MATRIX = "qfi_matrix"
 QUANTITY_INTERFEROMETRIC_POWER = "interferometric_power"
 QUANTITY_DIAGNOSTICS = "diagnostics"
-QUANTITIES = (
-    QUANTITY_POLARIZATION,
-    QUANTITY_QFI_MATRIX,
-    QUANTITY_INTERFEROMETRIC_POWER,
-    QUANTITY_DIAGNOSTICS,
-)
 
 
 @dataclass
@@ -162,11 +164,12 @@ _POLARIZATION_COLUMNS = {"P": "polarization", "P_defined": "defined", "magnitude
 
 
 class _Output(NamedTuple):
-    """An output other than polarization: what requests it, its shape, what prints it."""
+    """An output other than polarization: its quantity, shape, printed columns and source."""
 
     quantity: str
     shape: tuple  # of one point's value
     columns: dict  # printed column -> index of its entry in one point's value
+    source: str  # attribute path of its value on a spectrum's _Work
 
 
 # Every output but polarization, by its SweepTable and ResultRecord attribute.
@@ -174,14 +177,16 @@ _OUTPUTS = {
     "qfi": _Output(QUANTITY_QFI_MATRIX, (3, 3), {
         "M_xx": (0, 0), "M_xy": (0, 1), "M_xz": (0, 2),
         "M_yy": (1, 1), "M_yz": (1, 2), "M_zz": (2, 2),
-    }),
-    "i_p": _Output(QUANTITY_INTERFEROMETRIC_POWER, (), {"i_p": ()}),
-    "optimal_direction": _Output(
-        QUANTITY_INTERFEROMETRIC_POWER, (3,), {"dir_x": (0,), "dir_y": (1,), "dir_z": (2,)}
-    ),
-    "purity": _Output(QUANTITY_DIAGNOSTICS, (), {"purity": ()}),
-    "entropy": _Output(QUANTITY_DIAGNOSTICS, (), {"entropy": ()}),
+    }, "qfi"),
+    "i_p": _Output(QUANTITY_INTERFEROMETRIC_POWER, (), {"i_p": ()}, "report.i_p"),
+    "optimal_direction": _Output(QUANTITY_INTERFEROMETRIC_POWER, (3,), {
+        "dir_x": (0,), "dir_y": (1,), "dir_z": (2,),
+    }, "report.optimal_direction"),
+    "purity": _Output(QUANTITY_DIAGNOSTICS, (), {"purity": ()}, "diagnostics.purity"),
+    "entropy": _Output(QUANTITY_DIAGNOSTICS, (), {"entropy": ()}, "diagnostics.entropy"),
 }
+
+QUANTITIES = (QUANTITY_POLARIZATION, *dict.fromkeys(o.quantity for o in _OUTPUTS.values()))
 
 
 class ResultRecord(SimpleNamespace):
@@ -309,40 +314,56 @@ def _engine(boundary: str) -> tuple:
     )
 
 
+class _Work:
+    """One spectrum's intermediates at `temperatures`, each formed at most once, on first use.
+
+    The Gibbs ensemble, the engine's QFI matrices, their interferometric
+    power report, the ensemble diagnostics and the engine's per-state
+    <n|X|n> are cached properties, so an output reads exactly the ones it
+    needs and a determinant-only request builds none of them. The engine
+    functions come from `_engine` when the work is made.
+    """
+
+    def __init__(self, boundary: str, spectrum, temperatures: np.ndarray, cutoff: float):
+        _, self._qfi_matrix_of, self._determinant_of, self._states_of = _engine(boundary)
+        self.spectrum, self.temperatures, self.cutoff = spectrum, temperatures, cutoff
+
+    @cached_property
+    def ensemble(self):
+        return gibbs_weights(self.spectrum, self.temperatures)
+
+    @cached_property
+    def qfi(self):
+        return self._qfi_matrix_of(self.spectrum, self.ensemble.weights)
+
+    @cached_property
+    def report(self):
+        return interferometric_power(self.qfi)
+
+    @cached_property
+    def diagnostics(self):
+        return ensemble_diagnostics(self.ensemble)
+
+    @cached_property
+    def per_state(self):
+        return self._states_of(self.spectrum)
+
+    def polarization(self, mode: str):
+        """One mode's PolarizationResult: the engine's determinant, or the reduction of <n|X|n>."""
+        if mode == MODE_DETERMINANT:
+            return self._determinant_of(self.spectrum, self.temperatures, self.cutoff)
+        return polarization_from_states(self.ensemble, self.per_state, mode, self.cutoff)
+
+
 def _evaluate(table: SweepTable, points: np.ndarray, spectrum, temperatures: np.ndarray) -> None:
     """Write one spectrum's outputs at `temperatures` into the table's columns at `points`."""
-    spec = table.spec
-    _, qfi_matrix_of, determinant_of, state_expectations_of = _engine(spec.boundary)
-    cutoff = spec.magnitude_cutoff
-    need_qfi = {QUANTITY_QFI_MATRIX, QUANTITY_INTERFEROMETRIC_POWER} & set(spec.quantities)
-    ensemble = None
-    if (
-        need_qfi
-        or QUANTITY_DIAGNOSTICS in spec.quantities
-        or any(mode != MODE_DETERMINANT for mode in table.polarization)
-    ):
-        ensemble = gibbs_weights(spectrum, temperatures)
-    per_state = None
+    work = _Work(table.spec.boundary, spectrum, temperatures, table.spec.magnitude_cutoff)
     for mode, column in table.polarization.items():
-        if mode == MODE_DETERMINANT:
-            result = determinant_of(spectrum, temperatures, cutoff)
-        else:
-            if per_state is None:
-                per_state = state_expectations_of(spectrum)
-            result = polarization_from_states(ensemble, per_state, mode, cutoff)
+        result = work.polarization(mode)
         for name in RESULT_FIELDS:
             getattr(column, name)[points] = getattr(result, name)
-    # Each output of `_OUTPUTS` by attribute: QfiReport and EnsembleDiagnostics
-    # name their fields as the table names its columns.
-    values = {}
-    if need_qfi:
-        values["qfi"] = qfi_matrix_of(spectrum, ensemble.weights)
-        if QUANTITY_INTERFEROMETRIC_POWER in spec.quantities:
-            values.update(vars(interferometric_power(values["qfi"])))
-    if QUANTITY_DIAGNOSTICS in spec.quantities:
-        values.update(ensemble_diagnostics(ensemble)._asdict())
     for name, column in table._outputs().items():
-        column[points] = values[name]
+        column[points] = attrgetter(_OUTPUTS[name].source)(work)
 
 
 def _failure(exc: Exception) -> str:

@@ -28,6 +28,23 @@ faster than any power of 1 / n_k.
                lower band full and upper band empty: every k of the ring
                contributes f(-|a|) (1 - f(+|a|)) = f(-|a|)^2 with the Fermi
                function f(e) = 1 / (1 + exp(e / T)).
+
+  coupling_phase_mean  m = <a / conj(a)>, the zone mean of exp(2 i phi).
+               On |xi| = 1, xi = exp(ik), a / conj(a) = P(xi) / Q(xi) with
+               P = z xi^2 + v xi + w and Q = w xi^2 + v xi + z, so by
+               residues m = w / z + sum over the roots xi_i of Q in |xi| < 1
+               of P(xi_i) / (xi_i Q'(xi_i)), and m = (z / w)^nu for winding
+               nu = +-1. The ring's Gaussian state at T = 0 has i_p / N =
+               (1 - |m|) / 2.
+
+  uhlmann_overlap  Tr[rho_(k_0) U_loop] of the ring's thermal Bloch states
+               rho_k = exp(-h(k) / T) / Tr, h(k) = [[0, a], [conj(a), 0]],
+               with the amplitude w_k = sqrt(rho_k) U_k transported round the
+               ring's own momenta under Uhlmann's condition w_k^+ w_(k+1) > 0
+               (Viyuela, Rivas and Martin-Delgado, Phys. Rev. Lett. 112,
+               130401 (2014)). It is real for these chains, and its sign is
+               the Uhlmann phase: negative, Phi_U = pi, on a winding chain
+               below its critical temperature.
 """
 
 import numpy as np
@@ -83,3 +100,36 @@ def full_band_log_probability(v: float, w: float, z: float, n: int, temperature:
     """-2 sum_j log1p(exp(-|a(k_j)| / T)) over the ring's own n momenta k_j = 2 pi j / n."""
     energies = np.abs(coupling(v, w, z, momenta(n)))
     return float(-2.0 * np.sum(np.log1p(np.exp(-energies / temperature))))
+
+
+def coupling_phase_mean(v: float, w: float, z: float, n_k: int = ZONE_POINTS) -> complex:
+    """m = <a / conj(a)>, the periodic-trapezoid mean over n_k points."""
+    a = coupling(v, w, z, momenta(n_k))
+    return complex(np.mean(a / np.conj(a)))
+
+
+def uhlmann_overlap(v: float, w: float, z: float, n: int, temperature: float) -> complex:
+    """Tr[rho_(k_0) U_loop] over the ring's own n momenta k_j = 2 pi j / n, at T > 0.
+
+    With h(k) = |a| H(k), H = [[0, a / |a|], [conj(a) / |a|, 0]], H^2 = 1,
+    rho_k = (1 - tanh(|a| / T) H) / 2 and sqrt(rho_k) is proportional to
+    (1 + e) / 2 - (1 - e) H / 2, e = exp(-|a| / T): that scaling by
+    exp(-|a| / 2T) does not overflow at low T, and a positive factor moves
+    no singular vector. For sqrt(rho_k) sqrt(rho_(k+1)) = Q_k S_k R_k^+ the
+    transport is U_(k+1) = R_k Q_k^+ U_k, and U_loop, from U_0 = 1 back to
+    k_n = k_0, is the ordered product of the n steps, multiplied pairwise.
+    """
+    a = coupling(v, w, z, momenta(n))
+    phase = a / np.abs(a)
+    unit = np.zeros((n, 2, 2), complex)
+    unit[:, 0, 1], unit[:, 1, 0] = phase, np.conj(phase)
+    fade = np.exp(-np.abs(a) / temperature)[:, None, None]
+    root = (1.0 + fade) / 2.0 * np.eye(2) - (1.0 - fade) / 2.0 * unit
+    left, _, right = np.linalg.svd(root @ np.roll(root, -1, axis=0))
+    steps = np.conj(np.swapaxes(left @ right, -1, -2))
+    while len(steps) > 1:  # steps[j] acts after steps[j - 1]
+        if len(steps) % 2:
+            steps = np.concatenate([steps, np.eye(2)[None]])
+        steps = steps[1::2] @ steps[0::2]
+    rho = (np.eye(2) - np.tanh(np.abs(a[0]) / temperature) * unit[0]) / 2.0
+    return complex(np.trace(rho @ steps[0]))

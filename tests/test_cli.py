@@ -568,7 +568,7 @@ PRECEDENCE_CASES = [
     ("w", 0.2, 0.8, 0.2, 0.8),
     ("z", 0.0, 0.4, 0.0, 0.4),
     ("boundary", "open", "periodic", "open", "periodic"),
-    ("temperature", [0.2, 0.1], [0.5], [0.2, 0.1], [0.5]),
+    ("temperature", [0.1, 0.2], [0.5], [0.1, 0.2], [0.5]),
     ("modes", ["literal"], ["determinant"], ["literal"], ["determinant"]),
     ("axes", {"T": [0.1, 0.2]}, ["z=0:1:3"], [("T", (0.1, 0.2))],
      [("z", (0.0, 0.5, 1.0))]),
@@ -1082,13 +1082,17 @@ def test_a_temperature_list_keeps_its_order_and_follows_the_axis_rules(
     temperatures, tmp_path, capsys
 ):
     # A -T list is the point subcommand's T axis: it is read as given, never
-    # sorted or merged, and must be strictly ascending like any axis grid.
+    # sorted or merged, and must be strictly ascending like any axis grid. It
+    # is refused when it is read, under the setting's own name.
     target = tmp_path / "out.csv"
     model = ["--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"]
     argv = [arg for temperature in temperatures for arg in ("-T", temperature)]
     code, out, err = run_cli(["qfi", *model, *argv, "--out", str(target)], capsys)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err == "error: axis 'T' grid must be strictly ascending\n"
+    given = [float(temperature) for temperature in temperatures]
+    assert err == (
+        f"error: bad value for temperature: temperatures must be strictly ascending, got {given}\n"
+    )
     assert not target.exists()
 
 

@@ -14,6 +14,13 @@ N (-ln|E(0)|) / (2 pi^2) = <g> + pi^2 (<phi'^4> / 24 - <phi''^2> / 12) / N^2 + O
 
 Below the gap, heat enters |E| as one factor: ln|E(T)| = ln|E(0)| plus the
 log-probability that the ring is in its ground configuration.
+
+The oracle's other closed forms are tested here too: m = <a / conj(a)>
+against its residue sum, (z / w)^nu on a winding chain and its z = 0
+form; and the Uhlmann loop of the thermal ring, whose overlap is real,
+negative on a winding chain when cold, and changes sign at a critical
+temperature that does not grow with N (Viyuela, Rivas and
+Martin-Delgado, Phys. Rev. Lett. 112, 130401 (2014)).
 """
 
 import numpy as np
@@ -21,10 +28,12 @@ import pytest
 from limits import (
     ZONE_POINTS,
     coupling,
+    coupling_phase_mean,
     full_band_log_probability,
     metric_mean,
     momenta,
     phase_derivatives,
+    uhlmann_overlap,
     zone_mean,
 )
 
@@ -126,3 +135,72 @@ def test_swapping_the_hoppings_at_z0_moves_the_metric_by_a_quarter(v, w):
 @pytest.mark.parametrize("v,w", [(0.3, 0.5), (0.5, 0.3), (0.45, 0.5), (0.5, 0.45), (0.1, 0.5)])
 def test_the_metric_at_z0_has_its_closed_form(v, w):
     assert abs(metric_mean(v, w, 0.0) - metric_z0(v, w)) <= 1e-12
+
+
+def test_m_is_the_residue_sum_of_its_rational_integrand():
+    # On |xi| = 1, a / conj(a) = P(xi) / Q(xi), P = z xi^2 + v xi + w and
+    # Q = w xi^2 + v xi + z, so m is the sum of the residues of P / (xi Q)
+    # inside the unit circle: w / z at 0, and one term per root of Q there.
+    for v, w, z in CHAINS:
+        roots = [xi for xi in np.roots([w, v, z]) if abs(xi) < 1.0]
+        inside = sum((z * xi**2 + v * xi + w) / (xi * (2.0 * w * xi + v)) for xi in roots)
+        assert abs(coupling_phase_mean(v, w, z) - (w / z + inside)) <= 1e-12, (v, w, z)
+
+
+def test_a_winding_chain_has_m_of_z_over_w_to_the_winding():
+    # nu = -1: only the pole at 0 lies inside, giving w / z. nu = +1: every
+    # pole lies inside, so m is minus the residue at infinity, z / w.
+    windings = [winding_number(v, w, z) for v, w, z in CHAINS]
+    assert {-1, 1} <= set(windings)
+    for (v, w, z), nu in zip(CHAINS, windings):
+        if nu:
+            assert abs(coupling_phase_mean(v, w, z) - (z / w) ** nu) <= 1e-12, (v, w, z)
+
+
+@pytest.mark.parametrize("v,w", [(0.3, 0.5), (0.5, 0.3), (0.45, 0.5), (0.5, 0.45), (0.1, 0.5)])
+def test_m_at_z0_has_its_closed_form(v, w):
+    expected = 0.0 if abs(v) < abs(w) else 1.0 - (w / v) ** 2
+    assert abs(coupling_phase_mean(v, w, 0.0) - expected) <= 1e-12
+
+
+def uhlmann_critical_temperature(v: float, w: float, z: float, n: int) -> float:
+    """The T in [0.05, 1.5] where Re Tr[rho U_loop] turns positive, by bisection."""
+    cold, hot = 0.05, 1.5
+    assert uhlmann_overlap(v, w, z, n, cold).real < 0.0 < uhlmann_overlap(v, w, z, n, hot).real
+    for _ in range(45):
+        middle = (cold + hot) / 2.0
+        if uhlmann_overlap(v, w, z, n, middle).real < 0.0:
+            cold = middle
+        else:
+            hot = middle
+    return (cold + hot) / 2.0
+
+
+def test_the_flat_band_uhlmann_phase_turns_at_its_known_critical_temperature():
+    # Viyuela et al.'s T_c = 1 / ln(2 + sqrt(3)) = 0.759326 for the flat
+    # band (0, 1, 0); measured 0.759315 at N = 400.
+    expected = 1.0 / np.log(2.0 + np.sqrt(3.0))
+    assert abs(uhlmann_critical_temperature(0.0, 1.0, 0.0, 400) - expected) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "v,w,z", [(0.3, 0.5, 0.2), (0.3, 0.5, 0.8), (0.2, 0.2, 0.5), (0.3, 0.5, 0.0), (0.1, 0.5, 0.0)]
+)
+def test_the_uhlmann_critical_temperature_does_not_grow_with_the_ring(v, w, z):
+    # Measured: T_c at N = 50 and 400 differ by at most 4.4e-4, on (0.3, 0.5, 0).
+    small, large = (uhlmann_critical_temperature(v, w, z, n) for n in (50, 400))
+    assert abs(small - large) <= 1e-3
+
+
+@pytest.mark.parametrize("temperature", [0.02, 0.05])
+def test_the_cold_uhlmann_phase_is_pi_exactly_on_a_winding_chain(temperature):
+    for v, w, z in CHAINS:
+        overlap = uhlmann_overlap(v, w, z, 50, temperature)
+        assert (overlap.real < 0.0) == (winding_number(v, w, z) != 0), (v, w, z)
+
+
+@pytest.mark.parametrize("temperature", [0.2, 0.5, 1.0])
+def test_the_uhlmann_overlap_is_real(temperature):
+    # Largest |Im| measured on these chains at N = 50: 1.4e-10.
+    for v, w, z in CHAINS:
+        assert abs(uhlmann_overlap(v, w, z, 50, temperature).imag) <= 1e-9, (v, w, z)

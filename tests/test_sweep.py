@@ -388,6 +388,55 @@ def test_each_quantity_alone_matches_the_full_sweep(boundary):
                 assert (alone.purity, alone.entropy) == (record.purity, record.entropy)
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_an_output_is_filled_from_its_declaration_alone(boundary, monkeypatch):
+    # A sixth output, registered here only: its _OUTPUTS entry names the
+    # quantity that requests it and the source of its value, and the sweep,
+    # the columns and the rows fill it with no other edit.
+    output = ("interferometric_power", (), {"max_eig": ()}, "report.max_eigenvalue")
+    monkeypatch.setitem(sweep_mod._OUTPUTS, "max_eigenvalue", sweep_mod._Output(*output))
+    table = run_sweep(small_qfi_spec(boundary=boundary))
+    assert not table.errors
+    expected = interferometric_power(table.qfi).max_eigenvalue
+    assert np.array_equal(table.max_eigenvalue, expected)
+    assert np.array_equal(table.columns()["max_eig"], expected)
+    assert [row.max_eigenvalue for row in table] == expected.tolist()
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_each_spectrum_forms_each_shared_intermediate_at_most_once(boundary, monkeypatch):
+    # Counted through the names the sweep module calls: every quantity and
+    # mode forms each intermediate once per spectrum, and a determinant-only
+    # sweep (figure 1a's request) forms none of them.
+    engine = "bloch" if boundary == "periodic" else "chiral"
+    names = (
+        "gibbs_weights", f"{engine}_qfi_matrix", "interferometric_power",
+        "ensemble_diagnostics", f"{engine}_state_expectations",
+    )
+    calls = []
+    for name in names:
+        real = getattr(sweep_mod, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, name, counted)
+    grid = dict(
+        axes=(("T", (0.0, 0.1, 0.6)), ("z", (0.2, 0.7))),
+        fixed={"v": 0.3, "w": 0.5, "N": 5},
+        boundary=boundary,
+    )
+    table = run_sweep(SweepSpec(**grid, quantities=ALL_QUANTITIES, polarization_modes=ALL_MODES))
+    assert not table.errors and table.spectra == 2
+    assert sorted(calls) == sorted(names * table.spectra)
+    calls.clear()
+    table = run_sweep(
+        SweepSpec(**grid, quantities=("polarization",), polarization_modes=("determinant",))
+    )
+    assert not table.errors and calls == []
+
+
 def test_line_cut_rows_equal_the_matching_rows_of_a_heatmap():
     # Figure 3b is the T = 0.05 cut of the 3a model; a (T, z) sweep that
     # contains T = 0.05 reproduces it record for record, bit for bit.

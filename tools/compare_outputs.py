@@ -23,7 +23,10 @@ that is not strictly ascending, exit 2), `polarization --mode
 literal,weighted` and `polarization -T 0.1,0.5` (comma-separated flags),
 `sweep --quantities polarization --quantities diagnostics` (a repeated
 flag), and `figure 2b --w 2` (a flag that figure does not take, never read
-as an abbreviation of `--workers`; exit 2).
+as an abbreviation of `--workers`; exit 2). Each output's own dependency
+shape has a case on both boundaries at `--precision 17`: a sweep of
+qfi_matrix, interferometric_power or diagnostics alone, and of polarization
+with the literal, weighted or determinant mode alone.
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
 """
@@ -89,6 +92,14 @@ def cases(config_dir: Path) -> list:
         for name, axes in SWEEPS.items():
             found.append((f"sweep-{name}-{boundary}", ("sweep", *axes, *EVERY_OUTPUT, *where)))
         modes = ("--mode", "literal", "--mode", "weighted", "--mode", "determinant")
+        for quantity in ("qfi_matrix", "interferometric_power", "diagnostics"):
+            found.append((f"sweep-only-{quantity}-{boundary}",
+                          ("sweep", *SWEEPS["T-first"], "--quantities", quantity,
+                           "--precision", "17", *where)))
+        for mode in ("literal", "weighted", "determinant"):
+            found.append((f"sweep-only-{mode}-{boundary}",
+                          ("sweep", *SWEEPS["T-first"], "--quantities", "polarization",
+                           "--mode", mode, "--precision", "17", *where)))
         found.append((f"polarization-{boundary}",
                       ("polarization", *MODEL, *TEMPERATURES, *modes, *where)))
         found.append((f"polarization-tau-mag-{boundary}",
