@@ -37,9 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import PERIODIC, ModelParams
-from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _determinant_result
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _real_determinant_result
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations, per_temperature
+from .thermal import BandSpectrum, _require_finite_energies, band_contrast
 
 
 @dataclass(frozen=True)
@@ -156,21 +156,20 @@ def bloch_polarization_determinant(
     Nothing inverts 1 - F, which is singular in float64 at low T, and every
     factor has norm <= 1. At T = 0 with a gap (1 - h_j) / 2 projects on the
     lower band, and the trace is the occupied-band Wilson loop. t comes
-    from the bands of fermi_occupations, transposed to k by temperature in
-    C order. An array of temperatures gives one result of arrays with an
-    entry per temperature, all evaluated together.
+    from thermal.band_contrast, transposed to k by temperature in C order.
+    The background parity (-1)^(N-1) equals s, so E = s det M is real and
+    its sign gives the branch. An array of temperatures gives one result
+    of arrays with an entry per temperature, all evaluated together.
     """
-    n = spectrum.n_cells
-    lower, upper = spectrum.bands(np.atleast_2d(fermi_occupations(spectrum, temperature)))
-    t = np.ascontiguousarray((lower - upper).T)
+    t = np.ascontiguousarray(np.atleast_2d(band_contrast(spectrum, temperature)).T)
     t2 = t * t
     r = 2.0 * t / (1.0 + t2)
     q = -0.5 * r * np.exp(1j * np.angle(spectrum.coupling))[:, None]
     trace = 2.0 * _ordered_product(np.full_like(q, 0.5), q)
-    sign = 1.0 if n % 2 else -1.0
+    sign = 1.0 if spectrum.n_cells % 2 else -1.0
     dets = 2.0 * np.prod(0.25 * (1.0 - t2), axis=0)
     dets += sign * np.prod(0.5 * (1.0 + t2), axis=0) * trace
-    return per_temperature(_determinant_result(dets, n, magnitude_cutoff), temperature)
+    return _real_determinant_result(dets * sign, magnitude_cutoff, temperature)
 
 
 def bloch_state_expectations(spectrum: BlochSpectrum) -> np.ndarray:

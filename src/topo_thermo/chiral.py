@@ -28,13 +28,14 @@ spectrum and one real (N + n_b)-square LU per temperature:
                I (x) sigma_l have matrix elements (S or A) / 2 between
                states k and l, and sigma_z couples only chiral partners;
   determinant  tanh(H / 2T) = [[0, G], [G^T, 0]] with G = U diag(t) V^T
-               and t_k = f(-s_k) - f(+s_k); X is e^{i theta_m},
-               theta_m = 2 pi m / N, on both sites of cell m, so the
-               spectrum's own N fixes it. In half angles every column
-               of cell m in 1 + F (X - 1) carries e^{i theta_m / 2},
-               and their product cancels the neutralizing-background
-               phase exactly, so the expectation is the determinant of
-               a real 2N x 2N matrix. Eliminating the B sites leaves
+               and t_k = f(-s_k) - f(+s_k) of thermal.band_contrast;
+               X is e^{i theta_m}, theta_m = 2 pi m / N, on both sites
+               of cell m, so the spectrum's own N fixes it. In half
+               angles every column of cell m in 1 + F (X - 1) carries
+               e^{i theta_m / 2}, and their product cancels the
+               neutralizing-background phase exactly, so the
+               expectation is the determinant of a real 2N x 2N
+               matrix. Eliminating the B sites leaves
                det(U^T cot U + diag(t) V^T tan V diag(t)) of the cell
                half angles times a prefactor; the two products depend
                on the spectrum alone, and the n_b cells near m = 0 and
@@ -78,13 +79,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import ModelParams, build_folded_block, cell_phases
-from .polarization import (
-    DEFAULT_MAGNITUDE_CUTOFF,
-    MODE_DETERMINANT,
-    _make_result,
-)
+from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _real_determinant_result
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, fermi_occupations, per_temperature
+from .thermal import BandSpectrum, _require_finite_energies, band_contrast
 
 # A cell whose |sin(theta_m / 2)| or |cos(theta_m / 2)| is below this
 # leaves the determinant's cot or tan sum for a border row, so no cot or
@@ -215,8 +212,8 @@ def chiral_polarization_determinant(
     determinant of one real (N + n_b)-square matrix per temperature. In
     sublattice order F = (1 - tanh(H / 2T)) / 2 with
     tanh(H / 2T) = [[0, G], [G^T, 0]], G = U diag(t) V^T and
-    t_k = f(-s_k) - f(+s_k) taken from the occupation rows, so the T = 0
-    step and the edge pair follow fermi_occupations. With
+    t_k = f(-s_k) - f(+s_k) taken from thermal.band_contrast, so the
+    T = 0 step and the edge pair follow fermi_occupations. With
     theta_m = 2 pi m / N and the half-angle forms
     1 + X = 2 e^{i theta / 2} cos(theta / 2), X - 1 = 2i e^{i theta / 2}
     sin(theta / 2), every column of cell m carries e^{i theta_m / 2}; the
@@ -258,7 +255,7 @@ def chiral_polarization_determinant(
     of temperatures gives one result of arrays with an entry per
     temperature, each row factored alone.
     """
-    occupations = fermi_occupations(spectrum, temperature)
+    contrasts = np.atleast_2d(band_contrast(spectrum, temperature))
     n = spectrum.n_cells
     vectors = spectrum.fold_vectors
     half_angles = np.pi / n * np.arange(n)
@@ -289,11 +286,9 @@ def chiral_polarization_determinant(
     matrix[border, border] = np.concatenate([tangents[cot_cells], cotangents[tan_cells]])
     tan_rows = vectors[n - 1 - tan_cells].T
     top_left, tan_columns = matrix[:n, :n], matrix[:n, split:]
-    rows = np.atleast_2d(occupations)
-    expectations = np.empty(len(rows))
-    for index, row in enumerate(rows):
-        lower, upper = spectrum.bands(row)
-        scale = (lower - upper) * spectrum.signs
+    expectations = np.empty(len(contrasts))
+    for index, contrast in enumerate(contrasts):
+        scale = contrast * spectrum.signs
         np.multiply(tan_sum, scale[:, None], out=top_left)
         top_left *= scale
         top_left += cot_sum
@@ -301,8 +296,7 @@ def chiral_polarization_determinant(
         np.negative(tan_columns.T, out=matrix[split:, :n])
         sign, log_magnitude = np.linalg.slogdet(matrix)
         expectations[index] = prefactor_sign * sign * np.exp(log_prefactor + log_magnitude)
-    result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, magnitude_cutoff)
-    return per_temperature(result, temperature)
+    return _real_determinant_result(expectations, magnitude_cutoff, temperature)
 
 
 def winding_number(v: float, w: float, z: float) -> int:

@@ -359,13 +359,14 @@ def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
     drop it. Every other parameter takes its fixed value from `config`.
     """
     if config.subcommand == "figure":
-        if figure_id.startswith("1"):
+        spec = build_figure_spec(figure_id, magnitude_cutoff=config.tau_mag)
+        if QUANTITY_POLARIZATION in spec.quantities:
             print(
                 f"note: figure {figure_id} uses determinant-mode polarization; "
                 "the ensemble-trace reading is available via the polarization subcommand",
                 file=sys.stderr,
             )
-        return build_figure_spec(figure_id, magnitude_cutoff=config.tau_mag)
+        return spec
     if config.subcommand in _POINT_QUANTITIES:
         axes = [("T", config.temperature)] if config.temperature else []
         quantities = _POINT_QUANTITIES[config.subcommand]

@@ -17,8 +17,10 @@ explicit and a required argument downstream:
               half-filled at T = 0 without zero modes. This is the mode
               with quantized structure. The expectation is real for the
               chiral chain at mu = 0, so P is 0 or +1/2: the branch
-              follows the sign of its real part, not of its rounding
-              noise.
+              follows the sign of its real part. The fast Bloch and
+              chiral paths compute it as a real number; only the dense
+              path rounds it with an imaginary part, which its branch
+              rule ignores.
 
 Results whose magnitude falls below the cutoff are flagged undefined and
 reported with P = 0; the flag is preserved so downstream analysis can
@@ -216,18 +218,30 @@ def thermal_polarization_weighted(
     return polarization_from_states(ensemble, per_state, MODE_WEIGHTED, magnitude_cutoff)
 
 
+def _real_determinant_result(expectations: np.ndarray, cutoff: float, temperature):
+    """Determinant-mode result of the fast paths, from their real expectations E.
+
+    E carries the background phase already and has no imaginary part, so
+    its sign alone gives the branch, a signed zero's included: P is 0 for
+    E >= +0 and +1/2 for E <= -0. The result is shaped by per_temperature
+    for the `temperature` the fast path was called with.
+    """
+    result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, cutoff)
+    return per_temperature(result, temperature)
+
+
 def _determinant_result(dets, n: int, cutoff: float) -> PolarizationResult:
-    """Determinant-mode results from an array of det[(1 - F) + F U], background included.
+    """Determinant-mode results from an array of det[(1 - F) + F U], the dense path's.
 
     The neutralizing background, one unit of charge per cell at the cell
     coordinate, contributes exp(-i * 2*pi/N * sum_m m) = (-1)^(N-1). It is
     applied as an integer parity, so no float-pi noise enters the branch.
 
     For a real chiral Hamiltonian at mu = 0 the expectation is exactly
-    real, so an imaginary part within REAL_EXPECTATION_TOL of |E| is
-    rounding noise; the branch then follows the sign of Re E (P in
-    {0, +1/2}) instead of the sign of that noise. The expectation is kept
-    as computed.
+    real, but a complex 2N x 2N determinant rounds it with an imaginary
+    part. One within REAL_EXPECTATION_TOL of |E| is rounding noise; the
+    branch then follows the sign of Re E (P in {0, +1/2}) instead of the
+    sign of that noise. The expectation is kept as computed.
     """
     parity = 1.0 if (n - 1) % 2 == 0 else -1.0
     expectation = (np.asarray(dets) * parity).astype(complex)

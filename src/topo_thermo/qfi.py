@@ -13,6 +13,12 @@ any Hermitian G; qfi_matrix takes the sublattice Pauli generators
 I_cells (x) sigma_l, built with np.kron, and is the dense oracle of the
 Bloch and chiral engines. That 3x3 matrix is real symmetric positive
 semidefinite; its minimum eigenvalue is the interferometric power.
+
+qfi_fidelity_oracle checks qfi_scalar by another route, the decay of the
+Uhlmann fidelity under a small rotation exp(-i G dtheta) (Zanardi,
+Campos Venuti, Giorda, Phys. Rev. A 76, 062318 (2007)): sqrt(rho) comes
+from the ensemble's spectral form, and the root fidelity is the sum of
+the singular values of sqrt(rho) sqrt(sigma).
 """
 
 from __future__ import annotations
@@ -161,20 +167,17 @@ def interferometric_power(matrix: np.ndarray) -> QfiReport:
     return QfiReport(matrix, i_p, directions, eigenvalues[:, -1])
 
 
-def _bures_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    values, basis = np.linalg.eigh(rho)
-    sqrt_rho = (basis * np.sqrt(np.clip(values, 0.0, None))) @ basis.conj().T
-    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
-    return float(np.sum(np.sqrt(np.clip(inner, 0.0, None))) ** 2)
-
-
 def qfi_fidelity_oracle(ensemble: GibbsEnsemble, generator, dtheta: float) -> float:
     """Finite-difference QFI from the Bures fidelity decay.
 
-    Evolves rho by exp(-i A dtheta) and returns 2 (1 - sqrt(fid)) / dtheta^2,
+    Evolves rho by U = exp(-i A dtheta) and returns 2 (1 - sqrt(F)) / dtheta^2,
     already rescaled to the variance normalization used by qfi_scalar.
-    Dense route, intended as an independent cross-check for dimension <= 64.
+    sqrt(rho) = V diag(sqrt(lambda)) V^dagger is read from the ensemble's
+    own spectral form, the evolved state's root is U sqrt(rho) U^dagger,
+    and the root fidelity sqrt(F) = Tr|sqrt(rho) sqrt(sigma)| is the sum
+    of the singular values of their product (Uhlmann), with no clipping
+    and no eigendecomposition of a rounded state. Dense route, intended as
+    an independent cross-check for dimension <= 64.
     """
     low, high = ORACLE_STEP_RANGE
     if not (low <= dtheta <= high):
@@ -185,9 +188,9 @@ def qfi_fidelity_oracle(ensemble: GibbsEnsemble, generator, dtheta: float) -> fl
         )
     matrix = _generator_matrix(generator, ensemble.dimension)
     vectors = ensemble.spectrum.vectors
-    rho = (vectors * ensemble.weights) @ vectors.conj().T
+    root = (vectors * np.sqrt(ensemble.weights)) @ vectors.conj().T
     gen_values, gen_basis = np.linalg.eigh(matrix)
     evolution = (gen_basis * np.exp(-1j * gen_values * dtheta)) @ gen_basis.conj().T
-    rho_evolved = evolution @ rho @ evolution.conj().T
-    fidelity = _bures_fidelity(rho, rho_evolved)
-    return 2.0 * (1.0 - np.sqrt(fidelity)) / dtheta**2
+    root_evolved = evolution @ root @ evolution.conj().T
+    root_fidelity = np.linalg.svd(root @ root_evolved, compute_uv=False).sum()
+    return float(2.0 * (1.0 - root_fidelity) / dtheta**2)

@@ -3,7 +3,8 @@
 Temperatures are in hopping units with k_B = 1. The thermal state is the
 canonical Gibbs mixture exp(-H/T)/Z over the single-particle spectrum;
 Fermi occupations at half filling (mu = 0) back the determinant
-polarization route. Weights and occupations take one temperature or a
+polarization route, and their band contrast tanh(e_k / 2T) backs the
+fast determinants. Weights and occupations take one temperature or a
 1-D array of them, so a sweep evaluates a spectrum's whole temperature
 column in one call.
 """
@@ -180,6 +181,19 @@ def fermi_occupations(spectrum: Spectrum | BandSpectrum, temperature) -> np.ndar
         exponent = energies / np.where(frozen, 1.0, column)
         fermi = 1.0 / (1.0 + np.exp(exponent))
     return per_temperature(np.where(frozen, step, fermi), temperature)
+
+
+def band_contrast(spectrum: BandSpectrum, temperature) -> np.ndarray:
+    """Fermi contrast t_k = f(-e_k) - f(+e_k) = tanh(e_k / 2T) of every band pair k.
+
+    The lower band's occupations minus the upper band's, from
+    fermi_occupations, so the T = 0 step and the 1/2 of an exact zero
+    level carry over: t is 1 on a nonzero level and 0 on a zero one at
+    T = 0, and 0 at T = inf. (N,) for a scalar temperature, (n_T, N) for
+    an array.
+    """
+    lower, upper = spectrum.bands(fermi_occupations(spectrum, temperature))
+    return lower - upper
 
 
 def ensemble_diagnostics(ensemble: GibbsEnsemble) -> EnsembleDiagnostics:

@@ -37,6 +37,31 @@ faster than any power of 1 / n_k.
                nu = +-1. The ring's Gaussian state at T = 0 has i_p / N =
                (1 - |m|) / 2.
 
+  thermal_winding  nu_T = -<tanh^2(|a| / 2T) phi'>, the zone mean of the
+               winding density weighted by the squared Fermi contrast
+               t_k = tanh(|a(k)| / 2T) (Mondragon-Shem, Hughes, Song and
+               Prodan, Phys. Rev. Lett. 113, 046802 (2014)). At T = 0 it
+               is the winding number; at T > 0 it is smooth and not
+               quantized.
+
+  bures_metric  the diagonal (g_vv, g_ww, g_zz) of the Bures metric of
+               the ring's thermal Gaussian state (grand canonical, mu = 0)
+               over the hoppings, quarter normalized so that a small
+               step d lambda costs 2 (1 - sqrt(F)) = g d lambda^2
+               (Zanardi, Campos Venuti and Giorda, Phys. Rev. A 76, 062318
+               (2007); Hubner, Phys. Lett. A 163, 239 (1992)). Each k is a
+               two-mode block with levels -+|a|, so with e = exp(-|a| / T)
+               the sum over the ring's own momenta is of
+
+                 (d|a|)^2 e / (2 T^2 (1 + e)^2)  +  (1 - e)^2 / (1 + e^2) (d phi)^2 / 4,
+
+               the first term the occupations' Fisher information and the
+               second the rotation of the band states. d|a| = |a| Re(da / a)
+               and d phi = Im(da / a), with da = 1, exp(-ik) or exp(ik)
+               for v, w or z. e <= 1, so neither term overflows; T = 0
+               leaves sum (d phi)^2 / 4, the ground state's fidelity
+               susceptibility.
+
   uhlmann_overlap  Tr[rho_(k_0) U_loop] of the ring's thermal Bloch states
                rho_k = exp(-h(k) / T) / Tr, h(k) = [[0, a], [conj(a), 0]],
                with the amplitude w_k = sqrt(rho_k) U_k transported round the
@@ -106,6 +131,35 @@ def coupling_phase_mean(v: float, w: float, z: float, n_k: int = ZONE_POINTS) ->
     """m = <a / conj(a)>, the periodic-trapezoid mean over n_k points."""
     a = coupling(v, w, z, momenta(n_k))
     return complex(np.mean(a / np.conj(a)))
+
+
+def thermal_winding(v: float, w: float, z: float, temperature: float, n_k: int = ZONE_POINTS):
+    """nu_T = -<tanh^2(|a| / 2T) phi'> over n_k points; tanh is 1 at T = 0."""
+    k = momenta(n_k)
+    phase_slope, _ = phase_derivatives(v, w, z, k)
+    if temperature == 0.0:
+        return -zone_mean(phase_slope)
+    contrast = np.tanh(np.abs(coupling(v, w, z, k)) / (2.0 * temperature))
+    return -zone_mean(contrast**2 * phase_slope)
+
+
+def bures_metric(v: float, w: float, z: float, n: int, temperature: float) -> tuple:
+    """(g_vv, g_ww, g_zz) in total over the ring's own n momenta k_j = 2 pi j / n."""
+    k = momenta(n)
+    a = coupling(v, w, z, k)
+    magnitude = np.abs(a)
+    if temperature == 0.0:
+        fade = occupation_term = np.zeros(n)
+    else:
+        fade = np.exp(-magnitude / temperature)
+        occupation_term = fade / (2.0 * temperature**2 * (1.0 + fade) ** 2)
+    rotation_term = (1.0 - fade) ** 2 / (1.0 + fade**2) / 4.0
+    metric = []
+    for slope in (np.ones(n), np.exp(-1j * k), np.exp(1j * k)):  # da / d(v, w, z)
+        ratio = slope / a
+        terms = occupation_term * (magnitude * ratio.real) ** 2 + rotation_term * ratio.imag**2
+        metric.append(float(np.sum(terms)))
+    return tuple(metric)
 
 
 def uhlmann_overlap(v: float, w: float, z: float, n: int, temperature: float) -> complex:

@@ -21,25 +21,35 @@ form; and the Uhlmann loop of the thermal ring, whose overlap is real,
 negative on a winding chain when cold, and changes sign at a critical
 temperature that does not grow with N (Viyuela, Rivas and
 Martin-Delgado, Phys. Rev. Lett. 112, 130401 (2014)).
+
+Two more ring oracles stand ready for their sweep outputs: the thermal
+winding nu_T, which is the winding number at T = 0 and fades smoothly as
+T grows, and the Bures metric of the thermal Gaussian state over the
+hoppings, held to the fidelity decay of the exact Fock state and to its
+z = 0 forms, and shown to mark both gap closings at low T without
+growing with N once T > 0.
 """
 
 import numpy as np
 import pytest
+from fock import many_body_hamiltonian
 from limits import (
     ZONE_POINTS,
+    bures_metric,
     coupling,
     coupling_phase_mean,
     full_band_log_probability,
     metric_mean,
     momenta,
     phase_derivatives,
+    thermal_winding,
     uhlmann_overlap,
     zone_mean,
 )
 
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import winding_number
-from topo_thermo.lattice import ModelParams
+from topo_thermo.lattice import ModelParams, build_hamiltonian
 
 # Seeded chains with hoppings in [-1, 1] and a bulk gap min_k |a(k)| >= 0.2.
 GAP_FLOOR = 0.2
@@ -204,3 +214,87 @@ def test_the_uhlmann_overlap_is_real(temperature):
     # Largest |Im| measured on these chains at N = 50: 1.4e-10.
     for v, w, z in CHAINS:
         assert abs(uhlmann_overlap(v, w, z, 50, temperature).imag) <= 1e-9, (v, w, z)
+
+
+def test_the_cold_thermal_winding_is_the_winding_number():
+    for v, w, z in CHAINS:
+        assert abs(thermal_winding(v, w, z, 0.0) - winding_number(v, w, z)) <= 1e-9, (v, w, z)
+
+
+@pytest.mark.parametrize(
+    "v,w,z,expected",
+    [
+        (0.3, 0.5, 0.2, (0.9924, 0.5348, 0.163, 0.0488)),
+        (0.3, 0.5, 0.8, (-0.9963, -0.641, -0.2442, -0.0835)),
+    ],
+)
+def test_the_thermal_winding_fades_with_temperature(v, w, z, expected):
+    # The real-space nu_T of open N = 400 chains, as quoted to four
+    # decimals; the k-space form lies within 5e-5 of each.
+    for temperature, value in zip((0.05, 0.2, 0.5, 1.0), expected):
+        assert thermal_winding(v, w, z, temperature) == pytest.approx(value, abs=1e-4)
+
+
+def fock_root(v: float, w: float, z: float, n: int, temperature: float) -> np.ndarray:
+    """sqrt(rho) of the ring's grand-canonical Fock state at mu = 0, from its spectrum."""
+    params = ModelParams(n_cells=n, v=v, w=w, z=z)
+    hamiltonian, _ = many_body_hamiltonian(build_hamiltonian(params))
+    levels, states = np.linalg.eigh(hamiltonian)
+    populations = np.exp(-(levels - levels.min()) / temperature)
+    return (states * np.sqrt(populations / populations.sum())) @ states.T
+
+
+@pytest.mark.parametrize("temperature", [0.1, 0.2, 0.5, 2.0])
+def test_the_bures_metric_is_the_fidelity_decay_of_the_fock_state(temperature):
+    # 2 (1 - sqrt(F)) / (2 d)^2 between the states at lambda -+ d, with
+    # sqrt(F) the sum of the singular values of their roots' product.
+    # Measured: at most 4.2e-5 relative, the O(d^2) of the quotient.
+    step = 2e-3
+    for chain in ((0.3, 0.5, 0.2), (0.7, 0.3, 0.2), (0.3, 0.5, 0.8)):
+        metric = bures_metric(*chain, 3, temperature)
+        for index in range(3):
+            low, high = np.array(chain), np.array(chain)
+            low[index] -= step
+            high[index] += step
+            product = fock_root(*low, 3, temperature) @ fock_root(*high, 3, temperature)
+            root_fidelity = np.linalg.svd(product, compute_uv=False).sum()
+            quotient = 2.0 * (1.0 - root_fidelity) / (2.0 * step) ** 2
+            assert abs(quotient / metric[index] - 1.0) <= 1e-4, (chain, index)
+
+
+def bures_z0(v: float, w: float) -> float:
+    """g_vv / N at z = 0, T = 0; g_ww / N is the same with v and w swapped.
+
+    1 / (8 (w^2 - v^2)) for |v| < |w|, and w^2 / (8 v^2 (v^2 - w^2)) for |v| > |w|.
+    """
+    if abs(v) < abs(w):
+        return 1.0 / (8.0 * (w * w - v * v))
+    return w * w / (8.0 * v * v * (v * v - w * w))
+
+
+@pytest.mark.parametrize("v,w", [(0.3, 0.5), (0.5, 0.3), (0.45, 0.5), (0.5, 0.45), (0.1, 0.5)])
+def test_the_cold_bures_metric_at_z0_has_its_closed_form(v, w):
+    # Measured: 2.2e-16 relative at N = 4096.
+    n = 4096
+    g_vv, g_ww, _ = bures_metric(v, w, 0.0, n, 0.0)
+    assert abs(g_vv / n / bures_z0(v, w) - 1.0) <= 1e-12
+    assert abs(g_ww / n / bures_z0(w, v) - 1.0) <= 1e-12
+
+
+def test_the_cold_bures_metric_peaks_at_both_gap_closings():
+    # At T = 1e-3 and N = 400 the maximum sits at the grid point nearest the
+    # closing: v = w on the v cut, and z = w, where the winding goes from
+    # +1 to -1, on the z cut. Neither grid holds the closing itself.
+    v_cut = 0.301 + 0.005 * np.arange(80)
+    g_vv = [bures_metric(v, 0.5, 0.0, 400, 1e-3)[0] for v in v_cut]
+    assert v_cut[np.argmax(g_vv)] == pytest.approx(0.501, abs=1e-12)
+    z_cut = 0.001 + 0.01 * np.arange(100)
+    g_zz = [bures_metric(0.3, 0.5, z, 400, 1e-3)[2] for z in z_cut]
+    assert z_cut[np.argmax(g_zz)] == pytest.approx(0.501, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [50, 100, 200, 400, 800])
+def test_the_warm_bures_metric_does_not_grow_with_the_ring(n):
+    # At T = 0 the value at v = w - 1/N grows like N; at T = 0.05 it
+    # saturates. Measured g_vv / N: 3.491 to 3.513.
+    assert 3.49 <= bures_metric(0.5 - 1.0 / n, 0.5, 0.0, n, 0.05)[0] / n <= 3.52

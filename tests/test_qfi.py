@@ -423,6 +423,26 @@ def test_fidelity_oracle_matches_qfi_scalar():
         assert abs(direct - oracle) / max(direct, 1e-12) <= tolerance
 
 
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("v,w,z", [(0.3, 0.5, 0.2), (0.7, 0.3, 0.2), (0.3, 0.5, 0.8)])
+def test_fidelity_oracle_matches_qfi_scalar_on_cold_chains(v, w, z, boundary):
+    # Cold chains hold weights many orders below their largest one. A root
+    # taken by eigh of the assembled, rounded state, with eigvalsh and
+    # clipping for the fidelity, gives -7.5 against 4e-31 on the
+    # (0.3, 0.5, 0.8) ring at T = 0.02 under sigma_x, dtheta = 1e-4. The
+    # ensemble's own root and singular values: at most 6.1e-7 here.
+    spectrum = diagonalize(
+        build_hamiltonian(ModelParams(n_cells=6, v=v, w=w, z=z, boundary=boundary))
+    )
+    for temperature in (0.02, 0.05):
+        ensemble = gibbs_weights(spectrum, temperature)
+        for generator in sublattice_paulis(6):
+            direct = qfi_scalar(ensemble, generator)
+            for dtheta in (1e-4, 1e-3):
+                oracle = qfi_fidelity_oracle(ensemble, generator, dtheta)
+                assert abs(oracle - direct) <= 1e-5, (temperature, dtheta, oracle, direct)
+
+
 def test_fidelity_oracle_rejects_bad_step():
     rng = np.random.default_rng(2)
     ensemble = seeded_ensemble(rng, 4)

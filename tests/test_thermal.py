@@ -1,14 +1,17 @@
-"""Diagonalization, Gibbs weights, Fermi occupations, ensemble diagnostics."""
+"""Diagonalization, Gibbs weights, Fermi occupations and their band contrast, diagnostics."""
 
 import warnings
 
 import numpy as np
 import pytest
 
+from topo_thermo.bloch import bloch_spectrum
+from topo_thermo.chiral import chiral_spectrum
 from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.thermal import (
     BandSpectrum,
     Spectrum,
+    band_contrast,
     diagonalize,
     ensemble_diagnostics,
     fermi_occupations,
@@ -243,6 +246,30 @@ def test_fermi_zero_temperature_step():
     s = Spectrum(energies=np.array([-1.0, 0.0, 1.0]), vectors=np.eye(3))
     occ = fermi_occupations(s, 0.0)
     assert np.array_equal(occ, [1.0, 0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "spectrum,zero_levels",
+    [
+        (bloch_spectrum(ModelParams(n_cells=40, v=0.3, w=0.5, z=0.2)), 0),
+        (chiral_spectrum(ModelParams(n_cells=40, v=0.3, w=0.5, z=0.2, boundary=OPEN)), 0),
+        # v = -(w + z) closes the gap at k = 0: that level is exactly 0.
+        (bloch_spectrum(ModelParams(n_cells=40, v=-(0.5 + 0.2), w=0.5, z=0.2)), 1),
+    ],
+    ids=["ring", "open-topological", "ring-zero-level"],
+)
+def test_band_contrast_is_tanh_of_the_half_level_over_t(spectrum, zero_levels):
+    levels = spectrum.energies[spectrum.n_cells :]
+    assert np.count_nonzero(levels == 0.0) == zero_levels
+    temperatures = np.array([0.01, 0.02, 0.05, 0.2, 1.0, 5.0, 50.0])
+    contrasts = band_contrast(spectrum, temperatures)
+    assert contrasts.shape == (len(temperatures), spectrum.n_cells)
+    # Measured: at most 2.3e-16 for T from 0.01 to 50.
+    assert np.abs(contrasts - np.tanh(levels / (2.0 * temperatures[:, None]))).max() <= 4e-16
+    # The step of fermi_occupations: 1 on a nonzero level, 0 on an exact zero level.
+    cold = band_contrast(spectrum, 0.0)
+    assert np.array_equal(cold, np.where(levels == 0.0, 0.0, 1.0))
+    assert np.array_equal(band_contrast(spectrum, np.inf), np.zeros(spectrum.n_cells))
 
 
 def test_diagnostics_closed_forms():

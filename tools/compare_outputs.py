@@ -26,7 +26,11 @@ flag), and `figure 2b --w 2` (a flag that figure does not take, never read
 as an abbreviation of `--workers`; exit 2). Each output's own dependency
 shape has a case on both boundaries at `--precision 17`: a sweep of
 qfi_matrix, interferometric_power or diagnostics alone, and of polarization
-with the literal, weighted or determinant mode alone.
+with the literal, weighted or determinant mode alone. The determinant's
+signs at the edges of its range have a case on both boundaries at
+`--tau-mag 0`, where even a signed or underflowed zero expectation is
+defined: a sweep over N = 2, 3, 601, T = 0, 0.05, 1, 50, 1e6 and
+z = 0, 0.2, 0.5 at `--precision 17`.
 
 usage: python tools/compare_outputs.py OLD_SRC NEW_SRC   (e.g. a copy of the parent's src, then src)
 """
@@ -63,6 +67,9 @@ SWEEPS = {
                 "--w", "0.5"),
 }
 TEMPERATURES = ("-T", "0", "-T", "0.05", "-T", "1")
+# Chain sizes, temperatures and hoppings where a determinant can round to a signed zero.
+DETERMINANT_EDGES = ("--axis", "N=2,3,601", "--axis", "T=0,0.05,1,50,1e6", "--axis", "z=0,0.2,0.5",
+                     "--v", "0.3", "--w", "0.5")
 OVERFLOW = ("--n-cells", "4", "--v", "1e308", "--w", "1e308", "--z", "1e308")
 
 
@@ -100,6 +107,9 @@ def cases(config_dir: Path) -> list:
             found.append((f"sweep-only-{mode}-{boundary}",
                           ("sweep", *SWEEPS["T-first"], "--quantities", "polarization",
                            "--mode", mode, "--precision", "17", *where)))
+        found.append((f"determinant-signs-{boundary}",
+                      ("sweep", *DETERMINANT_EDGES, "--quantities", "polarization",
+                       "--mode", "determinant", "--tau-mag", "0", "--precision", "17", *where)))
         found.append((f"polarization-{boundary}",
                       ("polarization", *MODEL, *TEMPERATURES, *modes, *where)))
         found.append((f"polarization-tau-mag-{boundary}",
