@@ -39,7 +39,7 @@ import numpy as np
 from .lattice import PERIODIC, ModelParams
 from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _real_determinant_result
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, band_contrast
+from .thermal import BandSpectrum, GibbsEnsemble, _require_finite_energies, band_contrast
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,21 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
     )
 
 
-def bloch_qfi_matrix(spectrum: BlochSpectrum, weights: np.ndarray) -> np.ndarray:
-    """3x3 QFI matrix over I (x) sigma_l from weights in `energies` order.
+def bloch_qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
+    """3x3 QFI matrix over I (x) sigma_l of an ensemble over a BlochSpectrum.
 
-    Same normalization and pair cutoff as qfi.qfi_matrix. The generators
-    connect only the two bands at one k, and the (-, +) and (+, -) pairs
-    contribute equally: M = sum_k pw_k Re(g_l conj(g_m)). Only the
-    diagonal is summed; every off-diagonal entry is exactly 0 (see
-    BlochSpectrum). Weights of shape (n_T, 2N) give (n_T, 3, 3); each
+    The signature of qfi.qfi_matrix, with the same normalization and pair
+    cutoff; the ensemble's weights are in its spectrum's `energies` order.
+    The generators connect only the two bands at one k, and the (-, +)
+    and (+, -) pairs contribute equally: M = sum_k pw_k Re(g_l conj(g_m)).
+    Only the diagonal is summed; every off-diagonal entry is exactly 0
+    (see BlochSpectrum). Weights of shape (n_T, 2N) give (n_T, 3, 3); each
     entry is a sum along the contiguous k axis, so it does not depend on
     how many temperatures share the call.
     """
-    lower, upper = spectrum.bands(weights)
+    lower, upper = ensemble.spectrum.bands(ensemble.weights)
     pair = pair_weights(lower, upper)
-    entries = np.sum(pair[..., None, :] * spectrum.generators, axis=-1)
+    entries = np.sum(pair[..., None, :] * ensemble.spectrum.generators, axis=-1)
     matrices = np.zeros((*pair.shape[:-1], 3, 3))
     matrices[..., (0, 1, 2), (0, 1, 2)] = entries
     return matrices

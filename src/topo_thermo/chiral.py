@@ -81,7 +81,7 @@ import numpy as np
 from .lattice import ModelParams, build_folded_block, cell_phases
 from .polarization import DEFAULT_MAGNITUDE_CUTOFF, _real_determinant_result
 from .qfi import pair_weights
-from .thermal import BandSpectrum, _require_finite_energies, band_contrast
+from .thermal import BandSpectrum, GibbsEnsemble, _require_finite_energies, band_contrast
 
 # A cell whose |sin(theta_m / 2)| or |cos(theta_m / 2)| is below this
 # leaves the determinant's cot or tan sum for a border row, so no cot or
@@ -135,11 +135,13 @@ def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
     )
 
 
-def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarray:
-    """3x3 QFI matrix over I (x) sigma_l from weights in `energies` order.
+def chiral_qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
+    """3x3 QFI matrix over I (x) sigma_l of an ensemble over a ChiralSpectrum.
 
-    Same normalization and pair cutoff as qfi.qfi_matrix. With pw_ab the
-    pair weights between band a of state k and band b of state l,
+    The signature of qfi.qfi_matrix, with the same normalization and pair
+    cutoff; the ensemble's weights are in its spectrum's `energies` order.
+    With pw_ab the pair weights between band a of state k and band b of
+    state l,
 
       M_xx = 1/8 sum_kl [(pw_++ + pw_--) S^2 + 2 pw_+- A^2],
       M_yy = the same with S and A swapped,
@@ -156,7 +158,8 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
     does not depend on how many temperatures share the call or on the
     BLAS thread count.
     """
-    lower, upper = spectrum.bands(weights)
+    spectrum = ensemble.spectrum
+    lower, upper = spectrum.bands(ensemble.weights)
     n = spectrum.n_cells
     vectors = spectrum.fold_vectors
     coupling = vectors.T @ (vectors[::-1] * spectrum.signs)
@@ -179,7 +182,7 @@ def chiral_qfi_matrix(spectrum: ChiralSpectrum, weights: np.ndarray) -> np.ndarr
         matrix[0, 0] = 0.125 * same[0] + 0.25 * cross[1]
         matrix[1, 1] = 0.125 * same[1] + 0.25 * cross[0]
         matrix[2, 2] = np.sum(pair_weights(low, up))
-    return matrices if np.ndim(weights) == 2 else matrices[0]
+    return matrices if np.ndim(ensemble.weights) == 2 else matrices[0]
 
 
 def chiral_state_expectations(spectrum: ChiralSpectrum) -> np.ndarray:

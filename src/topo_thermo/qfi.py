@@ -61,10 +61,9 @@ def pair_weights(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = N
     `left` and `right` broadcast against each other. The result goes into
     `out` when given, a float array of the broadcast shape that a caller
     can reuse from call to call, and is returned; the values are the same
-    either way.
+    either way. The weights are not checked here: every QFI path reads
+    them from a GibbsEnsemble, which refuses negative weights when built.
     """
-    if np.any(left < 0.0) or np.any(right < 0.0):
-        raise ValueError("ensemble weights must be nonnegative")
     total = np.add(left, right)
     diff = np.subtract(left, right, out=out)
     diff *= diff

@@ -298,7 +298,9 @@ class SweepTable:
 
 
 def _engine(boundary: str) -> tuple:
-    """(spectrum, QFI matrix from weights, determinant P, per-state <n|X|n>) of a boundary.
+    """(spectrum, QFI matrix of an ensemble, determinant P, per-state <n|X|n>) of a boundary.
+
+    The QFI matrix takes a GibbsEnsemble, as the dense qfi.qfi_matrix does.
 
     The names resolve when called, so a function rebound on this module
     after import, to trace or to test it, is the one a sweep then calls.
@@ -334,7 +336,7 @@ class _Work:
 
     @cached_property
     def qfi(self):
-        return self._qfi_matrix_of(self.spectrum, self.ensemble.weights)
+        return self._qfi_matrix_of(self.ensemble)
 
     @cached_property
     def report(self):

@@ -70,11 +70,18 @@ class GibbsEnsemble:
     """Normalized spectral weights lambda_n attached to a Spectrum or BandSpectrum.
 
     For an array of temperatures, `weights` has one row per temperature.
+    Building an ensemble with any negative weight raises ValueError, so
+    every consumer reads weights checked once, here, and no kernel checks
+    them again.
     """
 
     temperature: float | np.ndarray
     weights: np.ndarray = field(repr=False)
     spectrum: Spectrum | BandSpectrum = field(repr=False)
+
+    def __post_init__(self):
+        if np.any(self.weights < 0.0):
+            raise ValueError("ensemble weights must be nonnegative")
 
     @property
     def dimension(self) -> int:

@@ -1,4 +1,4 @@
-"""Exact Fock-space oracle for the determinant polarization of small chains.
+"""Exact Fock-space oracle for the determinant polarization and the QFI of small chains.
 
 The single-particle Hamiltonian h = build_hamiltonian(params) is second
 quantized, H = sum_ij h_ij c_i^dagger c_j, with Jordan-Wigner fermion
@@ -10,8 +10,19 @@ full 2^(2N)-dimensional Fock space:
 with rho = exp(-H / T) / Z the grand-canonical state at mu = 0, x_j the
 cell of site j, delta = 2 pi / N, and the last factor the phase of the
 neutralizing background. At T = 0, rho projects on the many-body ground
-state, which is unique when no single-particle level is zero. Nothing
-here goes through Fermi occupations, the determinant identity
+state, which is unique when no single-particle level is zero.
+
+The QFI matrix of the same state over the second-quantized sublattice
+generators G_l = sum_ij (I_cells (x) sigma_l)_ij c_i^dagger c_j is the
+spectral sum over Fock eigenpairs, in the quarter normalization of the
+package (Hauke, Heyl, Tagliacozzo, Zoller, Nat. Phys. 12, 778 (2016)):
+
+  M_lm = (1/2) sum_ab w_ab Re(G_l,ab conj G_m,ab),
+  w_ab = (p_a - p_b)^2 / (p_a + p_b),
+
+with p_a the populations of rho and pairs with p_a + p_b < 1e-12 skipped.
+
+Nothing here goes through Fermi occupations, the determinant identity
 Tr[rho e^{i A}] = det[1 - F + F e^{i A}] or any spectrum class of the
 package, so it checks them all independently.
 """
@@ -22,6 +33,10 @@ from topo_thermo.lattice import ModelParams, build_hamiltonian
 
 # 2^10 = 1024 Fock states, N <= 5 cells.
 MAX_SITES = 10
+# Pairs of Fock states with p_a + p_b below this are skipped in the QFI.
+PAIR_CUTOFF = 1e-12
+# The real matrices whose second quantization gives G_x, G_y / i and G_z of one cell.
+CELL_GENERATORS = (((0.0, 1.0), (1.0, 0.0)), ((0.0, -1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, -1.0)))
 
 
 def many_body_hamiltonian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,3 +101,34 @@ def position_phase_expectations(params: ModelParams, temperatures) -> np.ndarray
             populations = np.exp(-excitation / temperature)
         expectations.append(diagonal @ populations / populations.sum())
     return np.array(expectations)
+
+
+def qfi_matrices(params: ModelParams, temperatures) -> np.ndarray:
+    """M_lm = (1/2) sum_ab w_ab Re(G_l,ab conj G_m,ab) of rho at mu = 0, (n_T, 3, 3).
+
+    One matrix per entry of `temperatures`, each T > 0; H is diagonalized
+    once over the whole Fock space, since the QFI does not depend on the
+    basis chosen inside a degenerate level. sigma_y is imaginary and
+    many_body_hamiltonian takes a real matrix, so G_y is i times the second
+    quantization of Im(I_cells (x) sigma_y).
+    """
+    n = params.n_cells
+    hamiltonian, _ = many_body_hamiltonian(build_hamiltonian(params))
+    levels, states = np.linalg.eigh(hamiltonian)
+    generators = [
+        states.T @ many_body_hamiltonian(np.kron(np.eye(n), cell))[0] @ states
+        for cell in CELL_GENERATORS
+    ]
+    generators[1] = 1j * generators[1]
+    matrices = []
+    for temperature in temperatures:
+        populations = np.exp(-(levels - levels.min()) / temperature)
+        populations /= populations.sum()
+        total = populations[:, None] + populations[None, :]
+        skipped = total < PAIR_CUTOFF
+        weights = (populations[:, None] - populations[None, :]) ** 2 / np.where(skipped, 1.0, total)
+        weights[skipped] = 0.0
+        matrices.append(
+            [[0.5 * np.sum(weights * (g * h.conj()).real) for h in generators] for g in generators]
+        )
+    return np.array(matrices)

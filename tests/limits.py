@@ -34,8 +34,13 @@ faster than any power of 1 / n_k.
                P = z xi^2 + v xi + w and Q = w xi^2 + v xi + z, so by
                residues m = w / z + sum over the roots xi_i of Q in |xi| < 1
                of P(xi_i) / (xi_i Q'(xi_i)), and m = (z / w)^nu for winding
-               nu = +-1. The ring's Gaussian state at T = 0 has i_p / N =
-               (1 - |m|) / 2.
+               nu = +-1.
+
+  gaussian_ground_interferometric_power  i_p = (1 - |m|) n / 2 of the
+               ring's half-filled Gaussian state at T = 0, with m taken
+               over the ring's own n momenta. There M_zz = n, and the
+               x-y block of the QFI matrix has eigenvalues (n / 2)(1 +- |m|),
+               so the smaller one is i_p.
 
   thermal_winding  nu_T = -<tanh^2(|a| / 2T) phi'>, the zone mean of the
                winding density weighted by the squared Fermi contrast
@@ -131,6 +136,11 @@ def coupling_phase_mean(v: float, w: float, z: float, n_k: int = ZONE_POINTS) ->
     """m = <a / conj(a)>, the periodic-trapezoid mean over n_k points."""
     a = coupling(v, w, z, momenta(n_k))
     return complex(np.mean(a / np.conj(a)))
+
+
+def gaussian_ground_interferometric_power(v: float, w: float, z: float, n: int) -> float:
+    """(1 - |m|) n / 2, with m = coupling_phase_mean over the ring's own n momenta."""
+    return 0.5 * (1.0 - abs(coupling_phase_mean(v, w, z, n))) * n
 
 
 def thermal_winding(v: float, w: float, z: float, temperature: float, n_k: int = ZONE_POINTS):

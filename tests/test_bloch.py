@@ -22,6 +22,7 @@ from topo_thermo.polarization import (
 )
 from topo_thermo.qfi import interferometric_power, pair_weights, qfi_matrix
 from topo_thermo.thermal import (
+    GibbsEnsemble,
     diagonalize,
     ensemble_diagnostics,
     fermi_occupations,
@@ -97,7 +98,7 @@ def test_bloch_matches_dense(ring, temperature):
     bloch_ensemble = gibbs_weights(bands, temperature)
     assert np.abs(bloch_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
     dense_matrix = qfi_matrix(ensemble)
-    matrix = bloch_qfi_matrix(bands, bloch_ensemble.weights)
+    matrix = bloch_qfi_matrix(bloch_ensemble)
     assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
     assert abs(interferometric_power(matrix).i_p - interferometric_power(dense_matrix).i_p) <= QFI_TOL
     for got, want in zip(ensemble_diagnostics(bloch_ensemble), ensemble_diagnostics(ensemble)):
@@ -186,14 +187,14 @@ def test_qfi_matches_the_full_generator_contraction_bitwise():
     # its sum is only rounding noise, which bloch_qfi_matrix does not form.
     for n, v, w, z in ((2, 0.3, 0.5, 0.0), (7, 0.3, 0.5, 0.2), (50, 0.5, 0.3, 0.8)):
         bands = bloch_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z))
-        weights = gibbs_weights(bands, np.array([0.0, 0.05, 0.7, 1e6])).weights
+        ensemble = gibbs_weights(bands, np.array([0.0, 0.05, 0.7, 1e6]))
         phi = np.angle(bands.coupling)
         g = np.stack([-1j * np.sin(phi), -1j * np.cos(phi), np.ones(n)])
         rows = (g[:, None, :] * g[None, :, :].conj()).real.reshape(9, n)
-        lower, upper = bands.bands(weights)
+        lower, upper = bands.bands(ensemble.weights)
         pair = pair_weights(lower, upper)
         full = np.sum(pair[..., None, :] * rows, axis=-1).reshape(-1, 3, 3)
-        matrices = bloch_qfi_matrix(bands, weights)
+        matrices = bloch_qfi_matrix(ensemble)
         diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
         assert diagonal.tobytes() == np.diagonal(full, axis1=-2, axis2=-1).tobytes()
         off_diagonal = ~np.eye(3, dtype=bool)
@@ -333,10 +334,10 @@ def test_bloch_rejects_bad_input():
     with pytest.raises(FloatingPointError):  # |a(0)| = v + w + z overflows
         bloch_spectrum(ModelParams(n_cells=4, v=1e308, w=1e308, z=0.2))
     bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0))
-    with pytest.raises(ValueError):
-        bloch_qfi_matrix(bands, np.ones(6) / 6)
-    with pytest.raises(ValueError):
-        bloch_qfi_matrix(bands, -np.ones(8) / 8)
+    with pytest.raises(ValueError):  # six weights for eight levels, refused by bands()
+        bloch_qfi_matrix(GibbsEnsemble(temperature=0.1, weights=np.ones(6) / 6, spectrum=bands))
+    with pytest.raises(ValueError):  # refused when the ensemble is built
+        GibbsEnsemble(temperature=0.1, weights=-np.ones(8) / 8, spectrum=bands)
     with pytest.raises(ValueError):
         bloch_polarization_determinant(bands, -0.1)
     ensemble, per_state = gibbs_weights(bands, 0.1), bloch_state_expectations(bands)

@@ -31,6 +31,7 @@ from topo_thermo.polarization import (
 )
 from topo_thermo.qfi import interferometric_power, qfi_matrix
 from topo_thermo.thermal import (
+    GibbsEnsemble,
     diagonalize,
     ensemble_diagnostics,
     fermi_occupations,
@@ -119,7 +120,7 @@ def test_chiral_matches_dense(chain, temperature):
     fast_ensemble = gibbs_weights(fast, temperature)
     assert np.abs(fast_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
     dense_matrix = qfi_matrix(ensemble)
-    matrix = chiral_qfi_matrix(fast, fast_ensemble.weights)
+    matrix = chiral_qfi_matrix(fast_ensemble)
     assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
     assert matrix[0, 1] == matrix[0, 2] == matrix[1, 2] == 0.0
     assert np.array_equal(matrix, matrix.T)
@@ -150,7 +151,7 @@ def test_chiral_matches_dense(chain, temperature):
     batch = np.array([0.0, temperature, 0.7])
     batched = gibbs_weights(fast, batch)
     assert np.array_equal(batched.weights[1], fast_ensemble.weights)
-    assert np.array_equal(chiral_qfi_matrix(fast, batched.weights)[1], matrix)
+    assert np.array_equal(chiral_qfi_matrix(batched)[1], matrix)
     batched_determinants = chiral_polarization_determinant(fast, batch)
     assert batched_determinants.row(1) == determinant
     assert np.all(batched_determinants.expectation.imag == 0.0)
@@ -420,10 +421,10 @@ def test_bulk_boundary_correspondence():
 
 def test_chiral_rejects_bad_input():
     fast = chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0, boundary=OPEN))
-    with pytest.raises(ValueError):
-        chiral_qfi_matrix(fast, np.ones(6) / 6)
-    with pytest.raises(ValueError):
-        chiral_qfi_matrix(fast, -np.ones(8) / 8)
+    with pytest.raises(ValueError):  # six weights for eight levels, refused by bands()
+        chiral_qfi_matrix(GibbsEnsemble(temperature=0.1, weights=np.ones(6) / 6, spectrum=fast))
+    with pytest.raises(ValueError):  # refused when the ensemble is built
+        GibbsEnsemble(temperature=0.1, weights=-np.ones(8) / 8, spectrum=fast)
     with pytest.raises(ValueError):
         chiral_polarization_determinant(fast, -0.1)
     with pytest.raises(ValueError):

@@ -22,6 +22,9 @@ negative on a winding chain when cold, and changes sign at a critical
 temperature that does not grow with N (Viyuela, Rivas and
 Martin-Delgado, Phys. Rev. Lett. 112, 130401 (2014)).
 
+The ring's half-filled Gaussian state at T = 0 has i_p = (1 - |m|) N / 2,
+held to the test-side Gaussian QFI of test_fock.py on cold rings.
+
 Two more ring oracles stand ready for their sweep outputs: the thermal
 winding nu_T, which is the winding number at T = 0 and fades smoothly as
 T grows, and the Bures metric of the thermal Gaussian state over the
@@ -39,6 +42,7 @@ from limits import (
     coupling,
     coupling_phase_mean,
     full_band_log_probability,
+    gaussian_ground_interferometric_power,
     metric_mean,
     momenta,
     phase_derivatives,
@@ -46,10 +50,12 @@ from limits import (
     uhlmann_overlap,
     zone_mean,
 )
+from test_fock import gaussian_qfi_matrix
 
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import winding_number
 from topo_thermo.lattice import ModelParams, build_hamiltonian
+from topo_thermo.qfi import interferometric_power
 
 # Seeded chains with hoppings in [-1, 1] and a bulk gap min_k |a(k)| >= 0.2.
 GAP_FLOOR = 0.2
@@ -171,6 +177,24 @@ def test_a_winding_chain_has_m_of_z_over_w_to_the_winding():
 def test_m_at_z0_has_its_closed_form(v, w):
     expected = 0.0 if abs(v) < abs(w) else 1.0 - (w / v) ** 2
     assert abs(coupling_phase_mean(v, w, 0.0) - expected) <= 1e-12
+
+
+# Named chains of both windings, trivial ones and z = 0 ones, then seeded draws.
+COLD_RING_CHAINS = ((0.3, 0.5, 0.2), (0.7, 0.3, 0.2), (0.3, 0.5, 0.8), (0.1, 0.5, 0.0),
+                    (0.6, 0.5, 0.0)) + tuple(CHAINS[:10])
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_the_cold_gaussian_ring_has_the_closed_form_interferometric_power(n):
+    # At T = 1e-4 every ring here has min_j |a(k_j)| >= 0.05, so the state is
+    # its ground state to exp(-500). Measured: i_p within 3.6e-16 per cell
+    # and M_zz / N within 6.7e-16 of 1.
+    for v, w, z in COLD_RING_CHAINS:
+        assert np.abs(coupling(v, w, z, momenta(n))).min() >= 0.05
+        matrix = gaussian_qfi_matrix(ModelParams(n_cells=n, v=v, w=w, z=z), 1e-4)
+        i_p = interferometric_power(matrix).i_p
+        assert abs(i_p - gaussian_ground_interferometric_power(v, w, z, n)) <= 1e-12 * n, (v, w, z)
+        assert abs(matrix[2, 2] - n) <= 1e-12 * n, (v, w, z)
 
 
 def uhlmann_critical_temperature(v: float, w: float, z: float, n: int) -> float:

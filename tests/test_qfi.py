@@ -97,13 +97,12 @@ def test_qfi_scalar_validation():
     ensemble = seeded_ensemble(rng, 4)
     with pytest.raises(ValueError):
         qfi_scalar(ensemble, np.eye(6))
-    bad = GibbsEnsemble(
-        temperature=1.0,
-        weights=np.array([1.2, -0.2, 0.0, 0.0]),
-        spectrum=ensemble.spectrum,
-    )
     with pytest.raises(ValueError):
-        qfi_scalar(bad, np.eye(4))
+        GibbsEnsemble(
+            temperature=1.0,
+            weights=np.array([1.2, -0.2, 0.0, 0.0]),
+            spectrum=ensemble.spectrum,
+        )
 
 
 def test_matrix_vanishes_at_infinite_temperature():
@@ -263,10 +262,6 @@ def test_pair_weights_match_the_masked_formula_bit_for_bit():
         assert pair_weights(left, right).tobytes() == want
         assert pair_weights(left, right, out=buffer) is buffer
         assert buffer.tobytes() == want
-    with pytest.raises(ValueError):
-        pair_weights(np.array([0.5, -1e-300]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        pair_weights(np.array([0.5]), np.array([-0.1]))
 
 
 def test_interferometric_power_given_matrix():

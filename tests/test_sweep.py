@@ -120,13 +120,13 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     if boundary == "open":
         fast = chiral_spectrum(params)
         ensemble = gibbs_weights(fast, 0.37)
-        matrix = chiral_qfi_matrix(fast, ensemble.weights)
+        matrix = chiral_qfi_matrix(ensemble)
         determinant = chiral_polarization_determinant(fast, 0.37)
         per_state = chiral_state_expectations(fast)
     else:
         fast = bloch_spectrum(params)
         ensemble = gibbs_weights(fast, 0.37)
-        matrix = bloch_qfi_matrix(fast, ensemble.weights)
+        matrix = bloch_qfi_matrix(ensemble)
         determinant = bloch_polarization_determinant(fast, 0.37)
         per_state = bloch_state_expectations(fast)
     state_modes = {

@@ -10,6 +10,7 @@ from topo_thermo.chiral import chiral_spectrum
 from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.thermal import (
     BandSpectrum,
+    GibbsEnsemble,
     Spectrum,
     band_contrast,
     diagonalize,
@@ -161,6 +162,29 @@ def test_gibbs_rejects_negative_temperature():
         gibbs_weights(two_level_spectrum(), -0.1)
     with pytest.raises(ValueError):
         fermi_occupations(two_level_spectrum(), -0.1)
+
+
+def test_ensemble_refuses_negative_weights():
+    # The one check of an ensemble's weights, made when it is built, over
+    # the dense spectrum and both engines' band spectra alike.
+    params = ModelParams(n_cells=3, v=0.3, w=0.5, z=0.2)
+    spectra = (
+        diagonalize(build_hamiltonian(params)),
+        bloch_spectrum(params),
+        chiral_spectrum(ModelParams(n_cells=3, v=0.3, w=0.5, z=0.2, boundary=OPEN)),
+    )
+    for spectrum in spectra:
+        one = np.full(6, 1.0 / 6.0)
+        one[4] = -1e-300
+        batched = np.full((4, 6), 1.0 / 6.0)
+        batched[2, 5] = -0.1
+        with pytest.raises(ValueError, match="ensemble weights must be nonnegative"):
+            GibbsEnsemble(temperature=0.1, weights=one, spectrum=spectrum)
+        with pytest.raises(ValueError, match="ensemble weights must be nonnegative"):
+            GibbsEnsemble(temperature=np.full(4, 0.1), weights=batched, spectrum=spectrum)
+        zero = np.array([0.5, 0.0, 0.5, 0.0, 0.0, 0.0])
+        ensemble = GibbsEnsemble(temperature=0.0, weights=zero, spectrum=spectrum)
+        assert ensemble.weights is zero
 
 
 def test_nan_temperature_is_rejected():

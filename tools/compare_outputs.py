@@ -5,7 +5,10 @@ with PYTHONPATH set to that tree and one BLAS thread, and compares the
 sha256 of stdout, the exit code and stderr. It prints one line per case
 and exits 1 if any case differs, 0 if every case is identical.
 
-The cases are every figure preset in CSV and JSON; the configs of the
+The cases are every figure preset in CSV and JSON; figure 3a's grid on an
+open chain (`sweep --axis T=0.01:1:101 --axis z=0:1:101 --v 0.3 --w 0.5
+--n-cells 50 --boundary open --quantities qfi_matrix,interferometric_power`),
+the open-chain heatmap path; the configs of the
 workloads of bench/run.py at seeds 0 and 1, as written and with
 `--precision 3 --format json`; sweeps of every quantity and mode at
 `--precision 17` with T as the first, middle and last axis and fixed, on
@@ -55,6 +58,10 @@ EVERY_OUTPUT = (
     "--mode", "literal", "--mode", "weighted", "--mode", "determinant", "--precision", "17",
 )
 MODEL = ("--n-cells", "7", "--v", "0.3", "--w", "0.5", "--z", "0.2")
+# Figure 3a's grid on an open chain.
+OPEN_FIG3A = ("--axis", "T=0.01:1:101", "--axis", "z=0:1:101", "--v", "0.3", "--w", "0.5",
+              "--n-cells", "50", "--boundary", "open",
+              "--quantities", "qfi_matrix,interferometric_power")
 # Axes and fixed parameters of the sweeps, by where T sits.
 SWEEPS = {
     "T-first": ("--axis", "T=0,0.05,0.5", "--axis", "z=0.1,0.6", "--v", "0.3", "--w", "0.5",
@@ -87,6 +94,7 @@ def cases(config_dir: Path) -> list:
     for figure in FIGURE_IDS:
         for fmt in ("csv", "json"):
             found.append((f"figure-{figure}-{fmt}", ("figure", figure, "--format", fmt)))
+    found.append(("open-fig3a-grid", ("sweep", *OPEN_FIG3A)))
     for name, workload in _workloads().items():
         for seed in (0, 1):
             path = config_dir / f"{name}-seed{seed}.json"
