@@ -9,14 +9,18 @@ temperatures. The grid of point indices, reshaped with the T axis last,
 gives the points of one spectrum per row. The results go straight into
 the preallocated columns of a SweepTable at those points, and each
 spectrum is dropped once they are written. Each boundary has one
-evaluation path, whose functions _engine picks in one place: periodic
-rings use the Bloch engine (bloch.py), open chains the chiral block
-D = H[A, B] (chiral.py), decomposed by one eigh of the symmetric folded
-block D J, through the same public functions a caller would use. Both
-engines give per-state <n|X|n>, which polarization_from_states reduces
-to the literal and weighted modes. The dense eigendecomposition is their
-oracle. A failing column is evaluated again one temperature at a time,
-so a failure lands in the error of exactly the points that fail.
+evaluation path, whose functions _engine returns in one place, as one
+record with four named fields: spectrum, qfi_matrix,
+polarization_determinant and state_expectations. Periodic rings use the
+Bloch engine (bloch.py), open chains the chiral block D = H[A, B]
+(chiral.py), decomposed by one eigh of the symmetric folded block D J,
+through the same public functions a caller would use. Both engines give
+per-state <n|X|n>, which polarization_from_states reduces to the literal
+and weighted modes. The dense eigendecomposition is their oracle: the
+tests build the same record from the dense functions and run whole
+sweeps through it. A failing column is evaluated again one temperature
+at a time, so a failure lands in the error of exactly the points that
+fail.
 
 Every output but polarization is declared once, in `_OUTPUTS`: its
 SweepTable and ResultRecord attribute, the quantity that requests it, its
@@ -297,22 +301,26 @@ class SweepTable:
         return map(self.__getitem__, range(self.size))
 
 
-def _engine(boundary: str) -> tuple:
-    """(spectrum, QFI matrix of an ensemble, determinant P, per-state <n|X|n>) of a boundary.
+def _engine(boundary: str) -> SimpleNamespace:
+    """The engine record of a boundary: its four functions, by name.
 
-    The QFI matrix takes a GibbsEnsemble, as the dense qfi.qfi_matrix does.
+    `spectrum(params)`, `qfi_matrix(ensemble)`,
+    `polarization_determinant(spectrum, T, cutoff)` and
+    `state_expectations(spectrum)` are the boundary's `bloch_` or
+    `chiral_` function of that name. The QFI matrix takes a GibbsEnsemble,
+    as the dense qfi.qfi_matrix does.
 
     The names resolve when called, so a function rebound on this module
     after import, to trace or to test it, is the one a sweep then calls.
     """
     if boundary == PERIODIC:
-        return (
-            bloch_spectrum, bloch_qfi_matrix, bloch_polarization_determinant,
-            bloch_state_expectations,
+        return SimpleNamespace(
+            spectrum=bloch_spectrum, polarization_determinant=bloch_polarization_determinant,
+            qfi_matrix=bloch_qfi_matrix, state_expectations=bloch_state_expectations,
         )
-    return (
-        chiral_spectrum, chiral_qfi_matrix, chiral_polarization_determinant,
-        chiral_state_expectations,
+    return SimpleNamespace(
+        spectrum=chiral_spectrum, polarization_determinant=chiral_polarization_determinant,
+        qfi_matrix=chiral_qfi_matrix, state_expectations=chiral_state_expectations,
     )
 
 
@@ -322,13 +330,13 @@ class _Work:
     The Gibbs ensemble, the engine's QFI matrices, their interferometric
     power report, the ensemble diagnostics and the engine's per-state
     <n|X|n> are cached properties, so an output reads exactly the ones it
-    needs and a determinant-only request builds none of them. The engine
-    functions come from `_engine` when the work is made.
+    needs and a determinant-only request builds none of them. `engine` is
+    the boundary's record from `_engine`, taken when the work is made.
     """
 
     def __init__(self, boundary: str, spectrum, temperatures: np.ndarray, cutoff: float):
-        _, self._qfi_matrix_of, self._determinant_of, self._states_of = _engine(boundary)
-        self.spectrum, self.temperatures, self.cutoff = spectrum, temperatures, cutoff
+        self.engine, self.spectrum = _engine(boundary), spectrum
+        self.temperatures, self.cutoff = temperatures, cutoff
 
     @cached_property
     def ensemble(self):
@@ -336,7 +344,7 @@ class _Work:
 
     @cached_property
     def qfi(self):
-        return self._qfi_matrix_of(self.ensemble)
+        return self.engine.qfi_matrix(self.ensemble)
 
     @cached_property
     def report(self):
@@ -348,13 +356,13 @@ class _Work:
 
     @cached_property
     def per_state(self):
-        return self._states_of(self.spectrum)
+        return self.engine.state_expectations(self.spectrum)
 
     def polarization(self, mode: str):
         """One mode's PolarizationResult: the engine's determinant, or the reduction of <n|X|n>."""
-        if mode == MODE_DETERMINANT:
-            return self._determinant_of(self.spectrum, self.temperatures, self.cutoff)
-        return polarization_from_states(self.ensemble, self.per_state, mode, self.cutoff)
+        if mode != MODE_DETERMINANT:
+            return polarization_from_states(self.ensemble, self.per_state, mode, self.cutoff)
+        return self.engine.polarization_determinant(self.spectrum, self.temperatures, self.cutoff)
 
 
 def _evaluate(table: SweepTable, points: np.ndarray, spectrum, temperatures: np.ndarray) -> None:
@@ -386,7 +394,7 @@ def _evaluate_column(table: SweepTable, points: np.ndarray) -> None:
             _PARAMETER_FIELDS[name]: value
             for name, value in table.parameters(points[0]).items() if name != "T"
         }
-        spectrum = _engine(boundary)[0](ModelParams(**model, boundary=boundary))
+        spectrum = _engine(boundary).spectrum(ModelParams(**model, boundary=boundary))
     except Exception as exc:  # degrade to flagged points, never abort the sweep
         table.errors.update(dict.fromkeys(points.tolist(), _failure(exc)))
         return

@@ -5,6 +5,15 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from dense_engine import (
+    DET_ATOL,
+    DET_RTOL,
+    DET_SCALE,
+    QFI_TOL,
+    assert_determinants_agree,
+    weighted_comparable,
+    zero_temperature_comparable,
+)
 from topo_thermo.bloch import (
     _ordered_product,
     bloch_polarization_determinant,
@@ -13,7 +22,7 @@ from topo_thermo.bloch import (
     bloch_state_expectations,
 )
 from topo_thermo.chiral import winding_number
-from topo_thermo.lattice import OPEN, ModelParams, build_hamiltonian
+from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.polarization import (
     polarization_from_states,
     thermal_polarization_determinant,
@@ -28,18 +37,6 @@ from topo_thermo.thermal import (
     fermi_occupations,
     gibbs_weights,
 )
-
-QFI_TOL = 1e-13
-DET_RTOL = 1e-11
-DET_ATOL = 1e-14
-DET_SCALE = 1e-3
-
-# T = 0 examples keep every level either degenerate with the ground level
-# (by symmetry, so within rounding) or this far above it, and every |a(k)|
-# this far from 0: a zero mode is half occupied only if its energy is
-# exactly 0, and near-degenerate dense eigenvectors mix by ~1e-16 / gap.
-T0_MIN_GAP = 1e-3
-SYMMETRY_DEGENERACY = 1e-12
 
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
@@ -68,16 +65,6 @@ temperatures = st.one_of(
 )
 
 
-def assert_determinants_agree(dense, bloch):
-    reference = dense.expectation
-    if abs(reference) >= DET_SCALE:
-        assert abs(bloch.expectation - reference) <= DET_RTOL * abs(reference)
-    else:
-        assert abs(bloch.expectation - reference) <= DET_ATOL
-    assert bloch.defined == dense.defined
-    assert bloch.polarization == dense.polarization
-
-
 @seed(20241018)
 @settings(max_examples=400, deadline=None, database=None)
 @given(ring=rings(), temperature=temperatures)
@@ -86,9 +73,7 @@ def test_bloch_matches_dense(ring, temperature):
     params = ModelParams(n_cells=n, v=v, w=w, z=z)
     bands = bloch_spectrum(params)
     if temperature == 0.0:
-        excitation = bands.energies - bands.energies.min()
-        near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
-        assume(np.abs(bands.coupling).min() >= T0_MIN_GAP and not near_ground.any())
+        assume(zero_temperature_comparable(bands))
     spectrum = diagonalize(build_hamiltonian(params))
     # Band order [-|a|, +|a|] against the dense ascending order.
     order = np.argsort(bands.energies, kind="stable")
@@ -116,12 +101,7 @@ def test_bloch_matches_dense(ring, temperature):
         literal.polarization,
         literal.defined,
     )
-    # Inside a degenerate cluster that X connects (momenta k and k + 2 pi/N)
-    # the dense weighted answer depends on the basis LAPACK picks there:
-    # k, -k pairs at odd N, flat bands, and the k, pi - k pairs of v = 0.
-    magnitude = np.abs(bands.coupling)
-    connected = np.abs(magnitude - np.roll(magnitude, 1)).min() < 1e-9
-    if n % 2 == 0 and not connected:
+    if weighted_comparable(bands, PERIODIC):
         weighted = thermal_polarization_weighted(ensemble)
         bloch_weighted = polarization_from_states(bloch_ensemble, per_state, "weighted")
         assert (bloch_weighted.polarization, bloch_weighted.defined) == (

@@ -5,6 +5,16 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from dense_engine import (
+    LITERAL_TOL,
+    PER_STATE_TOL,
+    QFI_TOL,
+    T0_MIN_GAP,
+    assert_determinants_agree,
+    weighted_comparable,
+    wrap_distance,
+    zero_temperature_comparable,
+)
 from topo_thermo import chiral as chiral_mod
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
@@ -38,21 +48,6 @@ from topo_thermo.thermal import (
     gibbs_weights,
 )
 
-# The tolerances of the Bloch-vs-dense property test.
-QFI_TOL = 1e-13
-DET_RTOL = 1e-11
-DET_ATOL = 1e-14
-DET_SCALE = 1e-3
-T0_MIN_GAP = 1e-3
-SYMMETRY_DEGENERACY = 1e-12
-
-# Dense eigenvectors inside a cluster of levels closer than this are mixed
-# by up to ~1e-16 / gap, so the per-state <X> of the weighted mode is
-# compared only on spectra whose 2N levels are all this far apart.
-WEIGHTED_MIN_GAP = 1e-4
-PER_STATE_TOL = 1e-10
-LITERAL_TOL = 1e-12
-
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -73,21 +68,6 @@ def chains(draw):
 temperatures = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.02, 3.0))
 
 
-def assert_determinants_agree(dense, chiral):
-    reference = dense.expectation
-    if abs(reference) >= DET_SCALE:
-        assert abs(chiral.expectation - reference) <= DET_RTOL * abs(reference)
-    else:
-        assert abs(chiral.expectation - reference) <= DET_ATOL
-    assert chiral.defined == dense.defined
-    assert chiral.polarization == dense.polarization
-
-
-def wrap_distance(a, b):
-    gap = abs(a - b) % 1.0
-    return min(gap, 1.0 - gap)
-
-
 def singular_values(fast):
     """s, descending: the upper band of the band-ordered energies [-s, +s]."""
     return fast.energies[fast.n_cells :]
@@ -106,11 +86,7 @@ def test_chiral_matches_dense(chain, temperature):
     params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN)
     fast = chiral_spectrum(params)
     if temperature == 0.0:
-        # As for rings: no zero modes, and every level degenerate with the
-        # ground level by symmetry or clearly above it.
-        excitation = fast.energies - fast.energies.min()
-        near_ground = (excitation > SYMMETRY_DEGENERACY) & (excitation < T0_MIN_GAP)
-        assume(singular_values(fast)[-1] >= T0_MIN_GAP and not near_ground.any())
+        assume(zero_temperature_comparable(fast))
     spectrum = diagonalize(build_hamiltonian(params))
     # Band order [-s, +s] against the dense ascending order.
     order = np.argsort(fast.energies, kind="stable")
@@ -137,8 +113,7 @@ def test_chiral_matches_dense(chain, temperature):
     literal = polarization_from_states(fast_ensemble, per_state, "literal")
     dense_literal = thermal_polarization_literal(ensemble)
     assert abs(literal.expectation - dense_literal.expectation) <= LITERAL_TOL
-    levels = np.sort(fast.energies)
-    if np.diff(levels).min() >= WEIGHTED_MIN_GAP:
+    if weighted_comparable(fast, OPEN):
         dense_states = state_expectations(spectrum.vectors)
         assert np.abs(per_state[order] - dense_states).max() <= PER_STATE_TOL
         weighted = polarization_from_states(fast_ensemble, per_state, "weighted")

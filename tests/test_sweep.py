@@ -10,29 +10,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import topo_thermo.sweep as sweep_mod
-from topo_thermo.bloch import (
-    bloch_polarization_determinant,
-    bloch_qfi_matrix,
-    bloch_spectrum,
-    bloch_state_expectations,
-)
-from topo_thermo.chiral import (
-    chiral_polarization_determinant,
-    chiral_qfi_matrix,
-    chiral_spectrum,
-    chiral_state_expectations,
-)
 from topo_thermo.figures import build_figure_spec
-from topo_thermo.lattice import ModelParams, build_hamiltonian
-from topo_thermo.polarization import (
-    polarization_from_states,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
-)
-from topo_thermo.qfi import interferometric_power, qfi_matrix
+from topo_thermo.lattice import ModelParams
+from topo_thermo.polarization import polarization_from_states
+from topo_thermo.qfi import interferometric_power
 from topo_thermo.sweep import SweepSpec, locate_extremum, run_sweep
-from topo_thermo.thermal import diagonalize, ensemble_diagnostics, gibbs_weights
+from topo_thermo.thermal import ensemble_diagnostics, gibbs_weights
 
 QFI_QUANTITIES = ("qfi_matrix", "interferometric_power")
 
@@ -100,6 +83,9 @@ def test_record_ordering_contract():
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
 def test_single_point_sweep_matches_direct_evaluation(boundary):
+    # Each boundary goes through the public functions of its engine record,
+    # bit for bit, and both reduce literal and weighted from per-state
+    # <n|X|n>. tests/test_dense_engine.py holds this chain to the dense path.
     spec = SweepSpec(
         axes=(("T", (0.37,)),),
         fixed={"v": 0.4, "w": 0.7, "z": 0.1, "N": 5},
@@ -109,26 +95,11 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     )
     (record,) = run_sweep(spec)
 
-    params = ModelParams(n_cells=5, v=0.4, w=0.7, z=0.1, boundary=boundary)
-    spectrum = diagonalize(build_hamiltonian(params))
-    dense_ensemble = gibbs_weights(spectrum, 0.37)
-    dense_matrix = qfi_matrix(dense_ensemble)
-    dense_diagnostics = ensemble_diagnostics(dense_ensemble)
-    dense_determinant = thermal_polarization_determinant(spectrum, 0.37)
-    # Each boundary goes through the public functions of its engine, bit for
-    # bit, and both reduce literal and weighted from per-state <n|X|n>.
-    if boundary == "open":
-        fast = chiral_spectrum(params)
-        ensemble = gibbs_weights(fast, 0.37)
-        matrix = chiral_qfi_matrix(ensemble)
-        determinant = chiral_polarization_determinant(fast, 0.37)
-        per_state = chiral_state_expectations(fast)
-    else:
-        fast = bloch_spectrum(params)
-        ensemble = gibbs_weights(fast, 0.37)
-        matrix = bloch_qfi_matrix(ensemble)
-        determinant = bloch_polarization_determinant(fast, 0.37)
-        per_state = bloch_state_expectations(fast)
+    engine = sweep_mod._engine(boundary)
+    fast = engine.spectrum(ModelParams(n_cells=5, v=0.4, w=0.7, z=0.1, boundary=boundary))
+    ensemble = gibbs_weights(fast, 0.37)
+    matrix = engine.qfi_matrix(ensemble)
+    per_state = engine.state_expectations(fast)
     state_modes = {
         mode: polarization_from_states(ensemble, per_state, mode) for mode in ("literal", "weighted")
     }
@@ -140,38 +111,8 @@ def test_single_point_sweep_matches_direct_evaluation(boundary):
     assert np.array_equal(record.optimal_direction, report.optimal_direction)
     assert record.purity == diagnostics.purity
     assert record.entropy == diagnostics.entropy
+    determinant = engine.polarization_determinant(fast, 0.37)
     assert record.polarization == {"determinant": determinant, **state_modes}
-
-    # The dense oracle agrees within the Bloch-vs-dense property-test tolerances.
-    assert np.abs(record.qfi - dense_matrix).max() <= 1e-13
-    assert abs(record.i_p - interferometric_power(dense_matrix).i_p) <= 1e-13
-    assert abs(record.purity - dense_diagnostics.purity) <= 1e-13
-    assert abs(record.entropy - dense_diagnostics.entropy) <= 1e-13
-    reference = dense_determinant.expectation
-    assert abs(record.polarization["determinant"].expectation - reference) <= 1e-11 * abs(reference)
-    assert record.polarization["determinant"].polarization == dense_determinant.polarization
-    assert record.polarization["determinant"].defined == dense_determinant.defined
-    if boundary == "open":
-        # This chain has no near-degenerate levels, so the per-state
-        # expectations, and with them both modes, match the dense ones.
-        for mode, dense in (
-            ("literal", thermal_polarization_literal(dense_ensemble)),
-            ("weighted", thermal_polarization_weighted(dense_ensemble)),
-        ):
-            result = record.polarization[mode]
-            assert abs(result.expectation - dense.expectation) <= 1e-13
-            assert abs(result.polarization - dense.polarization) <= 1e-13
-            assert result.defined == dense.defined
-
-
-def test_spectrum_reuse_matches_per_point_rediagonalization():
-    spec = small_qfi_spec()
-    records = run_sweep(spec)
-    for record in records:
-        params = ModelParams(n_cells=record.n_cells, v=record.v, w=record.w, z=record.z)
-        ensemble = gibbs_weights(diagonalize(build_hamiltonian(params)), record.temperature)
-        fresh = interferometric_power(qfi_matrix(ensemble)).i_p
-        assert abs(record.i_p - fresh) <= 1e-14
 
 
 def test_per_point_failure_degrades_to_error_record(monkeypatch):
@@ -497,7 +438,7 @@ def log_calls(monkeypatch, names, calls, forbidden):
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
-def test_periodic_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
+def test_sweeps_never_touch_the_dense_path(monkeypatch, boundary):
     # No sweep calls a dense function, under any name it is bound to. Each
     # boundary calls every function of its own engine and none of the other's.
     dense_calls, chiral_calls, bloch_calls = [], [], []
