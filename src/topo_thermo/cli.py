@@ -377,8 +377,10 @@ def _spec(config: RunConfig, figure_id: str | None) -> SweepSpec:
             raise ConfigError("sweep needs 'quantities' (config key or --quantities)")
         axes, quantities = config.axes, config.quantities
         for name, _ in axes:
-            key = _PARAMETER_FIELDS.get(name)
-            if key and getattr(config, key) is not None:
+            if name not in _PARAMETER_FIELDS:  # validate's refusal, before any missing parameter
+                SweepSpec(axes=[(name, ())]).validate()
+            key = _PARAMETER_FIELDS[name]
+            if getattr(config, key) is not None:
                 raise ConfigError(
                     f"parameter {name!r} is swept by an axis and also fixed by {key!r}"
                 )

@@ -1,19 +1,15 @@
-"""Bloch engine for periodic rings against the dense oracle."""
+"""Bloch engine for periodic rings against the dense oracle.
+
+The properties it shares with the chiral engine are tested once, for both
+boundaries, in tests/test_dense_engine.py.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dense_engine import (
-    DET_ATOL,
-    DET_RTOL,
-    DET_SCALE,
-    QFI_TOL,
-    assert_determinants_agree,
-    weighted_comparable,
-    zero_temperature_comparable,
-)
+from dense_engine import DET_ATOL, DET_RTOL, DET_SCALE, assert_determinants_agree
 from topo_thermo.bloch import (
     _ordered_product,
     bloch_polarization_determinant,
@@ -22,93 +18,12 @@ from topo_thermo.bloch import (
     bloch_state_expectations,
 )
 from topo_thermo.chiral import winding_number
-from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
-from topo_thermo.polarization import (
-    polarization_from_states,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
-)
-from topo_thermo.qfi import interferometric_power, pair_weights, qfi_matrix
-from topo_thermo.thermal import (
-    GibbsEnsemble,
-    diagonalize,
-    ensemble_diagnostics,
-    fermi_occupations,
-    gibbs_weights,
-)
+from topo_thermo.lattice import ModelParams, build_hamiltonian
+from topo_thermo.polarization import polarization_from_states, thermal_polarization_determinant
+from topo_thermo.qfi import pair_weights
+from topo_thermo.thermal import diagonalize, fermi_occupations, gibbs_weights
 
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def rings(draw):
-    """(N, v, w, z) with N = 2, odd and even N, and the w = z and v = w + z families."""
-    n = draw(st.one_of(st.just(2), st.integers(3, 40)))
-    w, z = draw(hopping), draw(hopping)
-    family = draw(st.sampled_from(["generic", "w=z", "v=w+z", "v=-(w+z)"]))
-    if family == "w=z":
-        z = w
-    v = {"v=w+z": w + z, "v=-(w+z)": -(w + z)}.get(family, None)
-    if v is None:
-        v = draw(hopping)
-    return n, v, w, z
-
-
-# Both engines get the energies to a few ulp, and a Gibbs weight turns an
-# energy error dE into a relative error dE / T, so the fixed tolerances
-# below hold for T >= 0.02 (the low end of the grid they were measured on).
-temperatures = st.one_of(
-    st.just(0.0),
-    st.just(1e6),
-    st.floats(0.02, 3.0),
-)
-
-
-@seed(20241018)
-@settings(max_examples=400, deadline=None, database=None)
-@given(ring=rings(), temperature=temperatures)
-def test_bloch_matches_dense(ring, temperature):
-    n, v, w, z = ring
-    params = ModelParams(n_cells=n, v=v, w=w, z=z)
-    bands = bloch_spectrum(params)
-    if temperature == 0.0:
-        assume(zero_temperature_comparable(bands))
-    spectrum = diagonalize(build_hamiltonian(params))
-    # Band order [-|a|, +|a|] against the dense ascending order.
-    order = np.argsort(bands.energies, kind="stable")
-    assert np.abs(bands.energies[order] - spectrum.energies).max() <= 1e-13
-
-    ensemble = gibbs_weights(spectrum, temperature)
-    bloch_ensemble = gibbs_weights(bands, temperature)
-    assert np.abs(bloch_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
-    dense_matrix = qfi_matrix(ensemble)
-    matrix = bloch_qfi_matrix(bloch_ensemble)
-    assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
-    assert abs(interferometric_power(matrix).i_p - interferometric_power(dense_matrix).i_p) <= QFI_TOL
-    for got, want in zip(ensemble_diagnostics(bloch_ensemble), ensemble_diagnostics(ensemble)):
-        assert abs(got - want) <= QFI_TOL
-
-    assert_determinants_agree(
-        thermal_polarization_determinant(spectrum, temperature),
-        bloch_polarization_determinant(bands, temperature),
-    )
-
-    per_state = bloch_state_expectations(bands)
-    literal = thermal_polarization_literal(ensemble)
-    bloch_literal = polarization_from_states(bloch_ensemble, per_state, "literal")
-    assert (bloch_literal.polarization, bloch_literal.defined) == (
-        literal.polarization,
-        literal.defined,
-    )
-    if weighted_comparable(bands, PERIODIC):
-        weighted = thermal_polarization_weighted(ensemble)
-        bloch_weighted = polarization_from_states(bloch_ensemble, per_state, "weighted")
-        assert (bloch_weighted.polarization, bloch_weighted.defined) == (
-            weighted.polarization,
-            weighted.defined,
-        )
-
 
 TREE_ATOL = 1e-13
 
@@ -207,18 +122,6 @@ def test_low_temperature_determinant_at_large_ring():
     assert dense.defined and dense.polarization == 0.5
 
 
-def test_infinite_temperature_determinant_closed_form():
-    # t = 0: det M = 2 (1/4)^N + s (1/2)^N tr[(1/2)^N 1] = (1 + s) 2^(1 - 2N),
-    # so with the background sign (-1)^(N-1) = s, E = 4^(1-N) at odd N and 0 at even N.
-    for n in (3, 5, 7, 4, 6, 50):
-        bands = bloch_spectrum(ModelParams(n_cells=n, v=0.3, w=-0.7, z=0.45))
-        expectation = bloch_polarization_determinant(bands, 1e9).expectation
-        if n % 2:
-            assert abs(expectation - 4.0 ** (1 - n)) <= 1e-12 * 4.0 ** (1 - n)
-        else:
-            assert abs(expectation) <= 1e-15
-
-
 @pytest.mark.parametrize(
     "v, w, z",
     [(1.0, 0.3, 0.2), (0.2, 0.9, 0.1), (0.1, 0.2, 0.8), (-0.6, 0.1, -0.3)],
@@ -306,23 +209,6 @@ def test_low_temperature_determinant_against_dense(phase):
         assert np.all(bloch.expectation.imag == 0.0)
         for index in range(len(temperatures)):
             assert_determinants_agree(dense.row(index), bloch.row(index))
-
-
-def test_bloch_rejects_bad_input():
-    with pytest.raises(ValueError):
-        bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0, boundary=OPEN))
-    with pytest.raises(FloatingPointError):  # |a(0)| = v + w + z overflows
-        bloch_spectrum(ModelParams(n_cells=4, v=1e308, w=1e308, z=0.2))
-    bands = bloch_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0))
-    with pytest.raises(ValueError):  # six weights for eight levels, refused by bands()
-        bloch_qfi_matrix(GibbsEnsemble(temperature=0.1, weights=np.ones(6) / 6, spectrum=bands))
-    with pytest.raises(ValueError):  # refused when the ensemble is built
-        GibbsEnsemble(temperature=0.1, weights=-np.ones(8) / 8, spectrum=bands)
-    with pytest.raises(ValueError):
-        bloch_polarization_determinant(bands, -0.1)
-    ensemble, per_state = gibbs_weights(bands, 0.1), bloch_state_expectations(bands)
-    with pytest.raises(ValueError):  # the determinant has no per-state reduction
-        polarization_from_states(ensemble, per_state, "determinant")
 
 
 def test_vanishing_modes_are_closed_form():

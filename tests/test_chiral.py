@@ -1,24 +1,18 @@
-"""Chiral-block evaluation of chains against the dense oracle."""
+"""Chiral-block evaluation of chains against the dense oracle.
+
+The properties it shares with the Bloch engine are tested once, for both
+boundaries, in tests/test_dense_engine.py.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dense_engine import (
-    LITERAL_TOL,
-    PER_STATE_TOL,
-    QFI_TOL,
-    T0_MIN_GAP,
-    assert_determinants_agree,
-    weighted_comparable,
-    wrap_distance,
-    zero_temperature_comparable,
-)
+from dense_engine import PER_STATE_TOL, T0_MIN_GAP
 from topo_thermo import chiral as chiral_mod
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
-    chiral_qfi_matrix,
     chiral_spectrum,
     chiral_state_expectations,
     winding_number,
@@ -35,37 +29,11 @@ from topo_thermo.polarization import (
     DEFAULT_MAGNITUDE_CUTOFF,
     polarization_from_states,
     state_expectations,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
     thermal_polarization_weighted,
 )
-from topo_thermo.qfi import interferometric_power, qfi_matrix
-from topo_thermo.thermal import (
-    GibbsEnsemble,
-    diagonalize,
-    ensemble_diagnostics,
-    fermi_occupations,
-    gibbs_weights,
-)
+from topo_thermo.thermal import diagonalize, fermi_occupations, gibbs_weights
 
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def chains(draw):
-    """(N, v, w, z): N = 2, odd and even N; the v = +-(w+z), w = z and v = 0 families."""
-    n = draw(st.one_of(st.just(2), st.integers(3, 40)))
-    w, z = draw(hopping), draw(hopping)
-    family = draw(st.sampled_from(["generic", "w=z", "v=w+z", "v=-(w+z)", "v=0"]))
-    if family == "w=z":
-        z = w
-    v = {"v=w+z": w + z, "v=-(w+z)": -(w + z), "v=0": 0.0}.get(family, None)
-    if v is None:
-        v = draw(hopping)
-    return n, v, w, z
-
-
-temperatures = st.one_of(st.just(0.0), st.just(1e6), st.floats(0.02, 3.0))
 
 
 def singular_values(fast):
@@ -76,63 +44,6 @@ def singular_values(fast):
 def right_vectors(fast):
     """V = J Q diag(sigma), the right singular vectors of D as columns."""
     return fast.fold_vectors[::-1] * fast.signs
-
-
-@seed(20261018)
-@settings(max_examples=400, deadline=None, database=None)
-@given(chain=chains(), temperature=temperatures)
-def test_chiral_matches_dense(chain, temperature):
-    n, v, w, z = chain
-    params = ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN)
-    fast = chiral_spectrum(params)
-    if temperature == 0.0:
-        assume(zero_temperature_comparable(fast))
-    spectrum = diagonalize(build_hamiltonian(params))
-    # Band order [-s, +s] against the dense ascending order.
-    order = np.argsort(fast.energies, kind="stable")
-    assert np.abs(fast.energies[order] - spectrum.energies).max() <= 1e-13
-
-    ensemble = gibbs_weights(spectrum, temperature)
-    fast_ensemble = gibbs_weights(fast, temperature)
-    assert np.abs(fast_ensemble.weights[order] - ensemble.weights).max() <= QFI_TOL
-    dense_matrix = qfi_matrix(ensemble)
-    matrix = chiral_qfi_matrix(fast_ensemble)
-    assert np.abs(matrix - dense_matrix).max() <= QFI_TOL
-    assert matrix[0, 1] == matrix[0, 2] == matrix[1, 2] == 0.0
-    assert np.array_equal(matrix, matrix.T)
-    assert abs(interferometric_power(matrix).i_p - interferometric_power(dense_matrix).i_p) <= QFI_TOL
-    for got, want in zip(ensemble_diagnostics(fast_ensemble), ensemble_diagnostics(ensemble)):
-        assert abs(got - want) <= QFI_TOL
-
-    determinant = chiral_polarization_determinant(fast, temperature)
-    assert determinant.expectation.imag == 0.0  # real by construction, for any N
-    assert_determinants_agree(thermal_polarization_determinant(spectrum, temperature), determinant)
-
-    per_state = chiral_state_expectations(fast)
-    assert np.array_equal(per_state[:n], per_state[n:])  # chiral partners share <X>
-    literal = polarization_from_states(fast_ensemble, per_state, "literal")
-    dense_literal = thermal_polarization_literal(ensemble)
-    assert abs(literal.expectation - dense_literal.expectation) <= LITERAL_TOL
-    if weighted_comparable(fast, OPEN):
-        dense_states = state_expectations(spectrum.vectors)
-        assert np.abs(per_state[order] - dense_states).max() <= PER_STATE_TOL
-        weighted = polarization_from_states(fast_ensemble, per_state, "weighted")
-        dense_weighted = thermal_polarization_weighted(ensemble)
-        assert abs(weighted.magnitude - dense_weighted.magnitude) <= PER_STATE_TOL
-        assert weighted.defined == dense_weighted.defined
-        assert wrap_distance(weighted.polarization, dense_weighted.polarization) <= 1e-8
-
-    # A batched call gives each temperature's row exactly as a call alone.
-    batch = np.array([0.0, temperature, 0.7])
-    batched = gibbs_weights(fast, batch)
-    assert np.array_equal(batched.weights[1], fast_ensemble.weights)
-    assert np.array_equal(chiral_qfi_matrix(batched)[1], matrix)
-    batched_determinants = chiral_polarization_determinant(fast, batch)
-    assert batched_determinants.row(1) == determinant
-    assert np.all(batched_determinants.expectation.imag == 0.0)
-    for mode in ("literal", "weighted"):
-        alone = polarization_from_states(fast_ensemble, per_state, mode)
-        assert polarization_from_states(batched, per_state, mode).row(1) == alone
 
 
 # The fold's decomposition against an SVD of D.
@@ -249,23 +160,6 @@ def test_determinant_at_n_400_against_a_dense_log_determinant():
             assert abs(np.log(abs(got)) - log_magnitude) <= LOG_DET_TOL, (v, w, z, temperature)
 
 
-def test_determinant_infinite_temperature_closed_form():
-    # As T -> oo, t_k -> 0 and G -> 0, so E -> det C^2 = prod_m cos^2(pi m / N)
-    # whatever the hoppings: 4^(1 - N) for odd N, and 0 for even N, where
-    # the factor m = N / 2 vanishes.
-    hoppings = ((0.3, 0.5, 0.2), (0.1, 0.5, 0.2), (0.5, 0.3, 0.1), (0.2, -0.4, 0.9))
-    for n in (3, 4, 5, 6, 7, 50):
-        for v, w, z in hoppings:
-            fast = chiral_spectrum(ModelParams(n_cells=n, v=v, w=w, z=z, boundary=OPEN))
-            result = chiral_polarization_determinant(fast, 1e9)
-            if n % 2:
-                assert abs(result.expectation - 4.0 ** (1 - n)) <= 1e-12 * 4.0 ** (1 - n)
-                assert result.polarization == 0.0
-            else:
-                assert abs(result.expectation) <= 1e-15
-                assert not result.defined
-
-
 def test_determinant_half_fills_an_exact_zero_mode_at_zero_temperature():
     # Fully dimerized chain (v = z = 0): A of cell 0 and B of cell N - 1
     # are isolated, so D has an exact zero singular value. At T = 0 the
@@ -329,7 +223,7 @@ def test_edge_pair_is_the_equal_weight_sublattice_combination():
         got = polarization_from_states(gibbs_weights(fast, temperature), per_state, "weighted")
         want = polarization_from_states(gibbs_weights(spectrum, temperature), expected, "weighted")
         assert got.defined == want.defined
-        assert abs(got.polarization - want.polarization) <= 1e-10
+        assert abs(got.polarization - want.polarization) <= PER_STATE_TOL
 
 
 def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
@@ -344,8 +238,8 @@ def test_open_chain_of_the_degenerate_ring_case_is_basis_independent():
     got = polarization_from_states(gibbs_weights(fast, 0.0), per_state, "weighted")
     want = thermal_polarization_weighted(gibbs_weights(diagonalize(build_hamiltonian(params)), 0.0))
     assert got.defined and want.defined
-    assert abs(got.polarization - want.polarization) <= 1e-12
-    assert abs(got.polarization - 0.4722222222222) <= 1e-12
+    for result in (got, want):
+        assert abs(result.polarization - 0.4722222222222) <= 1e-12
 
 
 def test_winding_number_values_and_gap_closings():
@@ -392,19 +286,3 @@ def test_bulk_boundary_correspondence():
         assert np.count_nonzero(singular_values(fast) < 1e-8) == abs(nu)
         counts[abs(nu)] += 1
     assert counts[0] >= 10 and counts[1] >= 10
-
-
-def test_chiral_rejects_bad_input():
-    fast = chiral_spectrum(ModelParams(n_cells=4, v=0.3, w=0.5, z=0.0, boundary=OPEN))
-    with pytest.raises(ValueError):  # six weights for eight levels, refused by bands()
-        chiral_qfi_matrix(GibbsEnsemble(temperature=0.1, weights=np.ones(6) / 6, spectrum=fast))
-    with pytest.raises(ValueError):  # refused when the ensemble is built
-        GibbsEnsemble(temperature=0.1, weights=-np.ones(8) / 8, spectrum=fast)
-    with pytest.raises(ValueError):
-        chiral_polarization_determinant(fast, -0.1)
-    with pytest.raises(ValueError):
-        polarization_from_states(gibbs_weights(fast, 0.1), np.ones(6, dtype=complex), "weighted")
-    with pytest.raises(ValueError):
-        polarization_from_states(gibbs_weights(fast, 0.1), np.ones(8, dtype=complex), "determinant")
-    with pytest.raises(FloatingPointError):  # the largest singular value overflows
-        chiral_spectrum(ModelParams(n_cells=4, v=1e308, w=1e308, z=0.2, boundary=OPEN))

@@ -215,8 +215,11 @@ def test_an_undecodable_config_file_is_named_as_not_json(tmp_path, capsys):
     ([], [1, 2], "config file {config} must hold a JSON object"),
     (["--axis", "T=0.1,0.2", "--quantities", "qfi_matrix", "--mode", "literal"], {},
      "polarization modes are only meaningful for polarization output"),
+    # Named before the temperature it leaves missing.
+    (["--axis", "q=1", "--quantities", "diagnostics"], {},
+     "unknown axis 'q', expected one of ('T', 'v', 'w', 'z', 'N')"),
 ], ids=["list", "axis-no-equals", "axis-grid", "axis-entry", "axis-pair", "axes-type",
-        "axis-grid-type", "config-not-object", "modes-without-polarization"])
+        "axis-grid-type", "config-not-object", "modes-without-polarization", "unknown-axis"])
 def test_each_sweep_refusal_exits_2_with_its_message(args, config, message, tmp_path, capsys):
     path, target = tmp_path / "config.json", tmp_path / "out.csv"
     path.write_text(json.dumps(config))
