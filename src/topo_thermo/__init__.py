@@ -29,26 +29,10 @@ from .polarization import (
     MODE_WEIGHTED,
     PolarizationResult,
     polarization_from_states,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
 )
-from .qfi import (
-    QfiReport,
-    interferometric_power,
-    qfi_fidelity_oracle,
-    qfi_matrix,
-    qfi_scalar,
-)
+from .qfi import QfiReport, interferometric_power
 from .sweep import ResultRecord, SweepSpec, SweepTable, locate_extremum, run_sweep
-from .thermal import (
-    GibbsEnsemble,
-    Spectrum,
-    diagonalize,
-    ensemble_diagnostics,
-    fermi_occupations,
-    gibbs_weights,
-)
+from .thermal import GibbsEnsemble, ensemble_diagnostics, fermi_occupations, gibbs_weights
 
 __version__ = "0.1.0"
 
@@ -60,7 +44,6 @@ __all__ = [
     "GibbsEnsemble",
     "QfiReport",
     "ResultRecord",
-    "Spectrum",
     "SweepSpec",
     "SweepTable",
     "PERIODIC",
@@ -79,19 +62,12 @@ __all__ = [
     "chiral_qfi_matrix",
     "chiral_spectrum",
     "chiral_state_expectations",
-    "diagonalize",
     "ensemble_diagnostics",
     "fermi_occupations",
     "gibbs_weights",
     "interferometric_power",
     "locate_extremum",
     "polarization_from_states",
-    "qfi_fidelity_oracle",
-    "qfi_matrix",
-    "qfi_scalar",
     "run_sweep",
-    "thermal_polarization_determinant",
-    "thermal_polarization_literal",
-    "thermal_polarization_weighted",
     "winding_number",
 ]

@@ -26,8 +26,8 @@ phi = arg a(k). Each quantity the sweep needs then costs O(N):
 
 The spectrum lists the energies in band order, [-|a(k_j)|, +|a(k_j)|],
 and every weight and occupation row follows it, so each quantity reads
-the two bands as the two halves of a row. The dense path of the other
-modules is the oracle these functions are tested against.
+the two bands as the two halves of a row. The dense path in
+`tests/dense_engine.py` is the oracle these functions are tested against.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ def bloch_spectrum(params: ModelParams) -> BlochSpectrum:
 def bloch_qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
     """3x3 QFI matrix over I (x) sigma_l of an ensemble over a BlochSpectrum.
 
-    The signature of qfi.qfi_matrix, with the same normalization and pair
-    cutoff; the ensemble's weights are in its spectrum's `energies` order.
+    The spectral sum of qfi.py, with its normalization and pair cutoff;
+    the ensemble's weights are in its spectrum's `energies` order.
     The generators connect only the two bands at one k, and the (-, +)
     and (+, -) pairs contribute equally: M = sum_k pw_k Re(g_l conj(g_m)).
     Only the diagonal is summed; every off-diagonal entry is exactly 0
@@ -135,8 +135,8 @@ def bloch_polarization_determinant(
 ):
     """Determinant-mode polarization of a ring, in O(N) per temperature.
 
-    Same quantity, background phase and branch rule as
-    polarization.thermal_polarization_determinant, X = exp(i 2 pi x / N)
+    Same quantity, background phase and branch rule as the determinant
+    mode of polarization.py, X = exp(i 2 pi x / N)
     of the ring's own N. Row block j of M = (1 - F) + F U is
     A_j y_j + B_j y_{j-1 mod N} with A_j = 1 - F_j, B_j = F_j, F_j = F(k_j)
     the 2x2 Fermi operator at mu = 0. For invertible A_j,

@@ -67,9 +67,11 @@ temperatures: the QFI its two kernels and one pair-weight buffer, the
 determinant its two products and the bordered matrix with the copy its
 LU factors, the expectations one buffer of squares.
 
-run_sweep evaluates open chains here. The dense functions of thermal,
-qfi and polarization stay public; they are the `spectrum` subcommand's
-path and the oracle these functions are tested against.
+run_sweep evaluates open chains here, and the `spectrum` subcommand
+reads chiral_spectrum on both boundaries, rings included: it prints the
+energies in ascending order and forms each eigenvector from Q and sigma
+as ChiralSpectrum states. The dense 2N x 2N path these functions are
+tested against is the oracle in `tests/dense_engine.py`.
 """
 
 from __future__ import annotations
@@ -138,8 +140,8 @@ def chiral_spectrum(params: ModelParams) -> ChiralSpectrum:
 def chiral_qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
     """3x3 QFI matrix over I (x) sigma_l of an ensemble over a ChiralSpectrum.
 
-    The signature of qfi.qfi_matrix, with the same normalization and pair
-    cutoff; the ensemble's weights are in its spectrum's `energies` order.
+    The spectral sum of qfi.py, with its normalization and pair cutoff;
+    the ensemble's weights are in its spectrum's `energies` order.
     With pw_ab the pair weights between band a of state k and band b of
     state l,
 
@@ -210,7 +212,7 @@ def chiral_polarization_determinant(
 ):
     """Determinant-mode polarization of a chain from its chiral block.
 
-    The same expectation as polarization.thermal_polarization_determinant,
+    The determinant-mode expectation of polarization.py,
     exp(-i 2 pi/N sum_m m) det[1 + F (X - 1)], as a prefactor times the
     determinant of one real (N + n_b)-square matrix per temperature. In
     sublattice order F = (1 - tanh(H / 2T)) / 2 with

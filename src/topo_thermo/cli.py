@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Subcommands: spectrum, polarization, qfi, sweep, figure. Each option is
+Subcommands: spectrum, polarization, qfi, sweep, figure. `spectrum`
+prints the levels of chiral.chiral_spectrum, on either boundary, in
+ascending order, with --eigenvectors each state in site order as
+ChiralSpectrum forms it; every other subcommand is a sweep. Each option is
 one RunConfig field that declares its default, the reader of its flag
 and config values (type and range), its flags and the subcommands that
 take it; `build_parser` and `assemble_config` work from these alone.
@@ -47,8 +50,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import io as io_mod
+from .chiral import ChiralSpectrum, chiral_spectrum
 from .figures import FIGURE_IDS, build_figure_spec
-from .lattice import BOUNDARIES, PERIODIC, ModelParams, build_hamiltonian
+from .lattice import BOUNDARIES, PERIODIC, ModelParams
 from .polarization import DEFAULT_MAGNITUDE_CUTOFF, MODE_DETERMINANT
 from .sweep import (
     QUANTITIES,
@@ -61,7 +65,6 @@ from .sweep import (
     _PARAMETER_FIELDS,
     run_sweep,
 )
-from .thermal import diagonalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -338,15 +341,32 @@ def _emit(config: RunConfig, table: SweepTable) -> int:
     return EXIT_OK
 
 
+def _site_vectors(spectrum: ChiralSpectrum) -> np.ndarray:
+    """The eigenvectors of a chiral spectrum in site order, column n <-> energies[n].
+
+    State k is (u_k, -v_k) / sqrt(2) and state N + k is (u_k, +v_k) / sqrt(2),
+    with U = Q on the A sites and V = J Q diag(sigma) on the B sites; site
+    2m is A of cell m and site 2m + 1 is B of cell m.
+    """
+    u = spectrum.fold_vectors
+    v = u[::-1] * spectrum.signs
+    vectors = np.empty((spectrum.dimension, spectrum.dimension))
+    vectors[0::2] = np.hstack([u, u])
+    vectors[1::2] = np.hstack([-v, v])
+    return vectors / np.sqrt(2.0)
+
+
 def _run_spectrum(config: RunConfig) -> int:
     model = _fixed_parameters(config, ("N", "v", "w", "z"))
     params = {_PARAMETER_FIELDS[name]: value for name, value in model.items()}
-    spectrum = diagonalize(build_hamiltonian(ModelParams(**params, boundary=config.boundary)))
+    spectrum = chiral_spectrum(ModelParams(**params, boundary=config.boundary))
+    order = np.argsort(spectrum.energies, kind="stable")
     columns = ["n", "energy"]
-    rows = list(enumerate(spectrum.energies.tolist()))
+    rows = list(enumerate(spectrum.energies[order].tolist()))
     if config.eigenvectors:
         columns += [f"c{i}" for i in range(spectrum.dimension)]
-        rows = [row + tuple(vector) for row, vector in zip(rows, spectrum.vectors.T.tolist())]
+        vectors = _site_vectors(spectrum)[:, order]
+        rows = [row + tuple(vector) for row, vector in zip(rows, vectors.T.tolist())]
     io_mod.emit_records(rows, config.format, config.precision, config.out, columns)
     return EXIT_OK
 

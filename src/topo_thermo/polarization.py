@@ -1,11 +1,10 @@
-"""Electric polarization of thermal ensembles.
+"""Electric polarization of thermal ensembles: the modes and their shared reductions.
 
 P = Im ln <X> / (2*pi) with X = exp(i * 2*pi/N * x), Resta's position
 phase of an N-cell chain, with the principal branch in (-pi, pi] so P
-lies in (-1/2, 1/2]. The chain's dimension 2N fixes X, so every function
-takes a spectrum or an ensemble and derives X from it. Because the exact
-answer depends on which state the average is taken over, the modes are
-explicit and a required argument downstream:
+lies in (-1/2, 1/2]. Because the exact answer depends on which state the
+average is taken over, the modes are explicit and a required argument
+downstream:
 
   literal     Tr[rho X] over the single-particle Gibbs mixture (vanishes
               identically for translation-invariant rings; exposed to make
@@ -17,10 +16,13 @@ explicit and a required argument downstream:
               half-filled at T = 0 without zero modes. This is the mode
               with quantized structure. The expectation is real for the
               chiral chain at mu = 0, so P is 0 or +1/2: the branch
-              follows the sign of its real part. The fast Bloch and
-              chiral paths compute it as a real number; only the dense
-              path rounds it with an imaginary part, which its branch
-              rule ignores.
+              follows the sign of its real part.
+
+The Bloch and chiral engines compute the per-state <n|X|n> of their own
+states, which polarization_from_states reduces to the literal and
+weighted modes, and the determinant expectation as a real number, which
+_real_determinant_result turns into a result. The dense forms of all
+three modes, as written, are their oracle in `tests/dense_engine.py`.
 
 Results whose magnitude falls below the cutoff are flagged undefined and
 reported with P = 0; the flag is preserved so downstream analysis can
@@ -33,8 +35,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .lattice import cell_phases
-from .thermal import GibbsEnsemble, Spectrum, fermi_occupations, per_temperature
+from .thermal import GibbsEnsemble, per_temperature
 
 MODE_LITERAL = "literal"
 MODE_WEIGHTED = "weighted"
@@ -47,10 +48,6 @@ DEFAULT_MAGNITUDE_CUTOFF = 1e-3
 
 # Weights below this do not contribute to the weighted-phase average.
 CONTRIBUTING_WEIGHT_CUTOFF = 1e-6
-
-# A determinant expectation with |Im E| at most this fraction of |E| is
-# treated as real: its branch comes from the sign of Re E.
-REAL_EXPECTATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,29 +111,6 @@ def _absolute(values: np.ndarray) -> np.ndarray:
     return np.hypot(values.real, values.imag)
 
 
-def _cell_count(dimension: int) -> int:
-    """N of a 2N-dimensional chain; an odd dimension has no two-site cells."""
-    if dimension % 2 != 0:
-        raise ValueError(f"dimension must be even (two sublattices per cell), got {dimension}")
-    return dimension // 2
-
-
-def state_expectations(vectors: np.ndarray) -> np.ndarray:
-    """<n|X|n> for every column n of `vectors`, in one pass.
-
-    The 2N rows fix X; an odd row count raises ValueError. Each entry is
-    a sum along a contiguous row, so it does not depend on how many
-    states are evaluated together.
-    """
-    probabilities = np.ascontiguousarray(np.abs(vectors.T) ** 2)
-    # X on the interleaved basis: each cell's phase on both of its sites.
-    diagonal = np.repeat(cell_phases(_cell_count(vectors.shape[0])), 2)
-    expectations = np.empty(probabilities.shape[0], dtype=complex)
-    expectations.real = np.sum(probabilities * diagonal.real, axis=1)
-    expectations.imag = np.sum(probabilities * diagonal.imag, axis=1)
-    return expectations
-
-
 def polarization_from_states(
     ensemble: GibbsEnsemble,
     per_state: np.ndarray,
@@ -146,9 +120,9 @@ def polarization_from_states(
     """Literal or weighted polarization from per-state expectations <n|X|n>.
 
     `per_state` lists <n|X|n> in the order of the ensemble's weights, as
-    state_expectations, chiral.chiral_state_expectations or
-    bloch.bloch_state_expectations give it; the dense, chiral and Bloch
-    paths share these reductions. A batched ensemble gives one result of
+    chiral.chiral_state_expectations or bloch.bloch_state_expectations
+    give it; the chiral and Bloch engines, and the dense oracle, share
+    these reductions. A batched ensemble gives one result of
     arrays with an entry per temperature.
 
       literal   Tr[rho X] = sum_n lambda_n <n|X|n>;
@@ -188,97 +162,13 @@ def polarization_from_states(
     return per_temperature(result, ensemble.temperature)
 
 
-def thermal_polarization_literal(
-    ensemble: GibbsEnsemble,
-    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-):
-    """Tr[rho X] with rho in spectral form (see polarization_from_states).
-
-    For a periodic chain this trace is forced to zero by translation
-    symmetry at any temperature, so the result is typically undefined;
-    the computation is exposed precisely to document that behavior. A
-    batched ensemble gives one result of arrays with an entry per
-    temperature.
-    """
-    per_state = state_expectations(ensemble.spectrum.vectors)
-    return polarization_from_states(ensemble, per_state, MODE_LITERAL, magnitude_cutoff)
-
-
-def thermal_polarization_weighted(
-    ensemble: GibbsEnsemble,
-    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-):
-    """Weight-averaged per-state phases, P = sum_n lambda_n gamma_n / (2*pi).
-
-    The reduction and its cutoffs are those of polarization_from_states,
-    over the eigenvectors of a dense spectrum. A batched ensemble gives one
-    result of arrays with an entry per temperature.
-    """
-    per_state = state_expectations(ensemble.spectrum.vectors)
-    return polarization_from_states(ensemble, per_state, MODE_WEIGHTED, magnitude_cutoff)
-
-
 def _real_determinant_result(expectations: np.ndarray, cutoff: float, temperature):
-    """Determinant-mode result of the fast paths, from their real expectations E.
+    """Determinant-mode result of the Bloch and chiral engines, from their real expectations E.
 
     E carries the background phase already and has no imaginary part, so
     its sign alone gives the branch, a signed zero's included: P is 0 for
     E >= +0 and +1/2 for E <= -0. The result is shaped by per_temperature
-    for the `temperature` the fast path was called with.
+    for the `temperature` the engine was called with.
     """
     result = _make_result(expectations, np.abs(expectations), MODE_DETERMINANT, cutoff)
-    return per_temperature(result, temperature)
-
-
-def _determinant_result(dets, n: int, cutoff: float) -> PolarizationResult:
-    """Determinant-mode results from an array of det[(1 - F) + F U], the dense path's.
-
-    The neutralizing background, one unit of charge per cell at the cell
-    coordinate, contributes exp(-i * 2*pi/N * sum_m m) = (-1)^(N-1). It is
-    applied as an integer parity, so no float-pi noise enters the branch.
-
-    For a real chiral Hamiltonian at mu = 0 the expectation is exactly
-    real, but a complex 2N x 2N determinant rounds it with an imaginary
-    part. One within REAL_EXPECTATION_TOL of |E| is rounding noise; the
-    branch then follows the sign of Re E (P in {0, +1/2}) instead of the
-    sign of that noise. The expectation is kept as computed.
-    """
-    parity = 1.0 if (n - 1) % 2 == 0 else -1.0
-    expectation = (np.asarray(dets) * parity).astype(complex)
-    magnitude = _absolute(expectation)
-    real = np.abs(expectation.imag) <= REAL_EXPECTATION_TOL * magnitude
-    branch = np.where(real, expectation.real, expectation)
-    return _make_result(expectation, magnitude, MODE_DETERMINANT, cutoff, branch)
-
-
-def thermal_polarization_determinant(
-    spectrum: Spectrum,
-    temperature,
-    magnitude_cutoff: float = DEFAULT_MAGNITUDE_CUTOFF,
-):
-    """Half-filled free-fermion expectation of the position phase.
-
-    expectation = exp(-i 2 pi/N sum_m m) * det[(1 - F) + F U] with F the
-    Fermi occupation operator at mu = 0 and U the diagonal position-phase
-    unitary X. The prefactor is the phase of the neutralizing ionic
-    background (one positive charge per cell at the cell coordinate),
-    equal to (-1)^(N-1); without it the quantized values come out shifted
-    by 1/2 for even N. At T = 0 this reduces to the occupied-band overlap
-    determinant. A numerically real expectation takes its branch from the
-    sign of its real part. An array of temperatures gives one result of
-    arrays with an entry per temperature.
-
-    Each temperature forms F = V diag(f) V^dagger from the eigenvectors V
-    and the occupations f, and takes det[(1 - F) + F U] as written; U is
-    diagonal, so F U scales the columns of F by its phases.
-    """
-    n = _cell_count(spectrum.dimension)
-    occupations = fermi_occupations(spectrum, temperature)
-    vectors, diagonal = spectrum.vectors, np.repeat(cell_phases(n), 2)
-    identity = np.eye(spectrum.dimension)
-    dets = []
-    for row in np.atleast_2d(occupations):
-        occupied = (vectors * row) @ vectors.conj().T
-        dets.append(np.linalg.det(identity - occupied + occupied * diagonal))
-    result = _determinant_result(np.array(dets), n, magnitude_cutoff)
     return per_temperature(result, temperature)

@@ -1,24 +1,20 @@
-"""Quantum Fisher information over spectral ensembles, computed as written.
+"""Quantum Fisher information: pair weights and the interferometric power.
 
-With eigenvectors V, weights l_n and the matrix elements g_mn = (V^dagger G V)_mn
-of a generator G, every QFI here is one spectral sum (Hauke, Heyl,
-Tagliacozzo, Zoller, Nat. Phys. 12, 778 (2016)):
+With weights l_n and the matrix elements g_mn of a generator G between
+eigenstates, every QFI is one spectral sum (Hauke, Heyl, Tagliacozzo,
+Zoller, Nat. Phys. 12, 778 (2016)):
 
   M[G, H] = (1/2) sum_{m,n} pw_mn Re(g_mn conj h_mn),
   pw_mn   = (l_m - l_n)^2 / (l_m + l_n).
 
 F[rho, G] = M[G, G] has the plain variance <G^2> - <G>^2 as its
-pure-state limit (one quarter of the conventional QFI). qfi_scalar takes
-any Hermitian G; qfi_matrix takes the sublattice Pauli generators
-I_cells (x) sigma_l, built with np.kron, and is the dense oracle of the
-Bloch and chiral engines. That 3x3 matrix is real symmetric positive
-semidefinite; its minimum eigenvalue is the interferometric power.
-
-qfi_fidelity_oracle checks qfi_scalar by another route, the decay of the
-Uhlmann fidelity under a small rotation exp(-i G dtheta) (Zanardi,
-Campos Venuti, Giorda, Phys. Rev. A 76, 062318 (2007)): sqrt(rho) comes
-from the ensemble's spectral form, and the root fidelity is the sum of
-the singular values of sqrt(rho) sqrt(sigma).
+pure-state limit (one quarter of the conventional QFI). The Bloch and
+chiral engines evaluate the 3x3 matrix over the sublattice Pauli
+generators I_cells (x) sigma_l in their own bases, with pair_weights;
+the dense sum, as written, and a fidelity-decay check of it are their
+oracle in `tests/dense_engine.py`. That matrix is real symmetric
+positive semidefinite; its minimum eigenvalue is the interferometric
+power.
 """
 
 from __future__ import annotations
@@ -27,8 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal import GibbsEnsemble, Spectrum
-
 # Pairs with l_m + l_n below this are skipped; the induced error is
 # bounded by (skipped pair count) * PAIR_WEIGHT_CUTOFF because
 # (l_m - l_n)^2/(l_m + l_n) <= l_m + l_n.
@@ -36,9 +30,6 @@ PAIR_WEIGHT_CUTOFF = 1e-12
 
 MATRIX_SYMMETRY_TOL = 1e-10
 MATRIX_PSD_TOL = 1e-10
-
-ORACLE_MAX_DIMENSION = 64
-ORACLE_STEP_RANGE = (1e-6, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -74,66 +65,6 @@ def pair_weights(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = N
     return diff
 
 
-def sublattice_paulis(n_cells: int) -> tuple:
-    """The generators I_cells (x) sigma_l for l = x, y, z as dense 2N x 2N matrices."""
-    paulis = ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]])
-    return tuple(np.kron(np.eye(n_cells), block) for block in paulis)
-
-
-def _generator_matrix(generator, dimension: int) -> np.ndarray:
-    """The generator as a square matrix of an ensemble's dimension; anything else raises."""
-    matrix = np.asarray(generator)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"generator must be a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] != dimension:
-        raise ValueError(
-            f"generator dimension {matrix.shape[0]} does not match ensemble dimension {dimension}"
-        )
-    return matrix
-
-
-def _eigenbasis(spectrum: Spectrum, generator: np.ndarray) -> np.ndarray:
-    """V^dagger G V: the generator's matrix elements g_mn between eigenstates."""
-    vectors = spectrum.vectors
-    return vectors.conj().T @ generator @ vectors
-
-
-def _spectral_sum(weights: np.ndarray, pairs) -> list:
-    """(1/2) sum_mn pw_mn Re(g_mn conj h_mn) for each (g, h) in `pairs`, over one weight row."""
-    pair = pair_weights(weights[:, None], weights[None, :])
-    return [float(0.5 * np.sum(pair * (g.real * h.real + g.imag * h.imag))) for g, h in pairs]
-
-
-def qfi_scalar(ensemble: GibbsEnsemble, generator) -> float:
-    """QFI of one Hermitian generator against a Gibbs ensemble."""
-    g = _eigenbasis(ensemble.spectrum, _generator_matrix(generator, ensemble.dimension))
-    return _spectral_sum(ensemble.weights, [(g, g)])[0]
-
-
-def qfi_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
-    """3x3 QFI matrix M_kl = (1/2) sum_mn pw_mn Re(g_k,mn conj g_l,mn) over I_cells (x) sigma_l.
-
-    A batched ensemble, weights (n_T, 2N), gives (n_T, 3, 3). With real
-    eigenvectors g_x and g_z are real and g_y imaginary, so M_xy and M_yz
-    vanish term by term and are left at exactly 0.
-    """
-    if ensemble.dimension % 2 != 0:
-        raise ValueError("ensemble dimension must be even (two sublattices per cell)")
-    if np.iscomplexobj(ensemble.spectrum.vectors):
-        raise ValueError("the QFI matrix needs real eigenvectors")
-    g_x, g_y, g_z = (
-        _eigenbasis(ensemble.spectrum, generator)
-        for generator in sublattice_paulis(ensemble.dimension // 2)
-    )
-    rows = np.atleast_2d(ensemble.weights)
-    matrices = np.zeros((rows.shape[0], 3, 3))
-    for matrix, row in zip(matrices, rows):
-        xx, yy, zz, xz = _spectral_sum(row, [(g_x, g_x), (g_y, g_y), (g_z, g_z), (g_x, g_z)])
-        matrix[np.diag_indices(3)] = xx, yy, zz
-        matrix[0, 2] = matrix[2, 0] = xz
-    return matrices if ensemble.weights.ndim == 2 else matrices[0]
-
-
 def interferometric_power(matrix: np.ndarray) -> QfiReport:
     """Minimum eigenvalue of the QFI matrix and its generator direction.
 
@@ -164,32 +95,3 @@ def interferometric_power(matrix: np.ndarray) -> QfiReport:
     if matrix.ndim == 2:
         return QfiReport(matrix, float(i_p[0]), directions[0], float(eigenvalues[0, -1]))
     return QfiReport(matrix, i_p, directions, eigenvalues[:, -1])
-
-
-def qfi_fidelity_oracle(ensemble: GibbsEnsemble, generator, dtheta: float) -> float:
-    """Finite-difference QFI from the Bures fidelity decay.
-
-    Evolves rho by U = exp(-i A dtheta) and returns 2 (1 - sqrt(F)) / dtheta^2,
-    already rescaled to the variance normalization used by qfi_scalar.
-    sqrt(rho) = V diag(sqrt(lambda)) V^dagger is read from the ensemble's
-    own spectral form, the evolved state's root is U sqrt(rho) U^dagger,
-    and the root fidelity sqrt(F) = Tr|sqrt(rho) sqrt(sigma)| is the sum
-    of the singular values of their product (Uhlmann), with no clipping
-    and no eigendecomposition of a rounded state. Dense route, intended as
-    an independent cross-check for dimension <= 64.
-    """
-    low, high = ORACLE_STEP_RANGE
-    if not (low <= dtheta <= high):
-        raise ValueError(f"dtheta must lie in [{low}, {high}], got {dtheta}")
-    if ensemble.dimension > ORACLE_MAX_DIMENSION:
-        raise ValueError(
-            f"oracle limited to dimension {ORACLE_MAX_DIMENSION}, got {ensemble.dimension}"
-        )
-    matrix = _generator_matrix(generator, ensemble.dimension)
-    vectors = ensemble.spectrum.vectors
-    root = (vectors * np.sqrt(ensemble.weights)) @ vectors.conj().T
-    gen_values, gen_basis = np.linalg.eigh(matrix)
-    evolution = (gen_basis * np.exp(-1j * gen_values * dtheta)) @ gen_basis.conj().T
-    root_evolved = evolution @ root @ evolution.conj().T
-    root_fidelity = np.linalg.svd(root @ root_evolved, compute_uv=False).sum()
-    return float(2.0 * (1.0 - root_fidelity) / dtheta**2)

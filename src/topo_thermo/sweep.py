@@ -17,10 +17,10 @@ Bloch engine (bloch.py), open chains the chiral block D = H[A, B]
 through the same public functions a caller would use. Both engines give
 per-state <n|X|n>, which polarization_from_states reduces to the literal
 and weighted modes. The dense eigendecomposition is their oracle: the
-tests build the same record from the dense functions and run whole
-sweeps through it. A failing column is evaluated again one temperature
-at a time, so a failure lands in the error of exactly the points that
-fail.
+tests build the same record from the dense functions of
+`tests/dense_engine.py` and run whole sweeps through it. A failing
+column is evaluated again one temperature at a time, so a failure lands
+in the error of exactly the points that fail.
 
 Every output but polarization is declared once, in `_OUTPUTS`: its
 SweepTable and ResultRecord attribute, the quantity that requests it, its
@@ -308,7 +308,7 @@ def _engine(boundary: str) -> SimpleNamespace:
     `polarization_determinant(spectrum, T, cutoff)` and
     `state_expectations(spectrum)` are the boundary's `bloch_` or
     `chiral_` function of that name. The QFI matrix takes a GibbsEnsemble,
-    as the dense qfi.qfi_matrix does.
+    as the dense oracle's does.
 
     The names resolve when called, so a function rebound on this module
     after import, to trace or to test it, is the one a sweep then calls.

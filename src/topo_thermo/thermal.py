@@ -1,4 +1,4 @@
-"""Dense diagonalization and thermal ensembles in spectral form.
+"""Band spectra and the thermal ensembles over them.
 
 Temperatures are in hopping units with k_B = 1. The thermal state is the
 canonical Gibbs mixture exp(-H/T)/Z over the single-particle spectrum;
@@ -6,7 +6,9 @@ Fermi occupations at half filling (mu = 0) back the determinant
 polarization route, and their band contrast tanh(e_k / 2T) backs the
 fast determinants. Weights and occupations take one temperature or a
 1-D array of them, so a sweep evaluates a spectrum's whole temperature
-column in one call.
+column in one call. Weights and occupations read only a spectrum's
+`energies`, in any order, so the dense spectra of the test oracle in
+`tests/dense_engine.py` take them as a BandSpectrum does.
 """
 
 from __future__ import annotations
@@ -16,24 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-12
-
 # Ground-cluster detection scale for T = 0 and the underflow floor below
 # which weights are flushed to exactly zero.
 DEGENERACY_SCALE = 1e-9
 WEIGHT_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Ascending eigenvalues with orthonormal eigenvectors (column n <-> E_n)."""
-
-    energies: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.energies.shape[0]
 
 
 @dataclass(frozen=True)
@@ -67,17 +55,18 @@ class BandSpectrum:
 
 @dataclass(frozen=True)
 class GibbsEnsemble:
-    """Normalized spectral weights lambda_n attached to a Spectrum or BandSpectrum.
+    """Normalized spectral weights lambda_n attached to a spectrum, aligned with its `energies`.
 
-    For an array of temperatures, `weights` has one row per temperature.
-    Building an ensemble with any negative weight raises ValueError, so
-    every consumer reads weights checked once, here, and no kernel checks
-    them again.
+    `spectrum` is a BandSpectrum, or any spectrum with `energies`, such as
+    the dense oracle's. For an array of temperatures, `weights` has one
+    row per temperature. Building an ensemble with any negative weight
+    raises ValueError, so every consumer reads weights checked once, here,
+    and no kernel checks them again.
     """
 
     temperature: float | np.ndarray
     weights: np.ndarray = field(repr=False)
-    spectrum: Spectrum | BandSpectrum = field(repr=False)
+    spectrum: BandSpectrum = field(repr=False)
 
     def __post_init__(self):
         if np.any(self.weights < 0.0):
@@ -91,25 +80,6 @@ class GibbsEnsemble:
 class EnsembleDiagnostics(NamedTuple):
     purity: float | np.ndarray
     entropy: float | np.ndarray
-
-
-def diagonalize(h: np.ndarray) -> Spectrum:
-    """Full spectrum of a real symmetric matrix.
-
-    Rejects non-square or non-symmetric input. Convergence failures inside
-    LAPACK surface as numpy.linalg.LinAlgError rather than being truncated,
-    and energies that overflow float64 as FloatingPointError.
-    Output is deterministic for identical input bits.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    asym = np.abs(h - h.T).max() if h.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric: max |H - H^T| = {asym:.3e}")
-    energies, vectors = np.linalg.eigh(h)
-    _require_finite_energies(energies)
-    return Spectrum(energies=energies, vectors=vectors)
 
 
 def _require_finite_energies(energies: np.ndarray) -> None:
@@ -143,12 +113,12 @@ def per_temperature(values, temperature):
     return values if np.ndim(temperature) else values[0]
 
 
-def gibbs_weights(spectrum: Spectrum | BandSpectrum, temperature) -> GibbsEnsemble:
+def gibbs_weights(spectrum: BandSpectrum, temperature) -> GibbsEnsemble:
     """Canonical weights exp(-(E_n - E_0)/T) / Z, aligned with the spectrum's energies.
 
-    The energies may come in any order; E_0 is their minimum, subtracted
-    before exponentiating for overflow safety. Weights below 1e-300 are
-    flushed to exactly zero. At T = 0 the weight is spread uniformly over
+    Reads only `spectrum.energies`, which may come in any order; E_0 is
+    their minimum, subtracted before exponentiating for overflow safety.
+    Weights below 1e-300 are flushed to exactly zero. At T = 0 the weight is spread uniformly over
     the ground-degenerate cluster {n : E_n - E_0 <= 1e-9 * max(1, |E_0|)},
     and at T = inf uniformly over every level. A scalar temperature gives
     weights of shape (2N,), a 1-D array of n_T temperatures (n_T, 2N);
@@ -173,12 +143,12 @@ def gibbs_weights(spectrum: Spectrum | BandSpectrum, temperature) -> GibbsEnsemb
     )
 
 
-def fermi_occupations(spectrum: Spectrum | BandSpectrum, temperature) -> np.ndarray:
+def fermi_occupations(spectrum: BandSpectrum, temperature) -> np.ndarray:
     """Half-filling Fermi-Dirac occupations 1 / (1 + exp(E_n / T)), aligned with the spectrum.
 
-    T = 0 degrades to the step function with occupation exactly 1/2 at
-    E_n == 0. Shapes follow gibbs_weights: (2N,) for a scalar
-    temperature, (n_T, 2N) for an array.
+    Reads only `spectrum.energies`. T = 0 degrades to the step function
+    with occupation exactly 1/2 at E_n == 0. Shapes follow gibbs_weights:
+    (2N,) for a scalar temperature, (n_T, 2N) for an array.
     """
     column = _temperature_column(temperature)
     energies = spectrum.energies

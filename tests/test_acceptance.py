@@ -11,21 +11,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from topo_thermo.cli import EXIT_OK, cli_main
-from topo_thermo.figures import build_figure_spec
-from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
-from topo_thermo.polarization import (
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-)
-from topo_thermo.qfi import (
-    interferometric_power,
+from dense_engine import (
+    Spectrum,
+    diagonalize,
     qfi_fidelity_oracle,
     qfi_matrix,
     qfi_scalar,
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
 )
+from topo_thermo.cli import EXIT_OK, cli_main
+from topo_thermo.figures import build_figure_spec
+from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
+from topo_thermo.qfi import interferometric_power
 from topo_thermo.sweep import SweepSpec, locate_extremum, run_sweep
-from topo_thermo.thermal import Spectrum, diagonalize, gibbs_weights
+from topo_thermo.thermal import gibbs_weights
 
 
 def _report(criterion, ok, detail):

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dense_engine import DET_ATOL, DET_RTOL, DET_SCALE, assert_determinants_agree
+from dense_engine import (
+    DET_ATOL,
+    DET_RTOL,
+    DET_SCALE,
+    assert_determinants_agree,
+    diagonalize,
+    thermal_polarization_determinant,
+)
 from topo_thermo.bloch import (
     _ordered_product,
     bloch_polarization_determinant,
@@ -19,9 +26,9 @@ from topo_thermo.bloch import (
 )
 from topo_thermo.chiral import winding_number
 from topo_thermo.lattice import ModelParams, build_hamiltonian
-from topo_thermo.polarization import polarization_from_states, thermal_polarization_determinant
+from topo_thermo.polarization import polarization_from_states
 from topo_thermo.qfi import pair_weights
-from topo_thermo.thermal import diagonalize, fermi_occupations, gibbs_weights
+from topo_thermo.thermal import fermi_occupations, gibbs_weights
 
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 

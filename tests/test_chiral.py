@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from dense_engine import PER_STATE_TOL, T0_MIN_GAP
+from dense_engine import (
+    PER_STATE_TOL,
+    T0_MIN_GAP,
+    diagonalize,
+    state_expectations,
+    thermal_polarization_weighted,
+)
 from topo_thermo import chiral as chiral_mod
 from topo_thermo.chiral import (
     chiral_polarization_determinant,
@@ -25,13 +31,8 @@ from topo_thermo.lattice import (
     build_hamiltonian,
     flat_index,
 )
-from topo_thermo.polarization import (
-    DEFAULT_MAGNITUDE_CUTOFF,
-    polarization_from_states,
-    state_expectations,
-    thermal_polarization_weighted,
-)
-from topo_thermo.thermal import diagonalize, fermi_occupations, gibbs_weights
+from topo_thermo.polarization import DEFAULT_MAGNITUDE_CUTOFF, polarization_from_states
+from topo_thermo.thermal import fermi_occupations, gibbs_weights
 
 hopping = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 

@@ -16,6 +16,7 @@ import pytest
 
 import topo_thermo
 import topo_thermo.sweep as sweep_mod
+from dense_engine import ENERGY_TOL, dense_spectrum
 from topo_thermo.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -28,6 +29,7 @@ from topo_thermo.cli import (
     cli_main,
 )
 from topo_thermo.figures import FIGURE_IDS, FIGURE_PRESETS, build_figure_spec
+from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 
 
 def run_cli(args, capsys):
@@ -146,10 +148,10 @@ def test_figure_with_failed_points_exits_3(tmp_path, capsys, monkeypatch):
 
 def test_a_linalg_failure_in_spectrum_exits_3(monkeypatch, capsys):
     # LinAlgError is a ValueError, yet it is a numerical failure, not a configuration error.
-    def explode(h):
+    def explode(params):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr("topo_thermo.cli.diagonalize", explode)
+    monkeypatch.setattr("topo_thermo.cli.chiral_spectrum", explode)
     code, out, err = run_cli(
         ["spectrum", "--n-cells", "4", "--v", "0.3", "--w", "0.5", "--z", "0.2"], capsys
     )
@@ -507,6 +509,41 @@ def test_spectrum_subcommand(capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert len(data) == 6 and "c5" in data[0]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ModelParams(n_cells=2, v=0.3, w=0.5, z=0.2, boundary=PERIODIC),
+        ModelParams(n_cells=7, v=0.3, w=0.5, z=0.2, boundary=PERIODIC),
+        ModelParams(n_cells=7, v=0.3, w=0.5, z=0.2, boundary=OPEN),
+        ModelParams(n_cells=12, v=0.3, w=0.5, z=0.2, boundary=OPEN),
+        # s_0 ~ 1e-17: the edge pair is degenerate to rounding.
+        ModelParams(n_cells=80, v=0.3, w=0.5, z=0.2, boundary=OPEN),
+    ],
+    ids=["ring-N2", "ring-N7", "open-N7", "open-N12", "open-N80"],
+)
+def test_spectrum_eigenvectors_are_an_eigenbasis(params, capsys):
+    code, out, _ = run_cli(
+        ["spectrum", "--n-cells", str(params.n_cells), "--v", str(params.v), "--w", str(params.w),
+         "--z", str(params.z), "--boundary", params.boundary, "--eigenvectors",
+         "--precision", "17"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    rows = read_csv(out)
+    energies = np.array([float(row["energy"]) for row in rows])
+    vectors = np.array([[float(row[f"c{i}"]) for i in range(params.dimension)] for row in rows]).T
+    assert np.all(np.diff(energies) >= 0.0)
+    assert np.abs(energies - dense_spectrum(params).energies).max() <= ENERGY_TOL
+    assert np.abs(vectors.T @ vectors - np.eye(params.dimension)).max() <= 1e-12
+    residual = build_hamiltonian(params) @ vectors - vectors * energies
+    assert np.abs(residual).max() <= 1e-12 * np.abs(energies).max()
+    if params.boundary == OPEN:
+        # The +-s_0 edge pair: each state is (u_0, -+v_0) / sqrt(2), half on each sublattice.
+        edge = vectors[:, np.argsort(np.abs(energies), kind="stable")[:2]]
+        assert np.abs(np.sum(edge[0::2] ** 2, axis=0) - 0.5).max() <= 1e-12
+        assert np.abs(np.sum(edge[1::2] ** 2, axis=0) - 0.5).max() <= 1e-12
 
 
 def test_frozen_figure_parameter_table():

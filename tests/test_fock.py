@@ -16,12 +16,11 @@ from fock import PAIR_CUTOFF, position_phase_expectations, qfi_matrices
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from dense_engine import diagonalize, sublattice_paulis, thermal_polarization_determinant
 from topo_thermo.bloch import bloch_polarization_determinant, bloch_spectrum
 from topo_thermo.chiral import chiral_polarization_determinant, chiral_spectrum
 from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
-from topo_thermo.polarization import thermal_polarization_determinant
-from topo_thermo.qfi import sublattice_paulis
-from topo_thermo.thermal import diagonalize, fermi_occupations
+from topo_thermo.thermal import fermi_occupations
 
 TOL = 1e-12
 TEMPERATURES = (0.05, 0.2, 0.7, 3.0, 1e6)

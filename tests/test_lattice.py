@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from dense_engine import state_expectations, sublattice_paulis
 from topo_thermo.lattice import (
     OPEN,
     PERIODIC,
@@ -14,8 +15,6 @@ from topo_thermo.lattice import (
     cell_phases,
     flat_index,
 )
-from topo_thermo.polarization import state_expectations
-from topo_thermo.qfi import sublattice_paulis
 
 
 def idx(cell, sub):

@@ -3,6 +3,15 @@
 import numpy as np
 import pytest
 
+from dense_engine import (
+    Spectrum,
+    _determinant_result,
+    diagonalize,
+    state_expectations,
+    thermal_polarization_determinant,
+    thermal_polarization_literal,
+    thermal_polarization_weighted,
+)
 from topo_thermo.bloch import (
     bloch_polarization_determinant,
     bloch_spectrum,
@@ -26,15 +35,10 @@ from topo_thermo.polarization import (
     MODE_LITERAL,
     MODE_WEIGHTED,
     _absolute,
-    _determinant_result,
     _make_result,
     polarization_from_states,
-    state_expectations,
-    thermal_polarization_determinant,
-    thermal_polarization_literal,
-    thermal_polarization_weighted,
 )
-from topo_thermo.thermal import BandSpectrum, GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
+from topo_thermo.thermal import BandSpectrum, GibbsEnsemble, gibbs_weights
 
 
 def basis_state(n_cells, cell, sublattice=0):

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from topo_thermo.lattice import ModelParams, build_hamiltonian
-from topo_thermo.qfi import (
-    PAIR_WEIGHT_CUTOFF,
-    interferometric_power,
-    pair_weights,
+from dense_engine import (
+    Spectrum,
+    diagonalize,
     qfi_fidelity_oracle,
     qfi_matrix,
     qfi_scalar,
     sublattice_paulis,
 )
-from topo_thermo.thermal import GibbsEnsemble, Spectrum, diagonalize, gibbs_weights
+from topo_thermo.lattice import ModelParams, build_hamiltonian
+from topo_thermo.qfi import PAIR_WEIGHT_CUTOFF, interferometric_power, pair_weights
+from topo_thermo.thermal import GibbsEnsemble, gibbs_weights
 
 
 PAULI_BLOCKS = {

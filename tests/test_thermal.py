@@ -5,15 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from dense_engine import Spectrum, diagonalize
 from topo_thermo.bloch import bloch_spectrum
 from topo_thermo.chiral import chiral_spectrum
 from topo_thermo.lattice import OPEN, PERIODIC, ModelParams, build_hamiltonian
 from topo_thermo.thermal import (
     BandSpectrum,
     GibbsEnsemble,
-    Spectrum,
     band_contrast,
-    diagonalize,
     ensemble_diagnostics,
     fermi_occupations,
     gibbs_weights,
